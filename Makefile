@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 vet lint becauselint wire-lock race verify bench bench-all fuzz serve-smoke scenario-matrix scenario-update clean
+.PHONY: all build test tier1 vet perfbench-vet lint becauselint wire-lock race verify bench bench-all fuzz serve-smoke scenario-matrix scenario-update clean
 
 # Short fuzzing budget per target; raise for a real fuzzing session, e.g.
 #   make fuzz FUZZTIME=10m
@@ -22,6 +22,12 @@ tier1: build test
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is a nested module (its own go.mod), so ./... never compiles
+# it; vetting it from its directory builds it against this module's
+# internal APIs, which it imports.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 # lint runs the project-specific analyzers (determinism, maporder,
 # rngshare, obsnil, ctxflow, errflow, wiredrift, hotpath, goleak — see
@@ -47,9 +53,9 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/par ./internal/core ./internal/experiment
 
-# verify is the pre-merge gate: static analysis (vet + becauselint), the
-# race detector and the plain test suite.
-verify: vet lint race tier1
+# verify is the pre-merge gate: static analysis (vet, perfbench vet and
+# becauselint), the race detector and the plain test suite.
+verify: vet perfbench-vet lint race tier1
 
 # bench records the per-PR benchmark trajectory: the headline benchmarks
 # (engine, public API, lint) run once and their numbers land as a

@@ -193,44 +193,33 @@ type Options struct {
 	// synchronously from the sampling loop; keep it fast. This is the
 	// unified progress surface; see ProgressEvent.
 	OnProgress func(ProgressEvent)
-	// Progress is the pre-ProgressEvent callback shape, kept so existing
-	// callers compile; it receives the same events flattened to scalars.
-	// When both callbacks are set, both are invoked.
-	//
-	// Deprecated: use OnProgress.
-	Progress func(stage string, chain, done, total int, acceptance float64)
 	// ProgressEvery is the progress cadence in sweeps (default 100).
 	ProgressEvery int
 }
 
-// ProgressEvent is one sampler progress notification — the single exported
-// shape behind both Options.OnProgress and the internal samplers' progress
-// stream (the legacy Options.Progress callback receives the same event
-// flattened to scalars).
-type ProgressEvent struct {
-	// Stage is the sampler: "mh" or "hmc".
-	Stage string
-	// Chain is the chain index within a multi-chain ensemble.
-	Chain int
-	// Done and Total count sweeps (MH) or trajectories (HMC), burn-in
-	// included.
-	Done, Total int
-	// Accepted and Proposed are the running Metropolis decision counts.
-	Accepted, Proposed int
-}
-
-// AcceptanceRate returns Accepted/Proposed (0 before any proposal).
-func (e ProgressEvent) AcceptanceRate() float64 {
-	if e.Proposed == 0 {
-		return 0
-	}
-	return float64(e.Accepted) / float64(e.Proposed)
-}
+// ProgressEvent is one sampler progress notification: the sampler Stage
+// ("mh" or "hmc"), the Chain index, Done/Total sweeps or trajectories
+// (burn-in included), the running Accepted/Proposed Metropolis counts, and
+// AcceptanceRate. It is the samplers' own event type, so Options.OnProgress
+// receives their stream unadapted.
+type ProgressEvent = obs.Progress
 
 // Validate checks the options for internal consistency. Infer and
 // InferContext call it first; a failure is a *ValidationError (unwrapping
 // to ErrInvalidOptions) that names the offending field.
 func (o Options) Validate() error {
+	for _, f := range []struct {
+		field string
+		v     float64
+	}{
+		{"prior", o.Prior.Alpha}, {"prior", o.Prior.Beta},
+		{"miss_rate", o.MissRate}, {"churn_rate", o.ChurnRate},
+		{"hdpi_mass", o.HDPIMass}, {"pinpoint_threshold", o.PinpointThreshold},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return &ValidationError{Field: f.field, Reason: fmt.Sprintf("%g is not a finite number", f.v)}
+		}
+	}
 	if o.Prior != (Prior{}) && (o.Prior.Alpha <= 0 || o.Prior.Beta <= 0) {
 		return &ValidationError{Field: "prior", Reason: fmt.Sprintf("Beta(%g, %g) parameters must be positive", o.Prior.Alpha, o.Prior.Beta)}
 	}
@@ -488,8 +477,8 @@ func InferContext(ctx context.Context, observations []PathObservation, opts Opti
 		if len(o.Path) == 0 {
 			return nil, &ValidationError{Field: fmt.Sprintf("observations[%d].path", j), Reason: "empty AS path"}
 		}
-		if o.Weight < 0 {
-			return nil, &ValidationError{Field: fmt.Sprintf("observations[%d].weight", j), Reason: "must be non-negative"}
+		if !(o.Weight >= 0) || math.IsInf(o.Weight, 1) {
+			return nil, &ValidationError{Field: fmt.Sprintf("observations[%d].weight", j), Reason: "must be finite and non-negative"}
 		}
 		asns := make([]bgp.ASN, len(o.Path))
 		for i, a := range o.Path {
@@ -509,7 +498,6 @@ func InferContext(ctx context.Context, observations []PathObservation, opts Opti
 		Seed:              opts.Seed,
 		HDPIMass:          opts.HDPIMass,
 		PinpointThreshold: opts.PinpointThreshold,
-		MissRate:          opts.MissRate,
 		Model:             opts.observationModel(),
 		Chains:            opts.Chains,
 		Workers:           opts.Workers,
@@ -518,25 +506,8 @@ func InferContext(ctx context.Context, observations []PathObservation, opts Opti
 		MH:                core.MHConfig{Sweeps: opts.MHSweeps, BurnIn: opts.MHBurnIn},
 		HMC:               core.HMCConfig{Iterations: opts.HMCIterations, BurnIn: opts.HMCBurnIn},
 		Obs:               opts.Obs,
+		Progress:          opts.OnProgress,
 		ProgressEvery:     opts.ProgressEvery,
-	}
-	if opts.OnProgress != nil || opts.Progress != nil {
-		// Thin adapter from the internal progress stream to the unified
-		// ProgressEvent surface; the deprecated flattened callback rides
-		// along on the same events.
-		on, legacy := opts.OnProgress, opts.Progress
-		cfg.Progress = func(p obs.Progress) {
-			ev := ProgressEvent{
-				Stage: p.Stage, Chain: p.Chain, Done: p.Done, Total: p.Total,
-				Accepted: p.Accepted, Proposed: p.Proposed,
-			}
-			if on != nil {
-				on(ev)
-			}
-			if legacy != nil {
-				legacy(ev.Stage, ev.Chain, ev.Done, ev.Total, ev.AcceptanceRate())
-			}
-		}
 	}
 	if opts.Prior != (Prior{}) {
 		cfg.Prior = core.Prior{Alpha: opts.Prior.Alpha, Beta: opts.Prior.Beta}

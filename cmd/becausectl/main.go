@@ -189,7 +189,7 @@ func run(o options, observer *obs.Observer, stdout io.Writer) error {
 	opts := because.Options{
 		Seed:     o.seed,
 		MHSweeps: o.mhSweeps, HMCIterations: o.hmcIters,
-		Chains:   o.chains,
+		Chains:    o.chains,
 		Workers:   o.workers,
 		MissRate:  o.missRate,
 		Model:     o.model,
@@ -207,10 +207,7 @@ func run(o options, observer *obs.Observer, stdout io.Writer) error {
 		return &because.ValidationError{Field: "prior", Reason: fmt.Sprintf("unknown prior %q", o.prior)}
 	}
 	if o.progress {
-		opts.OnProgress = func(ev because.ProgressEvent) {
-			fmt.Fprintf(os.Stderr, "becausectl: %s chain %d: %d/%d sweeps, acceptance %.2f\n",
-				ev.Stage, ev.Chain, ev.Done, ev.Total, ev.AcceptanceRate())
-		}
+		opts.OnProgress = printProgress
 	}
 
 	obsIn := make([]because.PathObservation, len(records))
@@ -240,6 +237,13 @@ func run(o options, observer *obs.Observer, stdout io.Writer) error {
 		return err
 	}
 	return render(o, res, len(obsIn), stdout)
+}
+
+// printProgress renders one sampler progress event on stderr. Shared by
+// the local and remote paths.
+func printProgress(ev because.ProgressEvent) {
+	fmt.Fprintf(os.Stderr, "becausectl: %s chain %d: %d/%d sweeps, acceptance %.2f\n",
+		ev.Stage, ev.Chain, ev.Done, ev.Total, ev.AcceptanceRate())
 }
 
 // writeTrace marshals a trace export (or any JSON document) to path.

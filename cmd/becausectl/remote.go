@@ -132,16 +132,11 @@ func consumeStream(o options, r io.Reader) (jobID string, result json.RawMessage
 				}
 			case "progress":
 				if o.progress {
-					var ev struct {
-						Stage      string  `json:"stage"`
-						Chain      int     `json:"chain"`
-						Done       int     `json:"done"`
-						Total      int     `json:"total"`
-						Acceptance float64 `json:"acceptance"`
-					}
+					// The frame's keys (stage, chain, done, total, accepted,
+					// proposed) match the event's fields case-insensitively.
+					var ev because.ProgressEvent
 					if err := json.Unmarshal([]byte(data), &ev); err == nil {
-						fmt.Fprintf(os.Stderr, "becausectl: %s chain %d: %d/%d sweeps, acceptance %.2f\n",
-							ev.Stage, ev.Chain, ev.Done, ev.Total, ev.Acceptance)
+						printProgress(ev)
 					}
 				}
 			case "result":

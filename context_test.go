@@ -127,10 +127,19 @@ func TestTypedErrors(t *testing.T) {
 	}{
 		{"negative sweeps", plantedObs(), Options{MHSweeps: -1}, "mh_sweeps"},
 		{"bad prior", plantedObs(), Options{Prior: Prior{Alpha: -1, Beta: 1}}, "prior"},
+		{"NaN prior", plantedObs(), Options{Prior: Prior{Alpha: math.NaN(), Beta: 1}}, "prior"},
+		{"infinite prior", plantedObs(), Options{Prior: Prior{Alpha: 1, Beta: math.Inf(1)}}, "prior"},
 		{"bad miss rate", plantedObs(), Options{MissRate: 1}, "miss_rate"},
+		{"NaN miss rate", plantedObs(), Options{MissRate: math.NaN()}, "miss_rate"},
+		{"NaN churn rate", plantedObs(), Options{Model: ModelChurn, ChurnRate: math.NaN()}, "churn_rate"},
 		{"bad hdpi mass", plantedObs(), Options{HDPIMass: 2}, "hdpi_mass"},
+		{"NaN hdpi mass", plantedObs(), Options{HDPIMass: math.NaN()}, "hdpi_mass"},
+		{"NaN pinpoint threshold", plantedObs(), Options{PinpointThreshold: math.NaN()}, "pinpoint_threshold"},
+		{"infinite pinpoint threshold", plantedObs(), Options{PinpointThreshold: math.Inf(-1)}, "pinpoint_threshold"},
 		{"empty path", []PathObservation{{Path: []ASN{1}}, {}}, Options{}, "observations[1].path"},
 		{"negative weight", []PathObservation{{Path: []ASN{1, 2}, Weight: -1}}, Options{}, "observations[0].weight"},
+		{"NaN weight", []PathObservation{{Path: []ASN{1, 2}, Weight: math.NaN()}}, Options{}, "observations[0].weight"},
+		{"infinite weight", []PathObservation{{Path: []ASN{1, 2}, Weight: math.Inf(1)}}, Options{}, "observations[0].weight"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,22 +158,16 @@ func TestTypedErrors(t *testing.T) {
 	}
 }
 
-// TestProgressCallbacks checks the unified OnProgress surface and the
-// deprecated flattened Progress adapter both receive the sampler stream.
+// TestProgressCallbacks checks OnProgress receives the sampler stream.
 func TestProgressCallbacks(t *testing.T) {
 	var events []ProgressEvent
-	var legacy int
 	opts := Options{Seed: 3, DisableHMC: true, MHSweeps: 100, MHBurnIn: 20, ProgressEvery: 25}
 	opts.OnProgress = func(ev ProgressEvent) { events = append(events, ev) }
-	opts.Progress = func(stage string, chain, done, total int, acceptance float64) { legacy++ }
 	if _, err := Infer(plantedObs(), opts); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) == 0 {
 		t.Fatal("OnProgress never fired")
-	}
-	if legacy != len(events) {
-		t.Errorf("legacy callback fired %d times, unified %d — the adapter must mirror every event", legacy, len(events))
 	}
 	last := events[len(events)-1]
 	if last.Stage != "mh" || last.Done != last.Total {

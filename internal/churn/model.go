@@ -45,12 +45,12 @@ type Model struct {
 // into becaused's cache.
 func (Model) Name() string { return "churn" }
 
-// Validate bounds both rates to [0, 1).
+// Validate bounds both rates to [0, 1) (NaN included in the rejects).
 func (m Model) Validate() error {
-	if m.BackgroundRate < 0 || m.BackgroundRate >= 1 {
+	if !(m.BackgroundRate >= 0 && m.BackgroundRate < 1) {
 		return fmt.Errorf("churn: background rate %g outside [0, 1)", m.BackgroundRate)
 	}
-	if m.MissRate < 0 || m.MissRate >= 1 {
+	if !(m.MissRate >= 0 && m.MissRate < 1) {
 		return fmt.Errorf("churn: miss rate %g outside [0, 1)", m.MissRate)
 	}
 	return nil

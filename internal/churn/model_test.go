@@ -150,7 +150,7 @@ func TestModelValidate(t *testing.T) {
 			t.Errorf("%+v: unexpected error %v", m, err)
 		}
 	}
-	for _, m := range []Model{{BackgroundRate: -0.1}, {BackgroundRate: 1}, {MissRate: -1}, {MissRate: 1}} {
+	for _, m := range []Model{{BackgroundRate: -0.1}, {BackgroundRate: 1}, {MissRate: -1}, {MissRate: 1}, {BackgroundRate: math.NaN()}, {MissRate: math.NaN()}} {
 		if err := m.Validate(); err == nil {
 			t.Errorf("%+v: expected a validation error", m)
 		}

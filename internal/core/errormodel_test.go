@@ -8,13 +8,19 @@ import (
 	"because/internal/stats"
 )
 
+// errLogLik evaluates the § 7.2 likelihood through the model API, exactly
+// as the samplers do.
+func errLogLik(ds *Dataset, p []float64, missRate float64) float64 {
+	return RFDModel{MissRate: missRate}.NewState(ds, p).LogLik()
+}
+
 func TestErrorLikelihoodReducesToExact(t *testing.T) {
 	ds := mustDataset(t, []PathObs{
 		{ASNs: []bgp.ASN{1, 2}, Positive: true},
 		{ASNs: []bgp.ASN{2, 3}, Positive: false},
 	})
 	p := []float64{0.3, 0.5, 0.2}
-	if a, b := LogLik(ds, p), LogLikWithError(ds, p, 0); a != b {
+	if a, b := LogLik(ds, p), errLogLik(ds, p, 0); a != b {
 		t.Errorf("miss rate 0 differs: %g vs %g", a, b)
 	}
 }
@@ -31,7 +37,7 @@ func TestErrorLikelihoodHandComputation(t *testing.T) {
 	p := 0.4
 	m := 0.2
 	want := math.Log((1-m)*p) + math.Log((1-p)+m*p)
-	if got := LogLikWithError(ds, []float64{p}, m); math.Abs(got-want) > 1e-12 {
+	if got := errLogLik(ds, []float64{p}, m); math.Abs(got-want) > 1e-12 {
 		t.Errorf("error loglik = %g, want %g", got, want)
 	}
 }
@@ -49,7 +55,7 @@ func TestErrorModelDeltaConsistent(t *testing.T) {
 			delta := st.DeltaFor(i, pNew)
 			p2 := append([]float64(nil), st.p...)
 			p2[i] = pNew
-			want := LogLikWithError(ds, p2, 0.15) - base
+			want := errLogLik(ds, p2, 0.15) - base
 			if math.Abs(delta-want) > 1e-9 {
 				t.Fatalf("delta(%d -> %g) = %g, want %g", i, pNew, delta, want)
 			}
@@ -117,7 +123,7 @@ func TestErrorModelToleratesNoisyLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	robust, err := RunMH(ds, SparsePrior, MHConfig{Sweeps: 800, BurnIn: 200, MissRate: 0.25}, stats.NewRNG(5))
+	robust, err := RunMH(ds, SparsePrior, MHConfig{Sweeps: 800, BurnIn: 200, Model: RFDModel{MissRate: 0.25}}, stats.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,20 +140,19 @@ func TestErrorModelToleratesNoisyLabels(t *testing.T) {
 
 func TestMissRateValidation(t *testing.T) {
 	ds := mustDataset(t, []PathObs{{ASNs: []bgp.ASN{1}, Positive: true}})
-	if _, err := RunMH(ds, SparsePrior, MHConfig{MissRate: -0.1}, stats.NewRNG(1)); err == nil {
-		t.Error("negative miss rate accepted")
+	for _, m := range []float64{-0.1, 1, math.NaN()} {
+		if _, err := RunMH(ds, SparsePrior, MHConfig{Model: RFDModel{MissRate: m}}, stats.NewRNG(1)); err == nil {
+			t.Errorf("MH miss rate %g accepted", m)
+		}
 	}
-	if _, err := RunMH(ds, SparsePrior, MHConfig{MissRate: 1}, stats.NewRNG(1)); err == nil {
-		t.Error("miss rate 1 accepted")
-	}
-	if _, err := RunHMC(ds, SparsePrior, HMCConfig{MissRate: 1.5}, stats.NewRNG(1)); err == nil {
+	if _, err := RunHMC(ds, SparsePrior, HMCConfig{Model: RFDModel{MissRate: 1.5}}, stats.NewRNG(1)); err == nil {
 		t.Error("HMC miss rate 1.5 accepted")
 	}
 }
 
 func TestInferWithMissRate(t *testing.T) {
 	ds := plantedDataset(t)
-	res, err := Infer(ds, Config{Seed: 21, MissRate: 0.1,
+	res, err := Infer(ds, Config{Seed: 21, Model: RFDModel{MissRate: 0.1},
 		MH: MHConfig{Sweeps: 400, BurnIn: 100}, HMC: HMCConfig{Iterations: 150, BurnIn: 50}})
 	if err != nil {
 		t.Fatal(err)

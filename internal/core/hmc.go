@@ -28,12 +28,8 @@ type HMCConfig struct {
 	// Jitter randomises the per-trajectory step size by ±Jitter·StepSize
 	// to avoid resonance. Default 0.2.
 	Jitter float64
-	// MissRate, when positive, enables the § 7.2 measurement-error
-	// likelihood (see MHConfig.MissRate). Ignored when Model is set.
-	MissRate float64
 	// Model selects the observation model the sampler draws against. Nil
-	// selects the default RFD likelihood at MissRate — the exact
-	// pre-interface behaviour, bit for bit.
+	// selects RFDModel{} — the paper's § 3.1 likelihood, bit for bit.
 	Model ObservationModel
 
 	// Chain tags metrics and progress events with the chain index.
@@ -71,8 +67,7 @@ func (c HMCConfig) withDefaults() HMCConfig {
 }
 
 func (c HMCConfig) validate() error {
-	if c.Iterations < 1 || c.BurnIn < 0 || c.Leapfrog < 1 || c.StepSize <= 0 || c.Jitter < 0 || c.Jitter > 1 ||
-		c.MissRate < 0 || c.MissRate >= 1 || c.ProgressEvery < 1 {
+	if c.Iterations < 1 || c.BurnIn < 0 || c.Leapfrog < 1 || c.StepSize <= 0 || c.Jitter < 0 || c.Jitter > 1 || c.ProgressEvery < 1 {
 		return fmt.Errorf("core: invalid HMC config %+v", c)
 	}
 	return nil
@@ -107,7 +102,7 @@ func RunHMCContext(ctx context.Context, ds *Dataset, prior Prior, cfg HMCConfig,
 	if ds.NumNodes() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
-	model := modelOrDefault(cfg.Model, cfg.MissRate)
+	model := modelOrDefault(cfg.Model)
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}

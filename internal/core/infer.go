@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"because/internal/bgp"
@@ -33,17 +32,11 @@ type Config struct {
 	// PinpointThreshold is the Eq. 8 vote share (default 0.8). Negative
 	// disables the pinpointing pass.
 	PinpointThreshold float64
-	// MissRate, when positive, switches both samplers to the § 7.2
-	// measurement-error likelihood: a truly-positive path is recorded
-	// negative with this probability. Use it when the labeling stage is
-	// known to lose signatures (session resets, short Breaks). Ignored
-	// when Model is set — the model then owns the likelihood entirely.
-	MissRate float64
 	// Model is the observation model both samplers draw against. Nil (the
-	// default) selects RFDModel{MissRate: MissRate} — the paper's § 3.1
-	// likelihood, bit-identical to every pre-interface release. Models
-	// must be pure values (see ObservationModel); their Name() is carried
-	// on the Result.
+	// default) selects RFDModel{} — the paper's § 3.1 likelihood,
+	// bit-identical to every pre-interface release; RFDModel{MissRate: m}
+	// is its § 7.2 measurement-error variant. Models must be pure values
+	// (see ObservationModel); their Name() is carried on the Result.
 	Model ObservationModel
 	// Seed makes the run reproducible.
 	Seed uint64
@@ -171,9 +164,7 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 	if cfg.DisableMH && cfg.DisableHMC {
 		return nil, fmt.Errorf("core: both samplers disabled")
 	}
-	model := modelOrDefault(cfg.Model, cfg.MissRate)
-	cfg.MH.MissRate = cfg.MissRate
-	cfg.HMC.MissRate = cfg.MissRate
+	model := modelOrDefault(cfg.Model)
 	cfg.MH.Model = model
 	cfg.HMC.Model = model
 	if cfg.Chains < 1 {
@@ -190,7 +181,7 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 		o.Gauge(obs.MetricInferPaths).Set(float64(ds.NumPaths()))
 		o.Log(obs.LevelInfo, "inference started",
 			"paths", ds.NumPaths(), "nodes", ds.NumNodes(), "chains", cfg.Chains,
-			"mh", !cfg.DisableMH, "hmc", !cfg.DisableHMC, "miss_rate", cfg.MissRate,
+			"mh", !cfg.DisableMH, "hmc", !cfg.DisableHMC,
 			"model", model.Name(), "workers", workers)
 	}
 	// Progress callbacks may now arrive from several chain goroutines;
@@ -227,26 +218,13 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 		jobs = append(jobs, chainJob{method: "hmc", rng: rng.Split()})
 	}
 
-	// Spans measure each sampler stage's wall time: started before the
-	// fan-out, ended by whichever worker finishes the stage's last chain.
-	var mhLeft, hmcLeft atomic.Int64
-	var mhSpan, hmcSpan *obs.Span
-	if !cfg.DisableMH {
-		mhLeft.Store(int64(cfg.Chains))
-		mhSpan = o.StartSpan("mh")
-	}
-	if !cfg.DisableHMC {
-		hmcLeft.Store(1)
-		hmcSpan = o.StartSpan("hmc")
-	}
-
 	// Trace spans are pre-created here, in job order, BEFORE the fan-out —
 	// exactly like the RNG streams above — so the exported span tree (IDs,
 	// names, nesting) depends only on the configuration, never on which
 	// worker finishes first. Workers only End their pre-assigned span;
 	// sampler attributes are attached after the join, in chain order. With
-	// no trace on ctx every span below is nil and each call is a no-op.
-	sampleSpan, _ := obs.StartTraceSpan(ctx, "sample")
+	// no trace on ctx every chain span is nil and each call is a no-op.
+	sampleSpan, _ := o.StartSpan(ctx, "sample")
 	chainSpans := make([]*obs.TraceSpan, len(jobs))
 	for i, job := range jobs {
 		if job.method == "mh" {
@@ -281,16 +259,6 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 			if o != nil {
 				o.Histogram(obs.MetricChainSeconds, nil, "method", job.method).
 					Observe(time.Since(start).Seconds()) //lint:allow determinism — observability-only
-			}
-			switch job.method {
-			case "mh":
-				if mhLeft.Add(-1) == 0 {
-					mhSpan.End()
-				}
-			default:
-				if hmcLeft.Add(-1) == 0 {
-					hmcSpan.End()
-				}
 			}
 			return err
 		})
@@ -340,9 +308,25 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 	if !cfg.DisableMH {
 		mhChains = chains[:cfg.Chains]
 	}
-	span := o.StartSpan("summarize")
-	sumSpan, _ := obs.StartTraceSpan(ctx, "summarize")
-	summaries, err := Summarize(ds, chains, cfg.HDPIMass)
+	summaries, err := summarizeStage(ctx, o, ds, chains, mhChains, cfg.HDPIMass)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Model: model.Name(), Summaries: summaries, Chains: chains}
+	res.buildIndex()
+	if cfg.PinpointThreshold > 0 {
+		res.pinpoint(ctx, o, ds, cfg.PinpointThreshold)
+	}
+	return res, nil
+}
+
+// summarizeStage is InferContext's "summarize" stage: per-node summaries
+// over every chain, R-hat across the MH chains when there are two or
+// more, and the convergence gauges.
+func summarizeStage(ctx context.Context, o *obs.Observer, ds *Dataset, chains, mhChains []*Chain, mass float64) ([]NodeSummary, error) {
+	span, _ := o.StartSpan(ctx, "summarize")
+	defer span.End()
+	summaries, err := Summarize(ds, chains, mass)
 	if err != nil {
 		return nil, err
 	}
@@ -380,26 +364,23 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 			o.Gauge(obs.MetricESSMin).Set(essMin)
 		}
 	}
-	span.End()
-	sumSpan.SetAttr("nodes", len(summaries))
-	sumSpan.End()
-	res := &Result{Model: model.Name(), Summaries: summaries, Chains: chains}
-	res.buildIndex()
-	if cfg.PinpointThreshold > 0 {
-		span := o.StartSpan("pinpoint")
-		pinSpan, _ := obs.StartTraceSpan(ctx, "pinpoint")
-		upgraded := PinpointInconsistent(ds, chains, res.Summaries, cfg.PinpointThreshold)
-		for _, asn := range upgraded {
-			if i, ok := res.index[asn]; ok {
-				res.Pinpointed = append(res.Pinpointed, res.Summaries[i])
-			}
-		}
-		span.End()
-		pinSpan.SetAttr("upgraded", len(upgraded))
-		pinSpan.End()
-		if o != nil && len(upgraded) > 0 {
-			o.Log(obs.LevelInfo, "pinpointing upgraded ASes", "count", len(upgraded))
+	span.SetAttr("nodes", len(summaries))
+	return summaries, nil
+}
+
+// pinpoint is InferContext's "pinpoint" stage: the Eq. 8
+// inconsistent-damper pass over the summarised result.
+func (r *Result) pinpoint(ctx context.Context, o *obs.Observer, ds *Dataset, threshold float64) {
+	span, _ := o.StartSpan(ctx, "pinpoint")
+	defer span.End()
+	upgraded := PinpointInconsistent(ds, r.Chains, r.Summaries, threshold)
+	for _, asn := range upgraded {
+		if i, ok := r.index[asn]; ok {
+			r.Pinpointed = append(r.Pinpointed, r.Summaries[i])
 		}
 	}
-	return res, nil
+	span.SetAttr("upgraded", len(upgraded))
+	if o != nil && len(upgraded) > 0 {
+		o.Log(obs.LevelInfo, "pinpointing upgraded ASes", "count", len(upgraded))
+	}
 }

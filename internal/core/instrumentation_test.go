@@ -125,8 +125,7 @@ func TestInferObserverMetrics(t *testing.T) {
 		obs.MetricAcceptance + `{chain="0",method="mh"}`,
 		obs.MetricAcceptance + `{chain="1",method="mh"}`,
 		obs.MetricAcceptance + `{chain="0",method="hmc"}`,
-		obs.MetricStageSeconds + `_count{stage="mh"}`,
-		obs.MetricStageSeconds + `_count{stage="hmc"}`,
+		obs.MetricStageSeconds + `_count{stage="sample"}`,
 		obs.MetricStageSeconds + `_count{stage="summarize"}`,
 		obs.MetricStageSeconds + `_count{stage="pinpoint"}`,
 	} {

@@ -179,16 +179,6 @@ func LogLik(ds *Dataset, p []float64) float64 {
 	return st.LogLik()
 }
 
-// LogLikWithError is LogLik under the § 7.2 measurement-error model with
-// the given miss rate.
-//
-// Deprecated: build the state through the ObservationModel API instead —
-// RFDModel{MissRate: m}.NewState(ds, p).LogLik() — which is what the
-// samplers themselves evaluate. The shim delegates to exactly that.
-func LogLikWithError(ds *Dataset, p []float64, missRate float64) float64 {
-	return RFDModel{MissRate: missRate}.NewState(ds, p).LogLik()
-}
-
 // LinearLik computes the likelihood in linear space (the naive translation
 // of Eq. 5). It underflows for realistic datasets — the log-space ablation
 // bench demonstrates exactly that — and exists only for comparison.

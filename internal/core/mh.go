@@ -24,14 +24,8 @@ type MHConfig struct {
 	StepSize float64
 	// Thin keeps every Thin-th sweep. Default 1.
 	Thin int
-	// MissRate, when positive, enables the § 7.2 measurement-error
-	// likelihood: a truly-positive path is recorded negative with this
-	// probability. Ignored when Model is set (the model then owns the
-	// likelihood entirely).
-	MissRate float64
 	// Model selects the observation model the sampler draws against. Nil
-	// selects the default RFD likelihood at MissRate — the exact
-	// pre-interface behaviour, bit for bit.
+	// selects RFDModel{} — the paper's § 3.1 likelihood, bit for bit.
 	Model ObservationModel
 
 	// Chain tags metrics and progress events with the chain index when the
@@ -67,8 +61,7 @@ func (c MHConfig) withDefaults() MHConfig {
 }
 
 func (c MHConfig) validate() error {
-	if c.Sweeps < 1 || c.BurnIn < 0 || c.StepSize <= 0 || c.Thin < 1 ||
-		c.MissRate < 0 || c.MissRate >= 1 || c.ProgressEvery < 1 {
+	if c.Sweeps < 1 || c.BurnIn < 0 || c.StepSize <= 0 || c.Thin < 1 || c.ProgressEvery < 1 {
 		return fmt.Errorf("core: invalid MH config %+v", c)
 	}
 	return nil
@@ -97,7 +90,7 @@ func RunMHContext(ctx context.Context, ds *Dataset, prior Prior, cfg MHConfig, r
 	if ds.NumNodes() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
-	model := modelOrDefault(cfg.Model, cfg.MissRate)
+	model := modelOrDefault(cfg.Model)
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}

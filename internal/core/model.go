@@ -95,9 +95,9 @@ type RFDModel struct {
 // Name returns "rfd".
 func (RFDModel) Name() string { return "rfd" }
 
-// Validate bounds MissRate to [0, 1).
+// Validate bounds MissRate to [0, 1) (NaN included in the rejects).
 func (m RFDModel) Validate() error {
-	if m.MissRate < 0 || m.MissRate >= 1 {
+	if !(m.MissRate >= 0 && m.MissRate < 1) {
 		return fmt.Errorf("core: rfd model miss rate %g outside [0, 1)", m.MissRate)
 	}
 	return nil
@@ -120,11 +120,10 @@ func ClampProb(p float64) float64 { return clampP(p) }
 func Log1mExp(x float64) float64 { return log1mexp(x) }
 
 // modelOrDefault resolves a possibly-nil model selection to the default
-// RFD likelihood at the given miss rate — the shared fallback of both
-// samplers and Infer.
-func modelOrDefault(m ObservationModel, missRate float64) ObservationModel {
+// RFD likelihood — the shared fallback of both samplers and Infer.
+func modelOrDefault(m ObservationModel) ObservationModel {
 	if m == nil {
-		return RFDModel{MissRate: missRate}
+		return RFDModel{}
 	}
 	return m
 }

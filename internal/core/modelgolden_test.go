@@ -104,7 +104,7 @@ func TestDefaultModelGolden(t *testing.T) {
 		{
 			name: "missrate",
 			cfg: Config{
-				Seed: 23, MissRate: 0.05,
+				Seed: 23, Model: RFDModel{MissRate: 0.05},
 				MH:  MHConfig{Sweeps: 150, BurnIn: 30},
 				HMC: HMCConfig{Iterations: 50, BurnIn: 10, Leapfrog: 6},
 			},

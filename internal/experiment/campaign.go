@@ -83,10 +83,9 @@ func (s *Scenario) RunCampaignContext(ctx context.Context, c beacon.Campaign) (*
 		seed = seed*31 + uint64(ch)
 	}
 	rng := stats.NewRNG(seed)
-	span := s.Obs.StartSpan("campaign")
-	tspan, ctx := obs.StartTraceSpan(ctx, "campaign")
-	tspan.SetAttr("campaign", c.Name)
-	defer tspan.End()
+	span, ctx := s.Obs.StartSpan(ctx, "campaign")
+	span.SetAttr("campaign", c.Name)
+	defer span.End()
 
 	eng := netsim.NewEngine(Start.Add(-time.Hour))
 	opts := router.Options{
@@ -127,7 +126,6 @@ func (s *Scenario) RunCampaignContext(ctx context.Context, c beacon.Campaign) (*
 	for _, asn := range s.Graph.ASNs() {
 		run.UpdatesSent += net.Router(asn).UpdatesSent
 	}
-	span.End()
 	s.Obs.Log(obs.LevelInfo, "campaign done",
 		"campaign", c.Name, "updates_sent", run.UpdatesSent,
 		"entries", len(run.Entries), "paths", len(run.Measurements))

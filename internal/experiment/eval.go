@@ -314,12 +314,3 @@ func (t *Tab4Result) Report() Report {
 func ROVBenchmarkContext(ctx context.Context, run *Run) (*core.Result, *core.Dataset, map[bgp.ASN]bool, error) {
 	return rovBenchmark(ctx, run)
 }
-
-// ROVDebug exposes the ROV benchmark internals for diagnostics.
-//
-// Deprecated: use ROVBenchmarkContext. ROVDebug predates the pluggable
-// observation-model API's workload dispatch and cannot be cancelled; the
-// shim runs the benchmark under context.Background().
-func ROVDebug(run *Run) (*core.Result, *core.Dataset, map[bgp.ASN]bool, error) {
-	return rovBenchmark(context.Background(), run)
-}

@@ -107,8 +107,8 @@ func LabelPaths(entries []collector.Entry, schedules []beacon.Schedule, cfg Conf
 // context is an observability position, not a cancellation point.
 func LabelPathsContext(ctx context.Context, entries []collector.Entry, schedules []beacon.Schedule, cfg Config) []Measurement {
 	cfg = cfg.withDefaults()
-	span := cfg.Obs.StartSpan("label")
-	tspan, _ := obs.StartTraceSpan(ctx, "label")
+	span, _ := cfg.Obs.StartSpan(ctx, "label")
+	defer span.End()
 
 	// Index entries by (prefix, vp).
 	type feedKey struct {
@@ -169,13 +169,11 @@ func LabelPathsContext(ctx context.Context, entries []collector.Entry, schedules
 		cfg.Obs.Counter(obs.MetricLabelPaths).Add(uint64(len(out)))
 		cfg.Obs.Counter(obs.MetricLabelRFDPaths).Add(uint64(rfdPaths))
 		cfg.Obs.Counter(obs.MetricLabelPairs).Add(uint64(pairs))
-		span.End()
 		cfg.Obs.Log(obs.LevelInfo, "labeling done",
 			"entries", len(entries), "paths", len(out), "rfd_paths", rfdPaths, "pairs", pairs)
 	}
-	tspan.SetAttr("entries", len(entries))
-	tspan.SetAttr("paths", len(out))
-	tspan.End()
+	span.SetAttr("entries", len(entries))
+	span.SetAttr("paths", len(out))
 	return out
 }
 

@@ -1,18 +1,22 @@
 // Package obs is BeCAUSe's dependency-free observability layer: a metrics
 // registry with Prometheus text exposition, structured leveled logging, and
-// timed spans for pipeline stages. Every type treats its nil value as a
-// no-op, so instrumented code pays only a nil check when observability is
-// not wired up — library callers that never touch this package lose
-// nothing.
+// request-scoped traces of timed, attributed spans. Every type treats its
+// nil value as a no-op, so instrumented code pays only a nil check when
+// observability is not wired up — library callers that never touch this
+// package lose nothing.
 //
 // The pipeline threads a single *Observer (logger + registry) through the
 // measurement stages (campaign, collection, labeling) and the inference
-// stages (MH sweeps, HMC trajectories, summarization, pinpointing). The
-// CLIs expose the registry over HTTP via Serve and render sampler progress
-// from Progress events.
+// stages (sampling, summarization, pinpointing), and the current trace
+// span through the context. TraceSpan is the one span type: a stage opens
+// it with Observer.StartSpan and ends it once, and that End both closes
+// the node in the context's trace and feeds the stage-duration histogram.
+// The CLIs expose the registry over HTTP via Serve and render sampler
+// progress from Progress events.
 package obs
 
 import (
+	"context"
 	"strconv"
 	"time"
 )
@@ -71,35 +75,26 @@ func (o *Observer) Histogram(name string, buckets []float64, labels ...string) *
 	return o.Metrics.Histogram(name, buckets, labels...)
 }
 
-// Span is a timed pipeline stage. Obtain one from StartSpan; End records
-// the elapsed time into the stage-duration histogram and logs at debug.
-// The nil span is a no-op.
-type Span struct {
-	obs   *Observer
-	stage string
-	start time.Time
-}
-
-// StartSpan begins timing a named pipeline stage.
-func (o *Observer) StartSpan(stage string) *Span {
+// StartSpan opens the pipeline stage name: the child of ctx's current
+// trace span, returned with a context positioned on it, whose End also
+// records the stage's wall time into MetricStageSeconds{stage=name} and
+// logs "stage done" at debug. When ctx carries no trace the span is
+// detached — it times the stage for the metric but joins no trace, has no
+// children or attributes, and ctx comes back unchanged. On the nil
+// observer StartSpan is StartTraceSpan.
+func (o *Observer) StartSpan(ctx context.Context, name string) (*TraceSpan, context.Context) {
 	if o == nil {
-		return nil
+		return StartTraceSpan(ctx, name)
 	}
-	return &Span{obs: o, stage: stage, start: time.Now()} //lint:allow determinism — observability-only stage timing
+	span, ctx := startTraceSpan(ctx, name, o)
+	if span == nil {
+		span = &TraceSpan{obs: o, name: name, start: time.Now()} //lint:allow determinism — observability-only stage timing
+	}
+	return span, ctx
 }
 
-// End finishes the span and returns its duration.
-func (s *Span) End() time.Duration {
-	if s == nil {
-		return 0
-	}
-	d := time.Since(s.start) //lint:allow determinism — observability-only stage timing
-	s.obs.Histogram(MetricStageSeconds, nil, "stage", s.stage).Observe(d.Seconds())
-	s.obs.Log(LevelDebug, "stage done", "stage", s.stage, "seconds", d.Seconds())
-	return d
-}
-
-// Progress is one sampler progress event.
+// Progress is one sampler progress event. The public API exports it as
+// because.ProgressEvent.
 type Progress struct {
 	// Stage is the sampler ("mh" or "hmc").
 	Stage string

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -57,17 +58,27 @@ func TestNopLogger(t *testing.T) {
 	l.Log(LevelError, "dropped") // must not panic
 }
 
+// TestSpanRecordsDuration: a stage span observes its duration into the
+// stage histogram exactly once, whether it joins the context's trace or
+// runs detached, and only the traced one becomes a trace node.
 func TestSpanRecordsDuration(t *testing.T) {
 	r := NewRegistry()
 	o := New(nil, r)
-	sp := o.StartSpan("label")
-	time.Sleep(time.Millisecond)
-	if d := sp.End(); d <= 0 {
-		t.Errorf("span duration = %v", d)
+	tr := NewTrace("job", "stage-metric")
+	for _, ctx := range []context.Context{context.Background(), ContextWithSpan(context.Background(), tr.Root())} {
+		sp, _ := o.StartSpan(ctx, "label")
+		time.Sleep(time.Millisecond)
+		if d := sp.End(); d <= 0 {
+			t.Errorf("span duration = %v", d)
+		}
+		sp.End()
 	}
 	h := r.Histogram(MetricStageSeconds, nil, "stage", "label")
-	if h.Count() != 1 || h.Sum() <= 0 {
-		t.Errorf("stage histogram count=%d sum=%g", h.Count(), h.Sum())
+	if h.Count() != 2 || h.Sum() <= 0 {
+		t.Errorf("stage histogram count=%d sum=%g, want one observation per span", h.Count(), h.Sum())
+	}
+	if n := tr.SpanCount(); n != 2 {
+		t.Errorf("trace holds %d spans, want root + the traced stage", n)
 	}
 }
 

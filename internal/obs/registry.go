@@ -27,8 +27,8 @@ const (
 	MetricRHatMax    = "because_infer_rhat_max"
 	MetricESSMin     = "because_infer_ess_min"
 
-	// Pipeline stage durations, labeled stage="mh"|"hmc"|"summarize"|
-	// "pinpoint"|"label"|"campaign".
+	// Pipeline stage durations, labeled stage="sample"|"summarize"|
+	// "pinpoint"|"label"|"campaign" (see Observer.StartSpan).
 	MetricStageSeconds = "because_stage_duration_seconds"
 
 	// Worker-pool metrics, labeled pool="infer"|"campaigns"|"experiments"|

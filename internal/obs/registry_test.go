@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -147,7 +148,8 @@ func TestNilSafety(t *testing.T) {
 	o.Log(LevelError, "dropped")
 	o.Counter("x").Inc()
 	o.Gauge("x").Add(1)
-	o.StartSpan("x").End()
+	sp, _ := o.StartSpan(context.Background(), "x")
+	sp.End()
 	if o.Enabled(LevelError) {
 		t.Error("nil observer enabled")
 	}

@@ -94,9 +94,12 @@ func (t *Trace) SpanCount() int {
 }
 
 // TraceSpan is one timed, attributed node of a trace. Obtain the root from
-// NewTrace and children from StartChild; the nil span is a no-op.
+// NewTrace, children from StartChild, and pipeline stages from
+// Observer.StartSpan; the nil span is a no-op. A span with no trace is a
+// detached stage timer (see Observer.StartSpan): only its owner ends it.
 type TraceSpan struct {
 	trace    *Trace
+	obs      *Observer // stage span: End reports the duration here
 	name     string
 	id       string
 	start    time.Time
@@ -122,7 +125,16 @@ func (s *TraceSpan) StartChild(name string) *TraceSpan {
 	if s == nil {
 		return nil
 	}
+	return s.startChild(name, nil)
+}
+
+// startChild is StartChild for a stage span reporting to o (nil for a
+// plain trace span). A detached parent has no trace to record into.
+func (s *TraceSpan) startChild(name string, o *Observer) *TraceSpan {
 	t := s.trace
+	if t == nil {
+		return nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ordinal := 0
@@ -133,6 +145,7 @@ func (s *TraceSpan) StartChild(name string) *TraceSpan {
 	}
 	child := &TraceSpan{
 		trace: t,
+		obs:   o,
 		name:  name,
 		id:    deriveID("span", s.id, name, ordinal),
 		// Observability-only clock read: feeds start_us/duration_us.
@@ -164,7 +177,7 @@ func (s *TraceSpan) Name() string {
 // sampler statistics are typically attached once a fan-out has joined,
 // so attribute order stays deterministic.
 func (s *TraceSpan) SetAttr(key string, value any) {
-	if s == nil {
+	if s == nil || s.trace == nil {
 		return
 	}
 	t := s.trace
@@ -181,20 +194,33 @@ func (s *TraceSpan) SetAttr(key string, value any) {
 
 // End closes the span, fixing its duration. Ending twice keeps the first
 // duration; an unended span exports with the duration it has accumulated
-// at export time.
+// at export time. The first End of a stage span also observes the
+// duration into MetricStageSeconds and logs "stage done" at debug.
 func (s *TraceSpan) End() time.Duration {
 	if s == nil {
 		return 0
 	}
-	t := s.trace
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !s.ended {
-		// Observability-only clock read: fixes duration_us.
-		s.dur = time.Since(s.start) //lint:allow determinism
-		s.ended = true
+	d, first := s.close()
+	if first && s.obs != nil {
+		s.obs.Histogram(MetricStageSeconds, nil, "stage", s.name).Observe(d.Seconds())
+		s.obs.Log(LevelDebug, "stage done", "stage", s.name, "seconds", d.Seconds())
 	}
-	return s.dur
+	return d
+}
+
+// close fixes the span's duration once and reports whether this call did.
+func (s *TraceSpan) close() (time.Duration, bool) {
+	if t := s.trace; t != nil {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+	}
+	if s.ended {
+		return s.dur, false
+	}
+	// Observability-only clock read: fixes duration_us.
+	s.dur = time.Since(s.start) //lint:allow determinism
+	s.ended = true
+	return s.dur, true
 }
 
 // TraceExport is the JSON document form of a trace: the trace ID and the
@@ -313,6 +339,11 @@ func TraceFromContext(ctx context.Context) *Trace {
 // span is nil (a no-op) and ctx is returned unchanged — untraced callers
 // pay a map lookup, nothing more.
 func StartTraceSpan(ctx context.Context, name string) (*TraceSpan, context.Context) {
+	return startTraceSpan(ctx, name, nil)
+}
+
+// startTraceSpan is StartTraceSpan for a stage span reporting to o.
+func startTraceSpan(ctx context.Context, name string, o *Observer) (*TraceSpan, context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -320,6 +351,6 @@ func StartTraceSpan(ctx context.Context, name string) (*TraceSpan, context.Conte
 	if parent == nil {
 		return nil, ctx
 	}
-	child := parent.StartChild(name)
+	child := parent.startChild(name, o)
 	return child, ContextWithSpan(ctx, child)
 }

@@ -11,13 +11,15 @@ import (
 
 // TestInferContextTraceDeterministic: InferContext records the pipeline
 // stage tree into a ctx-carried trace, the canonical export (IDs, names,
-// nesting, attributes) is identical across worker counts, and the results
-// stay bit-identical with a trace attached.
+// nesting, attributes) is identical across worker counts and with or
+// without an Observer attached, and the results stay bit-identical with a
+// trace attached.
 func TestInferContextTraceDeterministic(t *testing.T) {
-	run := func(workers int) (*Result, *obs.TraceExport) {
+	run := func(workers int, o *obs.Observer) (*Result, *obs.TraceExport) {
 		opts := fastOpts(9)
 		opts.Workers = workers
 		opts.Chains = 2
+		opts.Obs = o
 		tr := obs.NewTrace("job", "root-trace")
 		ctx := obs.ContextWithSpan(context.Background(), tr.Root())
 		res, err := InferContext(ctx, plantedObs(), opts)
@@ -27,10 +29,13 @@ func TestInferContextTraceDeterministic(t *testing.T) {
 		tr.Root().End()
 		return res, tr.Export()
 	}
-	res1, tr1 := run(1)
-	res4, tr4 := run(4)
+	res1, tr1 := run(1, nil)
+	res4, tr4 := run(4, nil)
 	if !reflect.DeepEqual(tr1.Canonical(), tr4.Canonical()) {
 		t.Error("canonical trace differs between workers=1 and workers=4")
+	}
+	if _, trObs := run(1, obs.New(nil, obs.NewRegistry())); !reflect.DeepEqual(tr1.Canonical(), trObs.Canonical()) {
+		t.Error("canonical trace differs with an Observer attached")
 	}
 	// Stage tree: root → infer → {dataset, sample, summarize, pinpoint}.
 	if tr1.Root == nil || len(tr1.Root.Children) == 0 || tr1.Root.Children[0].Name != "infer" {

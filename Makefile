@@ -29,9 +29,8 @@ vet:
 perfbench-vet:
 	cd perfbench && $(GO) vet ./...
 
-# lint runs the project-specific analyzers (determinism, maporder,
-# rngshare, obsnil, ctxflow, errflow, wiredrift, hotpath, goleak — see
-# `becauselint -list`). Exit 1 on any finding.
+# lint runs every project-specific analyzer (`go run ./cmd/becauselint
+# -list` describes them). Exit 1 on any finding.
 lint:
 	$(GO) run ./cmd/becauselint ./...
 
@@ -47,11 +46,12 @@ wire-lock:
 	$(GO) run ./cmd/becauselint -write-wire-lock
 
 # race runs the whole suite under the race detector, then stresses the
-# worker-pool and reproducibility tests twice over (-count=2 defeats the
-# test cache and doubles the interleavings the detector sees).
+# worker-pool and reproducibility tests, and the lint driver's repeated
+# Runs over one cached load, twice over (-count=2 defeats the test cache
+# and doubles the interleavings the detector sees).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 ./internal/par ./internal/core ./internal/experiment
+	$(GO) test -race -count=2 ./internal/par ./internal/core ./internal/experiment ./internal/lint
 
 # verify is the pre-merge gate: static analysis (vet, perfbench vet and
 # becauselint), the race detector and the plain test suite.

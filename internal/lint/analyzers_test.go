@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -212,4 +213,58 @@ func TestRepoIsLintClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
+}
+
+// TestRepeatedRunStable lints one cached load twice and requires identical
+// findings, stale-directive reports included. The transdet and lockcheck
+// fixtures carry //lint:allow directives that are consumed only while a
+// summary is solved (a declaration-level determinism exemption, a
+// site-level lockcheck one), and the determinism fixture carries a stale
+// directive; analysis state surviving from the first Run — and skipping
+// the work that marks those directives used — would change the second
+// run's report.
+func TestRepeatedRunStable(t *testing.T) {
+	cwd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := filepath.Join(cwd, "..", "..")
+	cases := []struct {
+		name      string
+		dir       string
+		pattern   string
+		analyzers []*Analyzer
+	}{
+		{"transdet", cwd, "./testdata/src/transdet/...", []*Analyzer{Determinism("testdata/src/transdet/core")}},
+		{"lockcheck", cwd, "./testdata/src/lockcheck", []*Analyzer{Lockcheck()}},
+		{"determinism", cwd, "./testdata/src/determinism", []*Analyzer{Determinism("testdata/src/determinism")}},
+		{"module", root, "./...", nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.dir == root && testing.Short() {
+				t.Skip("whole-module type-check is slow; run without -short")
+			}
+			var runs [2][]Diagnostic
+			for i := range runs {
+				diags, err := Run(tc.dir, []string{tc.pattern}, Options{Analyzers: tc.analyzers, RelTo: tc.dir})
+				if err != nil {
+					t.Fatalf("lint.Run #%d: %v", i+1, err)
+				}
+				runs[i] = diags
+			}
+			if !reflect.DeepEqual(runs[0], runs[1]) {
+				t.Errorf("second Run over the cached load differs\n--- first ---\n%s--- second ---\n%s", renderDiags(runs[0]), renderDiags(runs[1]))
+			}
+		})
+	}
+}
+
+func renderDiags(diags []Diagnostic) string {
+	var b strings.Builder
+	for _, d := range diags {
+		b.WriteString(d.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

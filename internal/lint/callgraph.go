@@ -1,6 +1,7 @@
 // Module-wide call graph and function-summary fixpoint solver — the
-// interprocedural backbone shared by the determinism, hotpath and goleak
-// analyzers. Resolution is CHA-style over go/types, stdlib-only:
+// interprocedural backbone shared by the determinism, hotpath, goleak
+// and lockcheck analyzers. Resolution is CHA-style over go/types,
+// stdlib-only:
 //
 //   - Static calls (plain functions and concrete-receiver methods)
 //     resolve through Info.Uses. Calls into packages type-checked from
@@ -28,12 +29,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sync"
+	"sort"
+	"strings"
 )
 
 // funcNode is one module function with source, plus its resolved
 // outgoing calls.
 type funcNode struct {
+	id      int    // index into callGraph.nodes
 	sym     string // "because/internal/obs.Observer.Log"
 	pkg     *Package
 	decl    *ast.FuncDecl
@@ -61,116 +64,18 @@ type callSite struct {
 	callees []*funcNode // module functions this call may reach
 }
 
-// callGraph indexes every function declared in the loaded targets.
+// callGraph indexes every function declared in the loaded targets. Run
+// builds one per lint run and hands it to every module analyzer.
 type callGraph struct {
 	nodes  []*funcNode            // deterministic: package, file, decl order
 	bySym  map[string]*funcNode   // symbol → node
 	byName map[string][]*funcNode // method name → concrete methods (CHA)
-
-	memoMu sync.Mutex
-	memos  map[string]*graphMemo
-}
-
-// graphMemo is one per-analyzer artifact cached on the graph across Run
-// calls, plus the //lint:allow directives its computation consumed.
-// Run resets every directive's used-mark up front, so a cache hit must
-// replay the marks the skipped collectors would have set — otherwise a
-// directive consumed only at summary level would surface as "unused"
-// from the second run on.
-type graphMemo struct {
-	value any
-	used  []*allow
-}
-
-// memo returns the cached artifact for key, computing it with build on
-// first use. Sound for anything derived only from the AST, the type
-// info, and the parsed directives — all immutable once loaded;
-// ResetLoadCache drops the graph (and these memos with it).
-func (g *callGraph) memo(key string, build func() any) any {
-	g.memoMu.Lock()
-	defer g.memoMu.Unlock()
-	if m, ok := g.memos[key]; ok {
-		for _, a := range m.used {
-			a.used = true
-		}
-		return m.value
-	}
-	allows := g.allAllows()
-	before := make([]bool, len(allows))
-	for i, a := range allows {
-		before[i] = a.used
-	}
-	m := &graphMemo{value: build()}
-	for i, a := range allows {
-		if a.used && !before[i] {
-			m.used = append(m.used, a)
-		}
-	}
-	if g.memos == nil {
-		g.memos = map[string]*graphMemo{}
-	}
-	g.memos[key] = m
-	return m.value
-}
-
-// allAllows gathers every directive across the graph's packages, in
-// node order, for the memo's used-mark bookkeeping.
-func (g *callGraph) allAllows() []*allow {
-	var out []*allow
-	seen := map[*Package]bool{}
-	for _, n := range g.nodes {
-		if seen[n.pkg] {
-			continue
-		}
-		seen[n.pkg] = true
-		out = append(out, n.pkg.allowList()...)
-	}
-	return out
-}
-
-// summariesFor memoises one analyzer's solved summaries on the graph:
-// the direct-fact collectors dominate a steady-state lint run's cost,
-// and their inputs never change while the load is cached.
-func (g *callGraph) summariesFor(key string, direct func(n *funcNode) (fact, map[fact]*evidence)) *summaries {
-	return g.memo(key, func() any { return solveSummaries(g, direct) }).(*summaries)
 }
 
 // HotpathDirective marks a function as allocation-free by contract: the
 // hotpath analyzer rejects any allocation on a path reachable from it.
 // Place it in the doc comment or on the declaration line.
 const HotpathDirective = "//lint:hotpath"
-
-// graphCache memoises one call graph per load (keyed by the first
-// package pointer — Load memoises the []*Package slice, so the pointer
-// identifies the load). ResetLoadCache clears it alongside the packages.
-var graphCache = struct {
-	sync.Mutex
-	m map[*Package]*callGraph
-}{m: map[*Package]*callGraph{}}
-
-func resetGraphCache() {
-	graphCache.Lock()
-	defer graphCache.Unlock()
-	graphCache.m = map[*Package]*callGraph{}
-}
-
-// graphFor returns the (memoised) call graph spanning pkgs.
-func graphFor(pkgs []*Package) *callGraph {
-	if len(pkgs) == 0 {
-		return &callGraph{bySym: map[string]*funcNode{}, byName: map[string][]*funcNode{}}
-	}
-	graphCache.Lock()
-	g, ok := graphCache.m[pkgs[0]]
-	graphCache.Unlock()
-	if ok {
-		return g
-	}
-	g = buildCallGraph(pkgs)
-	graphCache.Lock()
-	graphCache.m[pkgs[0]] = g
-	graphCache.Unlock()
-	return g
-}
 
 func buildCallGraph(pkgs []*Package) *callGraph {
 	g := &callGraph{
@@ -191,6 +96,7 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 					continue
 				}
 				n := &funcNode{
+					id:      len(g.nodes),
 					sym:     funcSymbol(obj),
 					pkg:     pkg,
 					decl:    decl,
@@ -325,13 +231,13 @@ func calledFunc(pkg *Package, call *ast.CallExpr) *types.Func {
 type fact uint8
 
 const (
-	factClock   fact = 1 << iota // reads the wall clock (time.Now & friends)
-	factRand                     // reaches math/rand
-	factAlloc                    // allocates (hotpath contract violations)
-	factCtxJoin                  // blocks on a ctx.Done() receive
-	factWGDone                   // calls (*sync.WaitGroup).Done
-	factBlock                    // reaches a blocking op (chan send/recv/select, Wait, HTTP write)
-	factMuAcquire                // acquires a sync.Mutex/RWMutex somewhere downstream
+	factClock     fact = 1 << iota // reads the wall clock (time.Now & friends)
+	factRand                       // reaches math/rand
+	factAlloc                      // allocates (hotpath contract violations)
+	factCtxJoin                    // blocks on a ctx.Done() receive
+	factWGDone                     // calls (*sync.WaitGroup).Done
+	factBlock                      // reaches a blocking op (chan send/recv/select, Wait, HTTP write)
+	factMuAcquire                  // acquires a sync.Mutex/RWMutex somewhere downstream
 )
 
 // evidence is one direct site justifying a fact: where, and what it is
@@ -342,63 +248,118 @@ type evidence struct {
 	desc string
 }
 
-// summaries holds the solved per-function facts for one analyzer's fact
-// domain over one call graph.
-type summaries struct {
-	g     *callGraph
-	facts map[*funcNode]fact
-	// direct holds the first direct evidence per (node, fact);
-	// call-chain evidence is reconstructed on demand by explain.
-	direct map[*funcNode]map[fact]*evidence
+// acqClass is one lock class a function may acquire: acquired in the
+// function's own body (direct), or reached through the callee via.
+type acqClass struct {
+	display string
+	direct  *evidence
+	via     *funcNode
 }
 
-// solveSummaries computes, for every module function, the union of the
-// direct facts the collector reports and the facts of every resolvable
-// callee, iterating in deterministic node order until fixpoint (so
-// recursion and mutual recursion converge; facts only grow).
-func solveSummaries(g *callGraph, direct func(n *funcNode) (fact, map[fact]*evidence)) *summaries {
-	s := &summaries{
-		g:      g,
-		facts:  make(map[*funcNode]fact, len(g.nodes)),
-		direct: make(map[*funcNode]map[fact]*evidence, len(g.nodes)),
+// summary is one function's interprocedural summary: a fact bitmask
+// with the first direct evidence per fact, and (for lockcheck) the set
+// of lock classes the function may acquire.
+type summary struct {
+	facts fact
+	// direct holds the first direct evidence per fact; call-chain
+	// evidence is reconstructed on demand by explain.
+	direct  map[fact]*evidence
+	classes map[string]*acqClass // class key → evidence
+}
+
+// join folds callee's summary into s, crediting newly acquired classes
+// to callee, and reports whether s grew.
+func (s *summary) join(from *summary, callee *funcNode) bool {
+	grew := false
+	if add := from.facts &^ s.facts; add != 0 {
+		s.facts |= add
+		grew = true
 	}
-	for _, n := range g.nodes {
-		f, ev := direct(n)
-		s.facts[n] = f
-		if len(ev) > 0 {
-			s.direct[n] = ev
+	for class, c := range from.classes {
+		if _, ok := s.classes[class]; ok {
+			continue
 		}
+		if s.classes == nil {
+			s.classes = map[string]*acqClass{}
+		}
+		s.classes[class] = &acqClass{display: c.display, via: callee}
+		grew = true
+	}
+	return grew
+}
+
+// summaries holds the solved per-function summaries for one analyzer's
+// domain over one call graph, indexed by funcNode.id.
+type summaries struct {
+	g   *callGraph
+	sum []summary
+}
+
+// solveSummaries computes, for every module function, the join of the
+// direct summary the collector reports and the summaries of every
+// resolvable callee, iterating in deterministic node order until
+// fixpoint (so recursion and mutual recursion converge; summaries only
+// grow). A lock class reaching a function through several callees is
+// credited to the first one, in that order.
+func solveSummaries(g *callGraph, direct func(n *funcNode) summary) *summaries {
+	s := &summaries{g: g, sum: make([]summary, len(g.nodes))}
+	for _, n := range g.nodes {
+		s.sum[n.id] = direct(n)
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, n := range g.nodes {
-			have := s.facts[n]
 			for _, site := range n.calls {
 				for _, callee := range site.callees {
-					if callee == n {
-						continue
-					}
-					if add := s.facts[callee] &^ have; add != 0 {
-						have |= add
+					if callee != n && s.sum[n.id].join(&s.sum[callee.id], callee) {
 						changed = true
 					}
 				}
 			}
-			s.facts[n] = have
 		}
 	}
 	return s
 }
 
 // has reports whether n's summary carries f.
-func (s *summaries) has(n *funcNode, f fact) bool { return s.facts[n]&f != 0 }
+func (s *summaries) has(n *funcNode, f fact) bool { return s.sum[n.id].facts&f != 0 }
 
 // explain renders the evidence chain for fact f starting at n:
 // "time.Now at file.go:12" for direct evidence, or
 // "via helper → inner: time.Now at file.go:12" through calls. The walk
 // follows the first call site (in source order) whose callee carries the
-// fact, with a cycle guard.
+// fact.
 func (s *summaries) explain(n *funcNode, f fact) string {
+	return s.chain(n, func(cur *funcNode, seen map[*funcNode]bool) (*evidence, *funcNode) {
+		if ev := s.sum[cur.id].direct[f]; ev != nil {
+			return ev, nil
+		}
+		for _, site := range cur.calls {
+			for _, callee := range site.callees {
+				if !seen[callee] && s.has(callee, f) {
+					return nil, callee
+				}
+			}
+		}
+		return nil, nil
+	})
+}
+
+// explainClass renders the evidence chain for acquiring lock class
+// starting at n, following each hop's credited callee.
+func (s *summaries) explainClass(n *funcNode, class string) string {
+	return s.chain(n, func(cur *funcNode, _ map[*funcNode]bool) (*evidence, *funcNode) {
+		if c := s.sum[cur.id].classes[class]; c != nil {
+			return c.direct, c.via
+		}
+		return nil, nil
+	})
+}
+
+// chain walks an evidence chain from n: step returns either the direct
+// evidence at cur or the next hop (nil, nil ends the walk). A cycle
+// guard bounds the walk.
+func (s *summaries) chain(n *funcNode, step func(cur *funcNode, seen map[*funcNode]bool) (*evidence, *funcNode)) string {
 	var hops []string
 	seen := map[*funcNode]bool{}
 	cur := n
@@ -407,15 +368,15 @@ func (s *summaries) explain(n *funcNode, f fact) string {
 			break
 		}
 		seen[cur] = true
-		if ev := s.direct[cur][f]; ev != nil {
+		ev, next := step(cur, seen)
+		if ev != nil {
 			pos := cur.pkg.Fset.Position(ev.pos)
 			site := fmt.Sprintf("%s at %s:%d", ev.desc, shortFile(pos.Filename), pos.Line)
 			if len(hops) == 0 {
 				return site
 			}
-			return "via " + joinChain(hops) + ": " + site
+			return "via " + strings.Join(hops, " → ") + ": " + site
 		}
-		next := s.nextHop(cur, f, seen)
 		if next == nil {
 			break
 		}
@@ -425,24 +386,13 @@ func (s *summaries) explain(n *funcNode, f fact) string {
 	return "via an indirect call path"
 }
 
-// nextHop picks the first callee (source order) of cur that carries f
-// and is not already on the chain.
-func (s *summaries) nextHop(cur *funcNode, f fact, seen map[*funcNode]bool) *funcNode {
-	for _, site := range cur.calls {
-		for _, callee := range site.callees {
-			if !seen[callee] && s.has(callee, f) {
-				return callee
-			}
-		}
+// sortedKeys returns m's keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	return nil
-}
-
-func joinChain(hops []string) string {
-	out := hops[0]
-	for _, h := range hops[1:] {
-		out += " → " + h
-	}
+	sort.Strings(out)
 	return out
 }
 

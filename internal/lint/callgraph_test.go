@@ -25,7 +25,7 @@ func nodeByShortName(t *testing.T, g *callGraph, short string) *funcNode {
 
 // clockDirect is a minimal direct-fact collector for the tests: factClock
 // on every syntactic time.Now call.
-func clockDirect(n *funcNode) (fact, map[fact]*evidence) {
+func clockDirect(n *funcNode) summary {
 	var f fact
 	ev := map[fact]*evidence{}
 	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
@@ -43,7 +43,7 @@ func clockDirect(n *funcNode) (fact, map[fact]*evidence) {
 		}
 		return true
 	})
-	return f, ev
+	return summary{facts: f, direct: ev}
 }
 
 // TestInterfaceDispatchPropagatesSummaries: a call through an interface
@@ -51,7 +51,7 @@ func clockDirect(n *funcNode) (fact, map[fact]*evidence) {
 // hops below one implementation reaches the dispatching caller.
 func TestInterfaceDispatchPropagatesSummaries(t *testing.T) {
 	pkg := loadFixturePkg(t, "callgraph")
-	g := graphFor([]*Package{pkg})
+	g := buildCallGraph([]*Package{pkg})
 	sums := solveSummaries(g, clockDirect)
 
 	caller := nodeByShortName(t, g, "callgraph.throughInterface")
@@ -93,7 +93,7 @@ func TestInterfaceDispatchPropagatesSummaries(t *testing.T) {
 // exact lookup goleak's namedDisciplined performs on a value launch.
 func TestMethodValueSummaryPropagation(t *testing.T) {
 	pkg := loadFixturePkg(t, "callgraph")
-	g := graphFor([]*Package{pkg})
+	g := buildCallGraph([]*Package{pkg})
 	sums := solveSummaries(g, clockDirect)
 
 	fd := funcDecl(t, pkg, "throughMethodValue")

@@ -350,18 +350,6 @@ func funcTypeHasContext(pass *Pass, ft *ast.FuncType) bool {
 	return false
 }
 
-// enclosingFunc returns the innermost function (decl or literal) on the
-// ancestor stack, or nil.
-func enclosingFunc(stack []ast.Node) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return stack[i]
-		}
-	}
-	return nil
-}
-
 // funcHasContextParam reports whether fn declares a context.Context in
 // its receiver, parameter or result lists.
 func funcHasContextParam(pass *Pass, fn ast.Node) bool {

@@ -87,8 +87,9 @@ func funcParts(fn ast.Node) (body *ast.BlockStmt, fieldLists []*ast.FieldList) {
 }
 
 // flowFor returns the (cached) dataflow solution for fn, a *ast.FuncDecl
-// or *ast.FuncLit with a non-nil body. The cache lives on the Package, so
-// every analyzer in one run shares the same CFGs and solutions.
+// or *ast.FuncLit with a non-nil body. The cache lives on the Package and
+// Run clears it, so every analyzer in one run shares the same CFGs and
+// solutions.
 func (p *Package) flowFor(fn ast.Node) *flow {
 	if f, ok := p.flows[fn]; ok {
 		return f

@@ -237,22 +237,38 @@ func TestEntryDefs(t *testing.T) {
 // BenchmarkLint measures a full production lint run over the module.
 // An untimed priming run pays the `go list -export` subprocess plus the
 // parse and type-check; the memoised loader then shares that one FileSet
-// and AST forest across every timed iteration, so the benchmark isolates
-// what analyzer changes actually move — pure analysis cost — instead of
-// toolchain subprocess noise.
+// and AST forest across every timed iteration, while every analysis
+// artifact (call graph, summaries, dataflow) is rebuilt per Run — so the
+// benchmark isolates what analyzer changes actually move, pure analysis
+// cost, instead of toolchain subprocess noise.
 func BenchmarkLint(b *testing.B) {
+	benchmarkLint(b, nil)
+}
+
+// BenchmarkLintAnalyzer breaks BenchmarkLint down: one sub-benchmark per
+// production analyzer, each running alone over the same cached load.
+func BenchmarkLintAnalyzer(b *testing.B) {
+	for _, a := range All() {
+		b.Run(a.Name, func(b *testing.B) {
+			benchmarkLint(b, []*Analyzer{a})
+		})
+	}
+}
+
+func benchmarkLint(b *testing.B, analyzers []*Analyzer) {
 	cwd, err := os.Getwd()
 	if err != nil {
 		b.Fatal(err)
 	}
 	root := filepath.Join(cwd, "..", "..")
-	if _, err := Run(root, []string{"./..."}, Options{RelTo: root}); err != nil {
+	opts := Options{Analyzers: analyzers, RelTo: root}
+	if _, err := Run(root, []string{"./..."}, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		diags, err := Run(root, []string{"./..."}, Options{RelTo: root})
+		diags, err := Run(root, []string{"./..."}, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

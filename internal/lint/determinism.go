@@ -131,9 +131,8 @@ func isWallClockUse(pkg *Package, id *ast.Ident) bool {
 // result-affecting package are skipped — the direct check owns those —
 // so each laundering boundary is reported exactly once.
 func reportTransitiveDeterminism(pass *ModulePass, paths []string) {
-	g := graphFor(pass.Pkgs)
-	sums := g.summariesFor("determinism", determinismFacts)
-	for _, n := range g.nodes {
+	sums := solveSummaries(pass.graph, determinismFacts)
+	for _, n := range pass.graph.nodes {
 		if !pathMatches(n.pkg.ImportPath, paths) {
 			continue
 		}
@@ -164,9 +163,9 @@ func reportTransitiveDeterminism(pass *ModulePass, paths []string) {
 // a struct field launders just as well as calling it). Site-level allow
 // directives exempt the read; a declaration-level directive exempts the
 // whole function.
-func determinismFacts(n *funcNode) (fact, map[fact]*evidence) {
+func determinismFacts(n *funcNode) summary {
 	if n.pkg.exemptFunc("determinism", n.decl) {
-		return 0, nil
+		return summary{}
 	}
 	var f fact
 	ev := map[fact]*evidence{}
@@ -199,5 +198,5 @@ func determinismFacts(n *funcNode) (fact, map[fact]*evidence) {
 		}
 		return true
 	})
-	return f, ev
+	return summary{facts: f, direct: ev}
 }

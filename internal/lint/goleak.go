@@ -29,8 +29,8 @@ func GoLeak() *Analyzer {
 		Doc:  "every go statement needs a provable join or cancellation discipline (WaitGroup pairing, channel join, or ctx.Done select)",
 	}
 	a.RunModule = func(pass *ModulePass) {
-		g := graphFor(pass.Pkgs)
-		sums := g.summariesFor("goleak", goleakFacts)
+		g := pass.graph
+		sums := solveSummaries(g, goleakFacts)
 		for _, pkg := range pass.Pkgs {
 			for _, f := range pkg.Files {
 				inspectWithStack(f, func(n ast.Node, stack []ast.Node) {
@@ -38,7 +38,7 @@ func GoLeak() *Analyzer {
 					if !ok {
 						return
 					}
-					fnNode := enclosingFuncNode(stack)
+					fnNode := enclosingFunc(stack)
 					if fnNode == nil || goDisciplined(pkg, g, sums, gs, fnNode) {
 						return
 					}
@@ -54,7 +54,7 @@ func GoLeak() *Analyzer {
 // propagates: blocking on ctx.Done() and calling WaitGroup.Done, so a
 // named go target that delegates its discipline to a helper still
 // checks out.
-func goleakFacts(n *funcNode) (fact, map[fact]*evidence) {
+func goleakFacts(n *funcNode) summary {
 	var f fact
 	if bodyHasCtxDoneReceive(n.pkg, n.decl.Body) {
 		f |= factCtxJoin
@@ -62,20 +62,7 @@ func goleakFacts(n *funcNode) (fact, map[fact]*evidence) {
 	if len(wgDonePaths(n.pkg, n.decl.Body)) > 0 {
 		f |= factWGDone
 	}
-	return f, nil
-}
-
-// enclosingFuncNode returns the innermost FuncDecl or FuncLit in stack.
-func enclosingFuncNode(stack []ast.Node) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncDecl:
-			return fn
-		case *ast.FuncLit:
-			return fn
-		}
-	}
-	return nil
+	return summary{facts: f}
 }
 
 // goDisciplined reports whether the go statement has a provable join or

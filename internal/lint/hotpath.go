@@ -23,9 +23,8 @@ func Hotpath() *Analyzer {
 		Doc:  "functions marked //lint:hotpath must not allocate on any reachable path",
 	}
 	a.RunModule = func(pass *ModulePass) {
-		g := graphFor(pass.Pkgs)
-		sums := g.summariesFor("hotpath", hotpathFacts)
-		for _, n := range g.nodes {
+		sums := solveSummaries(pass.graph, hotpathFacts)
+		for _, n := range pass.graph.nodes {
 			if !n.hotpath {
 				continue
 			}
@@ -49,9 +48,9 @@ func Hotpath() *Analyzer {
 // hotpathFacts is the direct-fact collector for allocation summaries.
 // Site-level allow directives exempt a single allocation; a
 // declaration-level directive zeroes the function's summary.
-func hotpathFacts(n *funcNode) (fact, map[fact]*evidence) {
+func hotpathFacts(n *funcNode) summary {
 	if n.pkg.exemptFunc("hotpath", n.decl) {
-		return 0, nil
+		return summary{}
 	}
 	var f fact
 	ev := map[fact]*evidence{}
@@ -65,7 +64,7 @@ func hotpathFacts(n *funcNode) (fact, map[fact]*evidence) {
 		}
 		f |= factAlloc
 	}
-	return f, ev
+	return summary{facts: f, direct: ev}
 }
 
 // allocSites lists every direct allocation (or allocation-adjacent

@@ -60,11 +60,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ModulePass carries a module-level analyzer's view of the whole load:
-// every target package, type-checked against one shared FileSet.
+// every target package, type-checked against one shared FileSet, and
+// the run's call graph over them.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Pkgs     []*Package
 
+	graph *callGraph
 	diags *[]Diagnostic
 }
 
@@ -312,15 +314,14 @@ func pathMatches(importPath string, suffixes []string) bool {
 	return false
 }
 
-// enclosingFuncBody returns the body of the innermost function (decl or
-// literal) in stack, or nil. stack is an ancestor chain, outermost first.
-func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
+// enclosingFunc returns the innermost function (*ast.FuncDecl or
+// *ast.FuncLit) in stack, or nil. stack is an ancestor chain, outermost
+// first; funcParts yields the function's body.
+func enclosingFunc(stack []ast.Node) ast.Node {
 	for i := len(stack) - 1; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncDecl:
-			return fn.Body
-		case *ast.FuncLit:
-			return fn.Body
+		switch stack[i].(type) {
+		case *ast.FuncDecl, *ast.FuncLit:
+			return stack[i]
 		}
 	}
 	return nil

@@ -32,13 +32,8 @@ type Package struct {
 
 	// flows caches per-function dataflow solutions (see dataflow.go), so
 	// every analyzer in a run shares one CFG and one reaching-definitions
-	// pass per function.
+	// pass per function. Run clears it up front.
 	flows map[ast.Node]*flow
-
-	// lockFlows caches lockcheck's per-unit must-held solutions (see
-	// lockcheck.go) the same way: they derive only from the AST and the
-	// type info, both immutable once loaded.
-	lockFlows map[ast.Node]*lockFlow
 
 	// allows caches the parsed //lint:allow directives (see allowList);
 	// analyzers consume them as summary exemptions and the driver as
@@ -62,23 +57,22 @@ type listedPackage struct {
 // loadCache memoises Load results per (dir, patterns) for the lifetime
 // of the process. One lint run already shares a single load across every
 // analyzer; the cache extends that sharing to repeated Run calls over the
-// same tree — the wire-lock regenerate-then-check flow, the CLI driving
-// several fixture runs, and BenchmarkLint all type-check each package
-// exactly once. Sources are assumed stable while the process lives (true
-// for the CLI and the test suite); ResetLoadCache drops the memo when a
-// caller rewrites sources mid-process.
+// same tree — the test suite linting one fixture several times, and
+// BenchmarkLint's timed loop — so each package pays `go list -export`
+// and the type-check exactly once. Everything an analysis derives from
+// the load lives for one Run. Sources are assumed stable while the
+// process lives; ResetLoadCache drops the memo when a caller rewrites
+// sources mid-process.
 var loadCache = struct {
 	sync.Mutex
 	m map[string][]*Package
 }{m: map[string][]*Package{}}
 
-// ResetLoadCache forgets every memoised Load result (and the call graphs
-// built over them).
+// ResetLoadCache forgets every memoised Load result.
 func ResetLoadCache() {
 	loadCache.Lock()
 	loadCache.m = map[string][]*Package{}
 	loadCache.Unlock()
-	resetGraphCache()
 }
 
 // Load resolves patterns (e.g. "./...") relative to dir, parses every

@@ -17,14 +17,15 @@
 //     job.broadcastLocked already follow.
 //  2. Acquisition order. A module-wide lock-order graph: an edge A → B
 //     for every site that acquires class B (directly, or anywhere in a
-//     callee, via the acquire-set fixpoint) while holding class A. Any
-//     cycle is a deadlock waiting for the right interleaving; each
-//     in-cycle edge is reported at its acquisition site with both
-//     evidence chains. Re-locking the very path already held is
-//     reported as a self-deadlock. Lock classes are declaration-keyed:
-//     "pkg.Type.field" for struct mutexes, "pkg.var" for package-level
-//     locks, "pkg.Func.var" for locals. TryLock is modelled as an
-//     acquisition (its success branch is the interesting one).
+//     callee, via the lock-class sets of the summary fixpoint) while
+//     holding class A. Any cycle is a deadlock waiting for the right
+//     interleaving; each in-cycle edge is reported at its acquisition
+//     site with both evidence chains. Re-locking the very path already
+//     held is reported as a self-deadlock. Lock classes are
+//     declaration-keyed: "pkg.Type.field" for struct mutexes, "pkg.var"
+//     for package-level locks, "pkg.Func.var" for locals. TryLock is
+//     modelled as an acquisition (its success branch is the interesting
+//     one).
 //  3. Blocking under a held lock. Channel send/receive/select/close,
 //     ctx.Done() waits, time.Sleep, WaitGroup/Cond waits, writes to an
 //     http.ResponseWriter, and calls whose summary reaches any of
@@ -43,13 +44,11 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // GuardDirective declares a struct field's lock contract explicitly:
@@ -64,35 +63,12 @@ func Lockcheck() *Analyzer {
 		Doc:  "lock discipline: guarded-field contracts, global acquisition order, no blocking under a held lock",
 	}
 	a.RunModule = func(pass *ModulePass) {
-		g := graphFor(pass.Pkgs)
-		solved := g.memo("lockcheck", func() any {
-			direct := make(map[*funcNode]*lockDirect, len(g.nodes))
-			ldw := &lockDirectWalker{}
-			for _, n := range g.nodes {
-				direct[n] = ldw.collect(n)
-			}
-			declMention := make(map[*ast.FuncDecl]bool, len(g.nodes))
-			for _, n := range g.nodes {
-				declMention[n.decl] = direct[n].mention
-			}
-			return &lockSolved{
-				sums: solveSummaries(g, func(n *funcNode) (fact, map[fact]*evidence) {
-					d := direct[n]
-					return d.f, d.ev
-				}),
-				acq:         solveAcquires(g, direct),
-				declMention: declMention,
-			}
-		}).(*lockSolved)
 		specs, guardFields := collectGuardSpecs(pass)
 		lc := &lockChecker{
 			pass:        pass,
-			g:           g,
-			sums:        solved.sums,
-			acq:         solved.acq,
+			sums:        solveSummaries(pass.graph, (&lockDirectWalker{}).collect),
 			specs:       specs,
 			guardFields: guardFields,
-			declMention: solved.declMention,
 			recvCache:   map[types.Type]recvInfo{},
 			edges:       map[[2]string]*lockEdge{},
 		}
@@ -265,7 +241,7 @@ func collectFileGuards(pass *ModulePass, pkg *Package, f *ast.File, specs map[gu
 				}
 				switch {
 				case !mutexes[name]:
-					pass.Reportf(pos, "%s names %q, which is not a sync.Mutex/RWMutex field of %s (have %s)", GuardDirective, name, display, joinSorted(mutexes))
+					pass.Reportf(pos, "%s names %q, which is not a sync.Mutex/RWMutex field of %s (have %s)", GuardDirective, name, display, strings.Join(sortedKeys(mutexes), ", "))
 				case len(field.Names) == 0:
 					pass.Reportf(pos, "%s cannot guard an embedded field", GuardDirective)
 				default:
@@ -298,15 +274,6 @@ func fieldGuardDirective(field *ast.Field) (name string, pos token.Pos, ok bool)
 		}
 	}
 	return "", token.NoPos, false
-}
-
-func joinSorted(set map[string]bool) string {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
 }
 
 // ---------------------------------------------------------------------
@@ -347,6 +314,24 @@ var emptyHeld = map[string]heldLock{}
 // trivialFlow is the shared solution for units that hold no lock at
 // entry and contain no mutex operation — the vast majority.
 var trivialFlow = &lockFlow{trivial: true}
+
+// heldAtSite returns the locks held at a blocking site. A select
+// statement is not a CFG node (its comm clauses are): probe the lockset
+// at the first clause, which inherits the head block's out-state.
+func (lf *lockFlow) heldAtSite(site ast.Node) map[string]heldLock {
+	h := lf.heldAt(site.Pos())
+	if sel, ok := site.(*ast.SelectStmt); ok {
+		for _, cl := range sel.Body.List {
+			if h != nil {
+				break
+			}
+			if comm := cl.(*ast.CommClause).Comm; comm != nil {
+				h = lf.heldAt(comm.Pos())
+			}
+		}
+	}
+	return h
+}
 
 // heldAt returns the locks held just before pos (nil when the position
 // is unreachable or outside the body).
@@ -389,34 +374,11 @@ func applyLockOp(held map[string]heldLock, op lockOp) {
 
 // lockFlowFor builds the must-held solution for unit, a FuncDecl or
 // FuncLit inside decl (the enclosing declaration, used to name local
-// lock classes and for the Locked-suffix entry assumption). Solutions
-// are cached on the Package — like flowFor's dataflow — because they
-// derive only from the immutable AST and type info.
+// lock classes and for the Locked-suffix entry assumption).
 func (lc *lockChecker) lockFlowFor(pkg *Package, unit ast.Node, decl *ast.FuncDecl) *lockFlow {
-	if lf, ok := pkg.lockFlows[unit]; ok {
-		return lf
-	}
-	if pkg.lockFlows == nil {
-		pkg.lockFlows = map[ast.Node]*lockFlow{}
-	}
 	entry := entryHeld(pkg, unit, decl)
-	if len(entry) == 0 {
-		// The decl-level mention bit from the fact walk answers for
-		// most units without another subtree probe; only literals
-		// inside mutex-touching declarations need the per-unit scan.
-		trivial := false
-		switch m, known := lc.declMention[decl]; {
-		case known && !m:
-			trivial = true
-		case known && unit == decl:
-			trivial = false
-		default:
-			trivial = !mentionsMutexOp(&lc.mention, unit)
-		}
-		if trivial {
-			pkg.lockFlows[unit] = trivialFlow
-			return trivialFlow
-		}
+	if len(entry) == 0 && !mentionsMutexOp(&lc.mention, unit) {
+		return trivialFlow
 	}
 	if entry == nil {
 		entry = map[string]heldLock{}
@@ -433,7 +395,6 @@ func (lc *lockChecker) lockFlowFor(pkg *Package, unit ast.Node, decl *ast.FuncDe
 		lf.ops[blk.index] = ops
 	}
 	lf.solve(entry)
-	pkg.lockFlows[unit] = lf
 	return lf
 }
 
@@ -727,23 +688,11 @@ type lockEdge struct {
 	viaClass string
 }
 
-// lockSolved bundles the interprocedural artifacts lockcheck memoises
-// on the call graph across Run calls: blocking summaries, acquisition
-// sets, and the per-decl mutex-mention bit (see callGraph.memo).
-type lockSolved struct {
-	sums        *summaries
-	acq         *acquireSets
-	declMention map[*ast.FuncDecl]bool
-}
-
 type lockChecker struct {
 	pass        *ModulePass
-	g           *callGraph
-	sums        *summaries
-	acq         *acquireSets
+	sums        *summaries // blocking/acquire facts and acquired lock classes
 	specs       map[guardKey]*guardSpec
 	guardFields map[string]bool // field names of mutex-bearing structs
-	declMention map[*ast.FuncDecl]bool
 	recvCache   map[types.Type]recvInfo
 	edges       map[[2]string]*lockEdge
 	accesses    []fieldAccess
@@ -759,6 +708,7 @@ type recvInfo struct {
 
 func (lc *lockChecker) walkFile(pkg *Package, f *ast.File) {
 	w := &unitWalker{lc: lc, pkg: pkg}
+	w.block.reset(pkg)
 	for _, d := range f.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
 			w.decl = fd
@@ -776,20 +726,24 @@ func (lc *lockChecker) walkFile(pkg *Package, f *ast.File) {
 // body's unlocks), but a function literal inside a defer is still its
 // own unit and gets walked.
 type unitWalker struct {
-	lc      *lockChecker
-	pkg     *Package
-	decl    *ast.FuncDecl
-	unit    ast.Node
-	lf      *lockFlow
-	commOps map[ast.Node]bool // select comm statements seen so far
+	lc    *lockChecker
+	pkg   *Package
+	decl  *ast.FuncDecl
+	unit  ast.Node
+	lf    *lockFlow
+	block blockingSites
 }
 
 // enter walks body as the unit's scope, restoring the previous unit
-// context afterwards.
+// context afterwards. A literal inside a trivial unit is trivial too:
+// the unit's probe already found no mutex op in it, and literals hold
+// nothing on entry.
 func (w *unitWalker) enter(unit ast.Node, body *ast.BlockStmt) {
 	prevUnit, prevLf := w.unit, w.lf
 	w.unit = unit
-	w.lf = w.lc.lockFlowFor(w.pkg, unit, w.decl)
+	if prevLf == nil || !prevLf.trivial {
+		w.lf = w.lc.lockFlowFor(w.pkg, unit, w.decl)
+	}
 	ast.Walk(w, body)
 	w.unit, w.lf = prevUnit, prevLf
 }
@@ -811,44 +765,17 @@ func (w *unitWalker) Visit(node ast.Node) ast.Visitor {
 		return nil
 	case *ast.SelectorExpr:
 		lc.recordFieldAccess(pkg, n, w.unit, lf)
-	case *ast.SendStmt:
-		if !lf.trivial && !w.commOps[n] {
-			lc.reportBlocking(pkg, n.Pos(), "channel send", lf.heldAt(n.Pos()))
-		}
-	case *ast.UnaryExpr:
-		if lf.trivial || n.Op != token.ARROW || w.commOps[n] {
+	}
+	// Nothing is ever held in a trivial unit, so no blocking site in it
+	// can be reported; skip the classification.
+	if !lf.trivial {
+		if desc := w.block.site(node); desc != "" {
+			lc.reportBlocking(pkg, node.Pos(), desc, lf.heldAtSite(node))
 			return w
 		}
-		desc := "channel receive"
-		if recvIsCtxDone(pkg, n) {
-			desc = "wait on ctx.Done()"
-		}
-		lc.reportBlocking(pkg, n.Pos(), desc, lf.heldAt(n.Pos()))
-	case *ast.SelectStmt:
-		// Pre-order guarantees the select is seen before its comm
-		// statements: mark them now so they do not double-report.
-		if w.commOps == nil {
-			w.commOps = map[ast.Node]bool{}
-		}
-		markCommOps(n, w.commOps)
-		if lf.trivial {
-			return w
-		}
-		// The select statement itself is not a CFG node (its comm
-		// clauses are): probe the lockset at the first clause, which
-		// inherits the head block's out-state.
-		h := lf.heldAt(n.Pos())
-		for _, cl := range n.Body.List {
-			if h != nil {
-				break
-			}
-			if comm := cl.(*ast.CommClause).Comm; comm != nil {
-				h = lf.heldAt(comm.Pos())
-			}
-		}
-		lc.reportBlocking(pkg, n.Pos(), "select", h)
-	case *ast.CallExpr:
-		lc.checkCall(pkg, n, w.decl, lf)
+	}
+	if call, ok := node.(*ast.CallExpr); ok {
+		lc.checkCall(pkg, call, w.decl, lf)
 	}
 	return w
 }
@@ -930,15 +857,6 @@ func heldCovers(held map[string]heldLock, base string, spec *guardSpec) (bool, s
 	return false, ""
 }
 
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // baseIsFresh reports whether the access base is a local variable whose
 // every reaching definition allocates the value in this function — the
 // constructor idiom, where no other goroutine can see the struct yet.
@@ -985,23 +903,14 @@ func allocExpr(e ast.Expr) bool {
 // ---------------------------------------------------------------------
 // Call sites: blocking, Locked-suffix discipline, order edges.
 
+// checkCall handles a call that does not block by itself: a lock
+// acquisition, a *Locked method call, or a call whose callee's summary
+// may block or acquire while locks are held.
 func (lc *lockChecker) checkCall(pkg *Package, call *ast.CallExpr, decl *ast.FuncDecl, lf *lockFlow) {
-	if lf.trivial {
-		// Nothing is ever held here and there are no mutex ops, so the
-		// only check with teeth is the Locked-suffix caller contract.
-		lc.checkLockedSuffixCall(pkg, call, emptyHeld)
-		return
-	}
-	// Direct blocking calls first.
-	if desc := directBlockingCall(pkg, call); desc != "" {
-		lc.reportBlocking(pkg, call.Pos(), desc, lf.heldAt(call.Pos()))
-		return
-	}
 	if x, method := mutexOp(pkg, call); x != nil {
-		if method == "Unlock" || method == "RUnlock" {
-			return
+		if method != "Unlock" && method != "RUnlock" {
+			lc.checkAcquire(pkg, call, x, decl, lf.heldAt(call.Pos()))
 		}
-		lc.checkAcquire(pkg, call, x, decl, lf.heldAt(call.Pos()))
 		return
 	}
 	h := lf.heldAt(call.Pos())
@@ -1009,7 +918,7 @@ func (lc *lockChecker) checkCall(pkg *Package, call *ast.CallExpr, decl *ast.Fun
 	if len(h) == 0 {
 		return
 	}
-	for _, callee := range lc.g.calleesOf(pkg, call) {
+	for _, callee := range lc.pass.graph.calleesOf(pkg, call) {
 		// Skip self-resolution (direct recursion, or CHA matching an
 		// interface call back to the enclosing method, the lockedImporter
 		// pattern): mirrors the summary solver's self-edge skip.
@@ -1056,13 +965,15 @@ func (lc *lockChecker) reportCallEffects(pkg *Package, call *ast.CallExpr, calle
 		return false // fast path: the callee's summary is lock-silent
 	}
 	hs := sortedHeld(held)
-	for _, class := range lc.acq.classesOf(callee) {
+	classes := lc.sums.sum[callee.id].classes
+	for _, class := range sortedKeys(classes) {
+		display := classes[class].display
 		for _, h := range hs {
-			if h.class == class.class {
-				lc.pass.Reportf(call.Pos(), "call to %s while holding %s may acquire %s again (%s): lock-class reentry deadlocks unless instances are provably distinct", callee.shortName(), h.path, class.display, lc.acq.explain(callee, class.class))
+			if h.class == class {
+				lc.pass.Reportf(call.Pos(), "call to %s while holding %s may acquire %s again (%s): lock-class reentry deadlocks unless instances are provably distinct", callee.shortName(), h.path, display, lc.sums.explainClass(callee, class))
 				continue
 			}
-			lc.addEdge(pkg, h, heldLock{class: class.class, display: class.display, pos: call.Pos()}, call.Pos(), callee, class.class)
+			lc.addEdge(pkg, h, heldLock{class: class, display: display, pos: call.Pos()}, call.Pos(), callee, class)
 		}
 	}
 	if lc.sums.has(callee, factBlock) {
@@ -1106,9 +1017,60 @@ func (lc *lockChecker) checkLockedSuffixCall(pkg *Package, call *ast.CallExpr, h
 	lc.pass.Reportf(call.Pos(), "call to %s.%s without holding %s.%s: the Locked suffix requires the caller to hold the receiver's mutex", base, sel.Sel.Name, base, sortedKeys(mutexes)[0])
 }
 
+// blockingSites is the one classifier of blocking operations, shared by
+// the summary collector (which records them as factBlock) and the
+// held-lock walk (which reports them while a lock is held): channel
+// sends and receives, selects, and calls that block by themselves. A
+// select's comm statements are credited to the select rather than
+// double-counted — the pre-order walk sees the SelectStmt before its
+// clauses, so the comm-op set fills in just in time.
+type blockingSites struct {
+	pkg     *Package
+	http    bool // pkg imports net/http (see directBlockingCall)
+	commOps map[ast.Node]bool
+}
+
+// reset starts a walk over code of pkg.
+func (b *blockingSites) reset(pkg *Package) {
+	if b.pkg != pkg {
+		b.pkg, b.http = pkg, importsHTTP(pkg)
+	}
+	clear(b.commOps)
+}
+
+// site describes what node blocks on ("channel send", "select", …), or
+// returns "" when node does not block by itself.
+func (b *blockingSites) site(node ast.Node) string {
+	switch n := node.(type) {
+	case *ast.SendStmt:
+		if !b.commOps[n] {
+			return "channel send"
+		}
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW && !b.commOps[n] {
+			if recvIsCtxDone(b.pkg, n) {
+				return "wait on ctx.Done()"
+			}
+			return "channel receive"
+		}
+	case *ast.SelectStmt:
+		if b.commOps == nil {
+			b.commOps = map[ast.Node]bool{}
+		}
+		markCommOps(n, b.commOps)
+		return "select"
+	case *ast.CallExpr:
+		return directBlockingCall(b.pkg, n, b.http)
+	}
+	return ""
+}
+
 // directBlockingCall classifies call expressions that block by
 // themselves: close, time.Sleep, WaitGroup/Cond waits, HTTP writes.
-func directBlockingCall(pkg *Package, call *ast.CallExpr) string {
+// Only a package importing net/http (http) can hold an expression typed
+// http.ResponseWriter/Flusher, which saves a TypeOf probe per argument
+// everywhere else.
+func directBlockingCall(pkg *Package, call *ast.CallExpr, http bool) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if _, ok := pkg.Info.Uses[fun].(*types.Builtin); ok && fun.Name == "close" {
@@ -1125,11 +1087,11 @@ func directBlockingCall(pkg *Package, call *ast.CallExpr) string {
 				}
 			}
 		}
-		if pkgImportsHTTP(pkg) && isHTTPWriter(pkg, fun.X) {
+		if http && isHTTPWriter(pkg, fun.X) {
 			return "write to the http.ResponseWriter"
 		}
 	}
-	if pkgImportsHTTP(pkg) {
+	if http {
 		for _, arg := range call.Args {
 			if isHTTPWriter(pkg, arg) {
 				return "write to the http.ResponseWriter"
@@ -1139,27 +1101,14 @@ func directBlockingCall(pkg *Package, call *ast.CallExpr) string {
 	return ""
 }
 
-// httpImporters caches, per package, whether net/http is a direct
-// import — the only way an expression in the package can be typed as
-// http.ResponseWriter/Flusher. Saves a TypeOf probe per call argument
-// module-wide.
-var httpImporters sync.Map // *Package → bool
-
-func pkgImportsHTTP(pkg *Package) bool {
-	if v, ok := httpImporters.Load(pkg); ok {
-		return v.(bool)
-	}
-	imports := false
-	if pkg.Types != nil {
-		for _, imp := range pkg.Types.Imports() {
-			if imp.Path() == "net/http" {
-				imports = true
-				break
-			}
+// importsHTTP reports whether net/http is a direct import of pkg.
+func importsHTTP(pkg *Package) bool {
+	for _, imp := range pkg.Types.Imports() {
+		if imp.Path() == "net/http" {
+			return true
 		}
 	}
-	httpImporters.Store(pkg, imports)
-	return imports
+	return false
 }
 
 func waitRecvName(fn *types.Func) string {
@@ -1274,102 +1223,6 @@ func guardLockRender(a fieldAccess, mutex string) string {
 }
 
 // ---------------------------------------------------------------------
-// Acquire-set fixpoint: which lock classes a call into fn may acquire.
-
-// acqClass is one lock class a function may acquire, with evidence.
-type acqClass struct {
-	class   string
-	display string
-	direct  *evidence // non-nil: acquired in this very body
-	via     *funcNode // else: the callee the class came from
-}
-
-// acquireSets is the solved may-acquire problem over the call graph.
-type acquireSets struct {
-	g    *callGraph
-	sets map[*funcNode]map[string]*acqClass
-}
-
-// solveAcquires unions direct mutex acquisitions with every callee's
-// set, iterating in deterministic node order to fixpoint. A
-// declaration-line //lint:allow lockcheck empties the function's set,
-// matching the summary collectors' escape hatch.
-func solveAcquires(g *callGraph, direct map[*funcNode]*lockDirect) *acquireSets {
-	s := &acquireSets{g: g, sets: make(map[*funcNode]map[string]*acqClass, len(g.nodes))}
-	for _, n := range g.nodes {
-		s.sets[n] = direct[n].acq
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.nodes {
-			have := s.sets[n]
-			for _, site := range n.calls {
-				for _, callee := range site.callees {
-					if callee == n {
-						continue
-					}
-					for class, c := range s.sets[callee] {
-						if _, ok := have[class]; ok {
-							continue
-						}
-						if have == nil {
-							have = map[string]*acqClass{}
-							s.sets[n] = have
-						}
-						have[class] = &acqClass{class: class, display: c.display, via: callee}
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return s
-}
-
-// classesOf lists n's acquired classes in deterministic order.
-func (s *acquireSets) classesOf(n *funcNode) []*acqClass {
-	set := s.sets[n]
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]*acqClass, 0, len(set))
-	for _, c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].class < out[j].class })
-	return out
-}
-
-// explain renders the evidence chain for class starting at n, in the
-// style of summaries.explain.
-func (s *acquireSets) explain(n *funcNode, class string) string {
-	var hops []string
-	seen := map[*funcNode]bool{}
-	cur := n
-	for range s.g.nodes {
-		if seen[cur] {
-			break
-		}
-		seen[cur] = true
-		c := s.sets[cur][class]
-		if c == nil {
-			break
-		}
-		if c.direct != nil {
-			pos := cur.pkg.Fset.Position(c.direct.pos)
-			site := fmt.Sprintf("%s at %s:%d", c.direct.desc, shortFile(pos.Filename), pos.Line)
-			if len(hops) == 0 {
-				return site
-			}
-			return "via " + joinChain(hops) + ": " + site
-		}
-		hops = append(hops, c.via.shortName())
-		cur = c.via
-	}
-	return "via an indirect call path"
-}
-
-// ---------------------------------------------------------------------
 // Cycle detection over the acquisition-order graph.
 
 // reportCycles flags every edge that sits on a cycle, at its own
@@ -1420,7 +1273,7 @@ func (e *lockEdge) viaSuffix(lc *lockChecker) string {
 	if e.via == nil {
 		return ""
 	}
-	return " (" + lc.acq.explain(e.via, e.viaClass) + ")"
+	return " (" + lc.sums.explainClass(e.via, e.viaClass) + ")"
 }
 
 // renderCycle prints a class cycle with short display names.
@@ -1466,135 +1319,76 @@ func findPath(adj map[string][]string, start, goal string) []string {
 }
 
 // ---------------------------------------------------------------------
-// Summary facts: blocking reachability for the fixpoint bitmask.
+// Direct summaries: blocking sites, acquisitions and lock classes.
 
-// lockDirect is the single-walk direct collector output for one
-// function: the blocking/acquire facts with first evidence (for the
-// summary fixpoint) and the acquired lock classes (for the order
-// graph). One AST pass per function serves both solvers.
-type lockDirect struct {
-	f       fact
-	ev      map[fact]*evidence
-	acq     map[string]*acqClass
-	mention bool // any syntactic mutex-op selector, defers included
-}
-
-// emptyLockDirect and mentionLockDirect are the shared results for
-// functions with nothing to report; the solvers never mutate a
-// lockDirect.
-var (
-	emptyLockDirect   = &lockDirect{}
-	mentionLockDirect = &lockDirect{mention: true}
-)
-
-// lockDirectWalker computes each function's direct facts and
-// acquisitions in one walk. A site-level //lint:allow lockcheck keeps
-// an allowed blocking site (the sanctioned close-under-mutex
-// broadcasts) out of its function's summary so callers are not tainted;
-// a declaration-line directive exempts the whole function. Comm
-// statements of a select are credited to the select itself (the
-// blocking site) rather than double-counted — the pre-order walk sees
-// the SelectStmt before its clauses, so the comm-op set fills in
-// lazily. One walker instance serves the whole module: the scratch
-// result only moves to the heap for functions that have facts.
+// lockDirectWalker computes each function's direct summary in one walk:
+// the blocking and acquire facts with first evidence, and the lock
+// classes it acquires (for the order graph). A site-level
+// //lint:allow lockcheck keeps an allowed site (the sanctioned
+// close-under-mutex broadcasts) out of its function's summary so
+// callers are not tainted; a declaration-line directive exempts the
+// whole function. One walker instance serves the whole module.
 type lockDirectWalker struct {
-	n       *funcNode
-	d       lockDirect
-	commOps map[ast.Node]bool
-	probe   mutexMentionWalker
+	n     *funcNode
+	d     summary
+	block blockingSites
 }
 
-func (w *lockDirectWalker) collect(n *funcNode) *lockDirect {
+func (w *lockDirectWalker) collect(n *funcNode) summary {
 	if n.pkg.exemptFunc("lockcheck", n.decl) {
-		// Facts stay out of the summary, but the syntactic mutex
-		// mention must survive — the flow builder relies on it.
-		if mentionsMutexOp(&w.probe, n.decl.Body) {
-			return mentionLockDirect
-		}
-		return emptyLockDirect
+		return summary{}
 	}
-	w.n, w.d, w.commOps = n, lockDirect{}, nil
+	w.n, w.d = n, summary{}
+	w.block.reset(n.pkg)
 	ast.Walk(w, n.decl.Body)
-	if w.d.f == 0 && w.d.acq == nil {
-		if w.d.mention {
-			return mentionLockDirect
-		}
-		return emptyLockDirect
-	}
-	d := w.d
-	return &d
+	return w.d
 }
 
-func (w *lockDirectWalker) record(ff fact, pos token.Pos, desc string) {
+// record adds fact f with its evidence, unless a site-level directive
+// exempts pos; it reports whether the site counted.
+func (w *lockDirectWalker) record(f fact, pos token.Pos, desc string) bool {
 	if w.n.pkg.exemptAt("lockcheck", pos) {
-		return
+		return false
 	}
-	if w.d.f&ff == 0 {
-		if w.d.ev == nil {
-			w.d.ev = map[fact]*evidence{}
+	if w.d.facts&f == 0 {
+		if w.d.direct == nil {
+			w.d.direct = map[fact]*evidence{}
 		}
-		w.d.ev[ff] = &evidence{pos: pos, desc: desc}
+		w.d.direct[f] = &evidence{pos: pos, desc: desc}
 	}
-	w.d.f |= ff
+	w.d.facts |= f
+	return true
 }
 
 func (w *lockDirectWalker) Visit(node ast.Node) ast.Visitor {
-	switch node := node.(type) {
-	case *ast.DeferStmt:
-		// Deferred ops are not facts (they run at exit), but a deferred
-		// Unlock is still a mutex mention for the flow builder.
-		if !w.d.mention && mentionsMutexOp(&w.probe, node.Call) {
-			w.d.mention = true
-		}
-		return nil
-	case *ast.SelectorExpr:
-		switch node.Sel.Name {
-		case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
-			w.d.mention = true
-		}
-	case *ast.SendStmt:
-		if !w.commOps[node] {
-			w.record(factBlock, node.Pos(), "channel send")
-		}
-	case *ast.UnaryExpr:
-		if node.Op == token.ARROW && !w.commOps[node] {
-			desc := "channel receive"
-			if recvIsCtxDone(w.n.pkg, node) {
-				desc = "ctx.Done() wait"
-			}
-			w.record(factBlock, node.Pos(), desc)
-		}
-	case *ast.SelectStmt:
-		if w.commOps == nil {
-			w.commOps = map[ast.Node]bool{}
-		}
-		markCommOps(node, w.commOps)
-		w.record(factBlock, node.Pos(), "select")
-	case *ast.CallExpr:
-		n := w.n
-		if desc := directBlockingCall(n.pkg, node); desc != "" {
-			w.record(factBlock, node.Pos(), desc)
-			return w
-		}
-		x, method := mutexOp(n.pkg, node)
-		if x == nil || method == "Unlock" || method == "RUnlock" {
-			return w
-		}
-		w.record(factMuAcquire, node.Pos(), exprPath(x)+"."+method)
-		if n.pkg.exemptAt("lockcheck", node.Pos()) {
-			return w
-		}
-		class, display := lockClass(n.pkg, x, declName(n.decl))
-		if class == "" {
-			return w
-		}
-		if _, ok := w.d.acq[class]; !ok {
-			if w.d.acq == nil {
-				w.d.acq = map[string]*acqClass{}
-			}
-			w.d.acq[class] = &acqClass{class: class, display: display, direct: &evidence{pos: node.Pos(), desc: exprPath(x) + "." + method}}
-		}
+	if _, ok := node.(*ast.DeferStmt); ok {
+		return nil // deferred ops run at exit: not facts
 	}
+	if desc := w.block.site(node); desc != "" {
+		w.record(factBlock, node.Pos(), desc)
+		return w
+	}
+	call, ok := node.(*ast.CallExpr)
+	if !ok {
+		return w
+	}
+	pkg := w.n.pkg
+	x, method := mutexOp(pkg, call)
+	if x == nil || method == "Unlock" || method == "RUnlock" {
+		return w
+	}
+	desc := exprPath(x) + "." + method
+	if !w.record(factMuAcquire, call.Pos(), desc) {
+		return w
+	}
+	class, display := lockClass(pkg, x, declName(w.n.decl))
+	if _, ok := w.d.classes[class]; class == "" || ok {
+		return w
+	}
+	if w.d.classes == nil {
+		w.d.classes = map[string]*acqClass{}
+	}
+	w.d.classes[class] = &acqClass{display: display, direct: &evidence{pos: call.Pos(), desc: desc}}
 	return w
 }
 

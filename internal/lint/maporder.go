@@ -40,7 +40,8 @@ func MapOrder() *Analyzer {
 				if !ok || !isMapExpr(pass, rs.X) {
 					return
 				}
-				checkMapRange(pass, rs, enclosingFuncBody(append(stack, rs)))
+				body, _ := funcParts(enclosingFunc(stack))
+				checkMapRange(pass, rs, body)
 			})
 		}
 	}

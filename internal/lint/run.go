@@ -51,11 +51,13 @@ func Run(dir string, patterns []string, opts Options) ([]Diagnostic, error) {
 		ran[a.Name] = true
 	}
 	// Directive used-marks are shared between analyzers (summary-level
-	// exemptions) and the suppression pass below; reset them up front so
-	// repeated Runs over cached packages start from a clean slate.
+	// exemptions) and the suppression pass below, and dataflow solutions
+	// between analyzers; reset both up front so repeated Runs over cached
+	// packages start from a clean slate.
 	var allows []*allow
 	for _, pkg := range pkgs {
 		allows = append(allows, pkg.allowList()...)
+		pkg.flows = nil
 	}
 	for _, a := range allows {
 		a.used = false
@@ -70,12 +72,15 @@ func Run(dir string, patterns []string, opts Options) ([]Diagnostic, error) {
 			a.Run(pass)
 		}
 	}
+	var graph *callGraph
 	for _, a := range analyzers {
 		if a.RunModule == nil {
 			continue
 		}
-		pass := &ModulePass{Analyzer: a, Pkgs: pkgs, diags: &all}
-		a.RunModule(pass)
+		if graph == nil {
+			graph = buildCallGraph(pkgs)
+		}
+		a.RunModule(&ModulePass{Analyzer: a, Pkgs: pkgs, graph: graph, diags: &all})
 	}
 	all = suppress(all, allows, ran, !opts.KeepUnusedAllows)
 	sortDiagnostics(all)

@@ -10,6 +10,7 @@
 package because_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -294,7 +295,7 @@ func BenchmarkAblationSamplers(b *testing.B) {
 	ds := benchDataset(b)
 	b.Run("mh", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c, err := core.RunMH(ds, core.SparsePrior, core.MHConfig{Sweeps: 300, BurnIn: 100}, stats.NewRNG(uint64(i)))
+			c, err := core.RunMH(context.Background(), ds, core.Config{MH: core.MHConfig{Sweeps: 300, BurnIn: 100}}, stats.NewRNG(uint64(i)))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -303,7 +304,7 @@ func BenchmarkAblationSamplers(b *testing.B) {
 	})
 	b.Run("hmc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c, err := core.RunHMC(ds, core.SparsePrior, core.HMCConfig{Iterations: 300, BurnIn: 100}, stats.NewRNG(uint64(i)))
+			c, err := core.RunHMC(context.Background(), ds, core.Config{HMC: core.HMCConfig{Iterations: 300, BurnIn: 100}}, stats.NewRNG(uint64(i)))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -313,11 +314,11 @@ func BenchmarkAblationSamplers(b *testing.B) {
 	// Report mixing quality: effective samples per retained sample.
 	b.Run("ess", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mh, err := core.RunMH(ds, core.SparsePrior, core.MHConfig{Sweeps: 300, BurnIn: 100}, stats.NewRNG(1))
+			mh, err := core.RunMH(context.Background(), ds, core.Config{MH: core.MHConfig{Sweeps: 300, BurnIn: 100}}, stats.NewRNG(1))
 			if err != nil {
 				b.Fatal(err)
 			}
-			hmc, err := core.RunHMC(ds, core.SparsePrior, core.HMCConfig{Iterations: 300, BurnIn: 100}, stats.NewRNG(2))
+			hmc, err := core.RunHMC(context.Background(), ds, core.Config{HMC: core.HMCConfig{Iterations: 300, BurnIn: 100}}, stats.NewRNG(2))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -341,7 +342,7 @@ func BenchmarkAblationPriors(b *testing.B) {
 	for name, prior := range priors {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c, err := core.RunMH(ds, prior, core.MHConfig{Sweeps: 400, BurnIn: 100}, stats.NewRNG(3))
+				c, err := core.RunMH(context.Background(), ds, core.Config{Prior: prior, MH: core.MHConfig{Sweeps: 400, BurnIn: 100}}, stats.NewRNG(3))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -125,7 +125,7 @@ func main() {
 	flag.StringVar(&o.remote, "remote", "", "run the inference on a becaused at this base URL (e.g. http://127.0.0.1:8642) instead of in-process")
 	flag.Parse()
 
-	observer, err := newObserver(o.logLevel)
+	observer, err := obs.NewLeveled(o.logLevel, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "becausectl:", err)
 		os.Exit(2)
@@ -148,21 +148,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// newObserver builds the CLI's observability context: a registry always
-// (it only costs when scraped) and a stderr text logger when level names
-// one ("" keeps logging off).
-func newObserver(level string) (*obs.Observer, error) {
-	logger := obs.Nop()
-	if level != "" {
-		min, err := obs.ParseLevel(level)
-		if err != nil {
-			return nil, err
-		}
-		logger = obs.NewTextLogger(os.Stderr, min)
-	}
-	return obs.New(logger, obs.NewRegistry()), nil
 }
 
 func run(o options, observer *obs.Observer, stdout io.Writer) error {

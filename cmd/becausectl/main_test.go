@@ -110,7 +110,7 @@ func TestRunChainsRHatColumn(t *testing.T) {
 // sweep-counter series.
 func TestMetricsEndpoint(t *testing.T) {
 	in := writeQuickstart(t)
-	observer, err := newObserver("")
+	observer, err := obs.NewLeveled("", io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func main() {
 }
 
 func run(o options) error {
-	observer, err := newObserver(o.logLevel)
+	observer, err := obs.NewLeveled(o.logLevel, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "becaused:", err)
 		os.Exit(2)
@@ -110,19 +110,4 @@ func run(o options) error {
 	}
 	fmt.Println("becaused: drained, exiting")
 	return nil
-}
-
-// newObserver builds the daemon's observability context: a registry
-// always (it feeds /metrics), plus a stderr text logger when level names
-// one.
-func newObserver(level string) (*obs.Observer, error) {
-	logger := obs.Nop()
-	if level != "" {
-		min, err := obs.ParseLevel(level)
-		if err != nil {
-			return nil, err
-		}
-		logger = obs.NewTextLogger(os.Stderr, min)
-	}
-	return obs.New(logger, obs.NewRegistry()), nil
 }

@@ -59,7 +59,7 @@ func main() {
 	flag.StringVar(&o.logLevel, "log-level", "", "structured log level on stderr: debug, info, warn, error (default: off)")
 	flag.Parse()
 
-	observer, err := newObserver(o.logLevel)
+	observer, err := obs.NewLeveled(o.logLevel, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rfdbeacon:", err)
 		os.Exit(2)
@@ -77,20 +77,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rfdbeacon:", err)
 		os.Exit(1)
 	}
-}
-
-// newObserver builds the CLI's observability context: a registry always and
-// a stderr text logger when level names one ("" keeps logging off).
-func newObserver(level string) (*obs.Observer, error) {
-	logger := obs.Nop()
-	if level != "" {
-		min, err := obs.ParseLevel(level)
-		if err != nil {
-			return nil, err
-		}
-		logger = obs.NewTextLogger(os.Stderr, min)
-	}
-	return obs.New(logger, obs.NewRegistry()), nil
 }
 
 func run(o options, observer *obs.Observer) error {

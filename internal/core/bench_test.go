@@ -10,8 +10,8 @@ import (
 // benchDataset synthesises a mid-sized measurement set (40 ASes, 160
 // three-hop paths, one planted damper) sized so the per-sweep kernels
 // dominate over cache effects.
-func benchDataset(b *testing.B) *Dataset {
-	b.Helper()
+func benchDataset(tb testing.TB) *Dataset {
+	tb.Helper()
 	rng := stats.NewRNG(7)
 	obs := make([]PathObs, 0, 160)
 	for k := 0; k < 160; k++ {
@@ -33,17 +33,16 @@ func benchDataset(b *testing.B) *Dataset {
 	}
 	ds, err := NewDataset(obs)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ds
 }
 
-// BenchmarkMHSweep isolates one Metropolis-within-Gibbs sweep — the MH
-// sampler's inner loop, annotated //lint:hotpath. The contract the
-// hotpath analyzer enforces statically shows up here dynamically: zero
-// allocs/op.
-func BenchmarkMHSweep(b *testing.B) {
-	ds := benchDataset(b)
+// mhSweepFixture returns one Metropolis-within-Gibbs sweep over the bench
+// dataset — the MH sampler's inner loop, annotated //lint:hotpath — as a
+// closure over its state and buffers.
+func mhSweepFixture(tb testing.TB) func() {
+	ds := benchDataset(tb)
 	rng := stats.NewRNG(42)
 	n := ds.NumNodes()
 	beta := stats.NewBeta(SparsePrior.Alpha, SparsePrior.Beta)
@@ -53,18 +52,14 @@ func BenchmarkMHSweep(b *testing.B) {
 	}
 	st := newLikState(ds, p0, 0)
 	order := make([]int, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mhSweep(st, SparsePrior, 0.15, order, rng)
-	}
+	return func() { mhSweep(st, SparsePrior, mhStepSize, order, rng) }
 }
 
-// BenchmarkHMCLeapfrog isolates one full HMC trajectory (momentum
-// refresh + 12 leapfrog steps) over caller-owned buffers — the other
-// //lint:hotpath kernel, likewise required to run at zero allocs/op.
-func BenchmarkHMCLeapfrog(b *testing.B) {
-	ds := benchDataset(b)
+// hmcTrajectoryFixture returns one full HMC trajectory (momentum refresh
+// + 12 leapfrog steps) over caller-owned buffers — the other
+// //lint:hotpath kernel — as a closure.
+func hmcTrajectoryFixture(tb testing.TB) func() {
+	ds := benchDataset(tb)
 	rng := stats.NewRNG(42)
 	n := ds.NumNodes()
 	beta := stats.NewBeta(SparsePrior.Alpha, SparsePrior.Beta)
@@ -80,14 +75,51 @@ func BenchmarkHMCLeapfrog(b *testing.B) {
 	mom := make([]float64, n)
 	thetaProp := make([]float64, n)
 	pProp := make([]float64, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		for j := range mom {
 			mom[j] = rng.Norm()
 		}
 		copy(thetaProp, theta)
 		stProp.CopyFrom(st)
 		hmcLeapfrog(stProp, SparsePrior, thetaProp, pProp, grad, mom, 0.08, 12)
+	}
+}
+
+// BenchmarkMHSweep times one MH sweep; TestHotpathKernelsAllocateNothing
+// pins it at zero allocs/op.
+func BenchmarkMHSweep(b *testing.B) {
+	sweep := mhSweepFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+}
+
+// BenchmarkHMCLeapfrog times one HMC trajectory;
+// TestHotpathKernelsAllocateNothing pins it at zero allocs/op.
+func BenchmarkHMCLeapfrog(b *testing.B) {
+	trajectory := hmcTrajectoryFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trajectory()
+	}
+}
+
+// TestHotpathKernelsAllocateNothing is the dynamic side of the
+// //lint:hotpath contract the static analyzer enforces: over the
+// benchmark fixtures, an MH sweep and an HMC trajectory allocate nothing.
+func TestHotpathKernelsAllocateNothing(t *testing.T) {
+	for _, k := range []struct {
+		name string
+		run  func()
+	}{
+		{"mhSweep", mhSweepFixture(t)},
+		{"hmcLeapfrog", hmcTrajectoryFixture(t)},
+	} {
+		if n := testing.AllocsPerRun(50, k.run); n != 0 {
+			t.Errorf("%s: %g allocs/op, want 0", k.name, n)
+		}
 	}
 }

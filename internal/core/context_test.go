@@ -91,10 +91,10 @@ func TestRunSamplersContextPreCancelled(t *testing.T) {
 	ds := plantedDataset(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunMHContext(ctx, ds, SparsePrior, MHConfig{Sweeps: 50}, stats.NewRNG(1)); !errors.Is(err, context.Canceled) {
+	if _, err := RunMH(ctx, ds, Config{MH: MHConfig{Sweeps: 50}}, stats.NewRNG(1)); !errors.Is(err, context.Canceled) {
 		t.Errorf("MH err = %v, want context.Canceled", err)
 	}
-	if _, err := RunHMCContext(ctx, ds, SparsePrior, HMCConfig{Iterations: 20}, stats.NewRNG(2)); !errors.Is(err, context.Canceled) {
+	if _, err := RunHMC(ctx, ds, Config{HMC: HMCConfig{Iterations: 20}}, stats.NewRNG(2)); !errors.Is(err, context.Canceled) {
 		t.Errorf("HMC err = %v, want context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -119,11 +120,11 @@ func TestErrorModelToleratesNoisyLabels(t *testing.T) {
 	_ = rng
 	ds := mustDataset(t, obs)
 
-	exact, err := RunMH(ds, SparsePrior, MHConfig{Sweeps: 800, BurnIn: 200}, stats.NewRNG(5))
+	exact, err := RunMH(context.Background(), ds, Config{MH: MHConfig{Sweeps: 800, BurnIn: 200}}, stats.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	robust, err := RunMH(ds, SparsePrior, MHConfig{Sweeps: 800, BurnIn: 200, Model: RFDModel{MissRate: 0.25}}, stats.NewRNG(5))
+	robust, err := RunMH(context.Background(), ds, Config{Model: RFDModel{MissRate: 0.25}, MH: MHConfig{Sweeps: 800, BurnIn: 200}}, stats.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +142,11 @@ func TestErrorModelToleratesNoisyLabels(t *testing.T) {
 func TestMissRateValidation(t *testing.T) {
 	ds := mustDataset(t, []PathObs{{ASNs: []bgp.ASN{1}, Positive: true}})
 	for _, m := range []float64{-0.1, 1, math.NaN()} {
-		if _, err := RunMH(ds, SparsePrior, MHConfig{Model: RFDModel{MissRate: m}}, stats.NewRNG(1)); err == nil {
+		if _, err := RunMH(context.Background(), ds, Config{Model: RFDModel{MissRate: m}}, stats.NewRNG(1)); err == nil {
 			t.Errorf("MH miss rate %g accepted", m)
 		}
 	}
-	if _, err := RunHMC(ds, SparsePrior, HMCConfig{Model: RFDModel{MissRate: 1.5}}, stats.NewRNG(1)); err == nil {
+	if _, err := RunHMC(context.Background(), ds, Config{Model: RFDModel{MissRate: 1.5}}, stats.NewRNG(1)); err == nil {
 		t.Error("HMC miss rate 1.5 accepted")
 	}
 }

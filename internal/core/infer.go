@@ -17,7 +17,9 @@ import (
 type Config struct {
 	// Prior on each p_i; zero value selects SparsePrior.
 	Prior Prior
-	// MH and HMC configure the samplers; zero values use defaults.
+	// MH and HMC set each sampler's chain length and numerics; zero values
+	// use defaults. Every other field applies to both samplers, including
+	// when one runs alone through RunMH or RunHMC.
 	MH  MHConfig
 	HMC HMCConfig
 	// DisableMH / DisableHMC skip a sampler (both run by default, and the
@@ -73,6 +75,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PinpointThreshold == 0 {
 		c.PinpointThreshold = 0.8
+	}
+	if c.ProgressEvery == 0 {
+		c.ProgressEvery = 100
 	}
 	return c
 }
@@ -165,14 +170,9 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 		return nil, fmt.Errorf("core: both samplers disabled")
 	}
 	model := modelOrDefault(cfg.Model)
-	cfg.MH.Model = model
-	cfg.HMC.Model = model
 	if cfg.Chains < 1 {
 		cfg.Chains = 1
 	}
-	// Thread the observability context into the samplers.
-	cfg.MH.Obs, cfg.MH.Progress, cfg.MH.ProgressEvery = cfg.Obs, cfg.Progress, cfg.ProgressEvery
-	cfg.HMC.Obs, cfg.HMC.Progress, cfg.HMC.ProgressEvery = cfg.Obs, cfg.Progress, cfg.ProgressEvery
 	workers := par.Workers(cfg.Workers)
 	o := cfg.Obs
 	if o != nil {
@@ -189,12 +189,11 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 	if cfg.Progress != nil {
 		var mu sync.Mutex
 		report := cfg.Progress
-		serialized := func(p obs.Progress) {
+		cfg.Progress = func(p obs.Progress) {
 			mu.Lock()
 			defer mu.Unlock()
 			report(p)
 		}
-		cfg.MH.Progress, cfg.HMC.Progress = serialized, serialized
 	}
 
 	// Pre-split one RNG stream per chain, in a fixed order, BEFORE any
@@ -204,18 +203,19 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 	// derived from it — is bit-identical at every worker count.
 	rng := stats.NewRNG(cfg.Seed)
 	type chainJob struct {
-		method string
-		chain  int // MH chain index (0 for HMC)
-		rng    *stats.RNG
+		method  string
+		sampler sampler
+		chain   int // MH chain index (0 for HMC)
+		rng     *stats.RNG
 	}
 	var jobs []chainJob
 	if !cfg.DisableMH {
 		for k := 0; k < cfg.Chains; k++ {
-			jobs = append(jobs, chainJob{method: "mh", chain: k, rng: rng.Split()})
+			jobs = append(jobs, chainJob{method: "mh", sampler: cfg.MH, chain: k, rng: rng.Split()})
 		}
 	}
 	if !cfg.DisableHMC {
-		jobs = append(jobs, chainJob{method: "hmc", rng: rng.Split()})
+		jobs = append(jobs, chainJob{method: "hmc", sampler: cfg.HMC, rng: rng.Split()})
 	}
 
 	// Trace spans are pre-created here, in job order, BEFORE the fan-out —
@@ -244,16 +244,7 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 			// histogram, never the chain's samples.
 			start := time.Now() //lint:allow determinism
 			cctx := obs.ContextWithSpan(ctx, chainSpans[i])
-			var c *Chain
-			var err error
-			switch job.method {
-			case "mh":
-				mhCfg := cfg.MH
-				mhCfg.Chain = job.chain
-				c, err = RunMHContext(cctx, ds, cfg.Prior, mhCfg, job.rng)
-			default:
-				c, err = RunHMCContext(cctx, ds, cfg.Prior, cfg.HMC, job.rng)
-			}
+			c, err := runChain(cctx, ds, cfg, job.sampler, job.chain, job.rng)
 			chains[i], errs[i] = c, err
 			chainSpans[i].End()
 			if o != nil {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"because/internal/obs"
@@ -48,12 +50,12 @@ func TestESSDegenerateInputs(t *testing.T) {
 func TestMHProgressCadence(t *testing.T) {
 	ds := plantedDataset(t)
 	var events []obs.Progress
-	cfg := MHConfig{
-		Sweeps: 150, BurnIn: 50, // total 200
+	cfg := Config{
+		MH:            MHConfig{Sweeps: 150, BurnIn: 50}, // total 200
 		ProgressEvery: 50,
 		Progress:      func(p obs.Progress) { events = append(events, p) },
 	}
-	if _, err := RunMH(ds, SparsePrior, cfg, stats.NewRNG(3)); err != nil {
+	if _, err := RunMH(context.Background(), ds, cfg, stats.NewRNG(3)); err != nil {
 		t.Fatal(err)
 	}
 	wantDone := []int{50, 100, 150, 200}
@@ -78,12 +80,12 @@ func TestMHProgressCadence(t *testing.T) {
 func TestHMCProgressCadence(t *testing.T) {
 	ds := plantedDataset(t)
 	var events []obs.Progress
-	cfg := HMCConfig{
-		Iterations: 90, BurnIn: 30, // total 120
+	cfg := Config{
+		HMC:           HMCConfig{Iterations: 90, BurnIn: 30}, // total 120
 		ProgressEvery: 40,
 		Progress:      func(p obs.Progress) { events = append(events, p) },
 	}
-	if _, err := RunHMC(ds, SparsePrior, cfg, stats.NewRNG(4)); err != nil {
+	if _, err := RunHMC(context.Background(), ds, cfg, stats.NewRNG(4)); err != nil {
 		t.Fatal(err)
 	}
 	wantDone := []int{40, 80, 120}
@@ -97,8 +99,10 @@ func TestHMCProgressCadence(t *testing.T) {
 	}
 }
 
-// TestInferObserverMetrics runs the full pipeline with an observer and
-// checks every instrument the dashboard depends on reported.
+// TestInferObserverMetrics runs the full pipeline with an observer and pins
+// the exact set of series one run reports, labels included: every
+// instrument the dashboard depends on is there, and nothing else is (a
+// divergence series for MH, say).
 func TestInferObserverMetrics(t *testing.T) {
 	ds := plantedDataset(t)
 	observer := obs.New(nil, obs.NewRegistry())
@@ -113,24 +117,39 @@ func TestInferObserverMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := observer.Metrics.Snapshot()
-	for _, key := range []string{
+	want := []string{
 		obs.MetricInferRuns,
 		obs.MetricInferNodes,
 		obs.MetricInferPaths,
 		obs.MetricRHatMax,
 		obs.MetricESSMin,
-		obs.MetricSweeps + `{chain="0",method="mh"}`,
-		obs.MetricSweeps + `{chain="1",method="mh"}`,
-		obs.MetricSweeps + `{chain="0",method="hmc"}`,
-		obs.MetricAcceptance + `{chain="0",method="mh"}`,
-		obs.MetricAcceptance + `{chain="1",method="mh"}`,
-		obs.MetricAcceptance + `{chain="0",method="hmc"}`,
-		obs.MetricStageSeconds + `_count{stage="sample"}`,
-		obs.MetricStageSeconds + `_count{stage="summarize"}`,
-		obs.MetricStageSeconds + `_count{stage="pinpoint"}`,
-	} {
-		if _, ok := snap[key]; !ok {
-			t.Errorf("snapshot missing %q", key)
+		obs.MetricPoolTasks + `{pool="infer"}`,
+		obs.MetricPoolBusy + `{pool="infer"}`,
+		obs.MetricChainSeconds + `_count{method="mh"}`,
+		obs.MetricChainSeconds + `_sum{method="mh"}`,
+		obs.MetricChainSeconds + `_count{method="hmc"}`,
+		obs.MetricChainSeconds + `_sum{method="hmc"}`,
+		obs.MetricDivergences + `{chain="0",method="hmc"}`,
+	}
+	for _, series := range []string{`{chain="0",method="mh"}`, `{chain="1",method="mh"}`, `{chain="0",method="hmc"}`} {
+		want = append(want,
+			obs.MetricSweeps+series,
+			obs.MetricAcceptance+series,
+			obs.MetricSweepRate+series)
+	}
+	for _, stage := range []string{"sample", "summarize", "pinpoint"} {
+		want = append(want,
+			obs.MetricStageSeconds+`_count{stage="`+stage+`"}`,
+			obs.MetricStageSeconds+`_sum{stage="`+stage+`"}`)
+	}
+	for _, series := range want {
+		if _, ok := snap[series]; !ok {
+			t.Errorf("snapshot missing %q", series)
+		}
+	}
+	for series := range snap {
+		if !slices.Contains(want, series) {
+			t.Errorf("snapshot has unexpected series %q", series)
 		}
 	}
 	if got := snap[obs.MetricSweeps+`{chain="0",method="mh"}`]; got != 250 {
@@ -149,12 +168,11 @@ func TestInferObserverMetrics(t *testing.T) {
 func TestHMCDivergenceCounterMatchesChain(t *testing.T) {
 	ds := plantedDataset(t)
 	observer := obs.New(nil, obs.NewRegistry())
-	cfg := HMCConfig{
-		Iterations: 100, BurnIn: 20,
-		StepSize: 60, Leapfrog: 12,
+	cfg := Config{
+		HMC: HMCConfig{Iterations: 100, BurnIn: 20, StepSize: 60, Leapfrog: 12},
 		Obs: observer,
 	}
-	c, err := RunHMC(ds, SparsePrior, cfg, stats.NewRNG(6))
+	c, err := RunHMC(context.Background(), ds, cfg, stats.NewRNG(6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"because/internal/bgp"
@@ -50,7 +52,7 @@ func checkRecovery(t *testing.T, c *Chain, ds *Dataset) {
 
 func TestMHRecoversPlantedDamper(t *testing.T) {
 	ds := plantedDataset(t)
-	c, err := RunMH(ds, SparsePrior, MHConfig{Sweeps: 1200, BurnIn: 300}, stats.NewRNG(1))
+	c, err := RunMH(context.Background(), ds, Config{MH: MHConfig{Sweeps: 1200, BurnIn: 300}}, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestMHRecoversPlantedDamper(t *testing.T) {
 
 func TestHMCRecoversPlantedDamper(t *testing.T) {
 	ds := plantedDataset(t)
-	c, err := RunHMC(ds, SparsePrior, HMCConfig{Iterations: 600, BurnIn: 200}, stats.NewRNG(2))
+	c, err := RunHMC(context.Background(), ds, Config{HMC: HMCConfig{Iterations: 600, BurnIn: 200}}, stats.NewRNG(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +84,11 @@ func TestHMCRecoversPlantedDamper(t *testing.T) {
 
 func TestSamplersAgree(t *testing.T) {
 	ds := plantedDataset(t)
-	mh, err := RunMH(ds, SparsePrior, MHConfig{Sweeps: 1200, BurnIn: 300}, stats.NewRNG(3))
+	mh, err := RunMH(context.Background(), ds, Config{MH: MHConfig{Sweeps: 1200, BurnIn: 300}}, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hmc, err := RunHMC(ds, SparsePrior, HMCConfig{Iterations: 600, BurnIn: 200}, stats.NewRNG(4))
+	hmc, err := RunHMC(context.Background(), ds, Config{HMC: HMCConfig{Iterations: 600, BurnIn: 200}}, stats.NewRNG(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestSamplersAgree(t *testing.T) {
 func TestMHDeterministicGivenSeed(t *testing.T) {
 	ds := plantedDataset(t)
 	run := func() []float64 {
-		c, err := RunMH(ds, SparsePrior, MHConfig{Sweeps: 100, BurnIn: 20}, stats.NewRNG(5))
+		c, err := RunMH(context.Background(), ds, Config{MH: MHConfig{Sweeps: 100, BurnIn: 20}}, stats.NewRNG(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +130,7 @@ func TestHiddenNodeRecoversPrior(t *testing.T) {
 		obs = append(obs, PathObs{ASNs: []bgp.ASN{bgp.ASN(i + 1), 30}, Positive: false})
 	}
 	ds := mustDataset(t, obs)
-	c, err := RunMH(ds, SparsePrior, MHConfig{Sweeps: 1500, BurnIn: 400}, stats.NewRNG(6))
+	c, err := RunMH(context.Background(), ds, Config{MH: MHConfig{Sweeps: 1500, BurnIn: 400}}, stats.NewRNG(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestUniformPriorStillRecovers(t *testing.T) {
 	// § 3.2: the choice of prior should not strongly influence the results
 	// when there is enough data.
 	ds := plantedDataset(t)
-	c, err := RunMH(ds, UniformPrior, MHConfig{Sweeps: 1200, BurnIn: 300}, stats.NewRNG(7))
+	c, err := RunMH(context.Background(), ds, Config{Prior: UniformPrior, MH: MHConfig{Sweeps: 1200, BurnIn: 300}}, stats.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,36 +169,64 @@ func TestUniformPriorStillRecovers(t *testing.T) {
 
 func TestRunConfigValidation(t *testing.T) {
 	ds := plantedDataset(t)
-	if _, err := RunMH(ds, SparsePrior, MHConfig{Sweeps: -1}, stats.NewRNG(1)); err == nil {
-		t.Error("negative sweeps accepted")
+	ctx := context.Background()
+	// Each invalid sampler or run knob is rejected with an error that names
+	// the field, not a dump of the whole config.
+	for _, tc := range []struct {
+		name  string
+		run   func(context.Context, *Dataset, Config, *stats.RNG) (*Chain, error)
+		cfg   Config
+		field string
+	}{
+		{"mh sweeps", RunMH, Config{MH: MHConfig{Sweeps: -1}}, "MHConfig.Sweeps"},
+		{"mh burn-in", RunMH, Config{MH: MHConfig{BurnIn: -5}}, "MHConfig.BurnIn"},
+		{"hmc iterations", RunHMC, Config{HMC: HMCConfig{Iterations: -1}}, "HMCConfig.Iterations"},
+		{"hmc burn-in", RunHMC, Config{HMC: HMCConfig{BurnIn: -2}}, "HMCConfig.BurnIn"},
+		{"hmc leapfrog", RunHMC, Config{HMC: HMCConfig{Leapfrog: -2}}, "HMCConfig.Leapfrog"},
+		{"hmc step size", RunHMC, Config{HMC: HMCConfig{StepSize: -0.1}}, "HMCConfig.StepSize"},
+		{"progress cadence", RunMH, Config{ProgressEvery: -1}, "Config.ProgressEvery"},
+	} {
+		_, err := tc.run(ctx, ds, tc.cfg, stats.NewRNG(1))
+		if err == nil {
+			t.Errorf("%s: invalid config accepted", tc.name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.field) || strings.Contains(msg, "{") {
+			t.Errorf("%s: error %q does not name %s alone", tc.name, msg, tc.field)
+		}
 	}
-	if _, err := RunMH(ds, Prior{}, MHConfig{}, stats.NewRNG(1)); err == nil {
+	if _, err := RunMH(ctx, ds, Config{Prior: Prior{Alpha: -1, Beta: 1}}, stats.NewRNG(1)); err == nil {
 		t.Error("invalid prior accepted")
 	}
-	if _, err := RunHMC(ds, SparsePrior, HMCConfig{Leapfrog: -2}, stats.NewRNG(1)); err == nil {
-		t.Error("negative leapfrog accepted")
-	}
 	empty := &Dataset{}
-	if _, err := RunMH(empty, SparsePrior, MHConfig{}, stats.NewRNG(1)); err == nil {
+	if _, err := RunMH(ctx, empty, Config{}, stats.NewRNG(1)); err == nil {
 		t.Error("empty dataset accepted by MH")
 	}
-	if _, err := RunHMC(empty, SparsePrior, HMCConfig{}, stats.NewRNG(1)); err == nil {
+	if _, err := RunHMC(ctx, empty, Config{}, stats.NewRNG(1)); err == nil {
 		t.Error("empty dataset accepted by HMC")
 	}
 }
 
-func TestChainMarginalOf(t *testing.T) {
+// TestChainMarginal: a chain retains one sample per post-burn-in sweep,
+// and Marginal reads one node's column across them.
+func TestChainMarginal(t *testing.T) {
 	ds := plantedDataset(t)
-	c, err := RunMH(ds, SparsePrior, MHConfig{Sweeps: 50, BurnIn: 10}, stats.NewRNG(8))
+	c, err := RunMH(context.Background(), ds, Config{MH: MHConfig{Sweeps: 50, BurnIn: 10}}, stats.NewRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.MarginalOf(7)
-	if err != nil || len(m) != 50 {
-		t.Errorf("MarginalOf(7): len=%d err=%v", len(m), err)
+	if c.Len() != 50 {
+		t.Errorf("Len = %d, want 50", c.Len())
 	}
-	if _, err := c.MarginalOf(9999); err == nil {
-		t.Error("unknown AS accepted")
+	i7, _ := ds.NodeIndex(7)
+	m := c.Marginal(i7)
+	if len(m) != 50 {
+		t.Fatalf("Marginal(AS7): len = %d, want 50", len(m))
+	}
+	for k, v := range m {
+		if v != c.Samples[k][i7] {
+			t.Fatalf("Marginal(AS7)[%d] = %g, sample holds %g", k, v, c.Samples[k][i7])
+		}
 	}
 }
 
@@ -204,10 +234,10 @@ func TestPosteriorSamplesInUnitInterval(t *testing.T) {
 	ds := plantedDataset(t)
 	for _, run := range []func() (*Chain, error){
 		func() (*Chain, error) {
-			return RunMH(ds, SparsePrior, MHConfig{Sweeps: 200, BurnIn: 50}, stats.NewRNG(9))
+			return RunMH(context.Background(), ds, Config{MH: MHConfig{Sweeps: 200, BurnIn: 50}}, stats.NewRNG(9))
 		},
 		func() (*Chain, error) {
-			return RunHMC(ds, SparsePrior, HMCConfig{Iterations: 100, BurnIn: 20}, stats.NewRNG(10))
+			return RunHMC(context.Background(), ds, Config{HMC: HMCConfig{Iterations: 100, BurnIn: 20}}, stats.NewRNG(10))
 		},
 	} {
 		c, err := run()
@@ -228,7 +258,7 @@ func TestRHatConvergence(t *testing.T) {
 	ds := plantedDataset(t)
 	var marginals [][]float64
 	for seed := uint64(20); seed < 23; seed++ {
-		c, err := RunMH(ds, SparsePrior, MHConfig{Sweeps: 600, BurnIn: 200}, stats.NewRNG(seed))
+		c, err := RunMH(context.Background(), ds, Config{MH: MHConfig{Sweeps: 600, BurnIn: 200}}, stats.NewRNG(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

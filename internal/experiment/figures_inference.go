@@ -43,11 +43,13 @@ type Fig9Result struct {
 func Fig9Marginals(res *core.Result, ds *core.Dataset) *Fig9Result {
 	out := &Fig9Result{}
 	pooled := func(asn bgp.ASN) []float64 {
+		i, ok := ds.NodeIndex(asn)
+		if !ok {
+			return nil
+		}
 		var xs []float64
 		for _, c := range res.Chains {
-			if m, err := c.MarginalOf(asn); err == nil {
-				xs = append(xs, m...)
-			}
+			xs = append(xs, c.Marginal(i)...)
 		}
 		return xs
 	}

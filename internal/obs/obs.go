@@ -17,6 +17,7 @@ package obs
 
 import (
 	"context"
+	"io"
 	"strconv"
 	"time"
 )
@@ -36,6 +37,22 @@ func New(logger Logger, metrics *Registry) *Observer {
 		logger = Nop()
 	}
 	return &Observer{Logger: logger, Metrics: metrics}
+}
+
+// NewLeveled is the command-line observer bootstrap: a fresh registry
+// always (it only costs when scraped) and a text logger writing to w at
+// the named minimum level ("" keeps logging off). An unknown level is an
+// error.
+func NewLeveled(level string, w io.Writer) (*Observer, error) {
+	logger := Nop()
+	if level != "" {
+		min, err := ParseLevel(level)
+		if err != nil {
+			return nil, err
+		}
+		logger = NewTextLogger(w, min)
+	}
+	return New(logger, NewRegistry()), nil
 }
 
 // Log emits a record through the attached logger, if any.

@@ -125,3 +125,28 @@ func TestServeMetricsAndPprof(t *testing.T) {
 		t.Error("/debug/pprof/ index not mounted")
 	}
 }
+
+func TestNewLeveled(t *testing.T) {
+	o, err := NewLeveled("", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o == nil || o.Metrics == nil {
+		t.Fatal("observer without a registry: /metrics would be empty")
+	}
+	if o.Enabled(LevelError) {
+		t.Error("empty level enabled logging")
+	}
+	var buf strings.Builder
+	o, err = NewLeveled("debug", &buf)
+	if err != nil {
+		t.Fatalf("level debug rejected: %v", err)
+	}
+	o.Log(LevelDebug, "hello")
+	if !strings.Contains(buf.String(), "debug hello") {
+		t.Errorf("debug record not written to the writer: %q", buf.String())
+	}
+	if _, err := NewLeveled("bogus", io.Discard); err == nil {
+		t.Error("bogus log level accepted")
+	}
+}

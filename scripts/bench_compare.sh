@@ -1,7 +1,12 @@
 #!/bin/sh
-# bench_compare.sh — diff the two most recent BENCH_*.json trajectory
-# documents (see bench_trajectory.sh for the format) and warn about any
-# benchmark whose ns/op or allocs/op regressed by more than 20%.
+# bench_compare.sh — diff a fresh trajectory document (see
+# bench_trajectory.sh for the format) against the newest committed
+# BENCH_PR*.json and warn about any benchmark whose ns/op or allocs/op
+# regressed by more than 20%, or whose allocs/op rose from zero at all
+# (the //lint:hotpath kernels are pinned at 0 allocs/op).
+#
+# Usage: bench_compare.sh [NEW]   (NEW defaults to bench-latest.json,
+# bench_trajectory.sh's default output).
 #
 # Advisory only: always exits 0, so CI stays green — the warnings land
 # in the job log (and as GitHub annotations via the ::warning:: prefix)
@@ -10,17 +15,19 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# Newest two trajectory documents by PR number (version sort handles
-# BENCH_PR10.json after BENCH_PR9.json).
-FILES=$(ls BENCH_PR*.json 2>/dev/null | sort -V | tail -n 2)
-set -- $FILES
-if [ $# -lt 2 ]; then
-    echo "bench-compare: fewer than two BENCH_*.json documents, nothing to compare"
+NEW=${1:-bench-latest.json}
+if [ ! -f "$NEW" ]; then
+    echo "bench-compare: $NEW not found; run scripts/bench_trajectory.sh first"
     exit 0
 fi
-OLD=$1
-NEW=$2
-echo "bench-compare: $OLD -> $NEW (threshold: 20% on ns/op and allocs/op)"
+# The newest committed baseline by PR number (version sort handles
+# BENCH_PR10.json after BENCH_PR9.json).
+OLD=$(ls BENCH_PR*.json 2>/dev/null | sort -V | tail -n 1)
+if [ -z "$OLD" ]; then
+    echo "bench-compare: no committed BENCH_PR*.json baseline, nothing to compare"
+    exit 0
+fi
+echo "bench-compare: $OLD -> $NEW (threshold: 20% on ns/op and allocs/op, any rise from 0 allocs/op)"
 
 awk -v oldfile="$OLD" '
 # Pull one numeric or string field out of a single-line benchmark row.
@@ -53,6 +60,9 @@ $0 ~ /"name"/ {
     }
     if (oal > 0 && al > oal * 1.2) {
         printf "::warning::bench-compare: %s allocs/op regressed %.1f%% (%g -> %g)\n", n, (al / oal - 1) * 100, oal, al
+        bad++
+    } else if (oal == 0 && al > 0) {
+        printf "::warning::bench-compare: %s allocs/op rose from 0 to %g\n", n, al
         bad++
     }
     compared++

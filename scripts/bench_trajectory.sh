@@ -10,15 +10,19 @@
 # allocs/op, plus the commit the numbers were taken at — so successive
 # PRs leave comparable perf data points in the repo.
 #
-# Output goes to BENCH_PR10.json (override with BENCH_OUT). BENCHTIME
-# tunes -benchtime; the default 1x runs one timed iteration per
-# benchmark — enough for the coarse trajectory and quick in CI. Use e.g.
-# BENCHTIME=2s for stabler numbers. Needs only sh + the Go toolchain.
+# Output goes to bench-latest.json (override with BENCH_OUT), a scratch
+# name that never shadows a committed BENCH_PR*.json baseline;
+# scripts/bench_compare.sh compares it against the newest of those. To
+# record a PR's data point, copy it to the next BENCH_PR<n>.json and
+# commit that. BENCHTIME tunes -benchtime; the default 1x runs one timed
+# iteration per benchmark — enough for the coarse trajectory and quick in
+# CI. Use e.g. BENCHTIME=2s for stabler numbers. Needs only sh + the Go
+# toolchain.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-OUT=${BENCH_OUT:-BENCH_PR10.json}
+OUT=${BENCH_OUT:-bench-latest.json}
 BENCHTIME=${BENCHTIME:-1x}
 
 RAW=$(mktemp)

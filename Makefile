@@ -79,6 +79,7 @@ serve-smoke:
 fuzz:
 	$(GO) test ./internal/bgp -run=^$$ -fuzz='^FuzzDecodeUpdate$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mrt -run=^$$ -fuzz='^FuzzParseTableDump$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/collector -run=^$$ -fuzz='^FuzzReadMRT$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/scenario -run=^$$ -fuzz='^FuzzParseScenario$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/lint -run=^$$ -fuzz='^FuzzParseAllowDirective$$' -fuzztime=$(FUZZTIME)
 

@@ -444,6 +444,7 @@ func (r *Result) CategoryCounts() [6]int {
 // InferContext without cancellation — the run always continues to
 // completion.
 func Infer(observations []PathObservation, opts Options) (*Result, error) {
+	//lint:allow ctxflow the documented ctx-free public API: its caller has no ctx, and InferContext is the cancellable entry
 	return InferContext(context.Background(), observations, opts)
 }
 

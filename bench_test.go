@@ -55,7 +55,7 @@ func suite(b *testing.B) *experiment.Suite {
 
 func benchRun(b *testing.B, iv time.Duration) *experiment.Run {
 	b.Helper()
-	run, err := suite(b).IntervalRun(iv)
+	run, err := suite(b).IntervalRunContext(context.Background(), iv)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func benchRun(b *testing.B, iv time.Duration) *experiment.Run {
 
 func benchInference(b *testing.B, iv time.Duration) (*core.Result, *core.Dataset) {
 	b.Helper()
-	res, ds, err := suite(b).Inference(iv)
+	res, ds, err := suite(b).InferenceContext(context.Background(), iv)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -158,13 +158,13 @@ func BenchmarkFig12IntervalSweep(b *testing.B) {
 	ivs := []time.Duration{time.Minute, 10 * time.Minute}
 	// Warm both campaigns and inferences outside the timer.
 	for _, iv := range ivs {
-		if _, _, err := s.Inference(iv); err != nil {
+		if _, _, err := s.InferenceContext(context.Background(), iv); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig12IntervalSweep(s, ivs); err != nil {
+		if _, err := experiment.Fig12IntervalSweep(context.Background(), s, ivs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -173,12 +173,12 @@ func BenchmarkFig12IntervalSweep(b *testing.B) {
 func BenchmarkFig13RDeltaCDF(b *testing.B) {
 	s := suite(b)
 	ivs := []time.Duration{time.Minute}
-	if _, err := s.IntervalRun(time.Minute); err != nil {
+	if _, err := s.IntervalRunContext(context.Background(), time.Minute); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig13RDeltaCDF(s, ivs); err != nil {
+		if _, err := experiment.Fig13RDeltaCDF(context.Background(), s, ivs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,12 +207,12 @@ func BenchmarkTab3Divergence(b *testing.B) {
 
 func BenchmarkTab4PrecisionRecall(b *testing.B) {
 	s := suite(b)
-	if _, _, err := s.Inference(time.Minute); err != nil {
+	if _, _, err := s.InferenceContext(context.Background(), time.Minute); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Tab4PrecisionRecall(s); err != nil {
+		if _, err := experiment.Tab4PrecisionRecallContext(context.Background(), s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -229,7 +229,7 @@ func BenchmarkPilot2019(b *testing.B) {
 	cfg.RFDShare = 0.7
 	cfg.AggressiveShare = 0.5
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.Pilot2019(cfg, 1)
+		res, err := experiment.Pilot2019(context.Background(), cfg, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func BenchmarkCampaignSimulation(b *testing.B) {
 	s := suite(b).Scenario()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run, err := s.RunCampaign(experiment.IntervalCampaign(time.Minute, 1))
+		run, err := s.RunCampaignContext(context.Background(), experiment.IntervalCampaign(time.Minute, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -397,7 +397,7 @@ func BenchmarkAblationLabeling(b *testing.B) {
 	for name, cfg := range configs {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ms := label.LabelPaths(run.Entries, run.Schedules, cfg)
+				ms := label.LabelPathsContext(context.Background(), run.Entries, run.Schedules, cfg)
 				rfdPaths := 0
 				for _, m := range ms {
 					if m.RFD {
@@ -443,7 +443,7 @@ func BenchmarkAblationPinpoint(b *testing.B) {
 		threshold := threshold
 		b.Run(formatThreshold(threshold), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Infer(ds, core.Config{
+				res, err := core.InferContext(context.Background(), ds, core.Config{
 					Seed:              7,
 					MH:                core.MHConfig{Sweeps: 400, BurnIn: 100},
 					DisableHMC:        true,
@@ -539,7 +539,7 @@ func BenchmarkInfer(b *testing.B) {
 					DisableHMC: true,
 					MH:         core.MHConfig{Sweeps: 400, BurnIn: 100},
 				}
-				if _, err := core.Infer(ds, cfg); err != nil {
+				if _, err := core.InferContext(context.Background(), ds, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -17,13 +17,21 @@
 // pprof on /debug/pprof/) while the suite runs; -log-level enables
 // structured logs on stderr (debug, info, warn, error; default off);
 // -progress prints a per-experiment duration line on stderr.
+//
+// SIGINT (Ctrl-C) or SIGTERM stops the run: the running experiment's
+// sampler chains return within one sweep (a campaign simulation already
+// under way finishes first), no further experiment starts, and the
+// command exits 1. A second signal kills it at once.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"because/internal/experiment"
@@ -68,13 +76,16 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "experiments: metrics on %s/metrics\n", srv.URL())
 	}
-	if err := run(o, observer); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop) // the first signal restores the default for the second
+	if err := run(ctx, o, observer); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o options, observer *obs.Observer) error {
+func run(ctx context.Context, o options, observer *obs.Observer) error {
 	seed, pairs, scale, only := o.seed, o.pairs, o.scale, o.only
 	cfg := experiment.DefaultScenario()
 	cfg.Seed = seed
@@ -125,35 +136,35 @@ func run(o options, observer *obs.Observer) error {
 			return res.Report(), nil
 		}},
 		{"fig6", func() (experiment.Report, error) {
-			run, err := suite.IntervalRun(time.Minute)
+			run, err := suite.IntervalRunContext(ctx, time.Minute)
 			if err != nil {
 				return experiment.Report{}, err
 			}
 			return experiment.Fig6LinkSimilarity(run).Report(), nil
 		}},
 		{"fig7", func() (experiment.Report, error) {
-			run, err := suite.IntervalRun(time.Minute)
+			run, err := suite.IntervalRunContext(ctx, time.Minute)
 			if err != nil {
 				return experiment.Report{}, err
 			}
 			return experiment.Fig7ProjectOverlap(run).Report(), nil
 		}},
 		{"fig8", func() (experiment.Report, error) {
-			run, err := suite.IntervalRun(time.Minute)
+			run, err := suite.IntervalRunContext(ctx, time.Minute)
 			if err != nil {
 				return experiment.Report{}, err
 			}
 			return experiment.Fig8Propagation(run).Report(), nil
 		}},
 		{"fig9", func() (experiment.Report, error) {
-			res, ds, err := suite.Inference(time.Minute)
+			res, ds, err := suite.InferenceContext(ctx, time.Minute)
 			if err != nil {
 				return experiment.Report{}, err
 			}
 			return experiment.Fig9Marginals(res, ds).Report(), nil
 		}},
 		{"fig10", func() (experiment.Report, error) {
-			run, err := suite.IntervalRun(time.Minute)
+			run, err := suite.IntervalRunContext(ctx, time.Minute)
 			if err != nil {
 				return experiment.Report{}, err
 			}
@@ -164,46 +175,46 @@ func run(o options, observer *obs.Observer) error {
 			return res.Report(), nil
 		}},
 		{"fig11", func() (experiment.Report, error) {
-			res, _, err := suite.Inference(time.Minute)
+			res, _, err := suite.InferenceContext(ctx, time.Minute)
 			if err != nil {
 				return experiment.Report{}, err
 			}
 			return experiment.Fig11Scatter(res).Report(), nil
 		}},
 		{"tab2", func() (experiment.Report, error) {
-			res, _, err := suite.Inference(time.Minute)
+			res, _, err := suite.InferenceContext(ctx, time.Minute)
 			if err != nil {
 				return experiment.Report{}, err
 			}
 			return experiment.Tab2Categories(res).Report(), nil
 		}},
 		{"fig12", func() (experiment.Report, error) {
-			res, err := experiment.Fig12IntervalSweep(suite, experiment.PaperIntervals)
+			res, err := experiment.Fig12IntervalSweep(ctx, suite, experiment.PaperIntervals)
 			if err != nil {
 				return experiment.Report{}, err
 			}
 			return res.Report(), nil
 		}},
 		{"fig13", func() (experiment.Report, error) {
-			res, err := experiment.Fig13RDeltaCDF(suite, experiment.PaperIntervals)
+			res, err := experiment.Fig13RDeltaCDF(ctx, suite, experiment.PaperIntervals)
 			if err != nil {
 				return experiment.Report{}, err
 			}
 			return res.Report(), nil
 		}},
 		{"tab3", func() (experiment.Report, error) {
-			run, err := suite.IntervalRun(time.Minute)
+			run, err := suite.IntervalRunContext(ctx, time.Minute)
 			if err != nil {
 				return experiment.Report{}, err
 			}
-			res, _, err := suite.Inference(time.Minute)
+			res, _, err := suite.InferenceContext(ctx, time.Minute)
 			if err != nil {
 				return experiment.Report{}, err
 			}
 			return experiment.Tab3Divergence(run, res).Report(), nil
 		}},
 		{"tab4", func() (experiment.Report, error) {
-			res, err := experiment.Tab4PrecisionRecall(suite)
+			res, err := experiment.Tab4PrecisionRecallContext(ctx, suite)
 			if err != nil {
 				return experiment.Report{}, err
 			}
@@ -212,7 +223,7 @@ func run(o options, observer *obs.Observer) error {
 		{"pilot", func() (experiment.Report, error) {
 			pcfg := cfg
 			pcfg.AggressiveShare = 0.4
-			res, err := experiment.Pilot2019(pcfg, pairs)
+			res, err := experiment.Pilot2019(ctx, pcfg, pairs)
 			if err != nil {
 				return experiment.Report{}, err
 			}
@@ -221,7 +232,7 @@ func run(o options, observer *obs.Observer) error {
 		{"appendixA", func() (experiment.Report, error) {
 			ecfg := cfg
 			ecfg.BackgroundPrefixes = 80
-			res, err := experiment.AppendixAEthics(ecfg, pairs)
+			res, err := experiment.AppendixAEthics(ctx, ecfg, pairs)
 			if err != nil {
 				return experiment.Report{}, err
 			}
@@ -243,6 +254,9 @@ func run(o options, observer *obs.Observer) error {
 			fmt.Fprintf(os.Stderr, "experiments: %s done in %s\n", e.id, time.Since(expStart).Round(time.Millisecond))
 		}
 		fmt.Println(rep)
+		if err := ctx.Err(); err != nil {
+			return err // interrupted: start no further experiment
+		}
 	}
 	fmt.Printf("done in %v (seed=%d scale=%s pairs=%d)\n", time.Since(start).Round(time.Millisecond), seed, scale, pairs)
 	return nil

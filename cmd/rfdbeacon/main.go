@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -28,7 +29,6 @@ import (
 	"because/internal/collector"
 	"because/internal/experiment"
 	"because/internal/label"
-	"because/internal/mrt"
 	"because/internal/obs"
 	"because/internal/par"
 	"because/internal/topology"
@@ -73,13 +73,13 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "rfdbeacon: metrics on %s/metrics\n", srv.URL())
 	}
-	if err := run(o, observer); err != nil {
+	if err := run(context.Background(), o, observer); err != nil {
 		fmt.Fprintln(os.Stderr, "rfdbeacon:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o options, observer *obs.Observer) error {
+func run(ctx context.Context, o options, observer *obs.Observer) error {
 	stage := func(name string, start time.Time) {
 		if o.progress {
 			fmt.Fprintf(os.Stderr, "rfdbeacon: %s done in %s\n", name, time.Since(start).Round(time.Millisecond))
@@ -115,7 +115,7 @@ func run(o options, observer *obs.Observer) error {
 		len(scenario.Deployments))
 
 	campaignStart := time.Now()
-	run, err := scenario.RunCampaign(experiment.IntervalCampaign(o.interval, o.pairs))
+	run, err := scenario.RunCampaignContext(ctx, experiment.IntervalCampaign(o.interval, o.pairs))
 	if err != nil {
 		return err
 	}
@@ -132,7 +132,7 @@ func run(o options, observer *obs.Observer) error {
 	for _, e := range run.Entries {
 		byProject[e.VP.Project] = append(byProject[e.VP.Project], e)
 	}
-	pool := par.NewGroup(o.workers, observer, "archive")
+	pool := par.NewGroupContext(ctx, o.workers, observer, "archive")
 	wroteLines := make([]string, len(collector.Projects))
 	for i, project := range collector.Projects {
 		i, project := i, project
@@ -143,20 +143,14 @@ func run(o options, observer *obs.Observer) error {
 			if err != nil {
 				return err
 			}
-			w := mrt.NewWriter(f)
-			wrote := 0
-			for _, e := range entries {
-				if err := w.WriteUpdate(e.Exported, e.VP.AS, 64999, e.VP.Addr(),
-					e.VP.Addr(), e.Update); err != nil {
-					f.Close()
-					return fmt.Errorf("writing %s: %w", name, err)
-				}
-				wrote++
+			if err := collector.WriteMRT(f, entries); err != nil {
+				f.Close()
+				return fmt.Errorf("writing %s: %w", name, err)
 			}
 			if err := f.Close(); err != nil {
 				return err
 			}
-			wroteLines[i] = fmt.Sprintf("wrote %s: %d records", name, wrote)
+			wroteLines[i] = fmt.Sprintf("wrote %s: %d records", name, len(entries))
 			return nil
 		})
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,7 +22,7 @@ func TestRunWritesAllArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	observer := obs.New(nil, obs.NewRegistry())
 	o := options{out: dir, interval: 5 * time.Minute, pairs: 1, seed: 2020}
-	if err := run(o, observer); err != nil {
+	if err := run(context.Background(), o, observer); err != nil {
 		t.Fatal(err)
 	}
 	// The observer must be wired through to the collector stage.
@@ -48,6 +50,13 @@ func TestRunWritesAllArtifacts(t *testing.T) {
 		}
 		if len(recs) == 0 {
 			t.Errorf("%s is empty", name)
+		}
+		// Every record carries the collector's own end of the session,
+		// the identity the collector package archives under.
+		for _, rec := range recs {
+			if rec.LocalAS != 64999 || rec.LocalIP != netip.MustParseAddr("192.0.2.10") {
+				t.Fatalf("%s: record local end AS%d %v, want AS64999 192.0.2.10", name, rec.LocalAS, rec.LocalIP)
+			}
 		}
 	}
 	rib, err := os.Open(filepath.Join(dir, "rib.interval-5m0s.mrt"))

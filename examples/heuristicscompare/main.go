@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -18,16 +19,17 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := experiment.DefaultScenario()
 	scenario, err := experiment.NewScenario(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := scenario.RunCampaign(experiment.IntervalCampaign(time.Minute, 3))
+	run, err := scenario.RunCampaignContext(ctx, experiment.IntervalCampaign(time.Minute, 3))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, _, err := run.Infer()
+	res, _, err := run.InferContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -99,19 +100,19 @@ func generate() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	run, err := scenario.RunCampaign(experiment.IntervalCampaign(5*time.Minute, 1))
+	run, err := scenario.RunCampaignContext(context.Background(), experiment.IntervalCampaign(5*time.Minute, 1))
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	w := mrt.NewWriter(&buf)
+	var ris []collector.Entry
 	for _, e := range run.Entries {
-		if e.VP.Project != collector.RIS {
-			continue
+		if e.VP.Project == collector.RIS {
+			ris = append(ris, e)
 		}
-		if err := w.WriteUpdate(e.Exported, e.VP.AS, 64999, e.VP.Addr(), e.VP.Addr(), e.Update); err != nil {
-			return nil, err
-		}
+	}
+	var buf bytes.Buffer
+	if err := collector.WriteMRT(&buf, ris); err != nil {
+		return nil, err
 	}
 	return buf.Bytes(), nil
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := experiment.DefaultScenario()
 	scenario, err := experiment.NewScenario(cfg)
 	if err != nil {
@@ -28,7 +30,7 @@ func main() {
 	fmt.Printf("hidden ground truth: %d ASes deploy RFD\n\n", len(scenario.Deployments))
 
 	fmt.Println("running the 1-minute beacon campaign (2h bursts, 3 pairs)...")
-	run, err := scenario.RunCampaign(experiment.IntervalCampaign(time.Minute, 3))
+	run, err := scenario.RunCampaignContext(ctx, experiment.IntervalCampaign(time.Minute, 3))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func main() {
 		len(run.Entries), len(run.Measurements), rfdPaths)
 
 	fmt.Println("running BeCAUSe (Metropolis-Hastings + Hamiltonian Monte Carlo)...")
-	res, ds, err := run.Infer()
+	res, ds, err := run.InferContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -152,23 +152,6 @@ func TestAnchorEvents(t *testing.T) {
 	}
 }
 
-func TestCampaignDefinitions(t *testing.T) {
-	for _, c := range []Campaign{March2020(), April2020(), August2019()} {
-		if err := c.Validate(); err != nil {
-			t.Errorf("%s: %v", c.Name, err)
-		}
-		if c.Duration() <= 0 {
-			t.Errorf("%s duration", c.Name)
-		}
-	}
-	if got := March2020().Intervals[0]; got != time.Minute {
-		t.Errorf("march fastest interval = %v", got)
-	}
-	if got := April2020().BreakLen; got != 2*time.Hour {
-		t.Errorf("april break = %v", got)
-	}
-}
-
 func TestCampaignValidateRejects(t *testing.T) {
 	bad := []Campaign{
 		{},
@@ -186,7 +169,13 @@ func TestCampaignValidateRejects(t *testing.T) {
 
 func TestCampaignSchedules(t *testing.T) {
 	sites := []Site{{Name: "eu-1", ASN: 100, Index: 0}, {Name: "us-1", ASN: 200, Index: 1}}
-	c := March2020()
+	c := Campaign{
+		Name:      "march-2020",
+		Intervals: []time.Duration{1 * time.Minute, 2 * time.Minute, 3 * time.Minute},
+		BurstLen:  2 * time.Hour,
+		BreakLen:  6 * time.Hour,
+		Pairs:     4,
+	}
 	scheds, err := c.Schedules(sites, t0)
 	if err != nil {
 		t.Fatal(err)

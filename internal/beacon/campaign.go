@@ -45,44 +45,6 @@ type Campaign struct {
 	Pairs int
 }
 
-// The paper's campaigns (§ 4.3). Pair counts are scaled down from the
-// two-month originals to keep simulated runs fast; the labeling rule
-// (>= 90% of pairs matching) is unaffected.
-func March2020() Campaign {
-	return Campaign{
-		Name:      "march-2020",
-		Intervals: []time.Duration{1 * time.Minute, 2 * time.Minute, 3 * time.Minute},
-		BurstLen:  2 * time.Hour,
-		BreakLen:  6 * time.Hour,
-		Pairs:     4,
-	}
-}
-
-// April2020 is the slow-interval campaign targeting deprecated vendor
-// defaults: 5/10/15-minute intervals with a 2 h Break (max-suppress-time is
-// one hour by default, so suppressed prefixes always release in-Break).
-func April2020() Campaign {
-	return Campaign{
-		Name:      "april-2020",
-		Intervals: []time.Duration{5 * time.Minute, 10 * time.Minute, 15 * time.Minute},
-		BurstLen:  2 * time.Hour,
-		BreakLen:  2 * time.Hour,
-		Pairs:     4,
-	}
-}
-
-// August2019 is the pilot with very slow intervals; only the fastest (15
-// minute) prefix provoked measurable RFD.
-func August2019() Campaign {
-	return Campaign{
-		Name:      "august-2019",
-		Intervals: []time.Duration{15 * time.Minute, 30 * time.Minute, 60 * time.Minute},
-		BurstLen:  2 * time.Hour,
-		BreakLen:  6 * time.Hour,
-		Pairs:     2,
-	}
-}
-
 // Validate reports configuration errors.
 func (c Campaign) Validate() error {
 	switch {

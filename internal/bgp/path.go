@@ -207,40 +207,3 @@ func PathKey(asns []ASN) string {
 	}
 	return b.String()
 }
-
-// ReconcileAS4Path merges AS_PATH and AS4_PATH per RFC 6793 § 4.2.3: a
-// 2-octet speaker substitutes AS_TRANS into AS_PATH and forwards the true
-// 4-octet path in the optional transitive AS4_PATH. The receiver keeps the
-// leading AS_PATH entries the AS4_PATH does not cover (they were added by
-// old speakers after the attribute was frozen) and appends the AS4_PATH.
-// When AS_PATH is shorter than AS4_PATH the AS4_PATH is malformed relative
-// to it and MUST be ignored; the plain AS_PATH is returned.
-func ReconcileAS4Path(asPath, as4Path Path) Path {
-	n, n4 := asPath.Len(), as4Path.Len()
-	if n4 == 0 || n < n4 {
-		return asPath.Clone()
-	}
-	lead := n - n4
-	out := Path{}
-	// Collect the first `lead` path units from asPath (an AS_SET counts as
-	// one unit, mirroring Len).
-	remaining := lead
-	for _, seg := range asPath.Segments {
-		if remaining == 0 {
-			break
-		}
-		if seg.Type == SegSet {
-			out.Segments = append(out.Segments, Segment{Type: SegSet, ASNs: append([]ASN(nil), seg.ASNs...)})
-			remaining--
-			continue
-		}
-		take := len(seg.ASNs)
-		if take > remaining {
-			take = remaining
-		}
-		out.Segments = append(out.Segments, Segment{Type: SegSequence, ASNs: append([]ASN(nil), seg.ASNs[:take]...)})
-		remaining -= take
-	}
-	out.Segments = append(out.Segments, as4Path.Clone().Segments...)
-	return out
-}

@@ -216,56 +216,3 @@ func TestUpdateStringForms(t *testing.T) {
 		t.Error("announce+withdraw misreported as withdrawal-only")
 	}
 }
-
-func TestReconcileAS4Path(t *testing.T) {
-	// A 4-byte path traversed one old 2-byte speaker (AS 100) that
-	// prepended itself after the AS4_PATH was frozen.
-	asPath := NewPath(100, ASTrans, 200, ASTrans)
-	as4Path := NewPath(4200000001, 200, 4200000002)
-	got := ReconcileAS4Path(asPath, as4Path)
-	want := []ASN{100, 4200000001, 200, 4200000002}
-	if !reflect.DeepEqual(got.ASNs(), want) {
-		t.Errorf("reconciled = %v, want %v", got.ASNs(), want)
-	}
-
-	// Equal lengths: AS4_PATH replaces everything.
-	got = ReconcileAS4Path(NewPath(ASTrans, ASTrans), NewPath(4200000001, 4200000002))
-	if !reflect.DeepEqual(got.ASNs(), []ASN{4200000001, 4200000002}) {
-		t.Errorf("full replace = %v", got.ASNs())
-	}
-
-	// Malformed: AS4_PATH longer than AS_PATH is ignored.
-	got = ReconcileAS4Path(NewPath(100), NewPath(1, 2, 3))
-	if !reflect.DeepEqual(got.ASNs(), []ASN{100}) {
-		t.Errorf("malformed AS4_PATH not ignored: %v", got.ASNs())
-	}
-
-	// Missing AS4_PATH: plain path returned, as a copy.
-	base := NewPath(1, 2)
-	got = ReconcileAS4Path(base, Path{})
-	got.Segments[0].ASNs[0] = 99
-	if base.ASNs()[0] != 1 {
-		t.Error("reconcile aliased input storage")
-	}
-}
-
-func TestReconcileAS4PathWithSet(t *testing.T) {
-	// Lead includes an AS_SET (counts as one unit).
-	asPath := Path{Segments: []Segment{
-		{Type: SegSequence, ASNs: []ASN{100}},
-		{Type: SegSet, ASNs: []ASN{7, 8}},
-		{Type: SegSequence, ASNs: []ASN{ASTrans, 300}},
-	}}
-	as4 := NewPath(4200000001, 300)
-	got := ReconcileAS4Path(asPath, as4)
-	// Lead = 4 - 2 = 2 units: AS 100 and the set {7,8}; then the AS4_PATH.
-	if got.Len() != 4 {
-		t.Fatalf("reconciled length = %d: %v", got.Len(), got)
-	}
-	if got.Segments[1].Type != SegSet {
-		t.Errorf("set segment lost: %v", got)
-	}
-	if o, _ := got.Origin(); o != 300 {
-		t.Errorf("origin = %v", o)
-	}
-}

@@ -1,6 +1,7 @@
 package churn
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestChurnWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := core.Infer(ds, churnInferConfig(17, 1))
+	base, err := core.InferContext(context.Background(), ds, churnInferConfig(17, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestChurnWorkerCountInvariance(t *testing.T) {
 		t.Fatalf("result model = %q, want churn", base.Model)
 	}
 	for _, workers := range []int{2, 4, 0} {
-		got, err := core.Infer(ds, churnInferConfig(17, workers))
+		got, err := core.InferContext(context.Background(), ds, churnInferConfig(17, workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -85,11 +86,11 @@ func TestChurnSeedSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.Infer(ds, churnInferConfig(1, 1))
+	a, err := core.InferContext(context.Background(), ds, churnInferConfig(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.Infer(ds, churnInferConfig(2, 1))
+	b, err := core.InferContext(context.Background(), ds, churnInferConfig(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

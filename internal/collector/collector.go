@@ -102,14 +102,19 @@ type Collector struct {
 	// lastExport enforces FIFO export per vantage point: a session's feed
 	// never reorders, whatever the per-update export jitter says.
 	lastExport map[VantagePoint]time.Time
-	localIP    netip.Addr
-	localAS    bgp.ASN
 	obs        *obs.Observer
 }
 
+// The collector's own end of every archived session: the local AS and IP
+// each BGP4MP record carries.
+var (
+	localAS = bgp.ASN(64999)
+	localIP = netip.MustParseAddr("192.0.2.10")
+)
+
 // SetObserver attaches metrics and logging; each archived update then
-// increments the per-project ingest counter. Call before Attach; nil (the
-// default) disables instrumentation.
+// increments the per-project ingest counter. Call before AttachContext;
+// nil (the default) disables instrumentation.
 func (c *Collector) SetObserver(o *obs.Observer) { c.obs = o }
 
 // New returns an empty collector. rng seeds the per-project export-delay
@@ -118,8 +123,6 @@ func New(rng *stats.RNG) *Collector {
 	c := &Collector{
 		rngs:       make(map[Project]*stats.RNG, len(Projects)),
 		lastExport: make(map[VantagePoint]time.Time),
-		localIP:    netip.MustParseAddr("192.0.2.10"),
-		localAS:    64999,
 	}
 	for _, p := range Projects {
 		c.rngs[p] = rng.Split()
@@ -127,14 +130,9 @@ func New(rng *stats.RNG) *Collector {
 	return c
 }
 
-// Attach subscribes every vantage point to its router's full feed. It
-// returns an error if a VP references an unknown AS.
-func (c *Collector) Attach(net *router.Network, vps []VantagePoint) error {
-	return c.AttachContext(context.Background(), net, vps)
-}
-
-// AttachContext is Attach under a context: when ctx carries a trace
-// (obs.ContextWithSpan), the subscription stage records a
+// AttachContext subscribes every vantage point to its router's full feed.
+// It returns an error if a VP references an unknown AS. When ctx carries a
+// trace (obs.ContextWithSpan), the subscription stage records a
 // "collector.attach" span with the vantage-point count. Attaching never
 // blocks, so the context is an observability position only.
 func (c *Collector) AttachContext(ctx context.Context, net *router.Network, vps []VantagePoint) error {
@@ -186,21 +184,14 @@ func (c *Collector) Entries() []Entry {
 // Len returns the number of archived entries.
 func (c *Collector) Len() int { return len(c.entries) }
 
-// ByProject splits entries per project, preserving export-time order.
-func (c *Collector) ByProject() map[Project][]Entry {
-	out := make(map[Project][]Entry, len(Projects))
-	for _, e := range c.Entries() {
-		out[e.VP.Project] = append(out[e.VP.Project], e)
-	}
-	return out
-}
-
-// WriteMRT serialises all entries (in export-time order) as MRT
-// BGP4MP_MESSAGE_AS4 records to w — the archive the labeling stage parses.
-func (c *Collector) WriteMRT(w io.Writer) error {
+// WriteMRT serialises entries, in the given order, as MRT
+// BGP4MP_MESSAGE_AS4 records to w, each under the collector's own AS and
+// IP. Pass one project's entries for a per-project archive like the real
+// ones.
+func WriteMRT(w io.Writer, entries []Entry) error {
 	mw := mrt.NewWriter(w)
-	for _, e := range c.Entries() {
-		if err := mw.WriteUpdate(e.Exported, e.VP.AS, c.localAS, e.VP.Addr(), c.localIP, e.Update); err != nil {
+	for _, e := range entries {
+		if err := mw.WriteUpdate(e.Exported, e.VP.AS, localAS, e.VP.Addr(), localIP, e.Update); err != nil {
 			return err
 		}
 	}
@@ -228,12 +219,6 @@ func ReadMRT(r io.Reader, project Project) ([]Entry, error) {
 		})
 	}
 	return out, nil
-}
-
-// WriteRIB reconstructs every vantage point's routing table as of time at
-// and writes it as an MRT TABLE_DUMP_V2 snapshot.
-func (c *Collector) WriteRIB(w io.Writer, at time.Time) error {
-	return WriteRIB(w, c.Entries(), at)
 }
 
 // WriteRIB reconstructs every vantage point's routing table as of time at

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 	"time"
@@ -19,7 +20,7 @@ var (
 	pfx = bgp.MustPrefix("10.1.1.0/24")
 )
 
-func testNet(t *testing.T) (*netsim.Engine, *router.Network) {
+func testNet(t testing.TB) (*netsim.Engine, *router.Network) {
 	t.Helper()
 	g := topology.NewGraph()
 	for asn, tier := range map[bgp.ASN]topology.Tier{1: topology.TierOne, 2: topology.TierTransit, 3: topology.TierStub} {
@@ -44,7 +45,7 @@ func TestCollectorArchivesUpdates(t *testing.T) {
 	eng, net := testNet(t)
 	c := New(stats.NewRNG(2))
 	vps := []VantagePoint{{AS: 1, Project: RIS}, {AS: 2, Project: RouteViews}}
-	if err := c.Attach(net, vps); err != nil {
+	if err := c.AttachContext(context.Background(), net, vps); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.Originate(3, pfx, 42); err != nil {
@@ -73,7 +74,7 @@ func TestCollectorArchivesUpdates(t *testing.T) {
 func TestAttachUnknownAS(t *testing.T) {
 	_, net := testNet(t)
 	c := New(stats.NewRNG(1))
-	if err := c.Attach(net, []VantagePoint{{AS: 99, Project: RIS}}); err == nil {
+	if err := c.AttachContext(context.Background(), net, []VantagePoint{{AS: 99, Project: RIS}}); err == nil {
 		t.Error("unknown AS accepted")
 	}
 }
@@ -113,7 +114,7 @@ func TestExportDelayPersonas(t *testing.T) {
 func TestEntriesSortedByExportTime(t *testing.T) {
 	eng, net := testNet(t)
 	c := New(stats.NewRNG(4))
-	if err := c.Attach(net, []VantagePoint{{AS: 1, Project: RIS}, {AS: 2, Project: Isolario}}); err != nil {
+	if err := c.AttachContext(context.Background(), net, []VantagePoint{{AS: 1, Project: RIS}, {AS: 2, Project: Isolario}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -134,7 +135,7 @@ func TestEntriesSortedByExportTime(t *testing.T) {
 func TestByProject(t *testing.T) {
 	eng, net := testNet(t)
 	c := New(stats.NewRNG(5))
-	if err := c.Attach(net, []VantagePoint{
+	if err := c.AttachContext(context.Background(), net, []VantagePoint{
 		{AS: 1, Project: RIS}, {AS: 1, Project: RouteViews}, {AS: 2, Project: Isolario},
 	}); err != nil {
 		t.Fatal(err)
@@ -143,16 +144,19 @@ func TestByProject(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	by := c.ByProject()
-	if len(by[RIS]) != 1 || len(by[RouteViews]) != 1 || len(by[Isolario]) != 1 {
-		t.Errorf("per-project counts: ris=%d rv=%d iso=%d", len(by[RIS]), len(by[RouteViews]), len(by[Isolario]))
+	by := make(map[Project]int)
+	for _, e := range c.Entries() {
+		by[e.VP.Project]++
+	}
+	if by[RIS] != 1 || by[RouteViews] != 1 || by[Isolario] != 1 {
+		t.Errorf("per-project counts: ris=%d rv=%d iso=%d", by[RIS], by[RouteViews], by[Isolario])
 	}
 }
 
 func TestMRTRoundTrip(t *testing.T) {
 	eng, net := testNet(t)
 	c := New(stats.NewRNG(6))
-	if err := c.Attach(net, []VantagePoint{{AS: 1, Project: RIS}}); err != nil {
+	if err := c.AttachContext(context.Background(), net, []VantagePoint{{AS: 1, Project: RIS}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.Originate(3, pfx, 1234); err != nil {
@@ -165,7 +169,7 @@ func TestMRTRoundTrip(t *testing.T) {
 	eng.Run()
 
 	var buf bytes.Buffer
-	if err := c.WriteMRT(&buf); err != nil {
+	if err := WriteMRT(&buf, c.Entries()); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadMRT(&buf, RIS)
@@ -211,7 +215,7 @@ func TestVantagePointAddr(t *testing.T) {
 func TestWriteRIBSnapshot(t *testing.T) {
 	eng, net := testNet(t)
 	c := New(stats.NewRNG(7))
-	if err := c.Attach(net, []VantagePoint{{AS: 1, Project: RIS}, {AS: 2, Project: Isolario}}); err != nil {
+	if err := c.AttachContext(context.Background(), net, []VantagePoint{{AS: 1, Project: RIS}, {AS: 2, Project: Isolario}}); err != nil {
 		t.Fatal(err)
 	}
 	pfx2 := bgp.MustPrefix("10.2.2.0/24")
@@ -230,7 +234,7 @@ func TestWriteRIBSnapshot(t *testing.T) {
 
 	at := eng.Now().Add(2 * time.Minute) // past all export delays
 	var buf bytes.Buffer
-	if err := c.WriteRIB(&buf, at); err != nil {
+	if err := WriteRIB(&buf, c.Entries(), at); err != nil {
 		t.Fatal(err)
 	}
 	rr := mrt.NewRIBReader(&buf)
@@ -264,7 +268,7 @@ func TestWriteRIBSnapshot(t *testing.T) {
 		}
 	}
 	// Snapshot before any data errors out.
-	if err := c.WriteRIB(&bytes.Buffer{}, t0.Add(-time.Hour)); err == nil {
+	if err := WriteRIB(&bytes.Buffer{}, c.Entries(), t0.Add(-time.Hour)); err == nil {
 		t.Error("empty snapshot accepted")
 	}
 }

@@ -63,7 +63,7 @@ func TestInferContextCompletedRunBitIdentical(t *testing.T) {
 	ds := plantedDataset(t)
 	cfg := fastCfg(21)
 	cfg.Chains = 2
-	want, err := Infer(ds, cfg)
+	want, err := InferContext(context.Background(), ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

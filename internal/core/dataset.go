@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"because/internal/bgp"
 )
@@ -169,11 +168,3 @@ func (ds *Dataset) PathWeight(j int) float64 { return ds.paths[j].weight }
 // NodePathIndices returns the indices of the observations containing
 // node i (shared storage — callers must not modify).
 func (ds *Dataset) NodePathIndices(i int) []int { return ds.nodePaths[i] }
-
-// SortedASNs returns the node ASNs in ascending ASN order (not index
-// order), for stable reporting.
-func (ds *Dataset) SortedASNs() []bgp.ASN {
-	out := append([]bgp.ASN(nil), ds.nodes...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -61,14 +61,6 @@ func TestNewDatasetRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestSortedASNs(t *testing.T) {
-	ds := mustDataset(t, []PathObs{{ASNs: []bgp.ASN{5, 1, 3}}})
-	got := ds.SortedASNs()
-	if got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Errorf("sorted = %v", got)
-	}
-}
-
 func TestLogLikMatchesHandComputation(t *testing.T) {
 	// One negative path {A}, one positive path {A, B}.
 	ds := mustDataset(t, []PathObs{

@@ -153,7 +153,7 @@ func TestMissRateValidation(t *testing.T) {
 
 func TestInferWithMissRate(t *testing.T) {
 	ds := plantedDataset(t)
-	res, err := Infer(ds, Config{Seed: 21, Model: RFDModel{MissRate: 0.1},
+	res, err := InferContext(context.Background(), ds, Config{Seed: 21, Model: RFDModel{MissRate: 0.1},
 		MH: MHConfig{Sweeps: 400, BurnIn: 100}, HMC: HMCConfig{Iterations: 150, BurnIn: 50}})
 	if err != nil {
 		t.Fatal(err)

@@ -54,8 +54,8 @@ type Config struct {
 
 	// Obs attaches metrics and structured logging to every stage of the
 	// run: the samplers report acceptance rates, sweep counters,
-	// divergences and throughput; Infer itself reports stage durations
-	// and final R-hat/ESS diagnostics. Nil (the default) is a no-op whose
+	// divergences and throughput; InferContext itself reports stage
+	// durations and final R-hat/ESS diagnostics. Nil (the default) is a no-op whose
 	// cost is a pointer check per sweep.
 	Obs *obs.Observer
 	// Progress, when non-nil, receives sampler progress events every
@@ -94,8 +94,8 @@ type Result struct {
 	// Pinpointed lists ASes upgraded by the inconsistent-damper pass.
 	Pinpointed []NodeSummary
 
-	// index maps ASN → Summaries position. Built by Infer; for manually
-	// constructed Results the first Lookup builds it lazily.
+	// index maps ASN → Summaries position. Built by InferContext; for
+	// manually constructed Results the first Lookup builds it lazily.
 	index map[bgp.ASN]int
 }
 
@@ -142,19 +142,15 @@ func (r *Result) CategoryCounts() [6]int {
 	return counts
 }
 
-// Infer runs the configured samplers over the dataset and produces
+// InferContext runs the configured samplers over the dataset and produces
 // categorised per-AS summaries — the complete BeCAUSe pipeline of § 5.1.
-func Infer(ds *Dataset, cfg Config) (*Result, error) {
-	return InferContext(context.Background(), ds, cfg)
-}
-
-// InferContext is Infer under a context. Cancellation is cooperative at
-// sweep/trajectory granularity: every running chain returns ctx.Err()
-// within one sweep of cancellation, chains still queued on the worker pool
-// are skipped before they start, and the whole call then returns ctx.Err().
-// A run that completes is unaffected — the per-sweep check draws nothing
-// from the RNG, so the bit-identical-at-any-worker-count guarantee holds
-// with or without a cancellable context.
+// Cancellation is cooperative at sweep/trajectory granularity: every
+// running chain returns ctx.Err() within one sweep of cancellation, chains
+// still queued on the worker pool are skipped before they start, and the
+// whole call then returns ctx.Err(). A run that completes is unaffected —
+// the per-sweep check draws nothing from the RNG, so the
+// bit-identical-at-any-worker-count guarantee holds with or without a
+// cancellable context.
 func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -113,7 +113,7 @@ func TestInferObserverMetrics(t *testing.T) {
 		HMC:    HMCConfig{Iterations: 100, BurnIn: 25},
 		Obs:    observer,
 	}
-	if _, err := Infer(ds, cfg); err != nil {
+	if _, err := InferContext(context.Background(), ds, cfg); err != nil {
 		t.Fatal(err)
 	}
 	snap := observer.Metrics.Snapshot()
@@ -202,7 +202,7 @@ func TestInferESSGaugeMinAcrossAllChains(t *testing.T) {
 		HMC:    HMCConfig{Iterations: 80, BurnIn: 20},
 		Obs:    observer,
 	}
-	res, err := Infer(ds, cfg)
+	res, err := InferContext(context.Background(), ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestInferPoolMetrics(t *testing.T) {
 		HMC:     HMCConfig{Iterations: 40, BurnIn: 10},
 		Obs:     observer,
 	}
-	if _, err := Infer(ds, cfg); err != nil {
+	if _, err := InferContext(context.Background(), ds, cfg); err != nil {
 		t.Fatal(err)
 	}
 	snap := observer.Metrics.Snapshot()

@@ -120,7 +120,7 @@ func ClampProb(p float64) float64 { return clampP(p) }
 func Log1mExp(x float64) float64 { return log1mexp(x) }
 
 // modelOrDefault resolves a possibly-nil model selection to the default
-// RFD likelihood — the shared fallback of both samplers and Infer.
+// RFD likelihood — the shared fallback of both samplers and InferContext.
 func modelOrDefault(m ObservationModel) ObservationModel {
 	if m == nil {
 		return RFDModel{}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -113,7 +114,7 @@ func TestDefaultModelGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Infer(ds, tc.cfg)
+			res, err := InferContext(context.Background(), ds, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

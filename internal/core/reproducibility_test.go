@@ -139,14 +139,14 @@ func TestInferWorkerCountInvariance(t *testing.T) {
 			base := fastCfg(77)
 			mode.mutate(&base)
 			base.Workers = 1
-			want, err := Infer(ds, base)
+			want, err := InferContext(context.Background(), ds, base)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range workerCounts {
 				cfg := base
 				cfg.Workers = w
-				got, err := Infer(ds, cfg)
+				got, err := InferContext(context.Background(), ds, cfg)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -170,7 +170,7 @@ func TestInferWorkerInvarianceWithObserver(t *testing.T) {
 		cfg.ProgressEvery = 25
 		var events int
 		cfg.Progress = func(p obs.Progress) { events++ }
-		res, err := Infer(ds, cfg)
+		res, err := InferContext(context.Background(), ds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,11 +191,11 @@ func TestInferSeedSensitivity(t *testing.T) {
 	cfgA := fastCfg(1)
 	cfgB := fastCfg(2)
 	cfgA.DisableHMC, cfgB.DisableHMC = true, true
-	a, err := Infer(ds, cfgA)
+	a, err := InferContext(context.Background(), ds, cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Infer(ds, cfgB)
+	b, err := InferContext(context.Background(), ds, cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestInferMultiChainStreamsDistinct(t *testing.T) {
 	cfg.DisableHMC = true
 	cfg.Chains = 3
 	cfg.Workers = 2
-	res, err := Infer(ds, cfg)
+	res, err := InferContext(context.Background(), ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestInferConcurrentRunsSharedObserver(t *testing.T) {
 		cfg := fastCfg(uint64(100 + i))
 		cfg.Chains = 2
 		cfg.Workers = 1
-		res, err := Infer(ds, cfg)
+		res, err := InferContext(context.Background(), ds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestInferConcurrentRunsSharedObserver(t *testing.T) {
 			cfg.Chains = 2
 			cfg.Workers = 2
 			cfg.Obs = shared
-			results[i], errs[i] = Infer(ds, cfg)
+			results[i], errs[i] = InferContext(context.Background(), ds, cfg)
 		}()
 	}
 	wg.Wait()

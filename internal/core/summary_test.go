@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestCategoryHelpers(t *testing.T) {
 
 func TestSummarizeAndInfer(t *testing.T) {
 	ds := plantedDataset(t)
-	res, err := Infer(ds, Config{Seed: 42, MH: MHConfig{Sweeps: 800, BurnIn: 200}, HMC: HMCConfig{Iterations: 300, BurnIn: 100}})
+	res, err := InferContext(context.Background(), ds, Config{Seed: 42, MH: MHConfig{Sweeps: 800, BurnIn: 200}, HMC: HMCConfig{Iterations: 300, BurnIn: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +118,14 @@ func TestSummarizeAndInfer(t *testing.T) {
 
 func TestInferValidation(t *testing.T) {
 	ds := plantedDataset(t)
-	if _, err := Infer(nil, Config{}); err == nil {
+	if _, err := InferContext(context.Background(), nil, Config{}); err == nil {
 		t.Error("nil dataset accepted")
 	}
-	if _, err := Infer(ds, Config{DisableMH: true, DisableHMC: true}); err == nil {
+	if _, err := InferContext(context.Background(), ds, Config{DisableMH: true, DisableHMC: true}); err == nil {
 		t.Error("both samplers disabled accepted")
 	}
 	// Single-sampler runs work.
-	res, err := Infer(ds, Config{Seed: 1, DisableHMC: true, MH: MHConfig{Sweeps: 100, BurnIn: 20}})
+	res, err := InferContext(context.Background(), ds, Config{Seed: 1, DisableHMC: true, MH: MHConfig{Sweeps: 100, BurnIn: 20}})
 	if err != nil || len(res.Chains) != 1 || res.Chains[0].Method != "mh" {
 		t.Errorf("MH-only run: %v", err)
 	}
@@ -167,7 +168,7 @@ func TestPinpointInconsistentDamper(t *testing.T) {
 		}
 	}
 	ds := mustDataset(t, obs)
-	res, err := Infer(ds, Config{Seed: 11, MH: MHConfig{Sweeps: 1000, BurnIn: 300}, HMC: HMCConfig{Iterations: 400, BurnIn: 150}})
+	res, err := InferContext(context.Background(), ds, Config{Seed: 11, MH: MHConfig{Sweeps: 1000, BurnIn: 300}, HMC: HMCConfig{Iterations: 400, BurnIn: 150}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestPinpointLeavesConsistentAlone(t *testing.T) {
 	// All positive paths already contain the obvious damper: the pass must
 	// not upgrade anyone else.
 	ds := plantedDataset(t)
-	res, err := Infer(ds, Config{Seed: 13, MH: MHConfig{Sweeps: 800, BurnIn: 200}, DisableHMC: true})
+	res, err := InferContext(context.Background(), ds, Config{Seed: 13, MH: MHConfig{Sweeps: 800, BurnIn: 200}, DisableHMC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestPinpointLeavesConsistentAlone(t *testing.T) {
 
 func TestPinpointThresholdDisable(t *testing.T) {
 	ds := plantedDataset(t)
-	res, err := Infer(ds, Config{Seed: 13, PinpointThreshold: -1, DisableHMC: true, MH: MHConfig{Sweeps: 200, BurnIn: 50}})
+	res, err := InferContext(context.Background(), ds, Config{Seed: 13, PinpointThreshold: -1, DisableHMC: true, MH: MHConfig{Sweeps: 200, BurnIn: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestCategorizeUncertaintyGuard(t *testing.T) {
 
 func TestInferMultiChainRHat(t *testing.T) {
 	ds := plantedDataset(t)
-	res, err := Infer(ds, Config{Seed: 31, Chains: 3, DisableHMC: true,
+	res, err := InferContext(context.Background(), ds, Config{Seed: 31, Chains: 3, DisableHMC: true,
 		MH: MHConfig{Sweeps: 500, BurnIn: 150}})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +254,7 @@ func TestInferMultiChainRHat(t *testing.T) {
 		t.Errorf("damper RHat = %g, chains did not converge", r)
 	}
 	// Single-chain runs leave RHat as NaN.
-	res1, err := Infer(ds, Config{Seed: 31, DisableHMC: true, MH: MHConfig{Sweeps: 200, BurnIn: 50}})
+	res1, err := InferContext(context.Background(), ds, Config{Seed: 31, DisableHMC: true, MH: MHConfig{Sweeps: 200, BurnIn: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,17 +62,12 @@ func (s *Scenario) vpList() []collector.VantagePoint {
 	return out
 }
 
-// RunCampaign executes one campaign over the scenario: a fresh simulated
-// network (same seed-derived delays each time), beacons driven on
-// schedule, collection, and labeling.
-func (s *Scenario) RunCampaign(c beacon.Campaign) (*Run, error) {
-	return s.RunCampaignContext(context.Background(), c)
-}
-
-// RunCampaignContext is RunCampaign under a context: when ctx carries a
-// trace (obs.ContextWithSpan), the measurement pipeline records a
-// "campaign" span with attach/label children. The simulation itself is
-// not a cancellation point — the context is an observability position.
+// RunCampaignContext executes one campaign over the scenario: a fresh
+// simulated network (same seed-derived delays each time), beacons driven
+// on schedule, collection, and labeling. When ctx carries a trace
+// (obs.ContextWithSpan), the measurement pipeline records a "campaign"
+// span with attach/label children. The simulation itself is not a
+// cancellation point — the context is an observability position.
 func (s *Scenario) RunCampaignContext(ctx context.Context, c beacon.Campaign) (*Run, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -216,16 +211,11 @@ func InferConfig(seed uint64) core.Config {
 	}
 }
 
-// Infer runs BeCAUSe over the campaign's measurements, instrumented with
-// the scenario's observer.
-func (r *Run) Infer() (*core.Result, *core.Dataset, error) {
-	return r.InferContext(context.Background())
-}
-
-// InferContext is Infer under a context: the sampler chains stop within
-// one sweep of cancellation and the call returns ctx.Err(). The campaign
-// simulation itself already happened when a Run exists, so inference is
-// the only cancellable stage.
+// InferContext runs BeCAUSe over the campaign's measurements,
+// instrumented with the scenario's observer. The sampler chains stop
+// within one sweep of cancellation and the call returns ctx.Err(). The
+// campaign simulation itself already happened when a Run exists, so
+// inference is the only cancellable stage.
 func (r *Run) InferContext(ctx context.Context) (*core.Result, *core.Dataset, error) {
 	ds, err := r.Dataset()
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 // it, so callers cache as needed.
 func runSmallCampaign(t *testing.T, s *Scenario) *Run {
 	t.Helper()
-	run, err := s.RunCampaign(IntervalCampaign(time.Minute, 2))
+	run, err := s.RunCampaignContext(context.Background(), IntervalCampaign(time.Minute, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestInferOnCampaign(t *testing.T) {
 	}
 	s := smallScenario(t)
 	run := runSmallCampaign(t, s)
-	res, ds, err := run.Infer()
+	res, ds, err := run.InferContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

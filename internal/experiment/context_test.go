@@ -1,0 +1,69 @@
+package experiment
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"testing"
+	"time"
+
+	"because/internal/obs"
+)
+
+// sweepsRecorded sums the sampler sweep counters over every chain.
+func sweepsRecorded(o *obs.Observer) float64 {
+	total := 0.0
+	for name, v := range o.Metrics.Snapshot() {
+		if strings.HasPrefix(name, obs.MetricSweeps) {
+			total += v
+		}
+	}
+	return total
+}
+
+// TestTab4PrecisionRecallHonoursCancellation: the caller's ctx reaches the
+// suite's inference, so a cancelled ctx returns context.Canceled before a
+// single sampler sweep runs — and the cancelled slot is not cached, so the
+// next caller still gets a real result.
+func TestTab4PrecisionRecallHonoursCancellation(t *testing.T) {
+	s, err := NewSuite(smallSuiteConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observer := obs.New(nil, obs.NewRegistry())
+	s.Scenario().Obs = observer
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Tab4PrecisionRecallContext(ctx, s); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := sweepsRecorded(observer); n != 0 {
+		t.Fatalf("%v sampler sweeps ran under a cancelled ctx", n)
+	}
+	if _, _, err := s.InferenceContext(context.Background(), time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if sweepsRecorded(observer) == 0 {
+		t.Fatalf("no %s series after a live inference: the check above is vacuous", obs.MetricSweeps)
+	}
+}
+
+// TestIntervalRunContextTracesCampaign: the leader's ctx reaches the
+// campaign, so its trace records the campaign span.
+func TestIntervalRunContextTracesCampaign(t *testing.T) {
+	s, err := NewSuite(smallSuiteConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("test", "interval-run")
+	ctx := obs.ContextWithSpan(context.Background(), tr.Root())
+	if _, err := s.IntervalRunContext(ctx, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range tr.Export().Root.Children {
+		if c.Name == "campaign" {
+			return
+		}
+	}
+	t.Fatal("the leader's trace holds no campaign span")
+}

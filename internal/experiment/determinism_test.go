@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func serializeResult(t *testing.T, s *Suite, intervals []time.Duration) []byte {
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
 	for _, iv := range intervals {
-		res, ds, err := s.Inference(iv)
+		res, ds, err := s.InferenceContext(context.Background(), iv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestSuitePrewarmParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := parallel.Prewarm(intervals); err != nil {
+	if err := parallel.PrewarmContext(context.Background(), intervals); err != nil {
 		t.Fatal(err)
 	}
 	got := serializeResult(t, parallel, intervals)
@@ -122,7 +123,7 @@ func TestSuiteConcurrentAccessSharedIntervals(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		i := i
 		go func() {
-			run, err := s.IntervalRun(time.Minute)
+			run, err := s.IntervalRunContext(context.Background(), time.Minute)
 			runs[i] = run
 			if err != nil {
 				errCh <- err

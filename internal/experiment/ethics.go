@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -25,7 +26,7 @@ type AppendixAResult struct {
 
 // AppendixAEthics runs a 1-minute campaign with background churn enabled
 // and accounts for the beacons' share of archived updates.
-func AppendixAEthics(cfg ScenarioConfig, pairs int) (*AppendixAResult, error) {
+func AppendixAEthics(ctx context.Context, cfg ScenarioConfig, pairs int) (*AppendixAResult, error) {
 	if cfg.BackgroundPrefixes == 0 {
 		cfg.BackgroundPrefixes = 60
 	}
@@ -39,7 +40,7 @@ func AppendixAEthics(cfg ScenarioConfig, pairs int) (*AppendixAResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	run, err := scenario.RunCampaign(IntervalCampaign(time.Minute, pairs))
+	run, err := scenario.RunCampaignContext(ctx, IntervalCampaign(time.Minute, pairs))
 	if err != nil {
 		return nil, err
 	}

@@ -170,22 +170,17 @@ type Tab4Result struct {
 	RFDPositiveShare float64
 }
 
-// Tab4PrecisionRecall evaluates BeCAUSe and the heuristics against the
-// planted RFD ground truth (over measured, detectable ASes — the paper
+// Tab4PrecisionRecallContext evaluates BeCAUSe and the heuristics against
+// the planted RFD ground truth (over measured, detectable ASes — the paper
 // likewise removed the two undetectable ASes) and BeCAUSe against a
-// synthesised ROV deployment (§ 7).
-func Tab4PrecisionRecall(s *Suite) (*Tab4Result, error) {
-	return Tab4PrecisionRecallContext(context.Background(), s)
-}
-
-// Tab4PrecisionRecallContext is Tab4PrecisionRecall under a context: the
-// ROV benchmark's inference run is cancellable at sweep granularity.
+// synthesised ROV deployment (§ 7). ctx reaches the suite's campaign and
+// both inference runs, which are cancellable at sweep granularity.
 func Tab4PrecisionRecallContext(ctx context.Context, s *Suite) (*Tab4Result, error) {
-	run, err := s.IntervalRun(time.Minute)
+	run, err := s.IntervalRunContext(ctx, time.Minute)
 	if err != nil {
 		return nil, err
 	}
-	res, ds, err := s.Inference(time.Minute)
+	res, ds, err := s.InferenceContext(ctx, time.Minute)
 	if err != nil {
 		return nil, err
 	}

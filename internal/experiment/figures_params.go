@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -105,19 +106,19 @@ type Fig12Result struct {
 
 // Fig12IntervalSweep runs (or reuses) one campaign per interval and counts
 // flagged ASes among those measured in every experiment.
-func Fig12IntervalSweep(s *Suite, intervals []time.Duration) (*Fig12Result, error) {
+func Fig12IntervalSweep(ctx context.Context, s *Suite, intervals []time.Duration) (*Fig12Result, error) {
 	if len(intervals) == 0 {
 		intervals = PaperIntervals
 	}
 	// Intervals are independent; fill the suite caches on the worker pool
 	// before the sequential aggregation below reads them.
-	if err := s.Prewarm(intervals); err != nil {
+	if err := s.PrewarmContext(ctx, intervals); err != nil {
 		return nil, err
 	}
 	// Common measured population.
 	var common map[bgp.ASN]bool
 	for _, iv := range intervals {
-		run, err := s.IntervalRun(iv)
+		run, err := s.IntervalRunContext(ctx, iv)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +135,7 @@ func Fig12IntervalSweep(s *Suite, intervals []time.Duration) (*Fig12Result, erro
 	}
 	res := &Fig12Result{CommonMeasured: len(common)}
 	for _, iv := range intervals {
-		infRes, _, err := s.Inference(iv)
+		infRes, _, err := s.InferenceContext(ctx, iv)
 		if err != nil {
 			return nil, err
 		}
@@ -182,13 +183,13 @@ type Fig13Result struct {
 }
 
 // Fig13RDeltaCDF computes the r-delta distributions.
-func Fig13RDeltaCDF(s *Suite, intervals []time.Duration) (*Fig13Result, error) {
+func Fig13RDeltaCDF(ctx context.Context, s *Suite, intervals []time.Duration) (*Fig13Result, error) {
 	if len(intervals) == 0 {
 		intervals = PaperIntervals
 	}
 	// Figure 13 is computed from raw measurements: warm only the campaign
 	// runs, not the (much more expensive) inferences.
-	if err := s.PrewarmRuns(intervals); err != nil {
+	if err := s.PrewarmRuns(ctx, intervals); err != nil {
 		return nil, err
 	}
 	res := &Fig13Result{
@@ -196,7 +197,7 @@ func Fig13RDeltaCDF(s *Suite, intervals []time.Duration) (*Fig13Result, error) {
 		PlateauShare1m: make(map[int]float64),
 	}
 	for _, iv := range intervals {
-		run, err := s.IntervalRun(iv)
+		run, err := s.IntervalRunContext(ctx, iv)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -107,7 +108,7 @@ func TestFig5Signature(t *testing.T) {
 
 func TestFig6LinkSimilarity(t *testing.T) {
 	s := testSuite(t)
-	run, err := s.IntervalRun(time.Minute)
+	run, err := s.IntervalRunContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestFig6LinkSimilarity(t *testing.T) {
 
 func TestFig7ProjectOverlap(t *testing.T) {
 	s := testSuite(t)
-	run, err := s.IntervalRun(time.Minute)
+	run, err := s.IntervalRunContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestFig7ProjectOverlap(t *testing.T) {
 
 func TestFig8Propagation(t *testing.T) {
 	s := testSuite(t)
-	run, err := s.IntervalRun(time.Minute)
+	run, err := s.IntervalRunContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestFig8Propagation(t *testing.T) {
 
 func TestFig9Marginals(t *testing.T) {
 	s := testSuite(t)
-	res, ds, err := s.Inference(time.Minute)
+	res, ds, err := s.InferenceContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestFig9Marginals(t *testing.T) {
 
 func TestFig10BurstHistogram(t *testing.T) {
 	s := testSuite(t)
-	run, err := s.IntervalRun(time.Minute)
+	run, err := s.IntervalRunContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestFig10BurstHistogram(t *testing.T) {
 
 func TestFig11Scatter(t *testing.T) {
 	s := testSuite(t)
-	res, _, err := s.Inference(time.Minute)
+	res, _, err := s.InferenceContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestFig11Scatter(t *testing.T) {
 
 func TestTab2Categories(t *testing.T) {
 	s := testSuite(t)
-	res, ds, err := s.Inference(time.Minute)
+	res, ds, err := s.InferenceContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestTab2Categories(t *testing.T) {
 
 func TestFig12IntervalSweep(t *testing.T) {
 	s := testSuite(t)
-	res, err := Fig12IntervalSweep(s, []time.Duration{time.Minute, 10 * time.Minute})
+	res, err := Fig12IntervalSweep(context.Background(), s, []time.Duration{time.Minute, 10 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestFig12IntervalSweep(t *testing.T) {
 
 func TestFig13RDeltaCDF(t *testing.T) {
 	s := testSuite(t)
-	res, err := Fig13RDeltaCDF(s, []time.Duration{time.Minute})
+	res, err := Fig13RDeltaCDF(context.Background(), s, []time.Duration{time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +355,11 @@ func TestFig13RDeltaCDF(t *testing.T) {
 
 func TestTab3Divergence(t *testing.T) {
 	s := testSuite(t)
-	run, err := s.IntervalRun(time.Minute)
+	run, err := s.IntervalRunContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := s.Inference(time.Minute)
+	res, _, err := s.InferenceContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +389,7 @@ func TestTab3Divergence(t *testing.T) {
 
 func TestTab4PrecisionRecall(t *testing.T) {
 	s := testSuite(t)
-	tab, err := Tab4PrecisionRecall(s)
+	tab, err := Tab4PrecisionRecallContext(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +431,7 @@ func TestPilot2019(t *testing.T) {
 	cfg.VPsPerProject = 5
 	cfg.RFDShare = 0.7
 	cfg.AggressiveShare = 0.5
-	res, err := Pilot2019(cfg, 2)
+	res, err := Pilot2019(context.Background(), cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +466,7 @@ func TestAppendixAEthics(t *testing.T) {
 	cfg.VPsPerProject = 4
 	cfg.BackgroundPrefixes = 40
 	cfg.ChurnMeanInterval = 15 * time.Minute
-	res, err := AppendixAEthics(cfg, 1)
+	res, err := AppendixAEthics(context.Background(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +500,7 @@ func TestBackgroundChurnDoesNotDisturbLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet, err := quietScenario.RunCampaign(IntervalCampaign(time.Minute, 1))
+	quiet, err := quietScenario.RunCampaignContext(context.Background(), IntervalCampaign(time.Minute, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +509,7 @@ func TestBackgroundChurnDoesNotDisturbLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := noisyScenario.RunCampaign(IntervalCampaign(time.Minute, 1))
+	noisy, err := noisyScenario.RunCampaignContext(context.Background(), IntervalCampaign(time.Minute, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,11 +530,11 @@ func TestFig8PropagationConsistentAcrossCampaigns(t *testing.T) {
 	// separate campaigns over the same infrastructure are statistically
 	// close (small Kolmogorov-Smirnov distance).
 	s := testSuite(t)
-	runA, err := s.IntervalRun(time.Minute)
+	runA, err := s.IntervalRunContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runB, err := s.IntervalRun(10 * time.Minute)
+	runB, err := s.IntervalRunContext(context.Background(), 10*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,30 +556,30 @@ func TestFig8PropagationConsistentAcrossCampaigns(t *testing.T) {
 
 func TestSuiteCachesRunsAndInferences(t *testing.T) {
 	s := testSuite(t)
-	r1, err := s.IntervalRun(time.Minute)
+	r1, err := s.IntervalRunContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.IntervalRun(time.Minute)
+	r2, err := s.IntervalRunContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 != r2 {
-		t.Error("IntervalRun not cached")
+		t.Error("IntervalRunContext not cached")
 	}
-	i1, _, err := s.Inference(time.Minute)
+	i1, _, err := s.InferenceContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i2, _, err := s.Inference(time.Minute)
+	i2, _, err := s.InferenceContext(context.Background(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if i1 != i2 {
-		t.Error("Inference not cached")
+		t.Error("InferenceContext not cached")
 	}
-	if s.Pairs() != 2 {
-		t.Errorf("Pairs = %d", s.Pairs())
+	if s.pairs != 2 {
+		t.Errorf("pairs = %d", s.pairs)
 	}
 	if s.Scenario() == nil {
 		t.Error("nil scenario")

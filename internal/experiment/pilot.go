@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -25,7 +26,7 @@ type PilotResult struct {
 
 // Pilot2019 runs the pilot campaign over a scenario variant where a share
 // of the dampers carries the tightened-legacy configuration.
-func Pilot2019(cfg ScenarioConfig, pairs int) (*PilotResult, error) {
+func Pilot2019(ctx context.Context, cfg ScenarioConfig, pairs int) (*PilotResult, error) {
 	if cfg.AggressiveShare == 0 {
 		cfg.AggressiveShare = 0.4
 	}
@@ -42,7 +43,7 @@ func Pilot2019(cfg ScenarioConfig, pairs int) (*PilotResult, error) {
 		// Long bursts so even 60-minute intervals fit several updates.
 		c.BurstLen = 4 * time.Hour
 		c.BreakLen = 6 * time.Hour
-		run, err := scenario.RunCampaign(c)
+		run, err := scenario.RunCampaignContext(ctx, c)
 		if err != nil {
 			return nil, err
 		}

@@ -100,8 +100,8 @@ type ScenarioConfig struct {
 	ChurnMeanInterval time.Duration
 	// Workers bounds the concurrency of everything the harness fans out:
 	// the chains inside each inference run (core.Config.Workers) and the
-	// per-interval campaigns of Suite.Prewarm. 0 selects GOMAXPROCS; 1
-	// recovers sequential execution. Results are identical at any setting
+	// per-interval campaigns of Suite.PrewarmContext. 0 selects
+	// GOMAXPROCS; 1 recovers sequential execution. Results are identical at any setting
 	// — the tomography engine pre-splits RNG streams deterministically
 	// (see core.Config.Workers) and each campaign's stream depends only on
 	// the scenario seed and campaign name.
@@ -145,7 +145,7 @@ type Scenario struct {
 	Deployments map[bgp.ASN]Deployment
 	// Obs, when set, instruments every campaign run over this scenario:
 	// collector ingest counters, labeling counters, stage spans, and the
-	// inference metrics of Run.Infer. Nil (the default) is a no-op.
+	// inference metrics of Run.InferContext. Nil (the default) is a no-op.
 	Obs *obs.Observer
 
 	// nextHops records, from the discovery round, how often each measured

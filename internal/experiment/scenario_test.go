@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -195,11 +196,11 @@ func TestSeedRobustness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		run, err := s.RunCampaign(IntervalCampaign(time.Minute, 2))
+		run, err := s.RunCampaignContext(context.Background(), IntervalCampaign(time.Minute, 2))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		res, _, err := run.Infer()
+		res, _, err := run.InferContext(context.Background())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -239,7 +240,7 @@ func TestNewScenarioFromGraph(t *testing.T) {
 	if len(s.Sites) != 3 || len(s.Deployments) == 0 {
 		t.Fatalf("sites=%d deployments=%d", len(s.Sites), len(s.Deployments))
 	}
-	run, err := s.RunCampaign(IntervalCampaign(time.Minute, 1))
+	run, err := s.RunCampaignContext(context.Background(), IntervalCampaign(time.Minute, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"because/internal/beacon"
 	"because/internal/core"
 	"because/internal/par"
 )
@@ -26,8 +25,8 @@ var PaperIntervals = []time.Duration{
 //
 // Suite is safe for concurrent use: each interval's campaign and inference
 // are computed exactly once (duplicate callers wait for the first), which
-// is what lets Prewarm fan intervals out over a worker pool while the
-// figure generators keep their simple sequential call sites. Results are
+// is what lets PrewarmContext fan intervals out over a worker pool while
+// the figure generators keep their simple sequential call sites. Results are
 // deterministic regardless of concurrency — each campaign derives its own
 // RNG stream from the scenario seed and the campaign name alone.
 type Suite struct {
@@ -125,19 +124,12 @@ func NewSuite(cfg ScenarioConfig, pairs int) (*Suite, error) {
 // Scenario returns the shared world.
 func (s *Suite) Scenario() *Scenario { return s.scenario }
 
-// Pairs returns the configured Burst-Break pair count.
-func (s *Suite) Pairs() int { return s.pairs }
-
-// IntervalRun returns the (cached) campaign run for one update interval.
-// Concurrent callers for the same interval share one computation.
-func (s *Suite) IntervalRun(interval time.Duration) (*Run, error) {
-	return s.IntervalRunContext(context.Background(), interval)
-}
-
-// IntervalRunContext is IntervalRun under a context. The campaign
-// simulation itself is not cancellable mid-flight, but a waiter blocked on
-// another caller's computation returns ctx.Err() as soon as its context
-// is cancelled.
+// IntervalRunContext returns the (cached) campaign run for one update
+// interval. Concurrent callers for the same interval share one
+// computation, which runs under the leader's ctx (so a traced leader
+// records the campaign span). The campaign simulation itself is not
+// cancellable mid-flight, but a waiter blocked on another caller's
+// computation returns ctx.Err() as soon as its context is cancelled.
 func (s *Suite) IntervalRunContext(ctx context.Context, interval time.Duration) (*Run, error) {
 	s.mu.Lock()
 	slot, ok := s.runs[interval]
@@ -147,20 +139,15 @@ func (s *Suite) IntervalRunContext(ctx context.Context, interval time.Duration) 
 	}
 	s.mu.Unlock()
 	return slot.get(ctx, func() (*Run, error) {
-		return s.scenario.RunCampaign(IntervalCampaign(interval, s.pairs))
+		return s.scenario.RunCampaignContext(ctx, IntervalCampaign(interval, s.pairs))
 	})
 }
 
-// Inference returns the (cached) BeCAUSe result for one interval.
-// Concurrent callers for the same interval share one computation.
-func (s *Suite) Inference(interval time.Duration) (*core.Result, *core.Dataset, error) {
-	return s.InferenceContext(context.Background(), interval)
-}
-
-// InferenceContext is Inference under a context: a leader's sampler chains
-// stop within one sweep of cancellation, a cancelled leader's slot is
-// recomputed by the next caller rather than cached, and cancelled waiters
-// return ctx.Err() immediately.
+// InferenceContext returns the (cached) BeCAUSe result for one interval.
+// Concurrent callers for the same interval share one computation. A
+// leader's sampler chains stop within one sweep of cancellation, a
+// cancelled leader's slot is recomputed by the next caller rather than
+// cached, and cancelled waiters return ctx.Err() immediately.
 func (s *Suite) InferenceContext(ctx context.Context, interval time.Duration) (*core.Result, *core.Dataset, error) {
 	s.mu.Lock()
 	slot, ok := s.infers[interval]
@@ -180,20 +167,15 @@ func (s *Suite) InferenceContext(ctx context.Context, interval time.Duration) (*
 	return v.res, v.ds, err
 }
 
-// Prewarm computes the campaign run and inference for every interval on a
-// bounded worker pool (ScenarioConfig.Workers; 0 selects GOMAXPROCS) and
-// fills the suite's caches, so subsequent generator calls hit warm entries.
-// The multi-interval sweeps (Figure 12/13) call it first: intervals are
-// independent worlds, the natural fan-out axis of the experiment harness.
-// Errors are reported deterministically — the first failing interval in
-// the given order wins, not the first to fail on the clock.
-func (s *Suite) Prewarm(intervals []time.Duration) error {
-	return s.PrewarmContext(context.Background(), intervals)
-}
-
-// PrewarmContext is Prewarm under a context: a cancelled context skips
-// intervals still queued on the pool, stops running inferences within one
-// sweep, and returns ctx.Err().
+// PrewarmContext computes the campaign run and inference for every
+// interval on a bounded worker pool (ScenarioConfig.Workers; 0 selects
+// GOMAXPROCS) and fills the suite's caches, so subsequent generator calls
+// hit warm entries. The multi-interval sweeps (Figure 12/13) call it
+// first: intervals are independent worlds, the natural fan-out axis of the
+// experiment harness. Errors are reported deterministically — the first
+// failing interval in the given order wins, not the first to fail on the
+// clock. A cancelled context skips intervals still queued on the pool,
+// stops running inferences within one sweep, and returns ctx.Err().
 func (s *Suite) PrewarmContext(ctx context.Context, intervals []time.Duration) error {
 	return s.prewarm(ctx, intervals, func(iv time.Duration) error {
 		_, _, err := s.InferenceContext(ctx, iv)
@@ -201,12 +183,12 @@ func (s *Suite) PrewarmContext(ctx context.Context, intervals []time.Duration) e
 	})
 }
 
-// PrewarmRuns is Prewarm without the inference stage: it fans out only the
-// campaign simulations. The distribution figures (e.g. Figure 13) read raw
-// measurements and never need the sampler output.
-func (s *Suite) PrewarmRuns(intervals []time.Duration) error {
-	return s.prewarm(context.Background(), intervals, func(iv time.Duration) error {
-		_, err := s.IntervalRun(iv)
+// PrewarmRuns is PrewarmContext without the inference stage: it fans out
+// only the campaign simulations. The distribution figures (e.g. Figure 13)
+// read raw measurements and never need the sampler output.
+func (s *Suite) PrewarmRuns(ctx context.Context, intervals []time.Duration) error {
+	return s.prewarm(ctx, intervals, func(iv time.Duration) error {
+		_, err := s.IntervalRunContext(ctx, iv)
 		return err
 	})
 }
@@ -236,11 +218,6 @@ func (s *Suite) prewarm(ctx context.Context, intervals []time.Duration, warm fun
 		return err
 	}
 	return nil
-}
-
-// Campaign runs an arbitrary multi-interval campaign (uncached).
-func (s *Suite) Campaign(c beacon.Campaign) (*Run, error) {
-	return s.scenario.RunCampaign(c)
 }
 
 // Report is a rendered experiment: a title, paper-style text rows, and is

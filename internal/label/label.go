@@ -93,18 +93,13 @@ type pathAgg struct {
 	m Measurement
 }
 
-// LabelPaths analyses collector entries against the beacon schedules and
-// returns one Measurement per (vantage point, prefix, cleaned path)
-// actually observed. Anchor schedules are skipped: they are the propagation
-// control, not an RFD probe.
-func LabelPaths(entries []collector.Entry, schedules []beacon.Schedule, cfg Config) []Measurement {
-	return LabelPathsContext(context.Background(), entries, schedules, cfg)
-}
-
-// LabelPathsContext is LabelPaths under a context: when ctx carries a
-// trace (obs.ContextWithSpan), the labeling stage records a "label" span
-// with entry/path counts into it. Labeling itself never blocks, so the
-// context is an observability position, not a cancellation point.
+// LabelPathsContext analyses collector entries against the beacon
+// schedules and returns one Measurement per (vantage point, prefix,
+// cleaned path) actually observed. Anchor schedules are skipped: they are
+// the propagation control, not an RFD probe. When ctx carries a trace
+// (obs.ContextWithSpan), the labeling stage records a "label" span with
+// entry/path counts into it. Labeling itself never blocks, so the context
+// is an observability position, not a cancellation point.
 func LabelPathsContext(ctx context.Context, entries []collector.Entry, schedules []beacon.Schedule, cfg Config) []Measurement {
 	cfg = cfg.withDefaults()
 	span, _ := cfg.Obs.StartSpan(ctx, "label")

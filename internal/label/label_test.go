@@ -2,6 +2,7 @@ package label
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -87,7 +88,7 @@ func TestNonRFDFeed(t *testing.T) {
 	for p := 0; p < 3; p++ {
 		entries = append(entries, burstTracking(sched, p)...)
 	}
-	ms := LabelPaths(entries, []beacon.Schedule{sched}, Config{})
+	ms := LabelPathsContext(context.Background(), entries, []beacon.Schedule{sched}, Config{})
 	if len(ms) != 1 {
 		t.Fatalf("measurements = %d", len(ms))
 	}
@@ -109,7 +110,7 @@ func TestRFDFeed(t *testing.T) {
 	for p := 0; p < 3; p++ {
 		entries = append(entries, burstDamped(sched, p, 25*time.Minute)...)
 	}
-	ms := LabelPaths(entries, []beacon.Schedule{sched}, Config{})
+	ms := LabelPathsContext(context.Background(), entries, []beacon.Schedule{sched}, Config{})
 	if len(ms) != 1 {
 		t.Fatalf("measurements = %d", len(ms))
 	}
@@ -144,12 +145,12 @@ func TestNinetyPercentRule(t *testing.T) {
 		return entries
 	}
 	// 8/10 matching: below the 90% bar.
-	ms := LabelPaths(build(8), []beacon.Schedule{sched}, Config{})
+	ms := LabelPathsContext(context.Background(), build(8), []beacon.Schedule{sched}, Config{})
 	if len(ms) != 1 || ms[0].RFD {
 		t.Errorf("8/10 labeled RFD: %+v", ms)
 	}
 	// 9/10 matching: at the bar.
-	ms = LabelPaths(build(9), []beacon.Schedule{sched}, Config{})
+	ms = LabelPathsContext(context.Background(), build(9), []beacon.Schedule{sched}, Config{})
 	if len(ms) != 1 || !ms[0].RFD {
 		t.Errorf("9/10 not labeled RFD: %+v", ms)
 	}
@@ -168,7 +169,7 @@ func TestShortReadvertisementIsNotRFD(t *testing.T) {
 			announceAt(end.Add(3*time.Minute+30*time.Second), 1, 2, 3), // 3 min later
 		)
 	}
-	ms := LabelPaths(entries, []beacon.Schedule{sched}, Config{})
+	ms := LabelPathsContext(context.Background(), entries, []beacon.Schedule{sched}, Config{})
 	if len(ms) != 1 || ms[0].RFD {
 		t.Errorf("short gap labeled RFD: %+v", ms)
 	}
@@ -180,7 +181,7 @@ func TestEmptyPairsAreSkipped(t *testing.T) {
 	var entries []collector.Entry
 	entries = append(entries, burstDamped(sched, 0, 20*time.Minute)...)
 	entries = append(entries, burstDamped(sched, 1, 20*time.Minute)...)
-	ms := LabelPaths(entries, []beacon.Schedule{sched}, Config{})
+	ms := LabelPathsContext(context.Background(), entries, []beacon.Schedule{sched}, Config{})
 	if len(ms) != 1 {
 		t.Fatalf("measurements = %d", len(ms))
 	}
@@ -198,7 +199,7 @@ func TestPrependingCleaned(t *testing.T) {
 	entries := []collector.Entry{
 		announceAt(start.Add(time.Minute), 1, 2, 2, 2, 3),
 	}
-	ms := LabelPaths(entries, []beacon.Schedule{sched}, Config{})
+	ms := LabelPathsContext(context.Background(), entries, []beacon.Schedule{sched}, Config{})
 	if len(ms) != 1 {
 		t.Fatalf("measurements = %d", len(ms))
 	}
@@ -227,7 +228,7 @@ func TestAnchorSchedulesSkipped(t *testing.T) {
 		VP: vpRIS, Received: t0, Exported: t0,
 		Update: &bgp.Update{ASPath: bgp.NewPath(1, 2, 3), NLRI: []bgp.Prefix{anchor}},
 	}}
-	ms := LabelPaths(entries, []beacon.Schedule{anchorSched}, Config{})
+	ms := LabelPathsContext(context.Background(), entries, []beacon.Schedule{anchorSched}, Config{})
 	if len(ms) != 0 {
 		t.Errorf("anchor produced measurements: %v", ms)
 	}
@@ -290,7 +291,7 @@ func TestEndToEndWithSimulator(t *testing.T) {
 	}
 	net := router.New(eng, g, opts, stats.NewRNG(1))
 	col := collector.New(stats.NewRNG(2))
-	if err := col.Attach(net, []collector.VantagePoint{vpRIS}); err != nil {
+	if err := col.AttachContext(context.Background(), net, []collector.VantagePoint{vpRIS}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -313,7 +314,7 @@ func TestEndToEndWithSimulator(t *testing.T) {
 	}
 	eng.Run()
 
-	ms := LabelPaths(col.Entries(), []beacon.Schedule{schedDamped, schedClean}, Config{})
+	ms := LabelPathsContext(context.Background(), col.Entries(), []beacon.Schedule{schedDamped, schedClean}, Config{})
 	var damped, clean *Measurement
 	for i := range ms {
 		switch ms[i].Site {

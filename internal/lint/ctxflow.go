@@ -15,13 +15,10 @@ import (
 //
 //  1. Library packages (everything that is not a main package and not
 //     under cmd/) must not mint root contexts with context.Background()
-//     or context.TODO(). Two idioms are recognised and exempt:
-//     defensive defaulting (`if ctx == nil { ctx = context.Background() }`
-//     assigning to a context parameter) and the documented compat shim —
-//     a function whose whole body is one return statement delegating to
-//     its Context-suffixed variant with context.Background() as a direct
-//     call argument (e.g. `func Infer(...) { return InferContext(
-//     context.Background(), ...) }`).
+//     or context.TODO(). The one exempt idiom is defensive defaulting
+//     (`if ctx == nil { ctx = context.Background() }` assigning to a
+//     context parameter); any other root needs a `//lint:allow ctxflow`
+//     directive that says why nothing upstream can supply a ctx.
 //
 //  2. A function that receives a context.Context must hand it (or a
 //     context.With* derivative of it) to every context-aware callee on
@@ -64,7 +61,7 @@ func CtxFlow() *Analyzer {
 }
 
 // checkRootContext flags context.Background()/context.TODO() calls in
-// library code, modulo the two exempt idioms.
+// library code, modulo the nil-ctx default.
 func checkRootContext(pass *Pass, n ast.Node, stack []ast.Node) {
 	call, ok := n.(*ast.CallExpr)
 	if !ok {
@@ -74,7 +71,7 @@ func checkRootContext(pass *Pass, n ast.Node, stack []ast.Node) {
 	if !ok || (name != "Background" && name != "TODO") {
 		return
 	}
-	// Exemption 1: defensive defaulting onto a context parameter —
+	// Exemption: defensive defaulting onto a context parameter —
 	// `ctx = context.Background()` where ctx is a parameter of an
 	// enclosing function.
 	if len(stack) > 0 {
@@ -86,19 +83,7 @@ func checkRootContext(pass *Pass, n ast.Node, stack []ast.Node) {
 			}
 		}
 	}
-	// Exemption 2: the compat shim — the whole enclosing function is one
-	// return statement delegating with the root context as a direct call
-	// argument (the Context-suffixed variant it hands off to). A function
-	// that already receives a ctx has no business minting a root, so the
-	// shim shape only counts for context-free signatures.
-	if fn := enclosingFunc(stack); fn != nil && !funcHasContextParam(pass, fn) {
-		if body, _ := funcParts(fn); body != nil && len(body.List) == 1 {
-			if ret, ok := body.List[0].(*ast.ReturnStmt); ok && callArgContains(ret, call) {
-				return
-			}
-		}
-	}
-	pass.Reportf(call.Pos(), "context.%s() in library package %s: thread the caller's ctx instead (cancellation must stay end-to-end; non-Context compat shims may delegate with a single return statement)", name, pass.Pkg.ImportPath)
+	pass.Reportf(call.Pos(), "context.%s() in library package %s: thread the caller's ctx instead (cancellation must stay end-to-end)", name, pass.Pkg.ImportPath)
 }
 
 // checkCtxThreading applies rule 2 to one function: when fn receives a
@@ -350,22 +335,6 @@ func funcTypeHasContext(pass *Pass, ft *ast.FuncType) bool {
 	return false
 }
 
-// funcHasContextParam reports whether fn declares a context.Context in
-// its receiver, parameter or result lists.
-func funcHasContextParam(pass *Pass, fn ast.Node) bool {
-	_, fieldLists := funcParts(fn)
-	for _, fl := range fieldLists {
-		for _, field := range fl.List {
-			for _, name := range field.Names {
-				if v, ok := pass.Pkg.Info.Defs[name].(*types.Var); ok && isContextType(v.Type()) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // isParamOfEnclosing reports whether v is declared in the parameter (or
 // receiver/result) list of one of the functions on the ancestor stack.
 func isParamOfEnclosing(pass *Pass, v *types.Var, stack []ast.Node) bool {
@@ -382,25 +351,6 @@ func isParamOfEnclosing(pass *Pass, v *types.Var, stack []ast.Node) bool {
 		}
 	}
 	return false
-}
-
-// callArgContains reports whether target appears as a direct argument of
-// some call expression underneath root.
-func callArgContains(root ast.Node, target *ast.CallExpr) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || found {
-			return !found
-		}
-		for _, arg := range call.Args {
-			if argCall(arg) == target {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // calleeName renders the called function for diagnostics: the selector

@@ -20,7 +20,7 @@ func MintsRoot() error {
 }
 
 // MintsTODO passes a root context in a multi-statement body: flagged
-// (rule 1; the compat-shim exemption needs a single-return body).
+// (rule 1).
 func MintsTODO() error {
 	err := ctxAware(context.TODO())
 	return err
@@ -43,8 +43,8 @@ func Rebound(ctx context.Context, h holder) error {
 }
 
 // ShimWithCtx already receives a context yet delegates with a fresh
-// root: flagged (rule 1 — the shim exemption never applies to
-// context-receiving signatures). Rule 2 stays quiet here: library
+// root: flagged (rule 1 — the nil-ctx default is the only root a
+// context-receiving function may mint). Rule 2 stays quiet here: library
 // packages report the root at its minting site only.
 func ShimWithCtx(ctx context.Context) error {
 	return ctxAwareContext(context.Background(), 0)
@@ -63,9 +63,9 @@ func AliasDerived(ctx context.Context) error {
 	return ctxAware(c)
 }
 
-// Shim is the documented compat pattern — a context-free signature
-// whose whole body is one return delegating to the Context variant:
-// silent.
+// Shim is a context-free twin whose whole body is one return delegating
+// to the Context variant with a fresh root: flagged (rule 1 — a caller
+// that goes through the twin cannot cancel the work).
 func Shim(n int) error {
 	return ctxAwareContext(context.Background(), n)
 }
@@ -153,4 +153,21 @@ func PassthroughMulti(ctx context.Context) error {
 func PassthroughLaundering(ctx context.Context, h holder) error {
 	_ = ctx
 	return ctxAware(ctxPassthrough(h.ctx, "stage"))
+}
+
+// warmAll mimics a ctx-taking worker-pool helper.
+func warmAll(ctx context.Context, n int, warm func(int) error) error {
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		if err := warm(i); err != nil {
+			return err
+		}
+	}
+	return ctx.Err()
+}
+
+// WarmNoTwin has no Context variant at all: its single return hands a
+// fresh root to a ctx-taking helper, so no caller can ever cancel the
+// work: flagged (rule 1).
+func WarmNoTwin(n int) error {
+	return warmAll(context.Background(), n, func(int) error { return nil })
 }

@@ -1,10 +1,10 @@
-// Package rngshare seeds cross-goroutine RNG sharing for the rngshare
-// analyzer's golden test.
+// Package rngshare seeds cross-goroutine RNG sharing for its golden test.
 package rngshare
 
 import (
 	"because/internal/par"
 	"because/internal/stats"
+	"context"
 )
 
 // Shared captures the parent generator in a go statement: flagged.
@@ -22,7 +22,7 @@ func Shared(rng *stats.RNG) []float64 {
 
 // PoolShared hands the parent generator to a par.Group task: flagged.
 func PoolShared(rng *stats.RNG) float64 {
-	g := par.NewGroup(2, nil, "fixture")
+	g := par.NewGroupContext(context.Background(), 2, nil, "fixture")
 	var v float64
 	g.Go(func() error {
 		v = rng.Float64()
@@ -43,7 +43,7 @@ func consume(*stats.RNG) {}
 // flagged (false-positive guard).
 func PreSplit(rng *stats.RNG) float64 {
 	stream := rng.Split()
-	g := par.NewGroup(2, nil, "fixture")
+	g := par.NewGroupContext(context.Background(), 2, nil, "fixture")
 	var v float64
 	g.Go(func() error {
 		v = stream.Float64()

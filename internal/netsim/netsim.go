@@ -44,11 +44,9 @@ func (q *eventQueue) Pop() any {
 // all model code runs inside event callbacks on the calling goroutine,
 // which is what makes runs deterministic without locks.
 type Engine struct {
-	now     time.Time
-	queue   eventQueue
-	seq     uint64
-	stopped bool
-	events  uint64
+	now   time.Time
+	queue eventQueue
+	seq   uint64
 }
 
 // NewEngine returns an engine whose clock starts at start.
@@ -58,13 +56,6 @@ func NewEngine(start time.Time) *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Time { return e.now }
-
-// Processed returns the number of events executed so far (for metrics and
-// runaway detection in tests).
-func (e *Engine) Processed() uint64 { return e.events }
-
-// Pending returns the number of scheduled, not-yet-run events.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // At schedules fn to run at the absolute virtual time at. Scheduling in the
 // past (before Now) panics: that is always a model bug, and silently
@@ -85,17 +76,12 @@ func (e *Engine) After(d time.Duration, fn func()) {
 	e.At(e.now.Add(d), fn)
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called. It
-// returns the virtual time of the last event executed.
+// Run executes events until the queue is empty. It returns the virtual
+// time of the last event executed.
 func (e *Engine) Run() time.Time {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
+	for len(e.queue) > 0 {
 		ev := heap.Pop(&e.queue).(*event)
 		e.now = ev.at
-		e.events++
 		ev.fn()
 	}
 	return e.now
@@ -104,14 +90,9 @@ func (e *Engine) Run() time.Time {
 // RunUntil executes events with timestamps <= deadline, advances the clock
 // to exactly deadline, and leaves later events queued.
 func (e *Engine) RunUntil(deadline time.Time) {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at.After(deadline) {
-			break
-		}
+	for len(e.queue) > 0 && !e.queue[0].at.After(deadline) {
 		ev := heap.Pop(&e.queue).(*event)
 		e.now = ev.at
-		e.events++
 		ev.fn()
 	}
 	if e.now.Before(deadline) {

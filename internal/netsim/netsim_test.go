@@ -79,31 +79,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	e.After(-time.Second, func() {})
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine(t0)
-	ran := 0
-	for i := 1; i <= 10; i++ {
-		e.At(t0.Add(time.Duration(i)*time.Second), func() {
-			ran++
-			if ran == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if ran != 3 {
-		t.Fatalf("ran %d events after Stop at 3", ran)
-	}
-	if e.Pending() != 7 {
-		t.Errorf("pending = %d", e.Pending())
-	}
-	// Run resumes after a Stop.
-	e.Run()
-	if ran != 10 {
-		t.Errorf("resume ran %d total", ran)
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := NewEngine(t0)
 	ran := 0
@@ -125,17 +100,6 @@ func TestRunUntil(t *testing.T) {
 	e.Run()
 	if ran != 10 {
 		t.Errorf("total ran = %d", ran)
-	}
-}
-
-func TestProcessedCounter(t *testing.T) {
-	e := NewEngine(t0)
-	for i := 0; i < 5; i++ {
-		e.After(time.Duration(i)*time.Second, func() {})
-	}
-	e.Run()
-	if e.Processed() != 5 {
-		t.Errorf("Processed = %d", e.Processed())
 	}
 }
 

@@ -29,8 +29,8 @@ func Workers(n int) int {
 }
 
 // Group runs tasks on a bounded pool of goroutines. The zero value is not
-// usable; construct with NewGroup. A Group may be used for one wave of
-// tasks: submit with Go, then Wait. It must not be reused after Wait.
+// usable; construct with NewGroupContext. A Group may be used for one wave
+// of tasks: submit with Go, then Wait. It must not be reused after Wait.
 type Group struct {
 	ctx  context.Context
 	sem  chan struct{}
@@ -43,20 +43,16 @@ type Group struct {
 	tasks *obs.Counter
 }
 
-// NewGroup returns a group running at most workers tasks concurrently
-// (workers < 1 selects GOMAXPROCS). The observer, when non-nil, receives a
-// busy-worker gauge and a completed-task counter labeled pool=name.
-func NewGroup(workers int, o *obs.Observer, name string) *Group {
-	return NewGroupContext(context.Background(), workers, o, name)
-}
-
-// NewGroupContext is NewGroup bound to a context: once ctx is cancelled,
-// tasks submitted (or still queued behind the semaphore) are skipped
-// before they start, and the group records ctx.Err() so Wait reports the
-// cancellation. Tasks already running are NOT interrupted — cooperative
-// cancellation inside the task (e.g. a sampler checking ctx per sweep) is
-// the caller's job. Determinism contract unchanged: skipping never writes
-// a result slot, and the caller only reads slots after an error-free Wait.
+// NewGroupContext returns a group running at most workers tasks
+// concurrently (workers < 1 selects GOMAXPROCS). The observer, when
+// non-nil, receives a busy-worker gauge and a completed-task counter
+// labeled pool=name. Once ctx is cancelled, tasks submitted (or still
+// queued behind the semaphore) are skipped before they start, and the
+// group records ctx.Err() so Wait reports the cancellation. Tasks already
+// running are NOT interrupted — cooperative cancellation inside the task
+// (e.g. a sampler checking ctx per sweep) is the caller's job. Skipping
+// never writes a result slot, and the caller only reads slots after an
+// error-free Wait, so results stay deterministic.
 func NewGroupContext(ctx context.Context, workers int, o *obs.Observer, name string) *Group {
 	if ctx == nil {
 		ctx = context.Background()

@@ -25,7 +25,7 @@ func TestWorkersResolution(t *testing.T) {
 }
 
 func TestGroupRunsEveryTask(t *testing.T) {
-	g := NewGroup(3, nil, "test")
+	g := NewGroupContext(context.Background(), 3, nil, "test")
 	var n atomic.Int64
 	for i := 0; i < 100; i++ {
 		g.Go(func() error {
@@ -43,7 +43,7 @@ func TestGroupRunsEveryTask(t *testing.T) {
 
 func TestGroupBoundsConcurrency(t *testing.T) {
 	const limit = 4
-	g := NewGroup(limit, nil, "test")
+	g := NewGroupContext(context.Background(), limit, nil, "test")
 	var cur, max atomic.Int64
 	for i := 0; i < 64; i++ {
 		g.Go(func() error {
@@ -69,7 +69,7 @@ func TestGroupBoundsConcurrency(t *testing.T) {
 
 func TestGroupFirstErrorWinsAndSkipsRest(t *testing.T) {
 	boom := errors.New("boom")
-	g := NewGroup(1, nil, "test")
+	g := NewGroupContext(context.Background(), 1, nil, "test")
 	var ran atomic.Int64
 	g.Go(func() error { ran.Add(1); return boom })
 	// With one worker the failure is recorded before later submissions
@@ -87,7 +87,7 @@ func TestGroupFirstErrorWinsAndSkipsRest(t *testing.T) {
 
 func TestGroupPoolMetrics(t *testing.T) {
 	observer := obs.New(nil, obs.NewRegistry())
-	g := NewGroup(2, observer, "unit")
+	g := NewGroupContext(context.Background(), 2, observer, "unit")
 	for i := 0; i < 9; i++ {
 		g.Go(func() error { return nil })
 	}
@@ -107,7 +107,7 @@ func TestGroupPoolMetrics(t *testing.T) {
 // write to disjoint slots, the canonical usage pattern of core.Infer.
 func TestGroupStress(t *testing.T) {
 	const tasks = 400
-	g := NewGroup(8, obs.New(nil, obs.NewRegistry()), "stress")
+	g := NewGroupContext(context.Background(), 8, obs.New(nil, obs.NewRegistry()), "stress")
 	results := make([]int, tasks)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -196,7 +196,7 @@ func TestGroupNilContext(t *testing.T) {
 }
 
 func TestGroupErrorFromConcurrentTasks(t *testing.T) {
-	g := NewGroup(8, nil, "test")
+	g := NewGroupContext(context.Background(), 8, nil, "test")
 	for i := 0; i < 32; i++ {
 		i := i
 		g.Go(func() error {

@@ -201,9 +201,6 @@ func New[K comparable](p Params) *Damper[K] {
 	return &Damper[K]{params: p, states: make(map[K]*state)}
 }
 
-// Params returns the damper's configuration.
-func (d *Damper[K]) Params() Params { return d.params }
-
 // decayTo brings the state's penalty forward to now.
 func (d *Damper[K]) decayTo(s *state, now time.Time) {
 	if dt := now.Sub(s.lastDecay); dt > 0 {
@@ -295,9 +292,6 @@ func (d *Damper[K]) ReuseAt(key K, now time.Time) (time.Time, bool) {
 	minutes := d.params.HalfLife.Minutes() * math.Log2(s.penalty/d.params.ReuseThreshold)
 	return now.Add(time.Duration(minutes * float64(time.Minute))), true
 }
-
-// Reset clears all state for key (e.g. on session reset, RFC 2439 § 4.8.4).
-func (d *Damper[K]) Reset(key K) { delete(d.states, key) }
 
 // Len returns the number of keys with damping state, for introspection and
 // leak tests.

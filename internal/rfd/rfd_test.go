@@ -237,18 +237,6 @@ func TestDampsIntervalMatchesPaperExpectations(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	d := New[string](Cisco)
-	suppress(t, d, "k", t0)
-	d.Reset("k")
-	if d.Suppressed("k", t0) {
-		t.Error("suppressed after reset")
-	}
-	if d.Len() != 0 {
-		t.Errorf("Len = %d after reset", d.Len())
-	}
-}
-
 func TestIndependentKeys(t *testing.T) {
 	d := New[string](Cisco)
 	suppress(t, d, "a", t0)

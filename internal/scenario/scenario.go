@@ -393,40 +393,6 @@ func (s *Spec) Build() (*experiment.Scenario, error) {
 	return world, nil
 }
 
-// InferOptions returns the public-API options the scenario's inference
-// runs with: the experiment harness's standard sampler settings
-// (experiment.InferConfig) derived from the scenario seed. Callers may
-// layer non-semantic knobs (Workers, Obs, progress) on top.
-func (s *Spec) InferOptions() because.Options {
-	return because.Options{
-		Seed:     s.Seed + 7,
-		MHSweeps: 1600, MHBurnIn: 400,
-		HMCIterations: 600, HMCBurnIn: 200,
-		Workers:   s.Workers,
-		Model:     s.Model,
-		ChurnRate: s.ChurnRate,
-	}
-}
-
-// Observations converts a campaign run's labeled measurements into
-// public-API observations — the same tomography input Run.Dataset builds,
-// in the wire shape becaused serves.
-func Observations(run *experiment.Run) []because.PathObservation {
-	var out []because.PathObservation
-	for _, m := range run.Measurements {
-		tomo := m.TomographyPath()
-		if len(tomo) == 0 {
-			continue
-		}
-		path := make([]because.ASN, len(tomo))
-		for i, a := range tomo {
-			path[i] = because.ASN(a)
-		}
-		out = append(out, because.PathObservation{Path: path, ShowsProperty: m.RFD})
-	}
-	return out
-}
-
 // CanonicalJSON returns the document's canonical serialized form: fixed
 // field order (the Spec struct order), durations as strings, no
 // indentation. becaused hashes it into scenario cache keys.

@@ -78,9 +78,8 @@ const statusClientClosedRequest = 499
 // workload-dependent anyway, and the gauges are the real signal.
 const retryAfterSeconds = 1
 
-// Server is the inference service. Construct with New or NewContext;
-// serve either via Handler (to mount on an existing mux / httptest) or
-// Start + Shutdown.
+// Server is the inference service. Construct with New; serve either via
+// Handler (to mount on an existing mux / httptest) or Start + Shutdown.
 type Server struct {
 	cfg      Config
 	o        *obs.Observer
@@ -92,8 +91,9 @@ type Server struct {
 	draining atomic.Bool
 
 	// baseCtx parents detached (?async=1) jobs: they outlive their
-	// originating request, so they hang off the server's lifetime context
-	// instead of the request's. jobsWG tracks their goroutines for
+	// originating request, so they hang off the server's own root context
+	// instead of the request's: only DELETE /v1/jobs/{id} cancels one,
+	// and Shutdown waits for them. jobsWG tracks their goroutines for
 	// Shutdown; jobs is the registry behind GET /v1/jobs/{id}.
 	baseCtx context.Context
 	jobs    *jobRegistry
@@ -110,18 +110,8 @@ type Server struct {
 	sseEvents  *obs.Counter
 }
 
-// New builds a Server from the config. It is NewContext without a
-// lifetime context — detached jobs then only stop via DELETE or Shutdown.
+// New builds a Server from the config.
 func New(cfg Config) *Server {
-	return NewContext(context.Background(), cfg)
-}
-
-// NewContext builds a Server whose detached (?async=1) jobs run under
-// ctx: cancelling it cancels every such job.
-func NewContext(ctx context.Context, cfg Config) *Server {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	jobs := par.Workers(cfg.Jobs)
 	queue := cfg.QueueDepth
 	if queue == 0 {
@@ -155,7 +145,8 @@ func NewContext(ctx context.Context, cfg Config) *Server {
 		slots:   make(chan struct{}, jobs+queue),
 		run:     make(chan struct{}, jobs),
 		maxBody: maxBody,
-		baseCtx: ctx,
+		//lint:allow ctxflow detached jobs outlive every request and are drained by Shutdown, so only a root can parent them
+		baseCtx: context.Background(),
 		jobs:    newJobRegistry(),
 
 		inflight:   o.Gauge(obs.MetricServeInFlight),
@@ -401,7 +392,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, key string, pr
 
 	if async {
 		// Detached: the job outlives this request, parented on the
-		// server's lifetime context. DELETE /v1/jobs/{id} cancels it.
+		// server's root context. DELETE /v1/jobs/{id} cancels it.
 		jctx, jcancel := context.WithCancel(s.baseCtx)
 		j := s.jobs.create(key, jcancel)
 		work := prep(j)

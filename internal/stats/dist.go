@@ -5,41 +5,6 @@ import (
 	"math"
 )
 
-// Dist is a univariate distribution on (a subset of) the reals that can be
-// sampled and whose log-density can be evaluated. The BeCAUSe priors and the
-// samplers' proposal machinery are expressed against this interface.
-type Dist interface {
-	// Sample draws one variate using rng.
-	Sample(rng *RNG) float64
-	// LogPDF returns the natural log of the density at x, or math.Inf(-1)
-	// outside the support.
-	LogPDF(x float64) float64
-}
-
-// Uniform is the continuous uniform distribution on [Lo, Hi].
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// NewUniform returns a Uniform on [lo, hi]. It panics if hi <= lo.
-func NewUniform(lo, hi float64) Uniform {
-	if hi <= lo {
-		panic(fmt.Sprintf("stats: invalid Uniform[%g,%g]", lo, hi))
-	}
-	return Uniform{Lo: lo, Hi: hi}
-}
-
-// Sample draws from the uniform.
-func (u Uniform) Sample(rng *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*rng.Float64() }
-
-// LogPDF returns -log(Hi-Lo) inside the support.
-func (u Uniform) LogPDF(x float64) float64 {
-	if x < u.Lo || x > u.Hi {
-		return math.Inf(-1)
-	}
-	return -math.Log(u.Hi - u.Lo)
-}
-
 // Normal is the Gaussian distribution with mean Mu and standard deviation
 // Sigma.
 type Normal struct {
@@ -83,26 +48,6 @@ func (b Beta) Sample(rng *RNG) float64 {
 		return 0.5
 	}
 	return x / (x + y)
-}
-
-// LogPDF is the Beta log density.
-func (b Beta) LogPDF(x float64) float64 {
-	if x < 0 || x > 1 {
-		return math.Inf(-1)
-	}
-	// Handle the boundary: for alpha<1 the density diverges at 0; clamp so
-	// the samplers see a large-but-finite value instead of +Inf.
-	const eps = 1e-12
-	if x < eps {
-		x = eps
-	}
-	if x > 1-eps {
-		x = 1 - eps
-	}
-	lg, _ := math.Lgamma(b.Alpha + b.BetaP)
-	la, _ := math.Lgamma(b.Alpha)
-	lb, _ := math.Lgamma(b.BetaP)
-	return (b.Alpha-1)*math.Log(x) + (b.BetaP-1)*math.Log(1-x) + lg - la - lb
 }
 
 // gammaSample draws from Gamma(shape, 1) using Marsaglia–Tsang, with the

@@ -6,36 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestUniformSampleInRange(t *testing.T) {
-	r := NewRNG(1)
-	u := NewUniform(2, 5)
-	for i := 0; i < 10000; i++ {
-		x := u.Sample(r)
-		if x < 2 || x > 5 {
-			t.Fatalf("uniform sample %g outside [2,5]", x)
-		}
-	}
-}
-
-func TestUniformLogPDF(t *testing.T) {
-	u := NewUniform(0, 2)
-	if got, want := u.LogPDF(1), -math.Log(2); math.Abs(got-want) > 1e-12 {
-		t.Errorf("LogPDF(1) = %g, want %g", got, want)
-	}
-	if !math.IsInf(u.LogPDF(-0.1), -1) || !math.IsInf(u.LogPDF(2.1), -1) {
-		t.Error("LogPDF outside support should be -Inf")
-	}
-}
-
-func TestUniformPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewUniform(1,1) did not panic")
-		}
-	}()
-	NewUniform(1, 1)
-}
-
 func TestNormalLogPDF(t *testing.T) {
 	n := Normal{Mu: 0, Sigma: 1}
 	want := -0.5 * math.Log(2*math.Pi)
@@ -86,23 +56,6 @@ func TestBetaMoments(t *testing.T) {
 		if got := sum / float64(N); math.Abs(got-want) > 0.01 {
 			t.Errorf("Beta(%g,%g) mean = %g, want %g", c.a, c.b, got, want)
 		}
-	}
-}
-
-func TestBetaLogPDFUniformCase(t *testing.T) {
-	// Beta(1,1) is the uniform on [0,1]: density 1 everywhere.
-	d := NewBeta(1, 1)
-	for _, x := range []float64{0.1, 0.5, 0.9} {
-		if got := d.LogPDF(x); math.Abs(got) > 1e-9 {
-			t.Errorf("Beta(1,1).LogPDF(%g) = %g, want 0", x, got)
-		}
-	}
-}
-
-func TestBetaLogPDFOutsideSupport(t *testing.T) {
-	d := NewBeta(2, 2)
-	if !math.IsInf(d.LogPDF(-0.01), -1) || !math.IsInf(d.LogPDF(1.01), -1) {
-		t.Error("Beta LogPDF outside [0,1] should be -Inf")
 	}
 }
 

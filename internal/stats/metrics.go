@@ -39,14 +39,5 @@ func (c Confusion) Recall() float64 {
 	return float64(c.TP) / float64(c.TP+c.FN)
 }
 
-// F1 returns the harmonic mean of precision and recall (0 if both are 0).
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
 // Total returns the number of recorded observations.
 func (c Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }

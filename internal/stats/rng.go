@@ -56,9 +56,9 @@ func NewRNG(seed uint64) *RNG {
 // generator's construction seed and k — NOT on how many values have been
 // drawn from it. Splitting before or after consumption yields identical
 // child streams, and Split never advances the parent's draw stream. This
-// order-insensitivity is what lets core.Infer pre-assign one stream per
-// chain and run the chains in any order, on any number of workers, with
-// bit-identical results (pinned by the reproducibility harness in
+// order-insensitivity is what lets core.InferContext pre-assign one stream
+// per chain and run the chains in any order, on any number of workers,
+// with bit-identical results (pinned by the reproducibility harness in
 // internal/core).
 func (r *RNG) Split() *RNG {
 	r.splits++

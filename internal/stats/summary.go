@@ -32,9 +32,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(n-1)
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. xs need not be sorted.
 func Quantile(xs []float64, q float64) float64 {

@@ -198,9 +198,6 @@ func TestConfusionMetrics(t *testing.T) {
 	if c.Total() != 10 {
 		t.Errorf("total %d", c.Total())
 	}
-	if f := c.F1(); math.Abs(f-0.75) > 1e-12 {
-		t.Errorf("F1 %g", f)
-	}
 }
 
 func TestConfusionVacuous(t *testing.T) {

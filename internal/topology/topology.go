@@ -112,9 +112,6 @@ func (a *AS) Customers() []bgp.ASN { return a.byRel(RelCustomer) }
 // Providers returns the ASNs of all providers.
 func (a *AS) Providers() []bgp.ASN { return a.byRel(RelProvider) }
 
-// Peers returns the ASNs of all settlement-free peers.
-func (a *AS) Peers() []bgp.ASN { return a.byRel(RelPeer) }
-
 func (a *AS) byRel(rel Relationship) []bgp.ASN {
 	var out []bgp.ASN
 	for _, n := range a.Neighbors {

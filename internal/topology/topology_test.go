@@ -50,8 +50,8 @@ func TestGraphBasics(t *testing.T) {
 	if got := as2.Providers(); len(got) != 1 || got[0] != 1 {
 		t.Errorf("AS2 providers = %v", got)
 	}
-	if got := as2.Peers(); len(got) != 1 || got[0] != 3 {
-		t.Errorf("AS2 peers = %v", got)
+	if n, ok := as2.Neighbor(3); !ok || n.Rel != RelPeer {
+		t.Errorf("AS2->AS3 = %+v ok=%v, want a peer", n, ok)
 	}
 	if g.AS(99) != nil {
 		t.Error("unknown AS should be nil")

@@ -117,10 +117,11 @@ func TestGoLeakGolden(t *testing.T) {
 }
 
 // TestLockcheckGolden pins the guarded-field and blocking-under-lock
-// classes: explicit and inferred contracts firing, the fresh-alloc and
-// Locked-suffix exemptions staying silent, both allow grammars
-// (//lint:guard on fields, //lint:allow lockcheck on sites) consumed,
-// and a malformed guard directive reported.
+// classes: declared contracts firing, including one held through the
+// wrong sibling mutex, the fresh-alloc and Locked-suffix exemptions
+// staying silent, both allow grammars (//lint:guard on fields,
+// //lint:allow lockcheck on sites) consumed, and a malformed guard
+// directive reported.
 func TestLockcheckGolden(t *testing.T) {
 	got := runFixture(t, Lockcheck(), "lockcheck")
 	checkGolden(t, "lockcheck", got)

@@ -1,7 +1,8 @@
 // Module-wide call graph and function-summary fixpoint solver — the
 // interprocedural backbone shared by the determinism, hotpath, goleak
-// and lockcheck analyzers. Resolution is CHA-style over go/types,
-// stdlib-only:
+// and lockcheck analyzers. Run builds the graph and solves the
+// summaries once; every consumer reads the same solution. Resolution is
+// CHA-style over go/types, stdlib-only:
 //
 //   - Static calls (plain functions and concrete-receiver methods)
 //     resolve through Info.Uses. Calls into packages type-checked from
@@ -18,10 +19,13 @@
 //     calls for summary purposes; their launch discipline is goleak's
 //     business (see goleak.go).
 //
-// Function literals are attributed to their enclosing declared function:
-// a closure's facts are the decl's facts. Calls through function values
-// stay unresolved (no taint propagates) — acceptable because every
-// summary fact here also has a direct intraprocedural detector.
+// One walk per function body (bodyWalker) resolves its call sites and
+// records the direct evidence for every summary fact, whichever
+// analyzer consumes it. Function literals are attributed to their
+// enclosing declared function: a closure's facts are the decl's facts.
+// Calls through function values stay unresolved (no taint propagates) —
+// acceptable because every summary fact here also has a direct
+// intraprocedural detector.
 package lint
 
 import (
@@ -29,12 +33,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
 
-// funcNode is one module function with source, plus its resolved
-// outgoing calls.
+// funcNode is one module function with source, plus what the one walk
+// of its body found: resolved outgoing calls and direct evidence.
 type funcNode struct {
 	id      int    // index into callGraph.nodes
 	sym     string // "because/internal/obs.Observer.Log"
@@ -43,6 +48,10 @@ type funcNode struct {
 	obj     *types.Func
 	hotpath bool // carries a //lint:hotpath marker
 	calls   []callSite
+	direct  summary // the body's own facts, before propagation
+	// mutexOps is set when the body names a Lock/Unlock-family method:
+	// lockcheck's syntactic probe for its trivial-flow fast path.
+	mutexOps bool
 }
 
 // shortName renders the node for diagnostics: pkgname.Func or
@@ -111,9 +120,10 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 			}
 		}
 	}
-	// Pass 2: resolve call sites.
+	// Pass 2: one walk per body.
+	w := &bodyWalker{g: g}
 	for _, n := range g.nodes {
-		n.calls = g.resolveCalls(n)
+		w.walk(n)
 	}
 	return g
 }
@@ -174,23 +184,6 @@ func funcSymbol(fn *types.Func) string {
 		return fn.Name()
 	}
 	return fn.Pkg().Path() + "." + fn.Name()
-}
-
-// resolveCalls walks n's body (nested literals included) and resolves
-// every call expression to its possible module callees.
-func (g *callGraph) resolveCalls(n *funcNode) []callSite {
-	var sites []callSite
-	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if callees := g.calleesOf(n.pkg, call); len(callees) > 0 {
-			sites = append(sites, callSite{call: call, callees: callees})
-		}
-		return true
-	})
-	return sites
 }
 
 // calleesOf resolves one call expression to module funcNodes. Calls to
@@ -288,23 +281,160 @@ func (s *summary) join(from *summary, callee *funcNode) bool {
 	return grew
 }
 
-// summaries holds the solved per-function summaries for one analyzer's
-// domain over one call graph, indexed by funcNode.id.
+// bodyWalker is the one walk of a function body, nested literals
+// included: it resolves the body's call sites and records the direct
+// evidence for all seven summary facts. The per-analyzer rules:
+//
+//   - a declaration-level //lint:allow X zeroes only analyzer X's facts
+//     (determinism: clock and rand; hotpath: alloc; lockcheck: block,
+//     acquire and lock classes); a site-level allow drops only that site;
+//   - deferred statements still feed clock, rand, alloc, ctx-join and
+//     WaitGroup-Done facts, but no block or acquire fact: they run at
+//     exit, interleaved with deferred unlocks;
+//   - the first evidence per fact is the first site in pre-order.
+//
+// Wall-clock and math/rand references count, not just calls: storing
+// time.Now in a struct field launders just as well as calling it. One
+// walker instance serves the whole module.
+type bodyWalker struct {
+	g        *callGraph
+	n        *funcNode
+	exempt   struct{ det, hot, lock bool } // declaration-level allows
+	deferred bool                          // inside a defer statement
+	block    blockingSites
+}
+
+func (w *bodyWalker) walk(n *funcNode) {
+	pkg := n.pkg
+	w.n = n
+	w.exempt.det = pkg.exemptFunc("determinism", n.decl)
+	w.exempt.hot = pkg.exemptFunc("hotpath", n.decl)
+	w.exempt.lock = pkg.exemptFunc("lockcheck", n.decl)
+	w.block.reset(pkg)
+	ast.Walk(w, n.decl.Body)
+}
+
+func (w *bodyWalker) Visit(node ast.Node) ast.Visitor {
+	if node == nil {
+		return nil
+	}
+	n, pkg := w.n, w.n.pkg
+	if !w.exempt.hot {
+		allocSites(pkg, node, w.alloc)
+	}
+	switch x := node.(type) {
+	case *ast.DeferStmt:
+		prev := w.deferred
+		w.deferred = true
+		ast.Walk(w, x.Call)
+		w.deferred = prev
+		return nil
+	case *ast.Ident:
+		if w.exempt.det {
+			break
+		}
+		if isWallClockUse(pkg, x) {
+			w.record("determinism", factClock, x.Pos(), "time."+x.Name)
+		} else if obj := pkg.Info.Uses[x]; obj != nil && obj.Pkg() != nil && (obj.Pkg().Path() == "math/rand" || obj.Pkg().Path() == "math/rand/v2") {
+			w.record("determinism", factRand, x.Pos(), obj.Pkg().Path()+"."+x.Name)
+		}
+	case *ast.SelectorExpr:
+		if isLockMethod(x.Sel.Name) {
+			n.mutexOps = true
+		}
+	case *ast.UnaryExpr:
+		if x.Op == token.ARROW && recvIsCtxDone(pkg, x) {
+			w.set(factCtxJoin, x.Pos(), "ctx.Done() receive")
+		}
+	case *ast.CallExpr:
+		if callees := w.g.calleesOf(pkg, x); len(callees) > 0 {
+			n.calls = append(n.calls, callSite{call: x, callees: callees})
+		}
+		if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" && isWaitGroup(pkg, sel.X) && exprPath(sel.X) != "" {
+			w.set(factWGDone, x.Pos(), "WaitGroup.Done")
+		}
+	}
+	if !w.deferred && !w.exempt.lock {
+		w.lockFacts(node)
+	}
+	return w
+}
+
+// lockFacts records lockcheck's direct evidence at one node: a blocking
+// site, or a mutex acquisition together with its lock class (for the
+// order graph).
+func (w *bodyWalker) lockFacts(node ast.Node) {
+	if desc := w.block.site(node); desc != "" {
+		w.record("lockcheck", factBlock, node.Pos(), desc)
+		return
+	}
+	call, ok := node.(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	pkg, d := w.n.pkg, &w.n.direct
+	x, method := mutexOp(pkg, call)
+	if x == nil || method == "Unlock" || method == "RUnlock" {
+		return
+	}
+	desc := exprPath(x) + "." + method
+	if !w.record("lockcheck", factMuAcquire, call.Pos(), desc) {
+		return
+	}
+	class, display := lockClass(pkg, x, declName(w.n.decl))
+	if _, ok := d.classes[class]; class == "" || ok {
+		return
+	}
+	if d.classes == nil {
+		d.classes = map[string]*acqClass{}
+	}
+	d.classes[class] = &acqClass{display: display, direct: &evidence{pos: call.Pos(), desc: desc}}
+}
+
+func (w *bodyWalker) alloc(pos token.Pos, desc string) { w.record("hotpath", factAlloc, pos, desc) }
+
+// record adds fact f unless a site-level allow for analyzer covers pos,
+// and reports whether the site counted.
+func (w *bodyWalker) record(analyzer string, f fact, pos token.Pos, desc string) bool {
+	if w.n.pkg.exemptAt(analyzer, pos) {
+		return false
+	}
+	w.set(f, pos, desc)
+	return true
+}
+
+// set adds fact f to the node's direct summary; the first site per fact
+// is its evidence.
+func (w *bodyWalker) set(f fact, pos token.Pos, desc string) {
+	d := &w.n.direct
+	if d.facts&f == 0 {
+		if d.direct == nil {
+			d.direct = map[fact]*evidence{}
+		}
+		d.direct[f] = &evidence{pos: pos, desc: desc}
+	}
+	d.facts |= f
+}
+
+// summaries holds the solved per-function summaries over one call
+// graph, indexed by funcNode.id. Run solves them once and every
+// interprocedural analyzer reads the same solution.
 type summaries struct {
 	g   *callGraph
 	sum []summary
 }
 
-// solveSummaries computes, for every module function, the join of the
-// direct summary the collector reports and the summaries of every
-// resolvable callee, iterating in deterministic node order until
-// fixpoint (so recursion and mutual recursion converge; summaries only
-// grow). A lock class reaching a function through several callees is
-// credited to the first one, in that order.
-func solveSummaries(g *callGraph, direct func(n *funcNode) summary) *summaries {
+// solveSummaries computes, for every module function, the join of its
+// direct summary and the summaries of every resolvable callee,
+// iterating in deterministic node order until fixpoint (so recursion
+// and mutual recursion converge; summaries only grow). A lock class
+// reaching a function through several callees is credited to the first
+// one, in that order.
+func solveSummaries(g *callGraph) *summaries {
 	s := &summaries{g: g, sum: make([]summary, len(g.nodes))}
 	for _, n := range g.nodes {
-		s.sum[n.id] = direct(n)
+		s.sum[n.id] = n.direct
+		s.sum[n.id].classes = maps.Clone(n.direct.classes)
 	}
 	for changed := true; changed; {
 		changed = false

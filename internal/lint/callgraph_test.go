@@ -2,7 +2,8 @@ package lint
 
 // Call-graph resolution tests: CHA interface dispatch and method-value
 // go targets, and — the part the interprocedural analyzers actually
-// depend on — that solved summaries propagate through both.
+// depend on — that solved summaries propagate through both; plus the
+// shared body walk's per-analyzer exemption and defer rules.
 
 import (
 	"go/ast"
@@ -23,36 +24,13 @@ func nodeByShortName(t *testing.T, g *callGraph, short string) *funcNode {
 	return nil
 }
 
-// clockDirect is a minimal direct-fact collector for the tests: factClock
-// on every syntactic time.Now call.
-func clockDirect(n *funcNode) summary {
-	var f fact
-	ev := map[fact]*evidence{}
-	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Now" {
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == "time" {
-				f |= factClock
-				if ev[factClock] == nil {
-					ev[factClock] = &evidence{pos: call.Pos(), desc: "time.Now"}
-				}
-			}
-		}
-		return true
-	})
-	return summary{facts: f, direct: ev}
-}
-
 // TestInterfaceDispatchPropagatesSummaries: a call through an interface
 // resolves by CHA to every module method of that name, and a fact two
 // hops below one implementation reaches the dispatching caller.
 func TestInterfaceDispatchPropagatesSummaries(t *testing.T) {
 	pkg := loadFixturePkg(t, "callgraph")
 	g := buildCallGraph([]*Package{pkg})
-	sums := solveSummaries(g, clockDirect)
+	sums := solveSummaries(g)
 
 	caller := nodeByShortName(t, g, "callgraph.throughInterface")
 	if len(caller.calls) != 1 {
@@ -94,7 +72,7 @@ func TestInterfaceDispatchPropagatesSummaries(t *testing.T) {
 func TestMethodValueSummaryPropagation(t *testing.T) {
 	pkg := loadFixturePkg(t, "callgraph")
 	g := buildCallGraph([]*Package{pkg})
-	sums := solveSummaries(g, clockDirect)
+	sums := solveSummaries(g)
 
 	fd := funcDecl(t, pkg, "throughMethodValue")
 	var gs *ast.GoStmt
@@ -124,5 +102,35 @@ func TestMethodValueSummaryPropagation(t *testing.T) {
 	}
 	if !sums.has(node, factClock) {
 		t.Error("resolved method's summary lacks the clock fact: propagation through the method value is broken")
+	}
+}
+
+// TestWalkFactRules pins the shared body walk's per-analyzer rules: a
+// declaration-level allow zeroes only its own analyzer's facts, a
+// site-level allow drops only that site, and deferred statements feed
+// every fact except blocking and acquisition.
+func TestWalkFactRules(t *testing.T) {
+	pkg := loadFixturePkg(t, "walkfacts")
+	g := buildCallGraph([]*Package{pkg})
+	sums := solveSummaries(g)
+	for _, tc := range []struct {
+		fn   string
+		fact fact
+		name string
+		want bool
+	}{
+		{"hotExempt", factClock, "clock", true},
+		{"hotExempt", factAlloc, "alloc", false},
+		{"detExempt", factAlloc, "alloc", true},
+		{"detExempt", factClock, "clock", false},
+		{"deferUnlockClose", factBlock, "block", false},
+		{"deferUnlockClose", factMuAcquire, "acquire", true},
+		{"deferDone", factWGDone, "wg-done", true},
+		{"allowedClose", factBlock, "block", false},
+		{"plainClose", factBlock, "block", true},
+	} {
+		if got := sums.has(nodeByShortName(t, g, "walkfacts."+tc.fn), tc.fact); got != tc.want {
+			t.Errorf("%s %s fact = %v, want %v", tc.fn, tc.name, got, tc.want)
+		}
 	}
 }

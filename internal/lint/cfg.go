@@ -21,6 +21,9 @@ type block struct {
 	index int
 	nodes []ast.Node
 	succs []*block
+	// preds lists the predecessor indices in block order, computed once
+	// by buildCFG for both the reaching-definitions and must-held solvers.
+	preds []int
 	// reachable is filled in by funcCFG.markReachable: true when some
 	// path from the function entry reaches this block.
 	reachable bool
@@ -39,6 +42,11 @@ func buildCFG(body *ast.BlockStmt) *funcCFG {
 	b.g.entry = b.cur
 	b.stmt(body, "")
 	b.resolveGotos()
+	for _, blk := range b.g.blocks {
+		for _, s := range blk.succs {
+			s.preds = append(s.preds, blk.index)
+		}
+	}
 	b.g.markReachable()
 	return b.g
 }

@@ -251,23 +251,17 @@ func (f *flow) solve() {
 		}
 	}
 	entry := f.g.entry.index
-	preds := make([][]int, n)
-	for _, blk := range f.g.blocks {
-		for _, s := range blk.succs {
-			preds[s.index] = append(preds[s.index], blk.index)
-		}
-	}
 	changed := true
 	for changed {
 		changed = false
-		for i := range f.g.blocks {
+		for i, blk := range f.g.blocks {
 			newIn := newBitset(words)
 			if i == entry {
 				for _, id := range f.entryDefs {
 					newIn.set(id)
 				}
 			}
-			for _, p := range preds[i] {
+			for _, p := range blk.preds {
 				newIn.or(out[p])
 			}
 			if !newIn.equal(f.in[i]) {

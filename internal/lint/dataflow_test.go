@@ -247,6 +247,8 @@ func BenchmarkLint(b *testing.B) {
 
 // BenchmarkLintAnalyzer breaks BenchmarkLint down: one sub-benchmark per
 // production analyzer, each running alone over the same cached load.
+// Every module-level sub-benchmark also pays the shared call-graph walk
+// and summary fixpoint, which a full run pays once for all of them.
 func BenchmarkLintAnalyzer(b *testing.B) {
 	for _, a := range All() {
 		b.Run(a.Name, func(b *testing.B) {

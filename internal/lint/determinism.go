@@ -125,13 +125,13 @@ func isWallClockUse(pkg *Package, id *ast.Ident) bool {
 	return isFunc && fn.Type().(*types.Signature).Recv() == nil
 }
 
-// reportTransitiveDeterminism solves clock/rand summaries over the module
-// call graph and flags calls from result-affecting packages to tainted
-// helpers living outside them. Calls whose callee is itself in a
-// result-affecting package are skipped — the direct check owns those —
-// so each laundering boundary is reported exactly once.
+// reportTransitiveDeterminism reads the run's clock/rand summaries and
+// flags calls from result-affecting packages to tainted helpers living
+// outside them. Calls whose callee is itself in a result-affecting
+// package are skipped — the direct check owns those — so each
+// laundering boundary is reported exactly once.
 func reportTransitiveDeterminism(pass *ModulePass, paths []string) {
-	sums := solveSummaries(pass.graph, determinismFacts)
+	sums := pass.sums
 	for _, n := range pass.graph.nodes {
 		if !pathMatches(n.pkg.ImportPath, paths) {
 			continue
@@ -156,47 +156,4 @@ func reportTransitiveDeterminism(pass *ModulePass, paths []string) {
 			}
 		}
 	}
-}
-
-// determinismFacts is the direct-fact collector for the summary solver:
-// wall-clock and math/rand uses (references count — storing time.Now in
-// a struct field launders just as well as calling it). Site-level allow
-// directives exempt the read; a declaration-level directive exempts the
-// whole function.
-func determinismFacts(n *funcNode) summary {
-	if n.pkg.exemptFunc("determinism", n.decl) {
-		return summary{}
-	}
-	var f fact
-	ev := map[fact]*evidence{}
-	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-		id, ok := node.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := n.pkg.Info.Uses[id]
-		if obj == nil || obj.Pkg() == nil {
-			return true
-		}
-		switch {
-		case isWallClockUse(n.pkg, id):
-			if n.pkg.exemptAt("determinism", id.Pos()) {
-				return true
-			}
-			if f&factClock == 0 {
-				ev[factClock] = &evidence{pos: id.Pos(), desc: "time." + id.Name}
-			}
-			f |= factClock
-		case obj.Pkg().Path() == "math/rand" || obj.Pkg().Path() == "math/rand/v2":
-			if n.pkg.exemptAt("determinism", id.Pos()) {
-				return true
-			}
-			if f&factRand == 0 {
-				ev[factRand] = &evidence{pos: id.Pos(), desc: obj.Pkg().Path() + "." + id.Name}
-			}
-			f |= factRand
-		}
-		return true
-	})
-	return summary{facts: f, direct: ev}
 }

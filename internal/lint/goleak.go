@@ -29,8 +29,7 @@ func GoLeak() *Analyzer {
 		Doc:  "every go statement needs a provable join or cancellation discipline (WaitGroup pairing, channel join, or ctx.Done select)",
 	}
 	a.RunModule = func(pass *ModulePass) {
-		g := pass.graph
-		sums := solveSummaries(g, goleakFacts)
+		g, sums := pass.graph, pass.sums
 		for _, pkg := range pass.Pkgs {
 			for _, f := range pkg.Files {
 				inspectWithStack(f, func(n ast.Node, stack []ast.Node) {
@@ -48,21 +47,6 @@ func GoLeak() *Analyzer {
 		}
 	}
 	return a
-}
-
-// goleakFacts collects the join-discipline facts the summary solver
-// propagates: blocking on ctx.Done() and calling WaitGroup.Done, so a
-// named go target that delegates its discipline to a helper still
-// checks out.
-func goleakFacts(n *funcNode) summary {
-	var f fact
-	if bodyHasCtxDoneReceive(n.pkg, n.decl.Body) {
-		f |= factCtxJoin
-	}
-	if len(wgDonePaths(n.pkg, n.decl.Body)) > 0 {
-		f |= factWGDone
-	}
-	return summary{facts: f}
 }
 
 // goDisciplined reports whether the go statement has a provable join or
@@ -174,16 +158,7 @@ func funcValueDef(pkg *Package, gs *ast.GoStmt, id *ast.Ident, fnNode ast.Node) 
 func bodyHasCtxDoneReceive(pkg *Package, body ast.Node) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		un, ok := n.(*ast.UnaryExpr)
-		if !ok || un.Op != token.ARROW {
-			return !found
-		}
-		call, ok := ast.Unparen(un.X).(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if ok && sel.Sel.Name == "Done" && isContextValue(pkg, sel.X) {
+		if un, ok := n.(*ast.UnaryExpr); ok && un.Op == token.ARROW && recvIsCtxDone(pkg, un) {
 			found = true
 		}
 		return !found
@@ -191,9 +166,15 @@ func bodyHasCtxDoneReceive(pkg *Package, body ast.Node) bool {
 	return found
 }
 
-func isContextValue(pkg *Package, e ast.Expr) bool {
-	t := pkg.Info.TypeOf(e)
-	return t != nil && t.String() == "context.Context"
+// recvIsCtxDone reports whether the receive un reads ctx.Done() on a
+// context.Context value.
+func recvIsCtxDone(pkg *Package, un *ast.UnaryExpr) bool {
+	call, ok := ast.Unparen(un.X).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Done" && isContextType(pkg.Info.TypeOf(sel.X))
 }
 
 func isWaitGroup(pkg *Package, e ast.Expr) bool {

@@ -23,14 +23,18 @@ func Hotpath() *Analyzer {
 		Doc:  "functions marked //lint:hotpath must not allocate on any reachable path",
 	}
 	a.RunModule = func(pass *ModulePass) {
-		sums := solveSummaries(pass.graph, hotpathFacts)
+		sums := pass.sums
 		for _, n := range pass.graph.nodes {
 			if !n.hotpath {
 				continue
 			}
-			for _, site := range allocSites(n) {
-				pass.Reportf(site.pos, "hotpath function %s allocates: %s (the //lint:hotpath contract forbids allocation; hoist it to setup or annotate //lint:allow hotpath)", n.shortName(), site.desc)
+			report := func(pos token.Pos, desc string) {
+				pass.Reportf(pos, "hotpath function %s allocates: %s (the //lint:hotpath contract forbids allocation; hoist it to setup or annotate //lint:allow hotpath)", n.shortName(), desc)
 			}
+			ast.Inspect(n.decl.Body, func(node ast.Node) bool {
+				allocSites(n.pkg, node, report)
+				return true
+			})
 			for _, site := range n.calls {
 				for _, callee := range site.callees {
 					if callee == n || callee.hotpath || !sums.has(callee, factAlloc) {
@@ -45,62 +49,33 @@ func Hotpath() *Analyzer {
 	return a
 }
 
-// hotpathFacts is the direct-fact collector for allocation summaries.
-// Site-level allow directives exempt a single allocation; a
-// declaration-level directive zeroes the function's summary.
-func hotpathFacts(n *funcNode) summary {
-	if n.pkg.exemptFunc("hotpath", n.decl) {
-		return summary{}
-	}
-	var f fact
-	ev := map[fact]*evidence{}
-	for _, site := range allocSites(n) {
-		site := site
-		if n.pkg.exemptAt("hotpath", site.pos) {
-			continue
+// allocSites is the per-node allocation classifier: it calls add for
+// each direct allocation (or allocation-adjacent overhead: defer) node
+// itself makes, children excluded. The summary walk feeds it every body
+// node; the direct report feeds it the body of each //lint:hotpath
+// function.
+func allocSites(pkg *Package, node ast.Node, add func(token.Pos, string)) {
+	switch x := node.(type) {
+	case *ast.CompositeLit:
+		switch pkg.Info.TypeOf(x).Underlying().(type) {
+		case *types.Map:
+			add(x.Pos(), "map literal")
+		case *types.Slice:
+			add(x.Pos(), "slice literal")
 		}
-		if f&factAlloc == 0 {
-			ev[factAlloc] = &site
-		}
-		f |= factAlloc
-	}
-	return summary{facts: f, direct: ev}
-}
-
-// allocSites lists every direct allocation (or allocation-adjacent
-// overhead: defer) in n's body, nested literals included, in source
-// order.
-func allocSites(n *funcNode) []evidence {
-	var out []evidence
-	info := n.pkg.Info
-	add := func(pos token.Pos, desc string) {
-		out = append(out, evidence{pos: pos, desc: desc})
-	}
-	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-		switch x := node.(type) {
-		case *ast.CompositeLit:
-			switch info.TypeOf(x).Underlying().(type) {
-			case *types.Map:
-				add(x.Pos(), "map literal")
-			case *types.Slice:
-				add(x.Pos(), "slice literal")
+	case *ast.UnaryExpr:
+		if x.Op == token.AND {
+			if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
+				add(x.Pos(), "address of composite literal")
 			}
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-					add(x.Pos(), "address of composite literal")
-				}
-			}
-		case *ast.FuncLit:
-			add(x.Pos(), "closure literal")
-		case *ast.DeferStmt:
-			add(x.Pos(), "defer")
-		case *ast.CallExpr:
-			allocCallSites(n.pkg, x, add)
 		}
-		return true
-	})
-	return out
+	case *ast.FuncLit:
+		add(x.Pos(), "closure literal")
+	case *ast.DeferStmt:
+		add(x.Pos(), "defer")
+	case *ast.CallExpr:
+		allocCallSites(pkg, x, add)
+	}
 }
 
 // allocCallSites flags the allocating call forms: the make/new/append

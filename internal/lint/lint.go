@@ -60,13 +60,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ModulePass carries a module-level analyzer's view of the whole load:
-// every target package, type-checked against one shared FileSet, and
-// the run's call graph over them.
+// every target package, type-checked against one shared FileSet, plus
+// the run's call graph over them and its solved function summaries.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Pkgs     []*Package
 
 	graph *callGraph
+	sums  *summaries
 	diags *[]Diagnostic
 }
 
@@ -123,6 +124,14 @@ type allow struct {
 	// still be suppressed from above the statement).
 	endLine int
 	used    bool
+}
+
+// covers reports whether a is a directive for analyzer covering a
+// finding at file:line: same line, the line directly above, or inside
+// the multi-line simple statement below the directive.
+func (a *allow) covers(analyzer, file string, line int) bool {
+	return a.analyzer == analyzer && a.file == file &&
+		(a.line == line || (line > a.line && line <= a.endLine))
 }
 
 // parseAllowDirective extracts the analyzer names from one comment's
@@ -194,10 +203,7 @@ func (p *Package) exemptAt(analyzer string, pos token.Pos) bool {
 	position := p.Fset.Position(pos)
 	covered := false
 	for _, a := range p.allowList() {
-		if a.analyzer != analyzer || a.file != position.Filename {
-			continue
-		}
-		if a.line == position.Line || (position.Line > a.line && position.Line <= a.endLine) {
+		if a.covers(analyzer, position.Filename, position.Line) {
 			a.used = true
 			covered = true
 		}
@@ -258,10 +264,7 @@ func suppress(diags []Diagnostic, allows []*allow, ran map[string]bool, reportUn
 	for _, d := range diags {
 		covered := false
 		for _, a := range allows {
-			if a.analyzer != d.Analyzer || a.file != d.Pos.Filename {
-				continue
-			}
-			if a.line == d.Pos.Line || (d.Pos.Line > a.line && d.Pos.Line <= a.endLine) {
+			if a.covers(d.Analyzer, d.Pos.Filename, d.Pos.Line) {
 				a.used = true
 				covered = true
 			}

@@ -3,14 +3,13 @@
 // lock-order inversions that never fire in tests) plus the one it only
 // sees when the schedule cooperates (unguarded field access). Three
 // checks share one intraprocedural must-held-lockset analysis over the
-// CFGs from cfg.go and the interprocedural summaries from callgraph.go:
+// cached CFGs from cfg.go and the run's interprocedural summaries from
+// callgraph.go, in one walk over the call graph's function nodes:
 //
-//  1. Guarded fields. For every struct with a sync.Mutex/RWMutex
-//     field, sibling fields annotated `//lint:guard mu` must only be
-//     accessed with that mutex held; unannotated fields whose accesses
-//     are mostly locked (at least two locked accesses, strictly more
-//     locked than unlocked) have the contract inferred, and the odd
-//     unlocked access out is flagged. Accesses to a value the function
+//  1. Guarded fields. A field of a mutex-bearing struct annotated
+//     `//lint:guard mu` must only be accessed with that very mutex held
+//     on the same value; holding a sibling mutex does not count. Only
+//     declared contracts are checked. Accesses to a value the function
 //     just allocated are exempt (the constructor idiom), and a method
 //     whose name ends in "Locked" is assumed to hold its receiver's
 //     mutexes on entry — the convention jobRegistry.evictLocked and
@@ -63,21 +62,18 @@ func Lockcheck() *Analyzer {
 		Doc:  "lock discipline: guarded-field contracts, global acquisition order, no blocking under a held lock",
 	}
 	a.RunModule = func(pass *ModulePass) {
-		specs, guardFields := collectGuardSpecs(pass)
+		specs, guarded := collectGuardSpecs(pass)
 		lc := &lockChecker{
-			pass:        pass,
-			sums:        solveSummaries(pass.graph, (&lockDirectWalker{}).collect),
-			specs:       specs,
-			guardFields: guardFields,
-			recvCache:   map[types.Type]recvInfo{},
-			edges:       map[[2]string]*lockEdge{},
+			pass:    pass,
+			sums:    pass.sums,
+			specs:   specs,
+			guarded: guarded,
+			edges:   map[[2]string]*lockEdge{},
 		}
-		for _, pkg := range pass.Pkgs {
-			for _, f := range pkg.Files {
-				lc.walkFile(pkg, f)
-			}
+		w := &unitWalker{lc: lc}
+		for _, n := range pass.graph.nodes {
+			w.walk(n)
 		}
-		lc.reportGuards()
 		lc.reportCycles()
 	}
 	return a
@@ -86,27 +82,11 @@ func Lockcheck() *Analyzer {
 // ---------------------------------------------------------------------
 // Guard specs: which fields are guarded by which mutex, per struct.
 
-// guardKey identifies a struct across the module: the string
-// "pkgpath.TypeName" for named structs, the *types.Struct itself for
-// anonymous ones (package-level vars like lint's own loadCache).
-type guardKey any
-
-// guardSpec is the lock layout of one struct type.
+// guardSpec is the lock layout of one mutex-bearing struct type, keyed
+// module-wide by "pkgpath.TypeName".
 type guardSpec struct {
-	display  string            // "serve.job" for diagnostics
-	mutexes  map[string]bool   // mutex field name → declared
 	embedded map[string]bool   // mutex field name → embedded (promoted Lock)
 	explicit map[string]string // guarded field → mutex field, from //lint:guard
-	order    []string          // sorted mutex names, lazily cached
-}
-
-// mutexOrder returns the struct's mutex field names in sorted order,
-// computed once — heldCovers runs per candidate access.
-func (s *guardSpec) mutexOrder() []string {
-	if s.order == nil {
-		s.order = sortedKeys(s.mutexes)
-	}
-	return s.order
 }
 
 // mutexTypeName returns "Mutex" or "RWMutex" when t (pointer-stripped)
@@ -126,31 +106,26 @@ func mutexTypeName(t types.Type) string {
 	return ""
 }
 
-// structKeyOf resolves the struct a field selection lands on: its
-// guardKey, a short display name, and the underlying struct type.
-func structKeyOf(pkg *Package, recv types.Type) (guardKey, string, *types.Struct) {
-	t := recv
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
+// structKeyOf resolves the named struct a field selection lands on:
+// its module-wide key ("pkgpath.TypeName"), a short display name, and
+// the underlying struct type. Anything else (anonymous structs
+// included) yields "".
+func structKeyOf(recv types.Type) (key, display string, st *types.Struct) {
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
 	}
-	if named, ok := t.(*types.Named); ok {
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			return nil, "", nil
-		}
-		obj := named.Obj()
-		disp := obj.Name()
-		key := disp
-		if obj.Pkg() != nil {
-			key = obj.Pkg().Path() + "." + disp
-			disp = obj.Pkg().Name() + "." + disp
-		}
-		return key, disp, st
+	named, ok := recv.(*types.Named)
+	if !ok {
+		return "", "", nil
 	}
-	if st, ok := t.(*types.Struct); ok {
-		return st, pkg.Name + ".(struct)", st
+	if st, ok = named.Underlying().(*types.Struct); !ok {
+		return "", "", nil
 	}
-	return nil, "", nil
+	obj := named.Obj()
+	if obj.Pkg() == nil {
+		return obj.Name(), obj.Name(), st
+	}
+	return obj.Pkg().Path() + "." + obj.Name(), obj.Pkg().Name() + "." + obj.Name(), st
 }
 
 // structMutexes lists the sync.Mutex/RWMutex fields of st.
@@ -176,22 +151,21 @@ func structMutexes(st *types.Struct) (mutexes, embedded map[string]bool) {
 // reports malformed directives (unknown mutex name, struct without a
 // mutex). Lock-guarded state lives in named types by convention — an
 // anonymous or function-local struct cannot carry a guard contract.
-// The second result is the set of field names belonging to any
-// mutex-bearing struct: a free syntactic pre-filter for the selector
-// walk, which would otherwise pay a type lookup per selector
-// module-wide.
-func collectGuardSpecs(pass *ModulePass) (map[guardKey]*guardSpec, map[string]bool) {
-	specs := map[guardKey]*guardSpec{}
-	fields := map[string]bool{}
+// The second result is the set of declared guarded field names: a free
+// syntactic pre-filter for the selector walk, which would otherwise pay
+// a type lookup per selector module-wide.
+func collectGuardSpecs(pass *ModulePass) (map[string]*guardSpec, map[string]bool) {
+	specs := map[string]*guardSpec{}
+	guarded := map[string]bool{}
 	for _, pkg := range pass.Pkgs {
 		for _, f := range pkg.Files {
-			collectFileGuards(pass, pkg, f, specs, fields)
+			collectFileGuards(pass, pkg, f, specs, guarded)
 		}
 	}
-	return specs, fields
+	return specs, guarded
 }
 
-func collectFileGuards(pass *ModulePass, pkg *Package, f *ast.File, specs map[guardKey]*guardSpec, fields map[string]bool) {
+func collectFileGuards(pass *ModulePass, pkg *Package, f *ast.File, specs map[string]*guardSpec, guarded map[string]bool) {
 	for _, decl := range f.Decls {
 		gd, ok := decl.(*ast.GenDecl)
 		if !ok || gd.Tok != token.TYPE {
@@ -210,8 +184,8 @@ func collectFileGuards(pass *ModulePass, pkg *Package, f *ast.File, specs map[gu
 			if obj == nil {
 				continue
 			}
-			key, display, stT := structKeyOf(pkg, obj.Type())
-			if key == nil {
+			key, display, stT := structKeyOf(obj.Type())
+			if key == "" {
 				continue
 			}
 			mutexes, embedded := structMutexes(stT)
@@ -228,11 +202,8 @@ func collectFileGuards(pass *ModulePass, pkg *Package, f *ast.File, specs map[gu
 			}
 			spec := specs[key]
 			if spec == nil {
-				spec = &guardSpec{display: display, mutexes: mutexes, embedded: embedded, explicit: map[string]string{}}
+				spec = &guardSpec{embedded: embedded, explicit: map[string]string{}}
 				specs[key] = spec
-			}
-			for i := 0; i < stT.NumFields(); i++ {
-				fields[stT.Field(i).Name()] = true
 			}
 			for _, field := range st.Fields.List {
 				name, pos, ok := fieldGuardDirective(field)
@@ -247,6 +218,7 @@ func collectFileGuards(pass *ModulePass, pkg *Package, f *ast.File, specs map[gu
 				default:
 					for _, id := range field.Names {
 						spec.explicit[id.Name] = name
+						guarded[id.Name] = true
 					}
 				}
 			}
@@ -373,18 +345,20 @@ func applyLockOp(held map[string]heldLock, op lockOp) {
 }
 
 // lockFlowFor builds the must-held solution for unit, a FuncDecl or
-// FuncLit inside decl (the enclosing declaration, used to name local
-// lock classes and for the Locked-suffix entry assumption).
-func (lc *lockChecker) lockFlowFor(pkg *Package, unit ast.Node, decl *ast.FuncDecl) *lockFlow {
+// FuncLit inside n's declaration (which names local lock classes and
+// carries the Locked-suffix entry assumption), over the unit's cached
+// CFG. A node whose body names no Lock/Unlock-family method has trivial
+// units unless a Locked suffix seeds the entry lockset.
+func lockFlowFor(n *funcNode, unit ast.Node) *lockFlow {
+	pkg, decl := n.pkg, n.decl
 	entry := entryHeld(pkg, unit, decl)
-	if len(entry) == 0 && !mentionsMutexOp(&lc.mention, unit) {
+	if len(entry) == 0 && !n.mutexOps {
 		return trivialFlow
 	}
 	if entry == nil {
 		entry = map[string]heldLock{}
 	}
-	body, _ := funcParts(unit)
-	g := buildCFG(body)
+	g := pkg.flowFor(unit).g
 	lf := &lockFlow{g: g, ops: map[int][]lockOp{}, in: make([]map[string]heldLock, len(g.blocks))}
 	for _, blk := range g.blocks {
 		var ops []lockOp
@@ -396,34 +370,6 @@ func (lc *lockChecker) lockFlowFor(pkg *Package, unit ast.Node, decl *ast.FuncDe
 	}
 	lf.solve(entry)
 	return lf
-}
-
-// mutexMentionWalker is the syntactic pre-filter for the trivial fast
-// path: does the unit mention any selector that could be a mutex
-// acquire/release? No type information — a false positive just costs
-// one CFG build; a miss is impossible because collectLockOps only
-// recognises these method names. A reusable visitor rather than a
-// closure so the per-unit probe does not allocate.
-type mutexMentionWalker struct{ found bool }
-
-func (v *mutexMentionWalker) Visit(n ast.Node) ast.Visitor {
-	if v.found {
-		return nil
-	}
-	if sel, ok := n.(*ast.SelectorExpr); ok {
-		switch sel.Sel.Name {
-		case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
-			v.found = true
-			return nil
-		}
-	}
-	return v
-}
-
-func mentionsMutexOp(probe *mutexMentionWalker, unit ast.Node) bool {
-	probe.found = false
-	ast.Walk(probe, unit)
-	return probe.found
 }
 
 func declName(decl *ast.FuncDecl) string {
@@ -450,25 +396,26 @@ func entryHeld(pkg *Package, unit ast.Node, decl *ast.FuncDecl) map[string]heldL
 	if !ok {
 		return nil
 	}
-	key, display, st := structKeyOf(pkg, recv.Type())
+	key, display, st := structKeyOf(recv.Type())
 	if st == nil {
 		return nil
 	}
 	mutexes, embedded := structMutexes(st)
 	held := make(map[string]heldLock, len(mutexes))
-	base := names[0].Name
 	for m := range mutexes {
-		path := base + "." + m
-		if embedded[m] {
-			path = base
-		}
-		class, disp := display+"."+m, display+"."+m
-		if s, ok := key.(string); ok {
-			class = s + "." + m
-		}
-		held[path] = heldLock{path: path, class: class, display: disp, pos: decl.Name.Pos()}
+		path := lockPath(names[0].Name, m, embedded[m])
+		held[path] = heldLock{path: path, class: key + "." + m, display: display + "." + m, pos: decl.Name.Pos()}
 	}
 	return held
+}
+
+// lockPath is the held-set key of mutex field m on the value at base:
+// "base.m", or base itself when the mutex is embedded (promoted Lock).
+func lockPath(base, m string, embedded bool) string {
+	if embedded {
+		return base
+	}
+	return base + "." + m
 }
 
 // collectLockOps extracts mutex acquire/release calls from one block
@@ -509,9 +456,7 @@ func mutexOp(pkg *Package, call *ast.CallExpr) (ast.Expr, string) {
 	if !ok {
 		return nil, ""
 	}
-	switch sel.Sel.Name { // syntactic pre-filter before the Uses lookup
-	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
-	default:
+	if !isLockMethod(sel.Sel.Name) { // syntactic pre-filter before the Uses lookup
 		return nil, ""
 	}
 	fn, _ := pkg.Info.Uses[sel.Sel].(*types.Func)
@@ -525,6 +470,16 @@ func mutexOp(pkg *Package, call *ast.CallExpr) (ast.Expr, string) {
 	return sel.X, fn.Name()
 }
 
+// isLockMethod reports whether name is a sync.Mutex/RWMutex acquire or
+// release method name.
+func isLockMethod(name string) bool {
+	switch name {
+	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
+		return true
+	}
+	return false
+}
+
 // lockClass names the module-wide class of the lock expression x
 // ("j.mu" → "pkgpath.job.mu"): struct mutex fields key by their
 // declaring type, package-level vars by the var, locals by enclosing
@@ -532,10 +487,8 @@ func mutexOp(pkg *Package, call *ast.CallExpr) (ast.Expr, string) {
 func lockClass(pkg *Package, x ast.Expr, enclosing string) (class, display string) {
 	if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
 		if s := pkg.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-			if key, disp, _ := structKeyOf(pkg, s.Recv()); key != nil {
-				if sKey, ok := key.(string); ok {
-					return sKey + "." + sel.Sel.Name, disp + "." + sel.Sel.Name
-				}
+			if key, disp, _ := structKeyOf(s.Recv()); key != "" {
+				return key + "." + sel.Sel.Name, disp + "." + sel.Sel.Name
 			}
 		}
 		// Anonymous-struct field (package-level var like loadCache.mu) or
@@ -580,12 +533,6 @@ func identClass(pkg *Package, id *ast.Ident, path, enclosing string) (string, st
 // solve runs the forward must-analysis: in[b] is the intersection of
 // every predecessor's out-set; nil is top (identity for intersection).
 func (lf *lockFlow) solve(entry map[string]heldLock) {
-	preds := make([][]int, len(lf.g.blocks))
-	for _, blk := range lf.g.blocks {
-		for _, s := range blk.succs {
-			preds[s.index] = append(preds[s.index], blk.index)
-		}
-	}
 	lf.in[lf.g.entry.index] = entry
 	out := func(i int) map[string]heldLock {
 		if lf.in[i] == nil {
@@ -608,7 +555,7 @@ func (lf *lockFlow) solve(entry map[string]heldLock) {
 			}
 			var newIn map[string]heldLock
 			top := true
-			for _, p := range preds[blk.index] {
+			for _, p := range blk.preds {
 				po := out(p)
 				if po == nil {
 					continue
@@ -663,21 +610,7 @@ func sortedHeld(held map[string]heldLock) []heldLock {
 }
 
 // ---------------------------------------------------------------------
-// The per-file walk: field accesses, blocking sites, order edges.
-
-// fieldAccess is one access to a non-mutex field of a mutex-bearing
-// struct, with its lock status at that point.
-type fieldAccess struct {
-	key    guardKey
-	field  string
-	base   string // receiver path ("j"), "" when unresolvable
-	disp   string // full access render ("j.state")
-	pkg    *Package
-	pos    token.Pos
-	locked bool
-	fresh  bool // base allocated in this function (constructor idiom)
-	mutex  string
-}
+// The walk: guarded fields, blocking sites, order edges.
 
 // lockEdge is one acquisition-order edge with its first evidence.
 type lockEdge struct {
@@ -689,67 +622,51 @@ type lockEdge struct {
 }
 
 type lockChecker struct {
-	pass        *ModulePass
-	sums        *summaries // blocking/acquire facts and acquired lock classes
-	specs       map[guardKey]*guardSpec
-	guardFields map[string]bool // field names of mutex-bearing structs
-	recvCache   map[types.Type]recvInfo
-	edges       map[[2]string]*lockEdge
-	accesses    []fieldAccess
-	mention     mutexMentionWalker // reusable trivial-flow probe
-}
-
-// recvInfo memoises structKeyOf + spec lookup per receiver type: the
-// same few struct types account for nearly every candidate selector.
-type recvInfo struct {
-	key  guardKey
-	spec *guardSpec
-}
-
-func (lc *lockChecker) walkFile(pkg *Package, f *ast.File) {
-	w := &unitWalker{lc: lc, pkg: pkg}
-	w.block.reset(pkg)
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-			w.decl = fd
-			w.enter(fd, fd.Body)
-		}
-	}
+	pass    *ModulePass
+	sums    *summaries // blocking/acquire facts and acquired lock classes
+	specs   map[string]*guardSpec
+	guarded map[string]bool // declared //lint:guard field names
+	edges   map[[2]string]*lockEdge
 }
 
 // unitWalker visits lockset units — declaration bodies and nested
-// function literals — as a reusable ast.Visitor: one instance serves a
-// whole file, so the walk allocates nothing per function. The enclosing
-// unit and its flow are fields saved and restored around each nested
-// unit instead of being re-derived per node from an ancestor stack.
-// Deferred calls are skipped (deferred work runs at exit, after this
-// body's unlocks), but a function literal inside a defer is still its
-// own unit and gets walked.
+// function literals — as a reusable ast.Visitor: one instance serves
+// every function node, so the walk allocates nothing per function. The
+// enclosing unit and its flow are fields saved and restored around each
+// nested unit instead of being re-derived per node from an ancestor
+// stack. Deferred calls are skipped (deferred work runs at exit, after
+// this body's unlocks), but a function literal inside a defer is still
+// its own unit and gets walked.
 type unitWalker struct {
 	lc    *lockChecker
-	pkg   *Package
-	decl  *ast.FuncDecl
+	n     *funcNode
 	unit  ast.Node
 	lf    *lockFlow
 	block blockingSites
 }
 
+func (w *unitWalker) walk(n *funcNode) {
+	w.n = n
+	w.block.reset(n.pkg)
+	w.enter(n.decl, n.decl.Body)
+}
+
 // enter walks body as the unit's scope, restoring the previous unit
 // context afterwards. A literal inside a trivial unit is trivial too:
-// the unit's probe already found no mutex op in it, and literals hold
-// nothing on entry.
+// literals hold nothing on entry, and the node's probe found no mutex
+// op anywhere in its body.
 func (w *unitWalker) enter(unit ast.Node, body *ast.BlockStmt) {
 	prevUnit, prevLf := w.unit, w.lf
 	w.unit = unit
 	if prevLf == nil || !prevLf.trivial {
-		w.lf = w.lc.lockFlowFor(w.pkg, unit, w.decl)
+		w.lf = lockFlowFor(w.n, unit)
 	}
 	ast.Walk(w, body)
 	w.unit, w.lf = prevUnit, prevLf
 }
 
 func (w *unitWalker) Visit(node ast.Node) ast.Visitor {
-	lc, pkg, lf := w.lc, w.pkg, w.lf
+	lc, pkg, lf := w.lc, w.n.pkg, w.lf
 	switch n := node.(type) {
 	case *ast.DeferStmt:
 		ast.Inspect(n.Call, func(c ast.Node) bool {
@@ -764,7 +681,7 @@ func (w *unitWalker) Visit(node ast.Node) ast.Visitor {
 		w.enter(n, n.Body)
 		return nil
 	case *ast.SelectorExpr:
-		lc.recordFieldAccess(pkg, n, w.unit, lf)
+		lc.checkGuarded(pkg, n, w.unit, lf)
 	}
 	// Nothing is ever held in a trivial unit, so no blocking site in it
 	// can be reported; skip the classification.
@@ -775,86 +692,40 @@ func (w *unitWalker) Visit(node ast.Node) ast.Visitor {
 		}
 	}
 	if call, ok := node.(*ast.CallExpr); ok {
-		lc.checkCall(pkg, call, w.decl, lf)
+		lc.checkCall(pkg, call, w.n.decl, lf)
 	}
 	return w
 }
 
-func recvIsCtxDone(pkg *Package, un *ast.UnaryExpr) bool {
-	call, ok := ast.Unparen(un.X).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Done" && isContextValue(pkg, sel.X)
-}
-
-// recordFieldAccess files a guarded-field candidate: a direct field
-// selection on a struct that carries a mutex, excluding the mutex
-// fields themselves.
-func (lc *lockChecker) recordFieldAccess(pkg *Package, sel *ast.SelectorExpr, unit ast.Node, lf *lockFlow) {
-	// Syntactic gate: only field names of mutex-bearing structs can be
-	// guard candidates, and most selectors module-wide are not.
-	if !lc.guardFields[sel.Sel.Name] {
-		return
+// checkGuarded enforces a declared //lint:guard contract at one direct
+// field selection: the named mutex must be held on the same value,
+// unless that value was just allocated in this unit.
+func (lc *lockChecker) checkGuarded(pkg *Package, sel *ast.SelectorExpr, unit ast.Node, lf *lockFlow) {
+	field := sel.Sel.Name
+	if !lc.guarded[field] {
+		return // syntactic gate: most selectors module-wide name no guarded field
 	}
 	s := pkg.Info.Selections[sel]
 	if s == nil || s.Kind() != types.FieldVal || len(s.Index()) != 1 {
 		return
 	}
-	t := s.Recv()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
+	key, _, _ := structKeyOf(s.Recv())
+	spec := lc.specs[key]
+	if spec == nil {
+		return
 	}
-	info, ok := lc.recvCache[t]
+	m, ok := spec.explicit[field]
 	if !ok {
-		if key, _, _ := structKeyOf(pkg, t); key != nil {
-			info = recvInfo{key: key, spec: lc.specs[key]}
-		}
-		lc.recvCache[t] = info
-	}
-	spec := info.spec
-	if spec == nil || len(spec.mutexes) == 0 {
 		return
 	}
-	key := info.key
-	field := sel.Sel.Name
-	if spec.mutexes[field] || mutexTypeName(s.Obj().Type()) != "" {
-		return
-	}
-	base := exprPath(sel.X)
-	a := fieldAccess{
-		key:   key,
-		field: field,
-		base:  base,
-		disp:  field,
-		pkg:   pkg,
-		pos:   sel.Sel.Pos(),
-	}
-	if base != "" {
-		a.disp = base + "." + field
-		a.locked, a.mutex = heldCovers(lf.heldAt(sel.Pos()), base, spec)
-		a.fresh = lc.baseIsFresh(pkg, sel, unit)
-	}
-	lc.accesses = append(lc.accesses, a)
-}
-
-// heldCovers reports whether any of the struct's mutexes is held for
-// the given receiver path, and which one.
-func heldCovers(held map[string]heldLock, base string, spec *guardSpec) (bool, string) {
-	if len(held) == 0 {
-		return false, ""
-	}
-	for _, m := range spec.mutexOrder() {
-		path := base + "." + m
-		if spec.embedded[m] {
-			path = base
+	access, lock := field, "its receiver."+m
+	if base := exprPath(sel.X); base != "" {
+		if _, held := lf.heldAt(sel.Pos())[lockPath(base, m, spec.embedded[m])]; held || lc.baseIsFresh(pkg, sel, unit) {
+			return
 		}
-		if _, ok := held[path]; ok {
-			return true, m
-		}
+		access, lock = base+"."+field, base+"."+m
 	}
-	return false, ""
+	lc.pass.Reportf(sel.Sel.Pos(), "access to %s without holding %s per its %s %s contract: lock it, or annotate //lint:allow lockcheck with the synchronisation story", access, lock, GuardDirective, m)
 }
 
 // baseIsFresh reports whether the access base is a local variable whose
@@ -998,7 +869,7 @@ func (lc *lockChecker) checkLockedSuffixCall(pkg *Package, call *ast.CallExpr, h
 	if sig == nil || sig.Recv() == nil {
 		return
 	}
-	_, _, st := structKeyOf(pkg, sig.Recv().Type())
+	_, _, st := structKeyOf(sig.Recv().Type())
 	if st == nil {
 		return
 	}
@@ -1010,15 +881,16 @@ func (lc *lockChecker) checkLockedSuffixCall(pkg *Package, call *ast.CallExpr, h
 	if base == "" {
 		return
 	}
-	spec := &guardSpec{mutexes: mutexes, embedded: embedded}
-	if ok, _ := heldCovers(held, base, spec); ok {
-		return
+	for m := range mutexes {
+		if _, ok := held[lockPath(base, m, embedded[m])]; ok {
+			return
+		}
 	}
 	lc.pass.Reportf(call.Pos(), "call to %s.%s without holding %s.%s: the Locked suffix requires the caller to hold the receiver's mutex", base, sel.Sel.Name, base, sortedKeys(mutexes)[0])
 }
 
 // blockingSites is the one classifier of blocking operations, shared by
-// the summary collector (which records them as factBlock) and the
+// the summary walk (which records them as factBlock) and the
 // held-lock walk (which reports them while a lock is held): channel
 // sends and receives, selects, and calls that block by themselves. A
 // select's comm statements are credited to the select rather than
@@ -1158,71 +1030,6 @@ func (lc *lockChecker) addEdge(pkg *Package, from, to heldLock, pos token.Pos, v
 }
 
 // ---------------------------------------------------------------------
-// Guarded-field decisions: explicit contracts, then inference.
-
-func (lc *lockChecker) reportGuards() {
-	type fieldKey struct {
-		key   guardKey
-		field string
-	}
-	groups := map[fieldKey][]fieldAccess{}
-	var order []fieldKey
-	for _, a := range lc.accesses {
-		k := fieldKey{a.key, a.field}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], a)
-	}
-	for _, k := range order {
-		spec := lc.specs[k.key]
-		accs := groups[k]
-		if m, ok := spec.explicit[k.field]; ok {
-			for _, a := range accs {
-				if a.locked || a.fresh {
-					continue
-				}
-				lc.pass.Reportf(a.pos, "access to %s without holding %s per its %s %s contract: lock it, or annotate //lint:allow lockcheck with the synchronisation story", a.disp, guardLockRender(a, m), GuardDirective, m)
-			}
-			continue
-		}
-		// Inference: at least two locked accesses and strictly more locked
-		// than unlocked establish the contract; fresh and unresolvable
-		// accesses stay out of the vote.
-		locked, unlocked := 0, 0
-		for _, a := range accs {
-			switch {
-			case a.base == "" || a.fresh:
-			case a.locked:
-				locked++
-			default:
-				unlocked++
-			}
-		}
-		if locked < 2 || locked <= unlocked {
-			continue
-		}
-		mutex := sortedKeys(spec.mutexes)[0]
-		for _, a := range accs {
-			if a.locked || a.fresh || a.base == "" {
-				continue
-			}
-			lc.pass.Reportf(a.pos, "access to %s without its mutex: %s is held for %d of the %d accesses to this field — lock it, declare the contract with %s %s on the field, or annotate //lint:allow lockcheck", a.disp, guardLockRender(a, mutex), locked, locked+unlocked, GuardDirective, mutex)
-		}
-	}
-}
-
-// guardLockRender names the lock an access should hold ("j.mu", or the
-// bare base for an embedded mutex).
-func guardLockRender(a fieldAccess, mutex string) string {
-	base := a.base
-	if base == "" {
-		base = "its receiver"
-	}
-	return base + "." + mutex
-}
-
-// ---------------------------------------------------------------------
 // Cycle detection over the acquisition-order graph.
 
 // reportCycles flags every edge that sits on a cycle, at its own
@@ -1316,80 +1123,6 @@ func findPath(adj map[string][]string, start, goal string) []string {
 		}
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------
-// Direct summaries: blocking sites, acquisitions and lock classes.
-
-// lockDirectWalker computes each function's direct summary in one walk:
-// the blocking and acquire facts with first evidence, and the lock
-// classes it acquires (for the order graph). A site-level
-// //lint:allow lockcheck keeps an allowed site (the sanctioned
-// close-under-mutex broadcasts) out of its function's summary so
-// callers are not tainted; a declaration-line directive exempts the
-// whole function. One walker instance serves the whole module.
-type lockDirectWalker struct {
-	n     *funcNode
-	d     summary
-	block blockingSites
-}
-
-func (w *lockDirectWalker) collect(n *funcNode) summary {
-	if n.pkg.exemptFunc("lockcheck", n.decl) {
-		return summary{}
-	}
-	w.n, w.d = n, summary{}
-	w.block.reset(n.pkg)
-	ast.Walk(w, n.decl.Body)
-	return w.d
-}
-
-// record adds fact f with its evidence, unless a site-level directive
-// exempts pos; it reports whether the site counted.
-func (w *lockDirectWalker) record(f fact, pos token.Pos, desc string) bool {
-	if w.n.pkg.exemptAt("lockcheck", pos) {
-		return false
-	}
-	if w.d.facts&f == 0 {
-		if w.d.direct == nil {
-			w.d.direct = map[fact]*evidence{}
-		}
-		w.d.direct[f] = &evidence{pos: pos, desc: desc}
-	}
-	w.d.facts |= f
-	return true
-}
-
-func (w *lockDirectWalker) Visit(node ast.Node) ast.Visitor {
-	if _, ok := node.(*ast.DeferStmt); ok {
-		return nil // deferred ops run at exit: not facts
-	}
-	if desc := w.block.site(node); desc != "" {
-		w.record(factBlock, node.Pos(), desc)
-		return w
-	}
-	call, ok := node.(*ast.CallExpr)
-	if !ok {
-		return w
-	}
-	pkg := w.n.pkg
-	x, method := mutexOp(pkg, call)
-	if x == nil || method == "Unlock" || method == "RUnlock" {
-		return w
-	}
-	desc := exprPath(x) + "." + method
-	if !w.record(factMuAcquire, call.Pos(), desc) {
-		return w
-	}
-	class, display := lockClass(pkg, x, declName(w.n.decl))
-	if _, ok := w.d.classes[class]; class == "" || ok {
-		return w
-	}
-	if w.d.classes == nil {
-		w.d.classes = map[string]*acqClass{}
-	}
-	w.d.classes[class] = &acqClass{display: display, direct: &evidence{pos: call.Pos(), desc: desc}}
-	return w
 }
 
 // markCommOps records the send/receive operations that are sel's comm

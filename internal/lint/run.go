@@ -73,14 +73,16 @@ func Run(dir string, patterns []string, opts Options) ([]Diagnostic, error) {
 		}
 	}
 	var graph *callGraph
+	var sums *summaries
 	for _, a := range analyzers {
 		if a.RunModule == nil {
 			continue
 		}
 		if graph == nil {
 			graph = buildCallGraph(pkgs)
+			sums = solveSummaries(graph)
 		}
-		a.RunModule(&ModulePass{Analyzer: a, Pkgs: pkgs, graph: graph, diags: &all})
+		a.RunModule(&ModulePass{Analyzer: a, Pkgs: pkgs, graph: graph, sums: sums, diags: &all})
 	}
 	all = suppress(all, allows, ran, !opts.KeepUnusedAllows)
 	sortDiagnostics(all)

@@ -1,6 +1,6 @@
 // Package lockcheck seeds every guarded-field violation class: an
-// explicit //lint:guard contract broken and honoured, an inferred
-// contract broken and honoured, the constructor (fresh allocation)
+// explicit //lint:guard contract broken and honoured, a contract held
+// through the wrong sibling mutex, the constructor (fresh allocation)
 // exemption, the Locked-suffix convention from both sides, and a
 // malformed directive.
 package lockcheck
@@ -70,47 +70,26 @@ func (b *badGuard) use() int {
 	return b.v + b.lock
 }
 
-// inferred has no annotations; three locked accesses of v against one
-// unlocked one infer the contract and flag the odd one out.
-type inferred struct {
-	mu sync.Mutex
-	v  int
+// twoLocks guards n with mu; holding the sibling mutex other does not
+// satisfy that contract.
+type twoLocks struct {
+	mu    sync.Mutex
+	other sync.Mutex
+	n     int //lint:guard mu
 }
 
-func (i *inferred) a() {
-	i.mu.Lock()
-	i.v++
-	i.mu.Unlock()
+// wrongLock reads n under other only: flagged.
+func (t *twoLocks) wrongLock() int {
+	t.other.Lock()
+	defer t.other.Unlock()
+	return t.n
 }
 
-func (i *inferred) b() int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.v
-}
-
-func (i *inferred) c() {
-	i.mu.Lock()
-	i.v = 0
-	i.mu.Unlock()
-}
-
-// odd reads v unlocked while the other three accesses lock: flagged
-// (inferred contract).
-func (i *inferred) odd() int { return i.v }
-
-// loose is mostly accessed unlocked: no contract inferred, all silent.
-type loose struct {
-	mu sync.Mutex
-	w  int
-}
-
-func (l *loose) x() int { return l.w }
-func (l *loose) y() int { return l.w }
-func (l *loose) z() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w
+// rightLock reads n under mu: silent.
+func (t *twoLocks) rightLock() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n
 }
 
 // rwGuarded proves RLock satisfies a read contract: silent.

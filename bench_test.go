@@ -240,9 +240,12 @@ func BenchmarkPilot2019(b *testing.B) {
 }
 
 // BenchmarkCampaignSimulation measures the full beacon-to-labels pipeline:
-// a one-pair 1-minute campaign over the bench topology.
+// a one-pair 1-minute campaign over the bench topology. It reports the
+// speaker-to-speaker updates each campaign sends as updates/op, so the
+// time per update stays comparable across topology sizes.
 func BenchmarkCampaignSimulation(b *testing.B) {
 	s := suite(b).Scenario()
+	var updates uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run, err := s.RunCampaignContext(context.Background(), experiment.IntervalCampaign(time.Minute, 1))
@@ -252,7 +255,9 @@ func BenchmarkCampaignSimulation(b *testing.B) {
 		if len(run.Measurements) == 0 {
 			b.Fatal("no measurements")
 		}
+		updates = run.UpdatesSent
 	}
+	b.ReportMetric(float64(updates), "updates/op")
 }
 
 // ---- Ablation benches ------------------------------------------------------

@@ -176,35 +176,28 @@ func (s Schedule) anchorEvents() []Event {
 
 // Drive schedules every event of evs onto the engine, driving the network's
 // origination API. Announcements carry the event time as the aggregator
-// timestamp.
+// timestamp. Every event is validated before any is scheduled, so an error
+// leaves the engine untouched.
 func Drive(eng *netsim.Engine, net *router.Network, evs []Event) error {
 	for _, ev := range evs {
-		ev := ev
 		if ev.At.Before(eng.Now()) {
 			return fmt.Errorf("beacon: event at %v before engine time %v", ev.At, eng.Now())
-		}
-		var err error
-		if ev.Announce {
-			err = scheduleAt(eng, ev.At, func() {
-				// Errors cannot occur here: the site was validated below.
-				_ = net.Originate(ev.Site, ev.Prefix, EncodeTimestamp(ev.At))
-			})
-		} else {
-			err = scheduleAt(eng, ev.At, func() {
-				_ = net.WithdrawOrigin(ev.Site, ev.Prefix)
-			})
-		}
-		if err != nil {
-			return err
 		}
 		if net.Router(ev.Site) == nil {
 			return fmt.Errorf("beacon: unknown site %v", ev.Site)
 		}
 	}
-	return nil
-}
-
-func scheduleAt(eng *netsim.Engine, at time.Time, fn func()) error {
-	eng.At(at, fn)
+	for _, ev := range evs {
+		// Errors cannot occur in the handlers: every site was validated above.
+		if ev.Announce {
+			eng.At(ev.At, netsim.Func(func() {
+				_ = net.Originate(ev.Site, ev.Prefix, EncodeTimestamp(ev.At))
+			}))
+		} else {
+			eng.At(ev.At, netsim.Func(func() {
+				_ = net.WithdrawOrigin(ev.Site, ev.Prefix)
+			}))
+		}
+	}
 	return nil
 }

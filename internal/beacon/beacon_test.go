@@ -289,3 +289,32 @@ func TestDriveRejectsUnknownSite(t *testing.T) {
 		t.Error("unknown site accepted")
 	}
 }
+
+func TestFailedDriveSchedulesNothing(t *testing.T) {
+	pfx := bgp.MustPrefix("10.0.0.0/24")
+	valid := Event{At: t0.Add(time.Hour), Prefix: pfx, Site: 5, Announce: true}
+	for _, c := range []struct {
+		name string
+		bad  Event
+	}{
+		{"unknown site", Event{At: t0.Add(2 * time.Hour), Prefix: pfx, Site: 77, Announce: true}},
+		{"past event", Event{At: t0.Add(-time.Hour), Prefix: pfx, Site: 5}},
+	} {
+		name := c.name
+		g := topology.NewGraph()
+		if err := g.AddAS(5, topology.TierStub); err != nil {
+			t.Fatal(err)
+		}
+		eng := netsim.NewEngine(t0)
+		net := router.New(eng, g, router.Options{}, stats.NewRNG(1))
+		if err := Drive(eng, net, []Event{valid, c.bad}); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if end := eng.Run(); !end.Equal(t0) {
+			t.Errorf("%s: the engine ran until %v, want nothing run after %v", name, end, t0)
+		}
+		if _, ok := net.Router(5).Best(pfx); ok {
+			t.Errorf("%s: the valid event was scheduled and ran", name)
+		}
+	}
+}

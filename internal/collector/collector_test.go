@@ -119,9 +119,9 @@ func TestEntriesSortedByExportTime(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		ts := uint32(i)
-		eng.At(t0.Add(time.Duration(i)*time.Minute), func() {
+		eng.At(t0.Add(time.Duration(i)*time.Minute), netsim.Func(func() {
 			_ = net.Originate(3, pfx, ts)
-		})
+		}))
 	}
 	eng.Run()
 	entries := c.Entries()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"because/internal/netsim"
 	"because/internal/stats"
 )
 
@@ -20,9 +21,9 @@ func fuzzArchive(t testing.TB) []byte {
 	}
 	for i, seq := range []uint32{7, 8} {
 		seq := seq
-		eng.At(t0.Add(time.Duration(i)*time.Minute), func() { _ = net.Originate(3, pfx, seq) })
+		eng.At(t0.Add(time.Duration(i)*time.Minute), netsim.Func(func() { _ = net.Originate(3, pfx, seq) }))
 	}
-	eng.At(t0.Add(5*time.Minute), func() { _ = net.WithdrawOrigin(3, pfx) })
+	eng.At(t0.Add(5*time.Minute), netsim.Func(func() { _ = net.WithdrawOrigin(3, pfx) }))
 	eng.Run()
 	var buf bytes.Buffer
 	if err := WriteMRT(&buf, c.Entries()); err != nil {

@@ -171,13 +171,13 @@ func (s *Scenario) scheduleChurn(eng *netsim.Engine, net *router.Network, rng *s
 			flipTo := announced
 			when, p, o := at, prefix, owner
 			seq := uint32(i)
-			eng.At(when, func() {
+			eng.At(when, netsim.Func(func() {
 				if flipTo {
 					_ = net.Originate(o, p, seq)
 				} else {
 					_ = net.WithdrawOrigin(o, p)
 				}
-			})
+			}))
 		}
 	}
 	return nil

@@ -1,51 +1,118 @@
 // Package netsim is a deterministic discrete-event simulation kernel. The
 // BGP router network, the beacon schedulers and the collectors all run on
-// one Engine: components schedule callbacks at virtual times and the engine
+// one Engine: components schedule handlers at virtual times and the engine
 // executes them in time order with a deterministic tie-break, so an entire
 // measurement campaign (months of virtual time) runs in milliseconds and is
 // exactly reproducible.
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
 
-// Event is a scheduled callback.
+// Handler is work scheduled on an Engine. A model type that is itself the
+// scheduled work (an in-flight message, say) implements Handler directly,
+// so scheduling it costs no allocation beyond the value itself.
+type Handler interface {
+	Handle()
+}
+
+// Func adapts a plain callback to Handler.
+type Func func()
+
+// Handle calls f.
+func (f Func) Handle() { f() }
+
+// event is one scheduled handler. key is at.UnixNano(); at is kept as
+// given so Now reports the scheduled time in its original representation.
 type event struct {
+	key int64
+	seq uint64 // FIFO tie-break for equal instants
 	at  time.Time
-	seq uint64 // FIFO tie-break for equal timestamps
-	fn  func()
+	h   Handler
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+// less orders events by instant, then by scheduling order. seq is unique,
+// so this is a strict total order and the pop sequence is fully
+// determined by the schedule.
+//
+//lint:hotpath
+func (a *event) less(b *event) bool {
+	if a.key != b.key {
+		return a.key < b.key
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+// queue is a 4-ary min-heap of events held by value: the children of i
+// are 4i+1 … 4i+4. The wider fan-out halves the tree depth of a binary
+// heap, and value storage keeps the events contiguous.
+type queue []event
+
+// push inserts ev.
+//
+//lint:hotpath
+func (q *queue) push(ev event) {
+	h := append(*q, ev) //lint:allow hotpath amortised growth; steady-state pushes reuse capacity
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !h[i].less(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	*q = h
+}
+
+// pop removes and returns the minimum event. The queue must be non-empty.
+//
+//lint:hotpath
+func (q *queue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the handler reference for the collector
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j := c + 1; j < c+4 && j < n; j++ {
+				if h[j].less(&h[m]) {
+					m = j
+				}
+			}
+			if !h[m].less(&last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // Engine is the simulation clock and event loop. The zero value is not
 // usable; construct with NewEngine. Engine is single-threaded by design:
-// all model code runs inside event callbacks on the calling goroutine,
+// all model code runs inside event handlers on the calling goroutine,
 // which is what makes runs deterministic without locks.
+//
+// Events are ordered by the instant's UnixNano and then by scheduling
+// order, so virtual times must lie in UnixNano's range: between the years
+// 1678 and 2262.
 type Engine struct {
 	now   time.Time
-	queue eventQueue
+	queue queue
 	seq   uint64
 }
 
@@ -57,32 +124,30 @@ func NewEngine(start time.Time) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Time { return e.now }
 
-// At schedules fn to run at the absolute virtual time at. Scheduling in the
+// At schedules h to run at the absolute virtual time at. Scheduling in the
 // past (before Now) panics: that is always a model bug, and silently
 // reordering events would destroy causality.
-func (e *Engine) At(at time.Time, fn func()) {
+func (e *Engine) At(at time.Time, h Handler) {
 	if at.Before(e.now) {
 		panic(fmt.Sprintf("netsim: scheduling event at %v before now %v", at, e.now))
 	}
 	e.seq++
-	heap.Push(&e.queue, &event{at: at, seq: e.seq, fn: fn})
+	e.queue.push(event{key: at.UnixNano(), seq: e.seq, at: at, h: h})
 }
 
-// After schedules fn to run d after the current virtual time.
-func (e *Engine) After(d time.Duration, fn func()) {
+// After schedules h to run d after the current virtual time.
+func (e *Engine) After(d time.Duration, h Handler) {
 	if d < 0 {
 		panic(fmt.Sprintf("netsim: negative delay %v", d))
 	}
-	e.At(e.now.Add(d), fn)
+	e.At(e.now.Add(d), h)
 }
 
 // Run executes events until the queue is empty. It returns the virtual
 // time of the last event executed.
 func (e *Engine) Run() time.Time {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		e.now = ev.at
-		ev.fn()
+		e.step()
 	}
 	return e.now
 }
@@ -91,11 +156,16 @@ func (e *Engine) Run() time.Time {
 // to exactly deadline, and leaves later events queued.
 func (e *Engine) RunUntil(deadline time.Time) {
 	for len(e.queue) > 0 && !e.queue[0].at.After(deadline) {
-		ev := heap.Pop(&e.queue).(*event)
-		e.now = ev.at
-		ev.fn()
+		e.step()
 	}
 	if e.now.Before(deadline) {
 		e.now = deadline
 	}
+}
+
+// step pops the earliest event, advances the clock to it and runs it.
+func (e *Engine) step() {
+	ev := e.queue.pop()
+	e.now = ev.at
+	ev.h.Handle()
 }

@@ -1,8 +1,11 @@
 package netsim
 
 import (
+	"sort"
 	"testing"
 	"time"
+
+	"because/internal/stats"
 )
 
 var t0 = time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -10,9 +13,9 @@ var t0 = time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
 func TestEventsRunInTimeOrder(t *testing.T) {
 	e := NewEngine(t0)
 	var order []int
-	e.At(t0.Add(3*time.Second), func() { order = append(order, 3) })
-	e.At(t0.Add(1*time.Second), func() { order = append(order, 1) })
-	e.At(t0.Add(2*time.Second), func() { order = append(order, 2) })
+	e.At(t0.Add(3*time.Second), Func(func() { order = append(order, 3) }))
+	e.At(t0.Add(1*time.Second), Func(func() { order = append(order, 1) }))
+	e.At(t0.Add(2*time.Second), Func(func() { order = append(order, 2) }))
 	end := e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -28,7 +31,7 @@ func TestEqualTimestampsFIFO(t *testing.T) {
 	at := t0.Add(time.Second)
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(at, func() { order = append(order, i) })
+		e.At(at, Func(func() { order = append(order, i) }))
 	}
 	e.Run()
 	for i, v := range order {
@@ -41,12 +44,12 @@ func TestEqualTimestampsFIFO(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine(t0)
 	var times []time.Time
-	e.After(time.Second, func() {
+	e.After(time.Second, Func(func() {
 		times = append(times, e.Now())
-		e.After(2*time.Second, func() {
+		e.After(2*time.Second, Func(func() {
 			times = append(times, e.Now())
-		})
-	})
+		}))
+	}))
 	e.Run()
 	if len(times) != 2 {
 		t.Fatalf("ran %d events", len(times))
@@ -58,14 +61,14 @@ func TestNestedScheduling(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine(t0)
-	e.After(time.Second, func() {
+	e.After(time.Second, Func(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("past scheduling did not panic")
 			}
 		}()
-		e.At(t0, func() {})
-	})
+		e.At(t0, Func(func() {}))
+	}))
 	e.Run()
 }
 
@@ -76,14 +79,14 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	e.After(-time.Second, func() {})
+	e.After(-time.Second, Func(func() {}))
 }
 
 func TestRunUntil(t *testing.T) {
 	e := NewEngine(t0)
 	ran := 0
 	for i := 1; i <= 10; i++ {
-		e.At(t0.Add(time.Duration(i)*time.Minute), func() { ran++ })
+		e.At(t0.Add(time.Duration(i)*time.Minute), Func(func() { ran++ }))
 	}
 	e.RunUntil(t0.Add(5 * time.Minute))
 	if ran != 5 {
@@ -111,10 +114,10 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		step = func(n int) {
 			out = append(out, n)
 			if n < 20 {
-				e.After(time.Duration(n%3+1)*time.Second, func() { step(n + 1) })
+				e.After(time.Duration(n%3+1)*time.Second, Func(func() { step(n + 1) }))
 			}
 		}
-		e.After(0, func() { step(0) })
+		e.After(0, Func(func() { step(0) }))
 		e.Run()
 		return out
 	}
@@ -125,6 +128,82 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("traces diverge at %d", i)
+		}
+	}
+}
+
+// TestExecutionOrderProperty runs seeded random schedules whose handlers
+// schedule more work with At and After while Run executes them, over few
+// distinct instants so that most events tie. The instants are given as
+// differently represented but equal time.Time values: with and without a
+// monotonic clock reading and in other locations. Execution order must
+// equal a stable sort of every scheduled event by instant, which breaks
+// ties by scheduling order, and Now must report each event's instant.
+func TestExecutionOrderProperty(t *testing.T) {
+	locs := []*time.Location{time.UTC, time.FixedZone("east", 5*3600+1800), time.FixedZone("west", -8*3600)}
+	for seed := uint64(1); seed <= 25; seed++ {
+		rng := stats.NewRNG(seed)
+		start := time.Now() // carries a monotonic reading
+		e := NewEngine(start)
+		var scheduled []time.Time // by scheduling order
+		var ran []int
+		// represent returns a time.Time equal to at in a random form.
+		represent := func(at time.Time) time.Time {
+			switch rng.Intn(4) {
+			case 0:
+				return at
+			case 1:
+				return at.Round(0) // monotonic reading stripped
+			case 2:
+				return at.In(locs[rng.Intn(len(locs))])
+			default:
+				return time.Unix(0, at.UnixNano()).In(locs[rng.Intn(len(locs))])
+			}
+		}
+		var schedule func(depth int)
+		schedule = func(depth int) {
+			id := len(scheduled)
+			d := time.Duration(rng.Intn(4)) * time.Second
+			at := e.Now().Add(d)
+			after := rng.Intn(2) == 0
+			if !after {
+				at = represent(at)
+			}
+			scheduled = append(scheduled, at)
+			h := Func(func() {
+				if !e.Now().Equal(at) {
+					t.Errorf("seed %d: event %d ran at %v, scheduled for %v", seed, id, e.Now(), at)
+				}
+				ran = append(ran, id)
+				if depth < 3 {
+					for k := rng.Intn(3); k > 0; k-- {
+						schedule(depth + 1)
+					}
+				}
+			})
+			if after {
+				e.After(d, h)
+			} else {
+				e.At(at, h)
+			}
+		}
+		for i := 0; i < 40; i++ {
+			schedule(0)
+		}
+		e.Run()
+
+		want := make([]int, len(scheduled))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return scheduled[want[i]].Before(scheduled[want[j]]) })
+		if len(ran) != len(want) {
+			t.Fatalf("seed %d: ran %d of %d events", seed, len(ran), len(want))
+		}
+		for i := range want {
+			if ran[i] != want[i] {
+				t.Fatalf("seed %d: position %d ran event %d, want %d", seed, i, ran[i], want[i])
+			}
 		}
 	}
 }

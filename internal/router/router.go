@@ -21,6 +21,7 @@ package router
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"because/internal/bgp"
@@ -118,16 +119,17 @@ func defaultMRAI(asn bgp.ASN, rng *stats.RNG) time.Duration {
 	return time.Duration(rng.Float64() * float64(5*time.Second))
 }
 
-// dampKey identifies damping state: per neighbor session, per prefix.
+// dampKey identifies damping state: per session position, per prefix id.
 type dampKey struct {
-	neighbor bgp.ASN
-	prefix   bgp.Prefix
+	session int32
+	prefix  int32
 }
 
 // adjRoute is an Adj-RIB-In entry.
 type adjRoute struct {
 	path       bgp.Path
 	aggregator *bgp.Aggregator
+	seen       bool // the neighbor has announced the prefix at least once
 	valid      bool // currently announced by the neighbor
 	suppressed bool // withheld by RFD
 }
@@ -135,17 +137,7 @@ type adjRoute struct {
 // attrsEqual reports whether two adj-in routes carry the same attributes
 // (the properties that propagate: path and aggregator).
 func (r *adjRoute) attrsEqual(path bgp.Path, agg *bgp.Aggregator) bool {
-	if !r.path.Equal(path) {
-		return false
-	}
-	switch {
-	case r.aggregator == nil && agg == nil:
-		return true
-	case r.aggregator == nil || agg == nil:
-		return false
-	default:
-		return *r.aggregator == *agg
-	}
+	return r.path.Equal(path) && aggEqual(r.aggregator, agg)
 }
 
 // selection is a Loc-RIB entry: the winning route for a prefix.
@@ -158,27 +150,43 @@ type selection struct {
 }
 
 func (s *selection) equal(o *selection) bool {
-	if s == nil || o == nil {
-		return s == o
-	}
-	if s.neighbor != o.neighbor || s.local != o.local || !s.path.Equal(o.path) {
-		return false
-	}
-	switch {
-	case s.aggregator == nil && o.aggregator == nil:
-		return true
-	case s.aggregator == nil || o.aggregator == nil:
-		return false
-	default:
-		return *s.aggregator == *o.aggregator
-	}
+	return s.neighbor == o.neighbor && s.local == o.local && s.path.Equal(o.path) && aggEqual(s.aggregator, o.aggregator)
 }
 
-// exportState tracks what a router last told one neighbor about one prefix.
+// ribState is everything one router holds about one prefix.
+type ribState struct {
+	// origin is the aggregator the router originates the prefix with; nil
+	// while it does not originate it.
+	origin *bgp.Aggregator
+	// adjIn is the Adj-RIB-In, indexed by session position.
+	adjIn []adjRoute
+	// best is the Loc-RIB entry, meaningful when hasBest.
+	best    selection
+	hasBest bool
+	// out is best.path with the router's ASN prepended, as advertised. It
+	// is built on first use after each change of the winner and shared by
+	// every session and monitor update the winner is exported in; sharing
+	// is safe because no path is modified in place (Prepend copies).
+	out bgp.Path
+	// monitorExported tracks announce state toward monitors so withdrawals
+	// are only emitted for previously announced prefixes.
+	monitorExported bool
+	// damper is the RFC 2439 engine whose parameters apply to the prefix,
+	// resolved on first use.
+	damper *rfd.Damper[dampKey]
+}
+
+// exportState tracks what a router last told one neighbor about one
+// prefix, and its sending-side MRAI state.
 type exportState struct {
 	advertised bool
 	path       bgp.Path
 	aggregator *bgp.Aggregator
+
+	// lastSent is the time of the last announcement, valid when sent.
+	lastSent time.Time
+	sent     bool
+	pending  bool // an MRAI flush event is scheduled
 }
 
 // session is one eBGP adjacency from the owning router's perspective.
@@ -186,27 +194,23 @@ type session struct {
 	neighbor bgp.ASN
 	rel      topology.Relationship
 	delay    time.Duration
+	damped   bool // receive-side damping enabled for this session
 
-	// Sending-side MRAI state.
-	lastSent map[bgp.Prefix]time.Time
-	pending  map[bgp.Prefix]bool // a flush event is scheduled for these
-	exported map[bgp.Prefix]*exportState
+	peer *Router // the neighbor's speaker
+	back int32   // position of the reverse session in peer.sessions
 
-	damped bool // receive-side damping enabled for this session
+	exports []exportState // indexed by prefix id
 }
 
 // Router is one BGP speaker.
 type Router struct {
-	asn  bgp.ASN
-	tier topology.Tier
-	net  *Network
+	asn bgp.ASN
+	net *Network
 
-	sessions map[bgp.ASN]*session
-	order    []bgp.ASN // deterministic session iteration order
-
-	adjIn      map[bgp.Prefix]map[bgp.ASN]*adjRoute
-	locRib     map[bgp.Prefix]*selection
-	originated map[bgp.Prefix]*bgp.Aggregator
+	// sessions is sorted by neighbor ASN, which makes iteration
+	// deterministic; a session's position indexes ribState.adjIn.
+	sessions []*session
+	ribs     []ribState // indexed by prefix id
 
 	mrai time.Duration
 	// dampers holds one RFC 2439 engine per distinct parameter set in use
@@ -215,9 +219,6 @@ type Router struct {
 	policy  *RFDPolicy
 
 	monitors []MonitorFunc
-	// monitorExported tracks announce state toward monitors so withdrawals
-	// are only emitted for previously announced prefixes.
-	monitorExported map[bgp.Prefix]bool
 
 	// Counters for introspection.
 	UpdatesReceived uint64
@@ -234,15 +235,19 @@ func (r *Router) MRAI() time.Duration { return r.mrai }
 func (r *Router) Damping() bool { return r.policy != nil }
 
 // damperFor returns (creating on first use) the damping engine whose
-// parameters apply to prefix.
-func (r *Router) damperFor(prefix bgp.Prefix) *rfd.Damper[dampKey] {
-	params := r.policy.paramsFor(prefix)
-	d, ok := r.dampers[params]
-	if !ok {
-		d = rfd.New[dampKey](params)
-		r.dampers[params] = d
+// parameters apply to prefix id.
+func (r *Router) damperFor(id int32) *rfd.Damper[dampKey] {
+	rs := &r.ribs[id]
+	if rs.damper == nil {
+		params := r.policy.paramsFor(r.net.prefixes[id])
+		d, ok := r.dampers[params]
+		if !ok {
+			d = rfd.New[dampKey](params)
+			r.dampers[params] = d
+		}
+		rs.damper = d
 	}
-	return d
+	return rs.damper
 }
 
 // Network is the simulated BGP speaker mesh.
@@ -251,6 +256,11 @@ type Network struct {
 	graph   *topology.Graph
 	routers map[bgp.ASN]*Router
 	opts    Options
+
+	// Prefixes get dense ids on first use; per-prefix state is indexed by
+	// them.
+	prefixIDs map[bgp.Prefix]int32
+	prefixes  []bgp.Prefix
 }
 
 // New builds a network over graph on engine. Construction draws link
@@ -264,23 +274,17 @@ func New(engine *netsim.Engine, graph *topology.Graph, opts Options, rng *stats.
 		opts.MRAI = defaultMRAI
 	}
 	n := &Network{
-		engine:  engine,
-		graph:   graph,
-		routers: make(map[bgp.ASN]*Router, graph.Len()),
-		opts:    opts,
+		engine:    engine,
+		graph:     graph,
+		routers:   make(map[bgp.ASN]*Router, graph.Len()),
+		opts:      opts,
+		prefixIDs: make(map[bgp.Prefix]int32),
 	}
 	for _, asn := range graph.ASNs() {
-		node := graph.AS(asn)
 		r := &Router{
-			asn:             asn,
-			tier:            node.Tier,
-			net:             n,
-			sessions:        make(map[bgp.ASN]*session, len(node.Neighbors)),
-			adjIn:           make(map[bgp.Prefix]map[bgp.ASN]*adjRoute),
-			locRib:          make(map[bgp.Prefix]*selection),
-			originated:      make(map[bgp.Prefix]*bgp.Aggregator),
-			monitorExported: make(map[bgp.Prefix]bool),
-			mrai:            opts.MRAI(asn, rng),
+			asn:  asn,
+			net:  n,
+			mrai: opts.MRAI(asn, rng),
 		}
 		if opts.RFD != nil {
 			if pol := opts.RFD(asn); pol != nil {
@@ -290,46 +294,61 @@ func New(engine *netsim.Engine, graph *topology.Graph, opts Options, rng *stats.
 		}
 		n.routers[asn] = r
 	}
-	// Wire sessions; link delay is symmetric and drawn once per link.
+	// One session per neighbor, in the graph's ASN-sorted neighbor order.
 	for _, asn := range graph.ASNs() {
-		node := graph.AS(asn)
 		r := n.routers[asn]
-		for _, nb := range node.Neighbors {
-			if _, done := r.sessions[nb.ASN]; done {
+		for _, nb := range graph.AS(asn).Neighbors {
+			r.sessions = append(r.sessions, &session{
+				neighbor: nb.ASN,
+				rel:      nb.Rel,
+				damped:   r.policy.Damps(nb.ASN, nb.Rel),
+				peer:     n.routers[nb.ASN],
+			})
+		}
+	}
+	// Link delay is symmetric and drawn once per link, by the lower-ASN
+	// endpoint.
+	for _, asn := range graph.ASNs() {
+		r := n.routers[asn]
+		for i, s := range r.sessions {
+			if s.neighbor < asn {
 				continue
 			}
-			if nb.ASN < asn {
-				continue // the lower-ASN endpoint created it already
-			}
-			delay := opts.LinkDelay(asn, nb.ASN, rng)
-			other := n.routers[nb.ASN]
-			r.addSession(nb.ASN, nb.Rel, delay)
-			backRel, _ := graph.AS(nb.ASN).Neighbor(asn)
-			other.addSession(asn, backRel.Rel, delay)
+			j := s.peer.sessionTo(asn)
+			rev := s.peer.sessions[j]
+			s.back, rev.back = j, int32(i)
+			s.delay = opts.LinkDelay(asn, s.neighbor, rng)
+			rev.delay = s.delay
 		}
 	}
 	return n
 }
 
-func (r *Router) addSession(neighbor bgp.ASN, rel topology.Relationship, delay time.Duration) {
-	s := &session{
-		neighbor: neighbor,
-		rel:      rel,
-		delay:    delay,
-		lastSent: make(map[bgp.Prefix]time.Time),
-		pending:  make(map[bgp.Prefix]bool),
-		exported: make(map[bgp.Prefix]*exportState),
+// sessionTo returns the position of the session toward neighbor.
+func (r *Router) sessionTo(neighbor bgp.ASN) int32 {
+	i := sort.Search(len(r.sessions), func(i int) bool { return r.sessions[i].neighbor >= neighbor })
+	return int32(i)
+}
+
+// prefixID returns prefix's dense id. On first use it assigns the next id
+// and gives every router and session state for it. That growth may move
+// the per-prefix slices, so only the scheduling entry points call it,
+// never the router's own event handlers.
+func (n *Network) prefixID(prefix bgp.Prefix) int32 {
+	if id, ok := n.prefixIDs[prefix]; ok {
+		return id
 	}
-	s.damped = r.policy.Damps(neighbor, rel)
-	r.sessions[neighbor] = s
-	// Keep a sorted iteration order (sessions are added in ASN order by
-	// construction, but be explicit about the invariant).
-	i := len(r.order)
-	r.order = append(r.order, neighbor)
-	for i > 0 && r.order[i-1] > neighbor {
-		r.order[i], r.order[i-1] = r.order[i-1], r.order[i]
-		i--
+	id := int32(len(n.prefixes))
+	n.prefixIDs[prefix] = id
+	n.prefixes = append(n.prefixes, prefix)
+	for _, asn := range n.graph.ASNs() {
+		r := n.routers[asn]
+		r.ribs = append(r.ribs, ribState{adjIn: make([]adjRoute, len(r.sessions))})
+		for _, s := range r.sessions {
+			s.exports = append(s.exports, exportState{})
+		}
 	}
+	return id
 }
 
 // Router returns the speaker for asn, or nil.
@@ -360,10 +379,10 @@ func (n *Network) Originate(asn bgp.ASN, prefix bgp.Prefix, aggregatorTS uint32)
 	if r == nil {
 		return fmt.Errorf("router: no such AS %v", asn)
 	}
-	n.engine.After(0, func() {
-		r.originated[prefix] = &bgp.Aggregator{AS: asn, ID: aggregatorTS}
-		r.runDecision(prefix)
-	})
+	id := n.prefixID(prefix)
+	n.engine.After(0, netsim.Func(func() {
+		r.setOrigin(id, &bgp.Aggregator{AS: asn, ID: aggregatorTS})
+	}))
 	return nil
 }
 
@@ -373,50 +392,45 @@ func (n *Network) WithdrawOrigin(asn bgp.ASN, prefix bgp.Prefix) error {
 	if r == nil {
 		return fmt.Errorf("router: no such AS %v", asn)
 	}
-	n.engine.After(0, func() {
-		delete(r.originated, prefix)
-		r.runDecision(prefix)
-	})
+	id := n.prefixID(prefix)
+	n.engine.After(0, netsim.Func(func() { r.setOrigin(id, nil) }))
 	return nil
 }
 
+// setOrigin starts (agg non-nil) or stops originating prefix id and
+// re-runs the decision process.
+func (r *Router) setOrigin(id int32, agg *bgp.Aggregator) {
+	r.ribs[id].origin = agg
+	r.runDecision(id)
+}
+
 // message is the in-flight representation of an UPDATE between two
-// simulated speakers. (Collector sessions serialise to the real wire
-// format; speaker-to-speaker hops stay in memory for speed.)
+// simulated speakers, and is itself the scheduled delivery event.
+// (Collector sessions serialise to the real wire format; speaker-to-speaker
+// hops stay in memory for speed.)
 type message struct {
-	from       bgp.ASN
-	prefix     bgp.Prefix
+	to         *Router
+	from       int32 // the sender's session position in to.sessions
+	prefix     int32 // prefix id
 	withdraw   bool
 	path       bgp.Path
 	aggregator *bgp.Aggregator
 }
 
+// Handle delivers the message to its receiver.
+func (m *message) Handle() { m.to.receive(m) }
+
 // receive processes one update message at the current virtual time.
 func (r *Router) receive(m *message) {
 	r.UpdatesReceived++
-	s := r.sessions[m.from]
-	if s == nil {
-		return // session vanished; cannot happen in the static topology
-	}
-	now := r.net.engine.Now()
-	routes := r.adjIn[m.prefix]
-	if routes == nil {
-		routes = make(map[bgp.ASN]*adjRoute)
-		r.adjIn[m.prefix] = routes
-	}
-	entry := routes[m.from]
+	entry := &r.ribs[m.prefix].adjIn[m.from]
 
 	if m.withdraw {
-		if entry == nil || !entry.valid {
+		if !entry.valid {
 			return // withdrawal for a route we do not hold: no-op
 		}
 		entry.valid = false
-		if s.damped {
-			if r.damperFor(m.prefix).Record(dampKey{m.from, m.prefix}, now, rfd.EventWithdraw) && !entry.suppressed {
-				entry.suppressed = true
-				r.scheduleReuse(m.from, m.prefix)
-			}
-		}
+		r.recordFlap(m.from, m.prefix, rfd.EventWithdraw)
 		r.runDecision(m.prefix)
 		return
 	}
@@ -426,7 +440,7 @@ func (r *Router) receive(m *message) {
 		return
 	}
 	// Import filter (ROV hook).
-	if f := r.net.opts.ImportFilter; f != nil && !f(r.asn, m.prefix, m.path) {
+	if f := r.net.opts.ImportFilter; f != nil && !f(r.asn, r.net.prefixes[m.prefix], m.path) {
 		return
 	}
 
@@ -434,7 +448,7 @@ func (r *Router) receive(m *message) {
 	var ev rfd.Event
 	havePenalty := false
 	switch {
-	case entry == nil:
+	case !entry.seen:
 		// Initial advertisement: no penalty (RFC 2439 § 4.4.2).
 	case !entry.valid:
 		ev, havePenalty = rfd.EventReadvertise, true
@@ -445,56 +459,59 @@ func (r *Router) receive(m *message) {
 		return
 	}
 
-	if entry == nil {
-		entry = &adjRoute{}
-		routes[m.from] = entry
-	}
 	entry.path = m.path
 	entry.aggregator = m.aggregator
+	entry.seen = true
 	entry.valid = true
 
-	if s.damped && havePenalty {
-		if r.damperFor(m.prefix).Record(dampKey{m.from, m.prefix}, now, ev) && !entry.suppressed {
-			entry.suppressed = true
-			r.scheduleReuse(m.from, m.prefix)
-		}
+	if havePenalty {
+		r.recordFlap(m.from, m.prefix, ev)
 	}
 	r.runDecision(m.prefix)
 }
 
-// scheduleReuse arms a release check for a suppressed (neighbor, prefix).
-func (r *Router) scheduleReuse(neighbor bgp.ASN, prefix bgp.Prefix) {
+// recordFlap charges a damping penalty for ev on the route from session i
+// when that session is damped, and arms the reuse timer if the route
+// becomes suppressed.
+func (r *Router) recordFlap(i, id int32, ev rfd.Event) {
+	if !r.sessions[i].damped {
+		return
+	}
+	entry := &r.ribs[id].adjIn[i]
+	if r.damperFor(id).Record(dampKey{i, id}, r.net.engine.Now(), ev) && !entry.suppressed {
+		entry.suppressed = true
+		r.scheduleReuse(i, id)
+	}
+}
+
+// scheduleReuse arms a release check for a suppressed (session, prefix).
+func (r *Router) scheduleReuse(i, id int32) {
 	now := r.net.engine.Now()
-	at, ok := r.damperFor(prefix).ReuseAt(dampKey{neighbor, prefix}, now)
+	at, ok := r.damperFor(id).ReuseAt(dampKey{i, id}, now)
 	if !ok {
 		return
 	}
 	// A small epsilon past the threshold crossing avoids floating-point
 	// equality issues at the exact boundary.
-	r.net.engine.At(at.Add(time.Millisecond), func() { r.reuseCheck(neighbor, prefix) })
+	r.net.engine.At(at.Add(time.Millisecond), netsim.Func(func() { r.reuseCheck(i, id) }))
 }
 
 // reuseCheck releases a suppressed route if its penalty has decayed below
 // the reuse threshold, or re-arms the timer if more flaps pushed it up.
-func (r *Router) reuseCheck(neighbor bgp.ASN, prefix bgp.Prefix) {
-	routes := r.adjIn[prefix]
-	if routes == nil {
+func (r *Router) reuseCheck(i, id int32) {
+	entry := &r.ribs[id].adjIn[i]
+	if !entry.suppressed {
 		return
 	}
-	entry := routes[neighbor]
-	if entry == nil || !entry.suppressed {
-		return
-	}
-	now := r.net.engine.Now()
-	if r.damperFor(prefix).Suppressed(dampKey{neighbor, prefix}, now) {
-		r.scheduleReuse(neighbor, prefix)
+	if r.damperFor(id).Suppressed(dampKey{i, id}, r.net.engine.Now()) {
+		r.scheduleReuse(i, id)
 		return
 	}
 	entry.suppressed = false
 	// The delayed re-advertisement: if the released route wins the decision
 	// process it is exported now — minutes after the last beacon event,
 	// which is exactly the r-delta signature of § 4.1.
-	r.runDecision(prefix)
+	r.runDecision(id)
 }
 
 // localPref maps a session relationship to the standard preference tiers.
@@ -510,10 +527,9 @@ func localPref(rel topology.Relationship) int {
 }
 
 // better reports whether candidate beats incumbent in the decision process.
+//
+//lint:hotpath
 func better(candidate, incumbent *selection) bool {
-	if incumbent == nil {
-		return true
-	}
 	// Locally originated routes always win.
 	if candidate.local != incumbent.local {
 		return candidate.local
@@ -529,132 +545,124 @@ func better(candidate, incumbent *selection) bool {
 	return candidate.neighbor < incumbent.neighbor
 }
 
-// runDecision re-runs route selection for prefix and exports any change.
-func (r *Router) runDecision(prefix bgp.Prefix) {
-	var best *selection
-	if agg, ok := r.originated[prefix]; ok {
-		best = &selection{local: true, aggregator: agg}
+// runDecision re-runs route selection for prefix id and exports any change.
+func (r *Router) runDecision(id int32) {
+	rs := &r.ribs[id]
+	var best selection
+	found := rs.origin != nil
+	if found {
+		best = selection{local: true, aggregator: rs.origin}
 	}
-	if routes := r.adjIn[prefix]; routes != nil {
-		// Deterministic iteration: session order.
-		for _, nb := range r.order {
-			entry := routes[nb]
-			if entry == nil || !entry.valid || entry.suppressed {
-				continue
-			}
-			cand := &selection{
-				neighbor:   nb,
-				rel:        r.sessions[nb].rel,
-				path:       entry.path,
-				aggregator: entry.aggregator,
-			}
-			if better(cand, best) {
-				best = cand
-			}
+	// Deterministic iteration: session order.
+	for i := range rs.adjIn {
+		entry := &rs.adjIn[i]
+		if !entry.valid || entry.suppressed {
+			continue
+		}
+		s := r.sessions[i]
+		cand := selection{
+			neighbor:   s.neighbor,
+			rel:        s.rel,
+			path:       entry.path,
+			aggregator: entry.aggregator,
+		}
+		if !found || better(&cand, &best) {
+			best, found = cand, true
 		}
 	}
-	prev := r.locRib[prefix]
-	if best.equal(prev) {
+	if found == rs.hasBest && (!found || best.equal(&rs.best)) {
 		return
 	}
-	if best == nil {
-		delete(r.locRib, prefix)
-	} else {
-		r.locRib[prefix] = best
+	rs.best, rs.hasBest, rs.out = best, found, bgp.Path{}
+	r.export(id)
+}
+
+// advertised returns the Loc-RIB winner's path with the router's ASN
+// prepended, building it once per winner.
+func (r *Router) advertised(rs *ribState) bgp.Path {
+	if rs.out.Segments == nil {
+		rs.out = rs.best.path.Prepend(r.asn, 1)
 	}
-	r.export(prefix, best)
+	return rs.out
 }
 
 // Best returns the router's current best path for prefix (own ASN
 // prepended, as it would be advertised), or ok=false if unreachable.
 func (r *Router) Best(prefix bgp.Prefix) (bgp.Path, bool) {
-	sel := r.locRib[prefix]
-	if sel == nil {
+	id, ok := r.net.prefixIDs[prefix]
+	if !ok || !r.ribs[id].hasBest {
 		return bgp.Path{}, false
 	}
-	return sel.path.Prepend(r.asn, 1), true
+	return r.ribs[id].best.path.Prepend(r.asn, 1), true
 }
 
 // export sends the new selection (or withdrawal) to every eligible session
 // and to attached monitors.
-func (r *Router) export(prefix bgp.Prefix, best *selection) {
-	for _, nb := range r.order {
-		s := r.sessions[nb]
-		r.exportToSession(s, prefix, best)
+func (r *Router) export(id int32) {
+	rs := &r.ribs[id]
+	for _, s := range r.sessions {
+		announce := r.exportDecision(s, rs)
+		if !announce && !s.exports[id].advertised {
+			continue // never told them about it; no withdrawal needed
+		}
+		r.sendWithMRAI(s, id, announce)
 	}
-	r.exportToMonitors(prefix, best)
+	r.exportToMonitors(id)
 }
 
-// exportDecision computes what, if anything, to tell a neighbor.
-func (r *Router) exportDecision(s *session, prefix bgp.Prefix, best *selection) (announce bool, m *message) {
-	if best != nil {
-		fromRel := topology.RelCustomer // originated routes export everywhere
-		if !best.local {
-			fromRel = best.rel
-		}
-		if topology.ShouldExport(fromRel, s.rel) && !best.path.Contains(s.neighbor) && s.neighbor != r.asn {
-			return true, &message{
-				from:       r.asn,
-				prefix:     prefix,
-				path:       best.path.Prepend(r.asn, 1),
-				aggregator: best.aggregator,
-			}
-		}
+// exportDecision reports whether the Loc-RIB winner in rs is announced to
+// the neighbor on s; false means withdraw (or stay silent).
+//
+//lint:hotpath
+func (r *Router) exportDecision(s *session, rs *ribState) bool {
+	if !rs.hasBest {
+		return false
 	}
-	return false, &message{from: r.asn, prefix: prefix, withdraw: true}
-}
-
-func (r *Router) exportToSession(s *session, prefix bgp.Prefix, best *selection) {
-	announce, m := r.exportDecision(s, prefix, best)
-	st := s.exported[prefix]
-	if !announce {
-		if st == nil || !st.advertised {
-			return // never told them about it; no withdrawal needed
-		}
+	fromRel := topology.RelCustomer // originated routes export everywhere
+	if !rs.best.local {
+		fromRel = rs.best.rel
 	}
-	r.sendWithMRAI(s, prefix, announce, m)
+	return topology.ShouldExport(fromRel, s.rel) && !rs.best.path.Contains(s.neighbor) && s.neighbor != r.asn
 }
 
 // sendWithMRAI applies per-(session,prefix) MRAI pacing and dispatches the
-// message. Withdrawals are not paced (RFC 4271 applies MRAI to
+// update. Withdrawals are not paced (RFC 4271 applies MRAI to
 // advertisements; withdrawal pacing was removed by common practice).
-func (r *Router) sendWithMRAI(s *session, prefix bgp.Prefix, announce bool, m *message) {
-	now := r.net.engine.Now()
-	if announce && r.mrai > 0 {
-		if last, ok := s.lastSent[prefix]; ok {
-			if wait := r.mrai - now.Sub(last); wait > 0 {
-				// Queue: when the timer fires, re-evaluate the then-current
-				// best route, collapsing intermediate churn (that is MRAI's
-				// entire purpose).
-				if !s.pending[prefix] {
-					s.pending[prefix] = true
-					r.net.engine.After(wait, func() { r.flushPending(s, prefix) })
-				}
-				return
+func (r *Router) sendWithMRAI(s *session, id int32, announce bool) {
+	st := &s.exports[id]
+	if announce && r.mrai > 0 && st.sent {
+		if wait := r.mrai - r.net.engine.Now().Sub(st.lastSent); wait > 0 {
+			// Queue: when the timer fires, re-evaluate the then-current
+			// best route, collapsing intermediate churn (that is MRAI's
+			// entire purpose).
+			if !st.pending {
+				st.pending = true
+				r.net.engine.After(wait, netsim.Func(func() { r.flushPending(s, id) }))
 			}
+			return
 		}
 	}
-	r.transmit(s, prefix, announce, m)
+	r.transmit(s, id, announce)
 }
 
 // flushPending re-runs the export decision for a prefix whose MRAI timer
 // expired.
-func (r *Router) flushPending(s *session, prefix bgp.Prefix) {
-	if !s.pending[prefix] {
+func (r *Router) flushPending(s *session, id int32) {
+	st := &s.exports[id]
+	if !st.pending {
 		return
 	}
-	delete(s.pending, prefix)
-	best := r.locRib[prefix]
-	announce, m := r.exportDecision(s, prefix, best)
-	st := s.exported[prefix]
-	if !announce && (st == nil || !st.advertised) {
+	st.pending = false
+	rs := &r.ribs[id]
+	announce := r.exportDecision(s, rs)
+	if !announce && !st.advertised {
 		return
 	}
 	// Suppress no-op announcements (the state we'd send is already there).
-	if announce && st != nil && st.advertised && st.path.Equal(m.path) && aggEqual(st.aggregator, m.aggregator) {
+	if announce && st.advertised && st.path.Equal(r.advertised(rs)) && aggEqual(st.aggregator, rs.best.aggregator) {
 		return
 	}
-	r.transmit(s, prefix, announce, m)
+	r.transmit(s, id, announce)
 }
 
 func aggEqual(a, b *bgp.Aggregator) bool {
@@ -668,49 +676,47 @@ func aggEqual(a, b *bgp.Aggregator) bool {
 	}
 }
 
-// transmit delivers the message to the neighbor after the link delay and
-// records export state.
-func (r *Router) transmit(s *session, prefix bgp.Prefix, announce bool, m *message) {
-	now := r.net.engine.Now()
-	st := s.exported[prefix]
-	if st == nil {
-		st = &exportState{}
-		s.exported[prefix] = st
-	}
+// transmit builds the update, schedules its delivery to the neighbor after
+// the link delay and records export state.
+func (r *Router) transmit(s *session, id int32, announce bool) {
+	st := &s.exports[id]
 	st.advertised = announce
+	m := &message{to: s.peer, from: s.back, prefix: id, withdraw: !announce}
 	if announce {
-		st.path = m.path
-		st.aggregator = m.aggregator
-		s.lastSent[prefix] = now
+		rs := &r.ribs[id]
+		m.path, m.aggregator = r.advertised(rs), rs.best.aggregator
+		st.path, st.aggregator = m.path, m.aggregator
+		st.sent, st.lastSent = true, r.net.engine.Now()
 	}
 	r.UpdatesSent++
-	peer := r.net.routers[s.neighbor]
-	r.net.engine.After(s.delay, func() { peer.receive(m) })
+	r.net.engine.After(s.delay, m)
 }
 
 // exportToMonitors mirrors the update to monitoring sessions (full feed,
 // no policy, no MRAI — collectors see everything the router decides).
-func (r *Router) exportToMonitors(prefix bgp.Prefix, best *selection) {
+func (r *Router) exportToMonitors(id int32) {
 	if len(r.monitors) == 0 {
 		return
 	}
-	now := r.net.engine.Now()
+	rs := &r.ribs[id]
+	prefix := r.net.prefixes[id]
 	var u *bgp.Update
-	if best == nil {
-		if !r.monitorExported[prefix] {
+	if !rs.hasBest {
+		if !rs.monitorExported {
 			return
 		}
-		r.monitorExported[prefix] = false
+		rs.monitorExported = false
 		u = &bgp.Update{Withdrawn: []bgp.Prefix{prefix}}
 	} else {
-		r.monitorExported[prefix] = true
+		rs.monitorExported = true
 		u = &bgp.Update{
 			Origin:     bgp.OriginIGP,
-			ASPath:     best.path.Prepend(r.asn, 1),
+			ASPath:     r.advertised(rs),
 			NLRI:       []bgp.Prefix{prefix},
-			Aggregator: best.aggregator,
+			Aggregator: rs.best.aggregator,
 		}
 	}
+	now := r.net.engine.Now()
 	for _, fn := range r.monitors {
 		fn(now, u.Clone())
 	}

@@ -70,6 +70,29 @@ func diamondGraph(t *testing.T) *topology.Graph {
 	return g
 }
 
+// ribProbe drives and inspects one router's state for one prefix by
+// prefix and neighbor ASN: tests originate and withdraw synchronously
+// inside their own events, and read RFD suppression off the Adj-RIB-In.
+type ribProbe struct {
+	r  *Router
+	id int32
+}
+
+func probe(r *Router, prefix bgp.Prefix) ribProbe { return ribProbe{r, r.net.prefixID(prefix)} }
+
+// originate starts originating the prefix with aggregator timestamp ts.
+func (p ribProbe) originate(ts uint32) {
+	p.r.setOrigin(p.id, &bgp.Aggregator{AS: p.r.asn, ID: ts})
+}
+
+// withdraw stops originating the prefix.
+func (p ribProbe) withdraw() { p.r.setOrigin(p.id, nil) }
+
+// suppressed reports whether RFD withholds the route learned from neighbor.
+func (p ribProbe) suppressed(neighbor bgp.ASN) bool {
+	return p.r.ribs[p.id].adjIn[p.r.sessionTo(neighbor)].suppressed
+}
+
 // fastOpts removes MRAI and uses small constant link delays so tests can
 // reason about timing precisely.
 func fastOpts() Options {
@@ -339,11 +362,7 @@ func TestMRAIBatchesChurn(t *testing.T) {
 	// 20 announcements 1 s apart (fresh timestamps each).
 	for i := 0; i < 20; i++ {
 		ts := uint32(i + 1)
-		eng.At(t0.Add(time.Duration(i)*time.Second), func() {
-			r := net.Router(3)
-			r.originated[pfx] = &bgp.Aggregator{AS: 3, ID: ts}
-			r.runDecision(pfx)
-		})
+		eng.At(t0.Add(time.Duration(i)*time.Second), netsim.Func(func() { probe(net.Router(3), pfx).originate(ts) }))
 	}
 	eng.Run()
 	if announces >= 20 {
@@ -386,26 +405,14 @@ func TestRFDSuppressesAndDelaysReadvertisement(t *testing.T) {
 		at := t0.Add(time.Duration(i) * time.Minute)
 		if i%2 == 0 {
 			ts := uint32(at.Unix())
-			eng.At(at, func() {
-				r := net.Router(3)
-				r.originated[pfx] = &bgp.Aggregator{AS: 3, ID: ts}
-				r.runDecision(pfx)
-			})
+			eng.At(at, netsim.Func(func() { probe(net.Router(3), pfx).originate(ts) }))
 		} else {
-			eng.At(at, func() {
-				r := net.Router(3)
-				delete(r.originated, pfx)
-				r.runDecision(pfx)
-			})
+			eng.At(at, netsim.Func(func() { probe(net.Router(3), pfx).withdraw() }))
 		}
 	}
 	// Final announcement at minute 60 (burst ends on announce).
 	burstEnd := t0.Add(60 * time.Minute)
-	eng.At(burstEnd, func() {
-		r := net.Router(3)
-		r.originated[pfx] = &bgp.Aggregator{AS: 3, ID: uint32(burstEnd.Unix())}
-		r.runDecision(pfx)
-	})
+	eng.At(burstEnd, netsim.Func(func() { probe(net.Router(3), pfx).originate(uint32(burstEnd.Unix())) }))
 	eng.Run()
 
 	if len(seen) == 0 {
@@ -469,17 +476,9 @@ func TestRFDPerNeighborPolicy(t *testing.T) {
 			at := t0.Add(time.Duration(i) * time.Minute)
 			if i%2 == 0 {
 				ts := uint32(at.Unix())
-				eng.At(at, func() {
-					r := net.Router(origin)
-					r.originated[p] = &bgp.Aggregator{AS: origin, ID: ts}
-					r.runDecision(p)
-				})
+				eng.At(at, netsim.Func(func() { probe(net.Router(origin), p).originate(ts) }))
 			} else {
-				eng.At(at, func() {
-					r := net.Router(origin)
-					delete(r.originated, p)
-					r.runDecision(p)
-				})
+				eng.At(at, netsim.Func(func() { probe(net.Router(origin), p).withdraw() }))
 			}
 		}
 	}
@@ -488,12 +487,10 @@ func TestRFDPerNeighborPolicy(t *testing.T) {
 	eng.RunUntil(t0.Add(29*time.Minute + 30*time.Second))
 
 	r1 := net.Router(1)
-	entryA := r1.adjIn[pfxA][2]
-	entryB := r1.adjIn[pfxB][3]
-	if entryA == nil || !entryA.suppressed {
+	if !probe(r1, pfxA).suppressed(2) {
 		t.Error("damped session (via AS2) not suppressed")
 	}
-	if entryB != nil && entryB.suppressed {
+	if probe(r1, pfxB).suppressed(3) {
 		t.Error("undamped session (via AS3) suppressed")
 	}
 	eng.Run()
@@ -656,17 +653,9 @@ func TestPrefixDependentRFDPolicy(t *testing.T) {
 			at := t0.Add(time.Duration(i) * time.Minute)
 			if i%2 == 0 {
 				ts := uint32(at.Unix())
-				eng.At(at, func() {
-					r := net.Router(3)
-					r.originated[p] = &bgp.Aggregator{AS: 3, ID: ts}
-					r.runDecision(p)
-				})
+				eng.At(at, netsim.Func(func() { probe(net.Router(3), p).originate(ts) }))
 			} else {
-				eng.At(at, func() {
-					r := net.Router(3)
-					delete(r.originated, p)
-					r.runDecision(p)
-				})
+				eng.At(at, netsim.Func(func() { probe(net.Router(3), p).withdraw() }))
 			}
 		}
 	}
@@ -675,10 +664,10 @@ func TestPrefixDependentRFDPolicy(t *testing.T) {
 	eng.RunUntil(t0.Add(7 * time.Minute))
 
 	r2 := net.Router(2)
-	if e := r2.adjIn[long][3]; e == nil || !e.suppressed {
+	if !probe(r2, long).suppressed(3) {
 		t.Error("/24 not suppressed under the aggressive per-prefix config")
 	}
-	if e := r2.adjIn[short][3]; e != nil && e.suppressed {
+	if probe(r2, short).suppressed(3) {
 		t.Error("/20 suppressed despite the lenient per-prefix config")
 	}
 	// Two distinct parameter sets => two damping engines.

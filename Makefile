@@ -58,10 +58,11 @@ race:
 verify: vet perfbench-vet lint race tier1
 
 # bench records the per-PR benchmark trajectory: the headline benchmarks
-# (engine, public API, lint, hotpath kernels) run once and their numbers
-# land as a machine-readable JSON document (bench-latest.json; copy it to
-# the next BENCH_PR<n>.json to commit a data point, and compare with
-# scripts/bench_compare.sh). Tune with BENCHTIME=2s / BENCH_OUT=file.
+# (engine, public API, campaign simulation, lint, hotpath kernels and the
+# campaign write path's queue, encoder and MRT writer) run once and their
+# numbers land as a machine-readable JSON document (bench-latest.json;
+# copy it to the next BENCH_PR<n>.json to commit a data point, and compare
+# with scripts/bench_compare.sh). Tune with BENCHTIME=2s / BENCH_OUT=file.
 # bench-all runs every root benchmark the classic way, without recording.
 bench:
 	sh scripts/bench_trajectory.sh

@@ -165,22 +165,6 @@ type Update struct {
 // announcements.
 func (u *Update) IsWithdrawalOnly() bool { return len(u.NLRI) == 0 && len(u.Withdrawn) > 0 }
 
-// Clone returns a deep copy of the update; routers mutate attributes
-// (prepending, next-hop rewrite) before re-advertising, so propagation must
-// not alias the received message.
-func (u *Update) Clone() *Update {
-	c := *u
-	c.Withdrawn = append([]Prefix(nil), u.Withdrawn...)
-	c.NLRI = append([]Prefix(nil), u.NLRI...)
-	c.Communities = append([]Community(nil), u.Communities...)
-	c.ASPath = u.ASPath.Clone()
-	if u.Aggregator != nil {
-		agg := *u.Aggregator
-		c.Aggregator = &agg
-	}
-	return &c
-}
-
 // String gives a compact human-readable rendering for logs and the
 // mrtinspect example.
 func (u *Update) String() string {

@@ -37,75 +37,86 @@ var (
 
 // EncodeMessage serialises u as a complete BGP message (header + UPDATE
 // body).
-func (c Codec) EncodeMessage(u *Update) ([]byte, error) {
-	body, err := c.encodeBody(u)
-	if err != nil {
-		return nil, err
-	}
-	total := HeaderLen + len(body)
-	if total > MaxMessageLen {
-		return nil, ErrMessageTooLong
-	}
-	msg := make([]byte, total)
+func (c Codec) EncodeMessage(u *Update) ([]byte, error) { return c.AppendMessage(nil, u) }
+
+// AppendMessage appends u, serialised as a complete BGP message (header +
+// UPDATE body), to dst and returns the extended slice. Into a buffer with
+// enough capacity it allocates nothing. On error it returns dst unextended;
+// dst[:len(dst)] is never modified either way.
+func (c Codec) AppendMessage(dst []byte, u *Update) ([]byte, error) {
+	start := len(dst)
+	out := dst
 	for i := 0; i < 16; i++ {
-		msg[i] = 0xff
+		out = append(out, 0xff)
 	}
-	binary.BigEndian.PutUint16(msg[16:18], uint16(total))
-	msg[18] = byte(MsgUpdate)
-	copy(msg[HeaderLen:], body)
-	return msg, nil
-}
+	out = append(out, 0, 0, byte(MsgUpdate)) // length patched below
 
-func (c Codec) encodeBody(u *Update) ([]byte, error) {
-	withdrawn, err := encodePrefixes(u.Withdrawn)
+	// Withdrawn routes, then the attribute block, each behind a 2-byte
+	// length patched once its contents are appended.
+	lenAt := len(out)
+	out, err := appendPrefixes(append(out, 0, 0), u.Withdrawn)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	var attrs []byte
+	binary.BigEndian.PutUint16(out[lenAt:], uint16(len(out)-lenAt-2))
+	lenAt = len(out)
+	out = append(out, 0, 0)
 	if len(u.NLRI) > 0 {
-		attrs, err = c.encodeAttrs(u)
-		if err != nil {
-			return nil, err
+		if out, err = c.appendAttrs(out, u); err != nil {
+			return dst, err
 		}
 	}
-	nlri, err := encodePrefixes(u.NLRI)
-	if err != nil {
-		return nil, err
+	binary.BigEndian.PutUint16(out[lenAt:], uint16(len(out)-lenAt-2))
+	if out, err = appendPrefixes(out, u.NLRI); err != nil {
+		return dst, err
 	}
-	body := make([]byte, 0, 4+len(withdrawn)+len(attrs)+len(nlri))
-	body = binary.BigEndian.AppendUint16(body, uint16(len(withdrawn)))
-	body = append(body, withdrawn...)
-	body = binary.BigEndian.AppendUint16(body, uint16(len(attrs)))
-	body = append(body, attrs...)
-	body = append(body, nlri...)
-	return body, nil
+
+	total := len(out) - start
+	if total > MaxMessageLen {
+		return dst, ErrMessageTooLong
+	}
+	binary.BigEndian.PutUint16(out[start+16:], uint16(total))
+	return out, nil
 }
 
-func (c Codec) encodeAttrs(u *Update) ([]byte, error) {
-	var out []byte
-
-	appendAttr := func(flags byte, typ AttrType, val []byte) {
-		if len(val) > 255 {
-			flags |= flagExtLen
-		}
-		out = append(out, flags, byte(typ))
-		if flags&flagExtLen != 0 {
-			out = binary.BigEndian.AppendUint16(out, uint16(len(val)))
-		} else {
-			out = append(out, byte(len(val)))
-		}
-		out = append(out, val...)
+// appendAttrHeader appends the flags, type and length of an attribute whose
+// value is n bytes long, switching to the extended length form past 255.
+func appendAttrHeader(out []byte, flags byte, typ AttrType, n int) []byte {
+	if n > 255 {
+		return binary.BigEndian.AppendUint16(append(out, flags|flagExtLen, byte(typ)), uint16(n))
 	}
+	return append(out, flags, byte(typ), byte(n))
+}
 
+// appendAttrs appends u's path attribute block to out.
+func (c Codec) appendAttrs(out []byte, u *Update) ([]byte, error) {
 	// ORIGIN (well-known mandatory).
-	appendAttr(flagTransitive, AttrOrigin, []byte{byte(u.Origin)})
+	out = append(appendAttrHeader(out, flagTransitive, AttrOrigin, 1), byte(u.Origin))
 
 	// AS_PATH (well-known mandatory).
-	pathVal, err := c.encodePath(u.ASPath)
-	if err != nil {
-		return nil, err
+	asnLen := 2
+	if c.AS4 {
+		asnLen = 4
 	}
-	appendAttr(flagTransitive, AttrASPath, pathVal)
+	pathLen := 0
+	for _, s := range u.ASPath.Segments {
+		if len(s.ASNs) > 255 {
+			return out, fmt.Errorf("bgp: AS_PATH segment with %d ASNs exceeds 255", len(s.ASNs))
+		}
+		if len(s.ASNs) > 0 {
+			pathLen += 2 + asnLen*len(s.ASNs)
+		}
+	}
+	out = appendAttrHeader(out, flagTransitive, AttrASPath, pathLen)
+	for _, s := range u.ASPath.Segments {
+		if len(s.ASNs) == 0 {
+			continue
+		}
+		out = append(out, byte(s.Type), byte(len(s.ASNs)))
+		for _, a := range s.ASNs {
+			out = c.appendASN(out, a)
+		}
+	}
 
 	// NEXT_HOP (well-known mandatory for IPv4 unicast).
 	nh := u.NextHop
@@ -113,82 +124,57 @@ func (c Codec) encodeAttrs(u *Update) ([]byte, error) {
 		nh = netip.AddrFrom4([4]byte{0, 0, 0, 0})
 	}
 	if !nh.Is4() {
-		return nil, fmt.Errorf("bgp: NEXT_HOP %v is not IPv4", nh)
+		return out, fmt.Errorf("bgp: NEXT_HOP %v is not IPv4", nh)
 	}
 	b4 := nh.As4()
-	appendAttr(flagTransitive, AttrNextHop, b4[:])
+	out = append(appendAttrHeader(out, flagTransitive, AttrNextHop, 4), b4[:]...)
 
 	if u.HasMED {
-		appendAttr(flagOptional, AttrMED, binary.BigEndian.AppendUint32(nil, u.MED))
+		out = binary.BigEndian.AppendUint32(appendAttrHeader(out, flagOptional, AttrMED, 4), u.MED)
 	}
 	if u.HasLocal {
-		appendAttr(flagTransitive, AttrLocalPref, binary.BigEndian.AppendUint32(nil, u.LocalPref))
+		out = binary.BigEndian.AppendUint32(appendAttrHeader(out, flagTransitive, AttrLocalPref, 4), u.LocalPref)
 	}
 	if u.AtomicAgg {
-		appendAttr(flagTransitive, AttrAtomicAggregate, nil)
+		out = appendAttrHeader(out, flagTransitive, AttrAtomicAggregate, 0)
 	}
 	if u.Aggregator != nil {
-		var val []byte
-		if c.AS4 {
-			val = binary.BigEndian.AppendUint32(nil, uint32(u.Aggregator.AS))
-		} else {
-			as := u.Aggregator.AS
-			if as > 0xffff {
-				as = ASTrans
-			}
-			val = binary.BigEndian.AppendUint16(nil, uint16(as))
-		}
-		val = binary.BigEndian.AppendUint32(val, u.Aggregator.ID)
-		appendAttr(flagOptional|flagTransitive, AttrAggregator, val)
+		out = appendAttrHeader(out, flagOptional|flagTransitive, AttrAggregator, asnLen+4)
+		out = binary.BigEndian.AppendUint32(c.appendASN(out, u.Aggregator.AS), u.Aggregator.ID)
 	}
 	if len(u.Communities) > 0 {
-		val := make([]byte, 0, 4*len(u.Communities))
+		out = appendAttrHeader(out, flagOptional|flagTransitive, AttrCommunities, 4*len(u.Communities))
 		for _, cm := range u.Communities {
-			val = binary.BigEndian.AppendUint32(val, uint32(cm))
-		}
-		appendAttr(flagOptional|flagTransitive, AttrCommunities, val)
-	}
-	return out, nil
-}
-
-func (c Codec) encodePath(p Path) ([]byte, error) {
-	var out []byte
-	for _, s := range p.Segments {
-		if len(s.ASNs) == 0 {
-			continue
-		}
-		if len(s.ASNs) > 255 {
-			return nil, fmt.Errorf("bgp: AS_PATH segment with %d ASNs exceeds 255", len(s.ASNs))
-		}
-		out = append(out, byte(s.Type), byte(len(s.ASNs)))
-		for _, a := range s.ASNs {
-			if c.AS4 {
-				out = binary.BigEndian.AppendUint32(out, uint32(a))
-			} else {
-				v := a
-				if v > 0xffff {
-					v = ASTrans
-				}
-				out = binary.BigEndian.AppendUint16(out, uint16(v))
-			}
+			out = binary.BigEndian.AppendUint32(out, uint32(cm))
 		}
 	}
 	return out, nil
 }
 
-func encodePrefixes(ps []Prefix) ([]byte, error) {
-	var out []byte
+// appendASN appends a in the codec's AS number width; a 4-octet ASN
+// becomes AS_TRANS on the 2-octet encoding.
+func (c Codec) appendASN(out []byte, a ASN) []byte {
+	if c.AS4 {
+		return binary.BigEndian.AppendUint32(out, uint32(a))
+	}
+	if a > 0xffff {
+		a = ASTrans
+	}
+	return binary.BigEndian.AppendUint16(out, uint16(a))
+}
+
+// appendPrefixes appends the NLRI encoding of ps to out.
+func appendPrefixes(out []byte, ps []Prefix) ([]byte, error) {
 	for _, p := range ps {
 		if !p.Addr().Is4() {
-			return nil, fmt.Errorf("bgp: prefix %v is not IPv4", p)
+			return out, fmt.Errorf("bgp: prefix %v is not IPv4", p)
 		}
 		bits := p.Bits()
 		if bits < 0 || bits > 32 {
-			return nil, fmt.Errorf("%w: %v", ErrBadPrefix, p)
+			return out, fmt.Errorf("%w: %v", ErrBadPrefix, p)
 		}
-		out = append(out, byte(bits))
 		a4 := p.Masked().Addr().As4()
-		out = append(out, a4[:(bits+7)/8]...)
+		out = append(append(out, byte(bits)), a4[:(bits+7)/8]...)
 	}
 	return out, nil
 }
@@ -259,7 +245,13 @@ func (c Codec) decodeBody(body []byte) (*Update, error) {
 
 // EncodeAttributes serialises u's path attribute block alone (no header,
 // no NLRI) — the payload format of TABLE_DUMP_V2 RIB entries.
-func (c Codec) EncodeAttributes(u *Update) ([]byte, error) { return c.encodeAttrs(u) }
+func (c Codec) EncodeAttributes(u *Update) ([]byte, error) {
+	attrs, err := c.appendAttrs(nil, u)
+	if err != nil {
+		return nil, err
+	}
+	return attrs, nil
+}
 
 // DecodeAttributes parses a bare path attribute block into u.
 func (c Codec) DecodeAttributes(data []byte, u *Update) error { return c.decodeAttrs(data, u) }

@@ -40,7 +40,9 @@ func fuzzSeedUpdates() []*Update {
 // FuzzDecodeUpdate throws arbitrary bytes at the BGP message decoder (both
 // AS-number widths). The decoder must never panic; on a successful decode
 // the message must re-encode, and the re-encoded bytes must decode to the
-// same update (the codec's round-trip law).
+// same update (the codec's round-trip law). Appending the message to a
+// prefix must give the prefix followed by the encoded message, and leave
+// the prefix untouched.
 func FuzzDecodeUpdate(f *testing.F) {
 	for _, u := range fuzzSeedUpdates() {
 		for _, as4 := range []bool{false, true} {
@@ -80,6 +82,18 @@ func FuzzDecodeUpdate(f *testing.F) {
 			}
 			if err != nil {
 				t.Fatalf("AS4=%v: re-encode of decoded update failed: %v", as4, err)
+			}
+			prefix := []byte("MRT\x00prefix")
+			dst := append(make([]byte, 0, len(prefix)+len(msg)), prefix...)
+			appended, err := codec.AppendMessage(dst, u)
+			if err != nil {
+				t.Fatalf("AS4=%v: AppendMessage failed where EncodeMessage succeeded: %v", as4, err)
+			}
+			if !bytes.Equal(appended, append(append([]byte(nil), prefix...), msg...)) {
+				t.Fatalf("AS4=%v: AppendMessage(prefix, u) != prefix || EncodeMessage(u)", as4)
+			}
+			if !bytes.Equal(dst, prefix) {
+				t.Fatalf("AS4=%v: AppendMessage modified its prefix", as4)
 			}
 			u2, n2, err := codec.DecodeMessage(msg)
 			if err != nil {

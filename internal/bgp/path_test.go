@@ -182,26 +182,6 @@ func TestCommunityString(t *testing.T) {
 	}
 }
 
-func TestUpdateClone(t *testing.T) {
-	u := &Update{
-		Withdrawn:   []Prefix{MustPrefix("10.0.0.0/24")},
-		ASPath:      NewPath(1, 2),
-		NLRI:        []Prefix{MustPrefix("10.1.0.0/24")},
-		Communities: []Community{1},
-		Aggregator:  &Aggregator{AS: 7, ID: 42},
-	}
-	c := u.Clone()
-	c.Withdrawn[0] = MustPrefix("10.9.0.0/24")
-	c.Aggregator.ID = 1
-	c.ASPath.Segments[0].ASNs[0] = 99
-	if u.Withdrawn[0] != MustPrefix("10.0.0.0/24") || u.Aggregator.ID != 42 {
-		t.Error("Clone aliases update storage")
-	}
-	if first, _ := u.ASPath.First(); first != 1 {
-		t.Error("Clone aliases path storage")
-	}
-}
-
 func TestUpdateStringForms(t *testing.T) {
 	u := &Update{}
 	if u.String() != "UPDATE (empty)" {

@@ -11,10 +11,12 @@
 package collector
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -101,7 +103,7 @@ type Collector struct {
 	rngs    map[Project]*stats.RNG
 	// lastExport enforces FIFO export per vantage point: a session's feed
 	// never reorders, whatever the per-update export jitter says.
-	lastExport map[VantagePoint]time.Time
+	lastExport map[VantagePoint]*time.Time
 	obs        *obs.Observer
 }
 
@@ -122,7 +124,7 @@ func (c *Collector) SetObserver(o *obs.Observer) { c.obs = o }
 func New(rng *stats.RNG) *Collector {
 	c := &Collector{
 		rngs:       make(map[Project]*stats.RNG, len(Projects)),
-		lastExport: make(map[VantagePoint]time.Time),
+		lastExport: make(map[VantagePoint]*time.Time),
 	}
 	for _, p := range Projects {
 		c.rngs[p] = rng.Split()
@@ -141,14 +143,21 @@ func (c *Collector) AttachContext(ctx context.Context, net *router.Network, vps 
 	defer tspan.End()
 	for _, vp := range vps {
 		vp := vp
-		// Resolved once per vantage point; nil when unobserved.
+		// Resolved once per vantage point; the counter is nil when
+		// unobserved.
 		ingested := c.obs.Counter(obs.MetricCollectorUpdates, "project", vp.Project.String())
+		rng := c.rngs[vp.Project]
+		last := c.lastExport[vp]
+		if last == nil {
+			last = new(time.Time)
+			c.lastExport[vp] = last
+		}
 		err := net.AttachMonitor(vp.AS, func(now time.Time, u *bgp.Update) {
-			exported := now.Add(vp.Project.exportDelay(now, c.rngs[vp.Project]))
-			if last := c.lastExport[vp]; exported.Before(last) {
-				exported = last // FIFO per session
+			exported := now.Add(vp.Project.exportDelay(now, rng))
+			if exported.Before(*last) {
+				exported = *last // FIFO per session
 			}
-			c.lastExport[vp] = exported
+			*last = exported
 			c.entries = append(c.entries, Entry{
 				VP:       vp,
 				Received: now,
@@ -168,15 +177,14 @@ func (c *Collector) AttachContext(ctx context.Context, net *router.Network, vps 
 // receive time, then peer ASN — deterministic). The slice is owned by the
 // collector; callers must not modify it.
 func (c *Collector) Entries() []Entry {
-	sort.SliceStable(c.entries, func(i, j int) bool {
-		a, b := c.entries[i], c.entries[j]
-		if !a.Exported.Equal(b.Exported) {
-			return a.Exported.Before(b.Exported)
+	slices.SortStableFunc(c.entries, func(a, b Entry) int {
+		if o := a.Exported.Compare(b.Exported); o != 0 {
+			return o
 		}
-		if !a.Received.Equal(b.Received) {
-			return a.Received.Before(b.Received)
+		if o := a.Received.Compare(b.Received); o != 0 {
+			return o
 		}
-		return a.VP.AS < b.VP.AS
+		return cmp.Compare(a.VP.AS, b.VP.AS)
 	})
 	return c.entries
 }

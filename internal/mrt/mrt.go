@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"time"
 
@@ -48,6 +49,20 @@ var (
 	ErrBodyTooLong = errors.New("mrt: record body exceeds sane limit")
 )
 
+// ErrTimestampRange is returned by the writers for a time that MRT's
+// 32-bit Unix-seconds timestamp cannot hold: one before 1970 or after
+// 2106-02-07T06:28:15Z. Nothing is written for the refused record.
+var ErrTimestampRange = errors.New("mrt: timestamp outside the 32-bit Unix seconds range")
+
+// unixSeconds returns ts as an MRT timestamp, or ErrTimestampRange.
+func unixSeconds(ts time.Time) (uint32, error) {
+	s := ts.Unix()
+	if s < 0 || s > math.MaxUint32 {
+		return 0, fmt.Errorf("%w: %v", ErrTimestampRange, ts)
+	}
+	return uint32(s), nil
+}
+
 // maxBody bounds record allocation when reading untrusted dumps.
 const maxBody = 1 << 20
 
@@ -74,11 +89,13 @@ type Record struct {
 // IsUpdate reports whether the record carries a decoded BGP UPDATE.
 func (r *Record) IsUpdate() bool { return r.Update != nil }
 
-// Writer serialises MRT records to an io.Writer.
+// Writer serialises MRT records to an io.Writer. It builds each record in
+// one reused buffer and hands it to the io.Writer in a single Write.
 type Writer struct {
 	w io.Writer
 	// codec used for the embedded BGP messages (AS4 on for MESSAGE_AS4).
 	codec bgp.Codec
+	buf   []byte
 }
 
 // NewWriter returns a Writer emitting BGP4MP_MESSAGE_AS4 records.
@@ -87,35 +104,33 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 // WriteUpdate writes one BGP4MP_MESSAGE_AS4 record containing u as received
-// by the collector from peerAS at ts.
+// by the collector from peerAS at ts. A record that cannot be encoded is
+// not written at all.
 func (w *Writer) WriteUpdate(ts time.Time, peerAS, localAS bgp.ASN, peerIP, localIP netip.Addr, u *bgp.Update) error {
-	msg, err := w.codec.EncodeMessage(u)
-	if err != nil {
-		return fmt.Errorf("mrt: encoding BGP message: %w", err)
-	}
 	if !peerIP.Is4() || !localIP.Is4() {
 		return ErrBadAFI
 	}
-	body := make([]byte, 0, 20+len(msg))
-	body = binary.BigEndian.AppendUint32(body, uint32(peerAS))
-	body = binary.BigEndian.AppendUint32(body, uint32(localAS))
-	body = binary.BigEndian.AppendUint16(body, 0) // interface index
-	body = binary.BigEndian.AppendUint16(body, AFIIPv4)
-	p4 := peerIP.As4()
-	l4 := localIP.As4()
-	body = append(body, p4[:]...)
-	body = append(body, l4[:]...)
-	body = append(body, msg...)
-
-	hdr := make([]byte, 0, 12)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(ts.Unix()))
-	hdr = binary.BigEndian.AppendUint16(hdr, TypeBGP4MP)
-	hdr = binary.BigEndian.AppendUint16(hdr, SubtypeMessageAS4)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(body)))
-	if _, err := w.w.Write(hdr); err != nil {
+	secs, err := unixSeconds(ts)
+	if err != nil {
 		return err
 	}
-	_, err = w.w.Write(body)
+	rec := binary.BigEndian.AppendUint32(w.buf[:0], secs)
+	rec = binary.BigEndian.AppendUint16(rec, TypeBGP4MP)
+	rec = binary.BigEndian.AppendUint16(rec, SubtypeMessageAS4)
+	rec = append(rec, 0, 0, 0, 0) // body length, patched below
+	rec = binary.BigEndian.AppendUint32(rec, uint32(peerAS))
+	rec = binary.BigEndian.AppendUint32(rec, uint32(localAS))
+	rec = binary.BigEndian.AppendUint16(rec, 0) // interface index
+	rec = binary.BigEndian.AppendUint16(rec, AFIIPv4)
+	p4 := peerIP.As4()
+	l4 := localIP.As4()
+	rec = append(append(rec, p4[:]...), l4[:]...)
+	if rec, err = w.codec.AppendMessage(rec, u); err != nil {
+		return fmt.Errorf("mrt: encoding BGP message: %w", err)
+	}
+	binary.BigEndian.PutUint32(rec[8:12], uint32(len(rec)-12))
+	w.buf = rec
+	_, err = w.w.Write(rec)
 	return err
 }
 

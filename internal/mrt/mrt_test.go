@@ -162,6 +162,68 @@ func TestWriterRejectsIPv6Peer(t *testing.T) {
 	}
 }
 
+// TestWritersRefuseOutOfRangeTimestamps checks both writers against the
+// edges of MRT's 32-bit Unix-seconds timestamp: a time outside it is
+// ErrTimestampRange with nothing written, and the last second it holds
+// round-trips.
+func TestWritersRefuseOutOfRangeTimestamps(t *testing.T) {
+	peer, local := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")
+	last := time.Date(2106, 2, 7, 6, 28, 15, 0, time.UTC)
+	for _, ts := range []time.Time{
+		time.Date(1969, 12, 31, 23, 59, 59, 0, time.UTC),
+		last.Add(time.Second),
+	} {
+		var buf bytes.Buffer
+		if err := NewWriter(&buf).WriteUpdate(ts, 1, 2, peer, local, testUpdate(1)); !errors.Is(err, ErrTimestampRange) {
+			t.Errorf("WriteUpdate at %v: err = %v, want ErrTimestampRange", ts, err)
+		}
+		if _, err := NewRIBWriter(&buf, ts, ribPeers()); !errors.Is(err, ErrTimestampRange) {
+			t.Errorf("NewRIBWriter at %v: err = %v, want ErrTimestampRange", ts, err)
+		}
+		rw, err := NewRIBWriter(&buf, last, ribPeers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = rw.WritePrefix(bgp.MustPrefix("10.1.1.0/24"),
+			[]RIBEntry{{Peer: ribPeers()[0], OriginatedAt: ts, Attrs: ribAttrs(1)}})
+		if !errors.Is(err, ErrTimestampRange) {
+			t.Errorf("WritePrefix with an entry at %v: err = %v, want ErrTimestampRange", ts, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("refused records at %v wrote %d bytes", ts, buf.Len())
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := NewWriter(&buf).WriteUpdate(last, 1, 2, peer, local, testUpdate(1)); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := NewReader(&buf).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Timestamp.Equal(last) {
+		t.Errorf("timestamp %v read back as %v", last, rec.Timestamp)
+	}
+}
+
+// TestWriteUpdateAllocatesNothing pins the update writer at zero
+// allocations per record once its buffer has grown.
+func TestWriteUpdateAllocatesNothing(t *testing.T) {
+	w := NewWriter(io.Discard)
+	u := testUpdate(1)
+	peer, local := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")
+	ts := time.Unix(1583020800, 0)
+	n := testing.AllocsPerRun(100, func() {
+		if err := w.WriteUpdate(ts, 64500, 64999, peer, local, u); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("WriteUpdate: %g allocs/op, want 0", n)
+	}
+}
+
 func TestRoundTripProperty(t *testing.T) {
 	f := func(peer, local uint32, ts uint32, pathRaw []uint16) bool {
 		if len(pathRaw) > 32 {
@@ -269,13 +331,20 @@ func Test2ByteSubtype(t *testing.T) {
 	}
 }
 
+// BenchmarkWriteUpdateRecord times writing one update record. One record
+// is written before the timer starts, so the writer's buffer has grown and
+// even a single iteration reports the steady state.
 func BenchmarkWriteUpdateRecord(b *testing.B) {
 	w := NewWriter(io.Discard)
 	u := testUpdate(1)
 	peer := netip.MustParseAddr("10.0.0.1")
 	local := netip.MustParseAddr("10.0.0.2")
 	ts := time.Unix(1583020800, 0)
+	if err := w.WriteUpdate(ts, 64500, 64999, peer, local, u); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := w.WriteUpdate(ts, 64500, 64999, peer, local, u); err != nil {
 			b.Fatal(err)

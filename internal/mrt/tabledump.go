@@ -28,7 +28,8 @@ const (
 )
 
 // ErrNoPeerIndex is returned when a RIB record arrives before the
-// PEER_INDEX_TABLE that defines its peer indices.
+// PEER_INDEX_TABLE that defines its peer indices, or after one that lists
+// no peers.
 var ErrNoPeerIndex = errors.New("mrt: RIB record before PEER_INDEX_TABLE")
 
 // Peer is one entry of the PEER_INDEX_TABLE.
@@ -65,13 +66,18 @@ type RIBWriter struct {
 	seq   uint32
 	// wroteIndex guards the "peer table first" ordering.
 	wroteIndex bool
-	ts         time.Time
+	// secs is the snapshot timestamp every record carries.
+	secs uint32
 }
 
 // NewRIBWriter prepares a snapshot writer with the given peer table; the
-// snapshot timestamp ts is stamped on every record. Peer order defines the
-// peer indices.
+// snapshot timestamp ts is stamped on every record, so one outside MRT's
+// range is ErrTimestampRange. Peer order defines the peer indices.
 func NewRIBWriter(w io.Writer, ts time.Time, peers []Peer) (*RIBWriter, error) {
+	secs, err := unixSeconds(ts)
+	if err != nil {
+		return nil, err
+	}
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("mrt: RIB snapshot needs at least one peer")
 	}
@@ -83,7 +89,7 @@ func NewRIBWriter(w io.Writer, ts time.Time, peers []Peer) (*RIBWriter, error) {
 		codec: bgp.Codec{AS4: true},
 		peers: peers,
 		index: make(map[string]uint16, len(peers)),
-		ts:    ts,
+		secs:  secs,
 	}
 	for i, p := range peers {
 		if !p.Addr.Is4() {
@@ -96,7 +102,7 @@ func NewRIBWriter(w io.Writer, ts time.Time, peers []Peer) (*RIBWriter, error) {
 
 func (rw *RIBWriter) writeRecord(subtype uint16, body []byte) error {
 	hdr := make([]byte, 0, 12)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(rw.ts.Unix()))
+	hdr = binary.BigEndian.AppendUint32(hdr, rw.secs)
 	hdr = binary.BigEndian.AppendUint16(hdr, TypeTableDumpV2)
 	hdr = binary.BigEndian.AppendUint16(hdr, subtype)
 	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(body)))
@@ -130,15 +136,11 @@ func (rw *RIBWriter) writePeerIndex() error {
 }
 
 // WritePrefix emits one RIB_IPV4_UNICAST record: the routes every peer
-// currently holds for prefix. Entries whose peer is not in the table are an
-// error. The PEER_INDEX_TABLE is emitted automatically before the first
-// prefix.
+// currently holds for prefix. Entries whose peer is not in the table, and
+// entries whose OriginatedAt is outside MRT's range (ErrTimestampRange),
+// are an error, and a refused record writes nothing. The PEER_INDEX_TABLE
+// is emitted automatically before the first prefix.
 func (rw *RIBWriter) WritePrefix(prefix bgp.Prefix, entries []RIBEntry) error {
-	if !rw.wroteIndex {
-		if err := rw.writePeerIndex(); err != nil {
-			return err
-		}
-	}
 	if !prefix.Addr().Is4() {
 		return fmt.Errorf("mrt: prefix %v is not IPv4", prefix)
 	}
@@ -147,7 +149,6 @@ func (rw *RIBWriter) WritePrefix(prefix bgp.Prefix, entries []RIBEntry) error {
 	}
 	body := make([]byte, 0, 16)
 	body = binary.BigEndian.AppendUint32(body, rw.seq)
-	rw.seq++
 	bits := prefix.Bits()
 	body = append(body, byte(bits))
 	a4 := prefix.Masked().Addr().As4()
@@ -158,15 +159,25 @@ func (rw *RIBWriter) WritePrefix(prefix bgp.Prefix, entries []RIBEntry) error {
 		if !ok {
 			return fmt.Errorf("mrt: RIB entry peer %v not in peer table", e.Peer.Addr)
 		}
+		originated, err := unixSeconds(e.OriginatedAt)
+		if err != nil {
+			return err
+		}
 		attrs, err := rw.codec.EncodeAttributes(e.Attrs)
 		if err != nil {
 			return fmt.Errorf("mrt: encoding RIB attributes: %w", err)
 		}
 		body = binary.BigEndian.AppendUint16(body, idx)
-		body = binary.BigEndian.AppendUint32(body, uint32(e.OriginatedAt.Unix()))
+		body = binary.BigEndian.AppendUint32(body, originated)
 		body = binary.BigEndian.AppendUint16(body, uint16(len(attrs)))
 		body = append(body, attrs...)
 	}
+	if !rw.wroteIndex {
+		if err := rw.writePeerIndex(); err != nil {
+			return err
+		}
+	}
+	rw.seq++
 	return rw.writeRecord(SubtypeRIBIPv4Unicast, body)
 }
 
@@ -203,7 +214,7 @@ func (rr *RIBReader) Next() (*RIBRecord, error) {
 				return nil, err
 			}
 		case SubtypeRIBIPv4Unicast:
-			if rr.peers == nil {
+			if len(rr.peers) == 0 {
 				return nil, ErrNoPeerIndex
 			}
 			return rr.decodeRIB(rec.Raw)

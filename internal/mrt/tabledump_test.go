@@ -119,7 +119,7 @@ func TestRIBReaderRequiresPeerIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := w.WritePrefix(bgp.MustPrefix("10.1.1.0/24"),
-		[]RIBEntry{{Peer: ribPeers()[0], Attrs: ribAttrs(1)}}); err != nil {
+		[]RIBEntry{{Peer: ribPeers()[0], OriginatedAt: time.Unix(0, 0), Attrs: ribAttrs(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -145,7 +145,7 @@ func TestRIBReaderSkipsForeignRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := w.WritePrefix(bgp.MustPrefix("10.1.1.0/24"),
-		[]RIBEntry{{Peer: ribPeers()[0], Attrs: ribAttrs(5)}}); err != nil {
+		[]RIBEntry{{Peer: ribPeers()[0], OriginatedAt: time.Unix(20, 0), Attrs: ribAttrs(5)}}); err != nil {
 		t.Fatal(err)
 	}
 	r := NewRIBReader(&buf)

@@ -9,11 +9,10 @@ var benchSinkSeq uint64
 // closure.
 func queueFixture() func() {
 	var q queue
-	h := Func(func() {})
 	x := uint64(1)
 	next := func() event {
 		x = x*6364136223846793005 + 1442695040888963407
-		return event{key: int64(x >> 34), seq: x, h: h}
+		return event{key: int64(x >> 34), seq: x, slot: int32(x >> 54)}
 	}
 	for i := 0; i < 1024; i++ {
 		q.push(next())

@@ -24,13 +24,21 @@ type Func func()
 // Handle calls f.
 func (f Func) Handle() { f() }
 
-// event is one scheduled handler. key is at.UnixNano(); at is kept as
-// given so Now reports the scheduled time in its original representation.
+// event is one heap entry. key is the instant's UnixNano; slot indexes the
+// Engine's slot table, which holds the handler and the instant as given.
+// The entry holds no pointers, so heap sifts move plain words and the
+// garbage collector never scans the queue.
 type event struct {
-	key int64
-	seq uint64 // FIFO tie-break for equal instants
-	at  time.Time
-	h   Handler
+	key  int64
+	seq  uint64 // FIFO tie-break for equal instants
+	slot int32
+}
+
+// slot is the pointer-carrying half of a scheduled event. at is kept as
+// given so Now reports the scheduled time in its original representation.
+type slot struct {
+	at time.Time
+	h  Handler
 }
 
 // less orders events by instant, then by scheduling order. seq is unique,
@@ -75,7 +83,6 @@ func (q *queue) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // drop the handler reference for the collector
 	h = h[:n]
 	if n > 0 {
 		i := 0
@@ -114,6 +121,10 @@ type Engine struct {
 	now   time.Time
 	queue queue
 	seq   uint64
+	// slots holds each queued event's instant and handler; free lists the
+	// slots whose events have run, for reuse by the next At.
+	slots []slot
+	free  []int32
 }
 
 // NewEngine returns an engine whose clock starts at start.
@@ -131,8 +142,17 @@ func (e *Engine) At(at time.Time, h Handler) {
 	if at.Before(e.now) {
 		panic(fmt.Sprintf("netsim: scheduling event at %v before now %v", at, e.now))
 	}
+	var i int32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slots[i] = slot{at: at, h: h}
+	} else {
+		i = int32(len(e.slots))
+		e.slots = append(e.slots, slot{at: at, h: h})
+	}
 	e.seq++
-	e.queue.push(event{key: at.UnixNano(), seq: e.seq, at: at, h: h})
+	e.queue.push(event{key: at.UnixNano(), seq: e.seq, slot: i})
 }
 
 // After schedules h to run d after the current virtual time.
@@ -155,7 +175,7 @@ func (e *Engine) Run() time.Time {
 // RunUntil executes events with timestamps <= deadline, advances the clock
 // to exactly deadline, and leaves later events queued.
 func (e *Engine) RunUntil(deadline time.Time) {
-	for len(e.queue) > 0 && !e.queue[0].at.After(deadline) {
+	for len(e.queue) > 0 && !e.slots[e.queue[0].slot].at.After(deadline) {
 		e.step()
 	}
 	if e.now.Before(deadline) {
@@ -163,9 +183,13 @@ func (e *Engine) RunUntil(deadline time.Time) {
 	}
 }
 
-// step pops the earliest event, advances the clock to it and runs it.
+// step pops the earliest event, frees its slot, advances the clock to it
+// and runs it.
 func (e *Engine) step() {
-	ev := e.queue.pop()
-	e.now = ev.at
-	ev.h.Handle()
+	i := e.queue.pop().slot
+	s := e.slots[i]
+	e.slots[i] = slot{} // drop the handler reference for the collector
+	e.free = append(e.free, i)
+	e.now = s.at
+	s.h.Handle()
 }

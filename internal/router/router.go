@@ -20,6 +20,7 @@
 package router
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -87,8 +88,11 @@ func (p *RFDPolicy) paramsFor(prefix bgp.Prefix) rfd.Params {
 type ImportFilter func(owner bgp.ASN, prefix bgp.Prefix, path bgp.Path) bool
 
 // MonitorFunc receives updates exported by a router to an attached
-// monitoring session at virtual time now. The update is already a private
-// copy.
+// monitoring session at virtual time now. Each call gets its own
+// *bgp.Update with its own NLRI and Withdrawn slices, which the monitor may
+// keep and modify. The update's ASPath and Aggregator are shared with the
+// router and with every other monitor, and are immutable: a monitor must
+// not modify them in place.
 type MonitorFunc func(now time.Time, u *bgp.Update)
 
 // Options configures network construction. Zero-value fields fall back to
@@ -158,15 +162,16 @@ type ribState struct {
 	// origin is the aggregator the router originates the prefix with; nil
 	// while it does not originate it.
 	origin *bgp.Aggregator
-	// adjIn is the Adj-RIB-In, indexed by session position.
-	adjIn []adjRoute
+	// adjIn is the Adj-RIB-In and adjOut the Adj-RIB-Out with its MRAI
+	// state, both indexed by session position.
+	adjIn  []adjRoute
+	adjOut []exportState
 	// best is the Loc-RIB entry, meaningful when hasBest.
 	best    selection
 	hasBest bool
-	// out is best.path with the router's ASN prepended, as advertised. It
-	// is built on first use after each change of the winner and shared by
-	// every session and monitor update the winner is exported in; sharing
-	// is safe because no path is modified in place (Prepend copies).
+	// out is best.path with the router's ASN prepended, as advertised: the
+	// Network's interned copy, looked up on first use after each change of
+	// the winner.
 	out bgp.Path
 	// monitorExported tracks announce state toward monitors so withdrawals
 	// are only emitted for previously announced prefixes.
@@ -198,8 +203,6 @@ type session struct {
 
 	peer *Router // the neighbor's speaker
 	back int32   // position of the reverse session in peer.sessions
-
-	exports []exportState // indexed by prefix id
 }
 
 // Router is one BGP speaker.
@@ -208,7 +211,8 @@ type Router struct {
 	net *Network
 
 	// sessions is sorted by neighbor ASN, which makes iteration
-	// deterministic; a session's position indexes ribState.adjIn.
+	// deterministic; a session's position indexes ribState.adjIn and
+	// ribState.adjOut.
 	sessions []*session
 	ribs     []ribState // indexed by prefix id
 
@@ -256,11 +260,44 @@ type Network struct {
 	graph   *topology.Graph
 	routers map[bgp.ASN]*Router
 	opts    Options
+	// sessions counts the sessions of every router.
+	sessions int
 
 	// Prefixes get dense ids on first use; per-prefix state is indexed by
 	// them.
 	prefixIDs map[bgp.Prefix]int32
 	prefixes  []bgp.Prefix
+
+	// paths interns advertised AS paths, keyed by the advertising ASN and
+	// the received path's content (see internPath); pathKey is the reused
+	// lookup key.
+	paths   map[string]bgp.Path
+	pathKey []byte
+
+	// Delivered messages and fired MRAI timers, kept for reuse.
+	messages pool[message]
+	timers   pool[mraiTimer]
+}
+
+// pool is a free list of recycled values.
+type pool[T any] []*T
+
+// get returns a recycled value, or a new zero one.
+func (p *pool[T]) get() *T {
+	n := len(*p)
+	if n == 0 {
+		return new(T)
+	}
+	v := (*p)[n-1]
+	*p = (*p)[:n-1]
+	return v
+}
+
+// put zeroes v and keeps it for reuse; the caller must hold no other
+// reference to it.
+func (p *pool[T]) put(v *T) {
+	*v = *new(T)
+	*p = append(*p, v)
 }
 
 // New builds a network over graph on engine. Construction draws link
@@ -279,6 +316,7 @@ func New(engine *netsim.Engine, graph *topology.Graph, opts Options, rng *stats.
 		routers:   make(map[bgp.ASN]*Router, graph.Len()),
 		opts:      opts,
 		prefixIDs: make(map[bgp.Prefix]int32),
+		paths:     make(map[string]bgp.Path),
 	}
 	for _, asn := range graph.ASNs() {
 		r := &Router{
@@ -297,6 +335,7 @@ func New(engine *netsim.Engine, graph *topology.Graph, opts Options, rng *stats.
 	// One session per neighbor, in the graph's ASN-sorted neighbor order.
 	for _, asn := range graph.ASNs() {
 		r := n.routers[asn]
+		n.sessions += len(graph.AS(asn).Neighbors)
 		for _, nb := range graph.AS(asn).Neighbors {
 			r.sessions = append(r.sessions, &session{
 				neighbor: nb.ASN,
@@ -331,9 +370,9 @@ func (r *Router) sessionTo(neighbor bgp.ASN) int32 {
 }
 
 // prefixID returns prefix's dense id. On first use it assigns the next id
-// and gives every router and session state for it. That growth may move
-// the per-prefix slices, so only the scheduling entry points call it,
-// never the router's own event handlers.
+// and gives every router state for it. That growth may move the
+// per-prefix slices, so only the scheduling entry points call it, never
+// the router's own event handlers.
 func (n *Network) prefixID(prefix bgp.Prefix) int32 {
 	if id, ok := n.prefixIDs[prefix]; ok {
 		return id
@@ -341,12 +380,14 @@ func (n *Network) prefixID(prefix bgp.Prefix) int32 {
 	id := int32(len(n.prefixes))
 	n.prefixIDs[prefix] = id
 	n.prefixes = append(n.prefixes, prefix)
+	// One Adj-RIB-In and one Adj-RIB-Out slab for the prefix, cut into
+	// per-router pieces.
+	adjIn, adjOut := make([]adjRoute, n.sessions), make([]exportState, n.sessions)
 	for _, asn := range n.graph.ASNs() {
 		r := n.routers[asn]
-		r.ribs = append(r.ribs, ribState{adjIn: make([]adjRoute, len(r.sessions))})
-		for _, s := range r.sessions {
-			s.exports = append(s.exports, exportState{})
-		}
+		k := len(r.sessions)
+		r.ribs = append(r.ribs, ribState{adjIn: adjIn[:k:k], adjOut: adjOut[:k:k]})
+		adjIn, adjOut = adjIn[k:], adjOut[k:]
 	}
 	return id
 }
@@ -405,9 +446,10 @@ func (r *Router) setOrigin(id int32, agg *bgp.Aggregator) {
 }
 
 // message is the in-flight representation of an UPDATE between two
-// simulated speakers, and is itself the scheduled delivery event.
-// (Collector sessions serialise to the real wire format; speaker-to-speaker
-// hops stay in memory for speed.)
+// simulated speakers, and is itself the scheduled delivery event. Messages
+// are recycled through the Network's pool once delivered. (Collector
+// sessions serialise to the real wire format; speaker-to-speaker hops stay
+// in memory for speed.)
 type message struct {
 	to         *Router
 	from       int32 // the sender's session position in to.sessions
@@ -417,8 +459,14 @@ type message struct {
 	aggregator *bgp.Aggregator
 }
 
-// Handle delivers the message to its receiver.
-func (m *message) Handle() { m.to.receive(m) }
+// Handle delivers the message to its receiver and recycles it: receive
+// copies what it keeps (the path header and the aggregator pointer), so
+// nothing refers to the message afterwards.
+func (m *message) Handle() {
+	to := m.to
+	to.receive(m)
+	to.net.messages.put(m)
+}
 
 // receive processes one update message at the current virtual time.
 func (r *Router) receive(m *message) {
@@ -578,12 +626,32 @@ func (r *Router) runDecision(id int32) {
 }
 
 // advertised returns the Loc-RIB winner's path with the router's ASN
-// prepended, building it once per winner.
+// prepended, looking it up once per winner.
 func (r *Router) advertised(rs *ribState) bgp.Path {
 	if rs.out.Segments == nil {
-		rs.out = rs.best.path.Prepend(r.asn, 1)
+		rs.out = r.net.internPath(r.asn, rs.best.path)
 	}
 	return rs.out
+}
+
+// internPath returns path with asn prepended. Every call with the same asn
+// and path content returns the same immutable path, so equal advertised
+// paths share one backing array; a repeated lookup allocates nothing.
+func (n *Network) internPath(asn bgp.ASN, path bgp.Path) bgp.Path {
+	k := binary.LittleEndian.AppendUint32(n.pathKey[:0], uint32(asn))
+	for _, seg := range path.Segments {
+		k = binary.LittleEndian.AppendUint32(append(k, byte(seg.Type)), uint32(len(seg.ASNs)))
+		for _, a := range seg.ASNs {
+			k = binary.LittleEndian.AppendUint32(k, uint32(a))
+		}
+	}
+	n.pathKey = k
+	if p, ok := n.paths[string(k)]; ok {
+		return p
+	}
+	p := path.Prepend(asn, 1)
+	n.paths[string(k)] = p
+	return p
 }
 
 // Best returns the router's current best path for prefix (own ASN
@@ -600,12 +668,12 @@ func (r *Router) Best(prefix bgp.Prefix) (bgp.Path, bool) {
 // and to attached monitors.
 func (r *Router) export(id int32) {
 	rs := &r.ribs[id]
-	for _, s := range r.sessions {
+	for i, s := range r.sessions {
 		announce := r.exportDecision(s, rs)
-		if !announce && !s.exports[id].advertised {
+		if !announce && !rs.adjOut[i].advertised {
 			continue // never told them about it; no withdrawal needed
 		}
-		r.sendWithMRAI(s, id, announce)
+		r.sendWithMRAI(int32(i), id, announce)
 	}
 	r.exportToMonitors(id)
 }
@@ -628,8 +696,8 @@ func (r *Router) exportDecision(s *session, rs *ribState) bool {
 // sendWithMRAI applies per-(session,prefix) MRAI pacing and dispatches the
 // update. Withdrawals are not paced (RFC 4271 applies MRAI to
 // advertisements; withdrawal pacing was removed by common practice).
-func (r *Router) sendWithMRAI(s *session, id int32, announce bool) {
-	st := &s.exports[id]
+func (r *Router) sendWithMRAI(i, id int32, announce bool) {
+	st := &r.ribs[id].adjOut[i]
 	if announce && r.mrai > 0 && st.sent {
 		if wait := r.mrai - r.net.engine.Now().Sub(st.lastSent); wait > 0 {
 			// Queue: when the timer fires, re-evaluate the then-current
@@ -637,24 +705,41 @@ func (r *Router) sendWithMRAI(s *session, id int32, announce bool) {
 			// entire purpose).
 			if !st.pending {
 				st.pending = true
-				r.net.engine.After(wait, netsim.Func(func() { r.flushPending(s, id) }))
+				t := r.net.timers.get()
+				t.r, t.session, t.id = r, i, id
+				r.net.engine.After(wait, t)
 			}
 			return
 		}
 	}
-	r.transmit(s, id, announce)
+	r.transmit(i, id, announce)
+}
+
+// mraiTimer is the MRAI expiry of one (session, prefix); timers are
+// recycled through the Network's pool once fired.
+type mraiTimer struct {
+	r       *Router
+	session int32 // position in r.sessions
+	id      int32
+}
+
+// Handle flushes the pending export and recycles the timer.
+func (t *mraiTimer) Handle() {
+	r := t.r
+	r.flushPending(t.session, t.id)
+	r.net.timers.put(t)
 }
 
 // flushPending re-runs the export decision for a prefix whose MRAI timer
 // expired.
-func (r *Router) flushPending(s *session, id int32) {
-	st := &s.exports[id]
+func (r *Router) flushPending(i, id int32) {
+	rs := &r.ribs[id]
+	st := &rs.adjOut[i]
 	if !st.pending {
 		return
 	}
 	st.pending = false
-	rs := &r.ribs[id]
-	announce := r.exportDecision(s, rs)
+	announce := r.exportDecision(r.sessions[i], rs)
 	if !announce && !st.advertised {
 		return
 	}
@@ -662,7 +747,7 @@ func (r *Router) flushPending(s *session, id int32) {
 	if announce && st.advertised && st.path.Equal(r.advertised(rs)) && aggEqual(st.aggregator, rs.best.aggregator) {
 		return
 	}
-	r.transmit(s, id, announce)
+	r.transmit(i, id, announce)
 }
 
 func aggEqual(a, b *bgp.Aggregator) bool {
@@ -678,12 +763,13 @@ func aggEqual(a, b *bgp.Aggregator) bool {
 
 // transmit builds the update, schedules its delivery to the neighbor after
 // the link delay and records export state.
-func (r *Router) transmit(s *session, id int32, announce bool) {
-	st := &s.exports[id]
+func (r *Router) transmit(i, id int32, announce bool) {
+	s, rs := r.sessions[i], &r.ribs[id]
+	st := &rs.adjOut[i]
 	st.advertised = announce
-	m := &message{to: s.peer, from: s.back, prefix: id, withdraw: !announce}
+	m := r.net.messages.get()
+	m.to, m.from, m.prefix, m.withdraw = s.peer, s.back, id, !announce
 	if announce {
-		rs := &r.ribs[id]
 		m.path, m.aggregator = r.advertised(rs), rs.best.aggregator
 		st.path, st.aggregator = m.path, m.aggregator
 		st.sent, st.lastSent = true, r.net.engine.Now()
@@ -692,32 +778,33 @@ func (r *Router) transmit(s *session, id int32, announce bool) {
 	r.net.engine.After(s.delay, m)
 }
 
+// monitorUpdate is one monitor's update together with the single prefix
+// its NLRI or Withdrawn slice views, so both come in one allocation.
+type monitorUpdate struct {
+	bgp.Update
+	prefix [1]bgp.Prefix
+}
+
 // exportToMonitors mirrors the update to monitoring sessions (full feed,
-// no policy, no MRAI — collectors see everything the router decides).
+// no policy, no MRAI — collectors see everything the router decides). Each
+// monitor gets its own update; the path and aggregator are shared.
 func (r *Router) exportToMonitors(id int32) {
 	if len(r.monitors) == 0 {
 		return
 	}
 	rs := &r.ribs[id]
-	prefix := r.net.prefixes[id]
-	var u *bgp.Update
-	if !rs.hasBest {
-		if !rs.monitorExported {
-			return
-		}
-		rs.monitorExported = false
-		u = &bgp.Update{Withdrawn: []bgp.Prefix{prefix}}
-	} else {
-		rs.monitorExported = true
-		u = &bgp.Update{
-			Origin:     bgp.OriginIGP,
-			ASPath:     r.advertised(rs),
-			NLRI:       []bgp.Prefix{prefix},
-			Aggregator: rs.best.aggregator,
-		}
+	if !rs.hasBest && !rs.monitorExported {
+		return
 	}
+	rs.monitorExported = rs.hasBest
 	now := r.net.engine.Now()
 	for _, fn := range r.monitors {
-		fn(now, u.Clone())
+		mu := &monitorUpdate{prefix: [1]bgp.Prefix{r.net.prefixes[id]}}
+		if rs.hasBest {
+			mu.Origin, mu.ASPath, mu.NLRI, mu.Aggregator = bgp.OriginIGP, r.advertised(rs), mu.prefix[:], rs.best.aggregator
+		} else {
+			mu.Withdrawn = mu.prefix[:]
+		}
+		fn(now, &mu.Update)
 	}
 }

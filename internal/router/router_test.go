@@ -299,6 +299,90 @@ func TestMonitorSeesAnnounceAndWithdraw(t *testing.T) {
 	}
 }
 
+// TestMonitorsGetIndependentUpdates checks the MonitorFunc contract: two
+// monitors on one router each get their own update, so one rewriting the
+// update's fields or its NLRI/Withdrawn slices leaves what the other
+// receives intact.
+func TestMonitorsGetIndependentUpdates(t *testing.T) {
+	g := chainGraph(t, 3)
+	eng := netsim.NewEngine(t0)
+	net := New(eng, g, fastOpts(), stats.NewRNG(1))
+	other := bgp.MustPrefix("198.51.100.0/24")
+	if err := net.AttachMonitor(1, func(now time.Time, u *bgp.Update) {
+		for i := range u.NLRI {
+			u.NLRI[i] = other
+		}
+		for i := range u.Withdrawn {
+			u.Withdrawn[i] = other
+		}
+		u.NLRI = append(u.NLRI, other)
+		u.Origin, u.ASPath, u.Aggregator = bgp.OriginIncomplete, bgp.NewPath(9), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var got []*bgp.Update
+	if err := net.AttachMonitor(1, func(now time.Time, u *bgp.Update) {
+		got = append(got, u)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Originate(3, pfx, 777); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if err := net.WithdrawOrigin(3, pfx); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if len(got) != 2 {
+		t.Fatalf("second monitor saw %d updates, want 2", len(got))
+	}
+	a := got[0]
+	if len(a.NLRI) != 1 || a.NLRI[0] != pfx || len(a.Withdrawn) != 0 || a.Origin != bgp.OriginIGP ||
+		bgp.PathKey(a.ASPath.Clean()) != "1 2 3" || a.Aggregator == nil || a.Aggregator.ID != 777 {
+		t.Errorf("announcement = %v (origin %v, aggregator %v)", a, a.Origin, a.Aggregator)
+	}
+	w := got[1]
+	if len(w.Withdrawn) != 1 || w.Withdrawn[0] != pfx || len(w.NLRI) != 0 {
+		t.Errorf("withdrawal = %v", w)
+	}
+}
+
+// TestFlapCycleAllocatesNothing pins the speaker-to-speaker write path at
+// zero allocations in steady state: once the message and MRAI timer pools,
+// the event queue and the path intern table have warmed up, a flap cycle
+// (announce, withdraw, re-announce) over a network with MRAI and without
+// RFD or monitors allocates nothing.
+func TestFlapCycleAllocatesNothing(t *testing.T) {
+	eng := netsim.NewEngine(t0)
+	opts := Options{
+		LinkDelay: func(a, b bgp.ASN, rng *stats.RNG) time.Duration { return 10 * time.Millisecond },
+		MRAI:      func(asn bgp.ASN, rng *stats.RNG) time.Duration { return 30 * time.Second },
+	}
+	net := New(eng, diamondGraph(t), opts, stats.NewRNG(1))
+	origin := probe(net.Router(4), pfx)
+	agg := &bgp.Aggregator{AS: 4, ID: 42}
+	cycle := func() {
+		origin.r.setOrigin(origin.id, agg)
+		eng.Run()
+		origin.withdraw()
+		eng.Run()
+		origin.r.setOrigin(origin.id, agg)
+		eng.Run()
+	}
+	cycle()
+	cycle()
+	sent := origin.r.UpdatesSent
+	cycle()
+	if origin.r.UpdatesSent == sent || len(net.messages) == 0 || len(net.timers) == 0 {
+		t.Fatalf("the flap cycle sent %d updates with %d pooled messages and %d pooled MRAI timers; want all non-zero",
+			origin.r.UpdatesSent-sent, len(net.messages), len(net.timers))
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("flap cycle: %g allocs/op, want 0", n)
+	}
+}
+
 func TestMonitorUnknownAS(t *testing.T) {
 	g := chainGraph(t, 2)
 	net := New(netsim.NewEngine(t0), g, fastOpts(), stats.NewRNG(1))

@@ -3,8 +3,10 @@
 #
 # Runs the headline benchmarks (BenchmarkInfer: the parallel multi-chain
 # sampling engine; BenchmarkPublicInfer: the full public API path;
+# BenchmarkCampaignSimulation: one beacon campaign through the simulator;
 # BenchmarkLint: a whole-module becauselint pass; the //lint:hotpath
-# sampler and observation-model kernels, which must hold zero allocs/op)
+# sampler and observation-model kernels and the campaign write path —
+# event queue, BGP encoder, MRT writer — which must hold zero allocs/op)
 # and emits a
 # machine-readable JSON document — benchmark name, ns/op, B/op,
 # allocs/op, plus the commit the numbers were taken at — so successive
@@ -29,7 +31,7 @@ RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 echo "bench-trajectory: root benchmarks (benchtime $BENCHTIME)"
-go test -run '^$' -bench '^(BenchmarkInfer|BenchmarkPublicInfer)$' \
+go test -run '^$' -bench '^(BenchmarkInfer|BenchmarkPublicInfer|BenchmarkCampaignSimulation)$' \
     -benchmem -benchtime "$BENCHTIME" . | tee -a "$RAW"
 echo "bench-trajectory: lint benchmark"
 go test -run '^$' -bench '^BenchmarkLint$' \
@@ -42,6 +44,13 @@ go test -run '^$' -bench '^(BenchmarkPermInto|BenchmarkTruncNormalSample)$' \
 echo "bench-trajectory: churn observation-model kernels"
 go test -run '^$' -bench '^(BenchmarkChurnDeltaApply|BenchmarkChurnGrad)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/churn | tee -a "$RAW"
+echo "bench-trajectory: campaign write path (event queue, BGP encoder, MRT writer)"
+go test -run '^$' -bench '^BenchmarkQueuePushPop$' \
+    -benchmem -benchtime "$BENCHTIME" ./internal/netsim | tee -a "$RAW"
+go test -run '^$' -bench '^BenchmarkEncodeUpdate$' \
+    -benchmem -benchtime "$BENCHTIME" ./internal/bgp | tee -a "$RAW"
+go test -run '^$' -bench '^BenchmarkWriteUpdateRecord$' \
+    -benchmem -benchtime "$BENCHTIME" ./internal/mrt | tee -a "$RAW"
 
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 GOVER=$(go env GOVERSION)

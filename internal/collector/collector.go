@@ -13,6 +13,7 @@ package collector
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -210,12 +211,16 @@ func WriteMRT(w io.Writer, entries []Entry) error {
 // Project attribution is not stored in MRT (real archives are per-project
 // files); entries read back carry the provided project label.
 func ReadMRT(r io.Reader, project Project) ([]Entry, error) {
-	recs, err := mrt.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
+	mr := mrt.NewReader(r)
 	var out []Entry
-	for _, rec := range recs {
+	for {
+		rec, err := mr.Next()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 		if !rec.IsUpdate() {
 			continue
 		}
@@ -226,7 +231,6 @@ func ReadMRT(r io.Reader, project Project) ([]Entry, error) {
 			Update:   rec.Update,
 		})
 	}
-	return out, nil
 }
 
 // WriteRIB reconstructs every vantage point's routing table as of time at

@@ -110,13 +110,14 @@ func (s *Scenario) RunCampaignContext(ctx context.Context, c beacon.Campaign) (*
 	}
 	eng.Run()
 
+	entries := col.Entries() // sorts the feed; bind it once
 	run := &Run{
 		Scenario:     s,
 		Campaign:     c,
 		Schedules:    schedules,
-		Entries:      col.Entries(),
-		Measurements: label.LabelPathsContext(ctx, col.Entries(), schedules, label.Config{Obs: s.Obs}),
-		Propagation:  label.PropagationDeltas(col.Entries(), schedules),
+		Entries:      entries,
+		Measurements: label.LabelPathsContext(ctx, entries, schedules, label.Config{Obs: s.Obs}),
+		Propagation:  label.PropagationDeltas(entries, schedules),
 	}
 	for _, asn := range s.Graph.ASNs() {
 		run.UpdatesSent += net.Router(asn).UpdatesSent

@@ -10,6 +10,7 @@
 package mrt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -134,9 +135,12 @@ func (w *Writer) WriteUpdate(ts time.Time, peerAS, localAS bgp.ASN, peerIP, loca
 	return err
 }
 
-// Reader decodes MRT records from an io.Reader.
+// Reader decodes MRT records from an io.Reader. It reads every record
+// body into one reused buffer; the decoded update copies what it keeps,
+// and Raw gets its own copy, so a returned Record never aliases it.
 type Reader struct {
-	r io.Reader
+	r    io.Reader
+	body []byte
 }
 
 // NewReader returns a Reader over r.
@@ -162,16 +166,19 @@ func (r *Reader) Next() (*Record, error) {
 	if blen > maxBody {
 		return nil, ErrBodyTooLong
 	}
-	body := make([]byte, blen)
+	if uint32(cap(r.body)) < blen {
+		r.body = make([]byte, blen)
+	}
+	body := r.body[:blen]
 	if _, err := io.ReadFull(r.r, body); err != nil {
 		return nil, ErrTruncated
 	}
 	if rec.Type != TypeBGP4MP && rec.Type != TypeBGP4MPET {
-		rec.Raw = body
+		rec.Raw = bytes.Clone(body)
 		return rec, nil
 	}
 	if rec.Subtype != SubtypeMessage && rec.Subtype != SubtypeMessageAS4 {
-		rec.Raw = body
+		rec.Raw = bytes.Clone(body)
 		return rec, nil
 	}
 	if err := r.decodeBGP4MP(rec, body); err != nil {
@@ -224,7 +231,7 @@ func (r *Reader) decodeBGP4MP(rec *Record, body []byte) error {
 	if err != nil {
 		if errors.Is(err, bgp.ErrNotUpdate) {
 			// Keepalives etc. inside BGP4MP records: keep raw, no update.
-			rec.Raw = body
+			rec.Raw = bytes.Clone(body)
 			return nil
 		}
 		return fmt.Errorf("mrt: embedded BGP message: %w", err)

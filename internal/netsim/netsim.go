@@ -8,6 +8,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -24,10 +25,10 @@ type Func func()
 // Handle calls f.
 func (f Func) Handle() { f() }
 
-// event is one heap entry. key is the instant's UnixNano; slot indexes the
-// Engine's slot table, which holds the handler and the instant as given.
-// The entry holds no pointers, so heap sifts move plain words and the
-// garbage collector never scans the queue.
+// event is one queue entry. key is the instant's UnixNano; slot indexes
+// the Engine's slot table, which holds the handler and the instant as
+// given. The entry holds no pointers, so the queue moves plain words and
+// the garbage collector never scans it.
 type event struct {
 	key  int64
 	seq  uint64 // FIFO tie-break for equal instants
@@ -55,7 +56,8 @@ func (a *event) less(b *event) bool {
 
 // queue is a 4-ary min-heap of events held by value: the children of i
 // are 4i+1 … 4i+4. The wider fan-out halves the tree depth of a binary
-// heap, and value storage keeps the events contiguous.
+// heap, and value storage keeps the events contiguous. The calendar keeps
+// its events beyond the wheel's window in one.
 type queue []event
 
 // push inserts ev.
@@ -115,11 +117,12 @@ func (q *queue) pop() event {
 // which is what makes runs deterministic without locks.
 //
 // Events are ordered by the instant's UnixNano and then by scheduling
-// order, so virtual times must lie in UnixNano's range: between the years
-// 1678 and 2262.
+// order, so virtual times must lie in UnixNano's range: from
+// 1677-09-21T00:12:43.145224192Z to 2262-04-11T23:47:16.854775807Z. At
+// panics outside it.
 type Engine struct {
 	now   time.Time
-	queue queue
+	queue calendar
 	seq   uint64
 	// slots holds each queued event's instant and handler; free lists the
 	// slots whose events have run, for reuse by the next At.
@@ -127,9 +130,17 @@ type Engine struct {
 	free  []int32
 }
 
+// The first and last instants whose UnixNano does not overflow.
+var (
+	minInstant = time.Unix(0, math.MinInt64)
+	maxInstant = time.Unix(0, math.MaxInt64)
+)
+
 // NewEngine returns an engine whose clock starts at start.
 func NewEngine(start time.Time) *Engine {
-	return &Engine{now: start}
+	e := &Engine{now: start}
+	e.queue.cur = bucketOf(start.UnixNano())
+	return e
 }
 
 // Now returns the current virtual time.
@@ -137,10 +148,14 @@ func (e *Engine) Now() time.Time { return e.now }
 
 // At schedules h to run at the absolute virtual time at. Scheduling in the
 // past (before Now) panics: that is always a model bug, and silently
-// reordering events would destroy causality.
+// reordering events would destroy causality. So does an instant outside
+// UnixNano's range, whose key would wrap and misorder it.
 func (e *Engine) At(at time.Time, h Handler) {
 	if at.Before(e.now) {
 		panic(fmt.Sprintf("netsim: scheduling event at %v before now %v", at, e.now))
+	}
+	if at.Before(minInstant) || at.After(maxInstant) {
+		panic(fmt.Sprintf("netsim: scheduling event at %v outside the UnixNano range [%v, %v]", at, minInstant.UTC(), maxInstant.UTC()))
 	}
 	var i int32
 	if n := len(e.free); n > 0 {
@@ -166,27 +181,34 @@ func (e *Engine) After(d time.Duration, h Handler) {
 // Run executes events until the queue is empty. It returns the virtual
 // time of the last event executed.
 func (e *Engine) Run() time.Time {
-	for len(e.queue) > 0 {
-		e.step()
+	for {
+		ev, ok := e.queue.pop()
+		if !ok {
+			return e.now
+		}
+		e.fire(ev.slot)
 	}
-	return e.now
 }
 
 // RunUntil executes events with timestamps <= deadline, advances the clock
 // to exactly deadline, and leaves later events queued.
 func (e *Engine) RunUntil(deadline time.Time) {
-	for len(e.queue) > 0 && !e.slots[e.queue[0].slot].at.After(deadline) {
-		e.step()
+	for {
+		ev, ok := e.queue.peek()
+		if !ok || e.slots[ev.slot].at.After(deadline) {
+			break
+		}
+		e.queue.pop()
+		e.fire(ev.slot)
 	}
 	if e.now.Before(deadline) {
 		e.now = deadline
 	}
 }
 
-// step pops the earliest event, frees its slot, advances the clock to it
-// and runs it.
-func (e *Engine) step() {
-	i := e.queue.pop().slot
+// fire frees slot i, advances the clock to its instant and runs its
+// handler.
+func (e *Engine) fire(i int32) {
 	s := e.slots[i]
 	e.slots[i] = slot{} // drop the handler reference for the collector
 	e.free = append(e.free, i)

@@ -207,3 +207,138 @@ func TestExecutionOrderProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestInstantsOutsideUnixNanoRangePanic pins At's range check: the last
+// representable nanosecond is accepted and runs after earlier events,
+// while one nanosecond later, and any instant before the first
+// representable nanosecond, panics instead of wrapping round.
+func TestInstantsOutsideUnixNanoRangePanic(t *testing.T) {
+	last := time.Date(2262, 4, 11, 23, 47, 16, 854775807, time.UTC)
+	first := time.Date(1677, 9, 21, 0, 12, 43, 145224192, time.UTC)
+	mustPanic := func(e *Engine, at time.Time) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("At(%v) did not panic", at)
+			}
+		}()
+		e.At(at, Func(func() {}))
+	}
+
+	e := NewEngine(t0)
+	var ran []time.Time
+	record := Func(func() { ran = append(ran, e.Now()) })
+	e.At(last, record)
+	e.At(last.Add(-24*time.Hour), record)
+	mustPanic(e, last.Add(time.Nanosecond))
+	mustPanic(e, last.AddDate(500, 0, 0))
+	e.Run()
+	if len(ran) != 2 || !ran[0].Equal(last.Add(-24*time.Hour)) || !ran[1].Equal(last) {
+		t.Errorf("ran at %v, want the day before %v and then it", ran, last)
+	}
+
+	early := NewEngine(time.Date(1000, 1, 1, 0, 0, 0, 0, time.UTC))
+	mustPanic(early, first.Add(-time.Nanosecond))
+	mustPanic(early, time.Date(1500, 1, 1, 0, 0, 0, 0, time.UTC))
+	early.At(first, Func(func() {}))
+	if end := early.Run(); !end.Equal(first) {
+		t.Errorf("event at %v ran at %v", first, end)
+	}
+}
+
+// TestExecutionOrderAcrossHorizons is TestExecutionOrderProperty over
+// every tier of the calendar queue: delays of zero, sub-bucket
+// nanoseconds, link delays, MRAI ± one bucket, the wheel's window ± 1 ns,
+// bucket boundaries ± 1 ns, hours, and exact repeats of instants already
+// scheduled (ties between events that entered the queue in different
+// tiers), with RunUntil deadlines interleaved. Each seed starts with a
+// deadline that stops short of the next occupied bucket, so the peek
+// makes that bucket current, followed by At(now) landing before it.
+// Execution order must equal a stable sort of every scheduled event by
+// instant.
+func TestExecutionOrderAcrossHorizons(t *testing.T) {
+	const (
+		bucket = time.Duration(1) << bucketShift
+		window = wheelSize * bucket
+	)
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := stats.NewRNG(seed)
+		e := NewEngine(t0)
+		var scheduled []time.Time // by scheduling order
+		var ran []int
+		horizon := func() time.Duration {
+			now := e.Now()
+			switch rng.Intn(8) {
+			case 0:
+				return 0
+			case 1:
+				return time.Duration(rng.Intn(int(bucket)))
+			case 2:
+				return 20*time.Millisecond + time.Duration(rng.Intn(int(980*time.Millisecond)))
+			case 3:
+				return 30*time.Second + time.Duration(rng.Intn(3)-1)*bucket
+			case 4:
+				return window + time.Duration(rng.Intn(3)-1)
+			case 5:
+				return time.Duration(1+rng.Intn(48))*time.Hour + time.Duration(rng.Intn(int(time.Second)))
+			case 6:
+				b := now.UnixNano()>>bucketShift + 1 + int64(rng.Intn(wheelSize+2))
+				return time.Duration(b<<bucketShift-now.UnixNano()) + time.Duration(rng.Intn(3)-1)
+			default:
+				if at := scheduled[rng.Intn(len(scheduled))]; !at.Before(now) {
+					return at.Sub(now)
+				}
+				return 0
+			}
+		}
+		var schedule func(d time.Duration, depth int)
+		schedule = func(d time.Duration, depth int) {
+			id := len(scheduled)
+			at := e.Now().Add(d)
+			scheduled = append(scheduled, at)
+			e.At(at, Func(func() {
+				if !e.Now().Equal(at) {
+					t.Errorf("seed %d: event %d ran at %v, scheduled for %v", seed, id, e.Now(), at)
+				}
+				ran = append(ran, id)
+				if depth < 4 {
+					for k := rng.Intn(3); k > 0; k-- {
+						schedule(horizon(), depth+1)
+					}
+				}
+			}))
+		}
+
+		schedule(10*bucket, 0)
+		e.RunUntil(t0.Add(2 * bucket))
+		if e.queue.cur <= bucketOf(e.Now().UnixNano()) {
+			t.Fatalf("seed %d: the deadline's peek left bucket %d current, want one past the clock's", seed, e.queue.cur)
+		}
+		schedule(0, 0)
+		schedule(bucket, 0)
+		for i := 0; i < 60; i++ {
+			schedule(horizon(), 0)
+		}
+		for round := 0; round < 30; round++ {
+			e.RunUntil(e.Now().Add(horizon()))
+			for k := rng.Intn(4); k > 0; k-- {
+				schedule(horizon(), 1)
+			}
+		}
+		e.Run()
+
+		want := make([]int, len(scheduled))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return scheduled[want[i]].Before(scheduled[want[j]]) })
+		if len(ran) != len(want) {
+			t.Fatalf("seed %d: ran %d of %d events", seed, len(ran), len(want))
+		}
+		for i := range want {
+			if ran[i] != want[i] {
+				t.Fatalf("seed %d: position %d ran event %d at %v, want event %d at %v", seed, i, ran[i], scheduled[ran[i]], want[i], scheduled[want[i]])
+			}
+		}
+	}
+}

@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test ./internal/collector -run=^$$ -fuzz='^FuzzReadMRT$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/scenario -run=^$$ -fuzz='^FuzzParseScenario$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/lint -run=^$$ -fuzz='^FuzzParseAllowDirective$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run=^$$ -fuzz='^FuzzModelStateInvariants$$' -fuzztime=$(FUZZTIME)
 
 # scenario-matrix runs the declarative scenario regression matrix: every
 # corpus scenario under internal/scenario/testdata/scenarios is rendered

@@ -8,10 +8,10 @@ import (
 )
 
 // benchState compiles a mid-sized dataset (120 paths over ~30 ASes) and
-// returns the churn state behind the ModelState interface — the benches
+// returns m's state behind the ModelState interface — the benches
 // below call through the interface deliberately, so they measure exactly
 // what the samplers' hot loops execute (devirtualisation included or not).
-func benchState(tb testing.TB) core.ModelState {
+func benchState(tb testing.TB, m Model) core.ModelState {
 	tb.Helper()
 	var obs []core.PathObs
 	for k := 0; k < 120; k++ {
@@ -32,14 +32,19 @@ func benchState(tb testing.TB) core.ModelState {
 	for i := range p {
 		p[i] = 0.05 + 0.9*float64(i)/float64(len(p))
 	}
-	return Model{BackgroundRate: 0.08, MissRate: 0.04}.NewState(ds, p)
+	return m.NewState(ds, p)
 }
+
+// benchModel is the churn configuration the kernel benches default to;
+// BenchmarkChurnGradNoMiss drops its miss rate to 0, the configuration
+// becaused's churn requests run at by default.
+var benchModel = Model{BackgroundRate: 0.08, MissRate: 0.04}
 
 // deltaApplyFixture returns the MH inner-loop kernel pair — one DeltaFor
 // probe plus one Apply commit per coordinate — through the ModelState
 // interface, as a closure.
 func deltaApplyFixture(tb testing.TB) func() {
-	st := benchState(tb)
+	st := benchState(tb, benchModel)
 	n := len(st.Probabilities())
 	i := 0
 	return func() {
@@ -54,9 +59,10 @@ func deltaApplyFixture(tb testing.TB) func() {
 }
 
 // gradFixture returns the HMC leapfrog kernel — the full logit-space
-// posterior gradient — through the ModelState interface, as a closure.
-func gradFixture(tb testing.TB) func() {
-	st := benchState(tb)
+// posterior gradient of m — through the ModelState interface, as a
+// closure.
+func gradFixture(tb testing.TB, m Model) func() {
+	st := benchState(tb, m)
 	prior := core.Prior{Alpha: 0.4, Beta: 0.4}
 	grad := make([]float64, len(st.Probabilities()))
 	return func() {
@@ -79,7 +85,19 @@ func BenchmarkChurnDeltaApply(b *testing.B) {
 // BenchmarkChurnGrad times the HMC gradient;
 // TestHotpathKernelsAllocateNothing pins it at zero allocs/op.
 func BenchmarkChurnGrad(b *testing.B) {
-	grad := gradFixture(b)
+	grad := gradFixture(b, benchModel)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		grad()
+	}
+}
+
+// BenchmarkChurnGradNoMiss times the HMC gradient at MissRate 0, where
+// stable paths take the exact factor 1 and skip the exponential;
+// TestHotpathKernelsAllocateNothing pins it at zero allocs/op.
+func BenchmarkChurnGradNoMiss(b *testing.B) {
+	grad := gradFixture(b, Model{BackgroundRate: benchModel.BackgroundRate})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -96,7 +114,8 @@ func TestHotpathKernelsAllocateNothing(t *testing.T) {
 		run  func()
 	}{
 		{"DeltaFor/Apply", deltaApplyFixture(t)},
-		{"GradLogPostTheta", gradFixture(t)},
+		{"GradLogPostTheta", gradFixture(t, benchModel)},
+		{"GradLogPostTheta/nomiss", gradFixture(t, Model{BackgroundRate: benchModel.BackgroundRate})},
 	} {
 		if n := testing.AllocsPerRun(50, k.run); n != 0 {
 			t.Errorf("%s: %g allocs/op, want 0", k.name, n)

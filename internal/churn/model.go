@@ -58,30 +58,21 @@ func (m Model) Validate() error {
 
 // NewState compiles one chain's incremental likelihood state.
 func (m Model) NewState(ds *core.Dataset, p []float64) core.ModelState {
-	st := &state{
-		ds:    ds,
-		p:     append([]float64(nil), p...),
-		miss:  m.MissRate,
-		logBG: math.Log1p(-m.BackgroundRate),
-		logQ:  make([]float64, ds.NumPaths()),
+	return &state{
+		LogProd: core.NewLogProd(ds, p),
+		miss:    m.MissRate,
+		logBG:   math.Log1p(-m.BackgroundRate),
 	}
-	for i := range st.p {
-		st.p[i] = core.ClampProb(st.p[i])
-	}
-	st.Recompute()
-	return st
 }
 
 // state is the sampler's incremental view of the churn likelihood: the
-// mirror of the default model's likState with every per-path log product
-// shifted by log(1-β). logQ[j] caches Σ_{i∈J} log(1-p_i); the effective
-// log no-churn probability of path j is logQ[j] + logBG.
+// shared log-product core with every per-path log product shifted by
+// log(1-β). The effective log no-churn probability of path j is
+// LogQ()[j] + logBG.
 type state struct {
-	ds    *core.Dataset
-	p     []float64
+	core.LogProd
 	miss  float64
 	logBG float64 // log(1-β), folded into every per-path term
-	logQ  []float64
 }
 
 // logStableTerm is the log-probability of observing a stable label on a
@@ -110,51 +101,20 @@ func (st *state) logChurnTerm(logQ float64) float64 {
 //
 //lint:hotpath
 func (st *state) CopyFrom(src core.ModelState) {
-	other := src.(*state)
-	copy(st.p, other.p)
-	copy(st.logQ, other.logQ)
-}
-
-// Probabilities returns the state's own probability vector (mutated in
-// place by Apply/SetP; callers must not modify it).
-//
-//lint:hotpath
-func (st *state) Probabilities() []float64 { return st.p }
-
-// SetP replaces the whole probability vector and rebuilds the caches.
-//
-//lint:hotpath
-func (st *state) SetP(p []float64) {
-	for i := range p {
-		st.p[i] = core.ClampProb(p[i])
-	}
-	st.Recompute()
-}
-
-// Recompute rebuilds the logQ cache from scratch, cancelling numeric
-// drift accumulated by incremental Apply updates.
-//
-//lint:hotpath
-func (st *state) Recompute() {
-	for j := range st.logQ {
-		s := 0.0
-		for _, i := range st.ds.PathNodes(j) {
-			s += math.Log1p(-st.p[i])
-		}
-		st.logQ[j] = s
-	}
+	st.LogProd.CopyFrom(&src.(*state).LogProd)
 }
 
 // LogLik returns the full data log-likelihood at the current state.
 //
 //lint:hotpath
 func (st *state) LogLik() float64 {
+	ds := st.Dataset()
 	total := 0.0
-	for j := range st.logQ {
-		if st.ds.PathPositive(j) {
-			total += st.ds.PathWeight(j) * st.logChurnTerm(st.logQ[j])
+	for j, logQ := range st.LogQ() {
+		if ds.PathPositive(j) {
+			total += ds.PathWeight(j) * st.logChurnTerm(logQ)
 		} else {
-			total += st.ds.PathWeight(j) * st.logStableTerm(st.logQ[j])
+			total += ds.PathWeight(j) * st.logStableTerm(logQ)
 		}
 	}
 	return total
@@ -165,30 +125,18 @@ func (st *state) LogLik() float64 {
 //
 //lint:hotpath
 func (st *state) DeltaFor(i int, pNew float64) float64 {
-	pNew = core.ClampProb(pNew)
-	dLogQ := math.Log1p(-pNew) - math.Log1p(-st.p[i])
+	ds, logQ := st.Dataset(), st.LogQ()
+	dLogQ := st.DLogQ(i, pNew)
 	delta := 0.0
-	for _, j := range st.ds.NodePathIndices(i) {
-		w := st.ds.PathWeight(j)
-		if st.ds.PathPositive(j) {
-			delta += w * (st.logChurnTerm(st.logQ[j]+dLogQ) - st.logChurnTerm(st.logQ[j]))
+	for _, j := range ds.NodePathIndices(i) {
+		w := ds.PathWeight(j)
+		if ds.PathPositive(j) {
+			delta += w * (st.logChurnTerm(logQ[j]+dLogQ) - st.logChurnTerm(logQ[j]))
 		} else {
-			delta += w * (st.logStableTerm(st.logQ[j]+dLogQ) - st.logStableTerm(st.logQ[j]))
+			delta += w * (st.logStableTerm(logQ[j]+dLogQ) - st.logStableTerm(logQ[j]))
 		}
 	}
 	return delta
-}
-
-// Apply commits a new value for node i, updating the caches.
-//
-//lint:hotpath
-func (st *state) Apply(i int, pNew float64) {
-	pNew = core.ClampProb(pNew)
-	dLogQ := math.Log1p(-pNew) - math.Log1p(-st.p[i])
-	for _, j := range st.ds.NodePathIndices(i) {
-		st.logQ[j] += dLogQ
-	}
-	st.p[i] = pNew
 }
 
 // GradLogPostTheta fills grad with the gradient of the log posterior in
@@ -201,34 +149,23 @@ func (st *state) Apply(i int, pNew float64) {
 //	churned path j ∋ i: w log[(1-m)(1-Q')]     → +w p_i Q'/(1-Q')
 //	stable  path j ∋ i: w log[m + (1-m)Q']     → -w p_i (1-m)Q'/((1-m)Q'+m)
 //
-// (the stable factor degenerates to 1 at m = 0, recovering -w·p_i).
+// At m = 0 the stable factor is exactly 1 and Q' is not evaluated: the
+// ratio form would be Q'/Q', which is NaN once Q' underflows to 0 on a
+// long path of near-certain ASes.
 //
 //lint:hotpath
 func (st *state) GradLogPostTheta(prior core.Prior, grad []float64) {
-	for i := range grad {
-		p := st.p[i]
-		grad[i] = prior.Alpha*(1-p) - prior.Beta*p
-	}
-	for j := range st.logQ {
-		q := math.Exp(st.logQ[j] + st.logBG)
-		w := st.ds.PathWeight(j)
-		if st.ds.PathPositive(j) {
-			factor := q / (1 - q)
-			if math.IsInf(factor, 1) || math.IsNaN(factor) {
-				// Q' ≈ 1: the churned observation is nearly impossible;
-				// push mass up with a large but finite factor (the same
-				// guard the default model uses).
-				factor = 1 / core.ClampProb(0)
-			}
-			for _, i := range st.ds.PathNodes(j) {
-				grad[i] += w * st.p[i] * factor
-			}
-		} else {
-			factor := (1 - st.miss) * q / ((1-st.miss)*q + st.miss)
-			for _, i := range st.ds.PathNodes(j) {
-				grad[i] -= w * st.p[i] * factor
-			}
+	st.GradPrior(prior, grad)
+	ds := st.Dataset()
+	for j, logQ := range st.LogQ() {
+		factor := -1.0
+		if ds.PathPositive(j) {
+			factor = core.PosGradFactor(math.Exp(logQ + st.logBG))
+		} else if st.miss > 0 {
+			q := math.Exp(logQ + st.logBG)
+			factor = -((1 - st.miss) * q / ((1-st.miss)*q + st.miss))
 		}
+		st.AddPathGrad(grad, j, factor)
 	}
 }
 
@@ -238,9 +175,5 @@ func (st *state) GradLogPostTheta(prior core.Prior, grad []float64) {
 //
 //lint:hotpath
 func (st *state) LogPostTheta(prior core.Prior) float64 {
-	lp := st.LogLik()
-	for _, p := range st.p {
-		lp += prior.Alpha*math.Log(p) + prior.Beta*math.Log(1-p)
-	}
-	return lp
+	return st.AddLogPrior(st.LogLik(), prior)
 }

@@ -143,6 +143,38 @@ func TestGradientFiniteDifference(t *testing.T) {
 	}
 }
 
+// TestGradFiniteOnLongStablePath pins the m = 0 stable-path gradient on a
+// path long enough for Q' to underflow: 40 ASes at p = 1 (clamped to
+// 1-1e-9) give log Q' ≈ -829, past exp's range. Each node's gradient is
+// then exactly the prior term minus p_i, under churn as under RFD; the
+// ratio form (1-m)Q'/((1-m)Q'+m) evaluated 0/0 and poisoned HMC with NaN.
+func TestGradFiniteOnLongStablePath(t *testing.T) {
+	path := make([]bgp.ASN, 40)
+	for k := range path {
+		path[k] = bgp.ASN(64500 + k)
+	}
+	ds, err := core.NewDataset([]core.PathObs{{ASNs: path}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]float64, ds.NumNodes())
+	for i := range p {
+		p[i] = 1
+	}
+	prior := core.Prior{Alpha: 0.4, Beta: 0.4}
+	for _, m := range []core.ObservationModel{Model{}, Model{BackgroundRate: 0.05}, core.RFDModel{}} {
+		grad := make([]float64, len(p))
+		st := m.NewState(ds, p)
+		st.GradLogPostTheta(prior, grad)
+		for i, g := range grad {
+			pi := st.Probabilities()[i]
+			if want := prior.Alpha*(1-pi) - prior.Beta*pi - pi; g != want {
+				t.Fatalf("%s %+v: grad[%d] = %g, want %g", m.Name(), m, i, g, want)
+			}
+		}
+	}
+}
+
 // TestModelValidate bounds both rates.
 func TestModelValidate(t *testing.T) {
 	for _, m := range []Model{{}, {BackgroundRate: 0.5}, {MissRate: 0.3}, {BackgroundRate: 0.99, MissRate: 0.99}} {

@@ -48,7 +48,7 @@ func mhSweepFixture(tb testing.TB) func() {
 	beta := stats.NewBeta(SparsePrior.Alpha, SparsePrior.Beta)
 	p0 := make([]float64, n)
 	for i := range p0 {
-		p0[i] = clampP(beta.Sample(rng))
+		p0[i] = ClampProb(beta.Sample(rng))
 	}
 	st := newLikState(ds, p0, 0)
 	order := make([]int, n)
@@ -66,7 +66,7 @@ func hmcTrajectoryFixture(tb testing.TB) func() {
 	theta := make([]float64, n)
 	p := make([]float64, n)
 	for i := range theta {
-		theta[i] = stats.Logit(clampP(beta.Sample(rng)))
+		theta[i] = stats.Logit(ClampProb(beta.Sample(rng)))
 	}
 	thetaToP(theta, p)
 	st := newLikState(ds, p, 0)

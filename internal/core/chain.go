@@ -120,7 +120,7 @@ func runChain(ctx context.Context, ds *Dataset, cfg Config, s sampler, chain int
 	betaDist := stats.NewBeta(cfg.Prior.Alpha, cfg.Prior.Beta)
 	p0 := make([]float64, ds.NumNodes())
 	for i := range p0 {
-		p0[i] = clampP(betaDist.Sample(rng))
+		p0[i] = ClampProb(betaDist.Sample(rng))
 	}
 	label := obs.ChainLabel(chain)
 	k := s.start(model, ds, cfg.Prior, p0, cfg.Obs, label)

@@ -146,13 +146,13 @@ func TestLog1mexp(t *testing.T) {
 		// Reference via expm1 keeps precision for small |x| where the
 		// naive log(1-exp(x)) loses digits.
 		want := math.Log(-math.Expm1(x))
-		got := log1mexp(x)
+		got := Log1mExp(x)
 		if math.Abs(got-want) > 1e-9*math.Abs(want)+1e-12 {
-			t.Errorf("log1mexp(%g) = %g, want %g", x, got, want)
+			t.Errorf("Log1mExp(%g) = %g, want %g", x, got, want)
 		}
 	}
-	if !math.IsInf(log1mexp(0), -1) {
-		t.Error("log1mexp(0) should be -Inf")
+	if !math.IsInf(Log1mExp(0), -1) {
+		t.Error("Log1mExp(0) should be -Inf")
 	}
 }
 

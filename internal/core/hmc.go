@@ -152,7 +152,7 @@ func (k *hmcKernel) state() ModelState { return k.st }
 //lint:hotpath
 func thetaToP(theta, p []float64) {
 	for i, th := range theta {
-		p[i] = clampP(stats.Expit(th))
+		p[i] = ClampProb(stats.Expit(th))
 	}
 }
 

@@ -1,14 +1,14 @@
 package core
 
-import (
-	"math"
-)
+import "math"
 
 // pEps clamps probabilities away from the boundary so log terms stay
 // finite; the samplers never need to represent an exact 0 or 1.
 const pEps = 1e-9
 
-func clampP(p float64) float64 {
+// ClampProb clamps a probability into the open unit interval every
+// model's kernels work in, so all models agree on the boundary handling.
+func ClampProb(p float64) float64 {
 	if p < pEps {
 		return pEps
 	}
@@ -18,8 +18,9 @@ func clampP(p float64) float64 {
 	return p
 }
 
-// log1mexp computes log(1 - e^x) for x < 0, stable near both ends.
-func log1mexp(x float64) float64 {
+// Log1mExp computes log(1 - e^x) for x < 0, stable near both ends: the
+// kernel that turns a log no-show probability into a log positive one.
+func Log1mExp(x float64) float64 {
 	if x >= 0 {
 		return math.Inf(-1)
 	}
@@ -29,9 +30,134 @@ func log1mexp(x float64) float64 {
 	return math.Log1p(-math.Exp(x))
 }
 
-// likState is the sampler's incremental view of the likelihood: the current
-// probability vector and per-positive-path log products, enabling O(paths
-// containing i) updates when a single coordinate changes.
+// LogProd is the log-product core both observation models' states embed:
+// the probability vector p, the per-node lq[i] = log(1-p_i) and the
+// per-path logQ[j] = Σ_{i∈J} lq[i], updated in O(paths containing i) when
+// one coordinate moves. lq is an invariant, not scratch: every write to
+// p[i] writes lq[i], so each log1p runs once per value. The models add
+// only their per-path terms and gradient factors.
+type LogProd struct {
+	ds   *Dataset
+	p    []float64
+	lq   []float64
+	logQ []float64
+}
+
+// NewLogProd builds the core over ds at p (copied and clamped).
+func NewLogProd(ds *Dataset, p []float64) LogProd {
+	c := LogProd{ds: ds, p: make([]float64, len(p)), lq: make([]float64, len(p)), logQ: make([]float64, len(ds.paths))}
+	c.SetP(p)
+	return c
+}
+
+// Dataset returns the observations the core was built over.
+//
+//lint:hotpath
+func (c *LogProd) Dataset() *Dataset { return c.ds }
+
+// LogQ returns the per-path log products (callers must not modify it).
+//
+//lint:hotpath
+func (c *LogProd) LogQ() []float64 { return c.logQ }
+
+// Probabilities returns the core's own probability vector (mutated in
+// place by Apply/SetP; callers must not modify it).
+//
+//lint:hotpath
+func (c *LogProd) Probabilities() []float64 { return c.p }
+
+// DLogQ returns the shift every logQ[j] of a path through node i takes if
+// the node moved to pNew (clamped): log(1-pNew) - lq[i].
+//
+//lint:hotpath
+func (c *LogProd) DLogQ(i int, pNew float64) float64 {
+	return math.Log1p(-ClampProb(pNew)) - c.lq[i]
+}
+
+// CopyFrom makes c an exact copy of src (built over the same dataset).
+//
+//lint:hotpath
+func (c *LogProd) CopyFrom(src *LogProd) {
+	copy(c.p, src.p)
+	copy(c.lq, src.lq)
+	copy(c.logQ, src.logQ)
+}
+
+// SetP replaces the whole probability vector and rebuilds the caches;
+// used by the HMC leapfrog, which moves all coordinates at once.
+//
+//lint:hotpath
+func (c *LogProd) SetP(p []float64) {
+	for i := range p {
+		c.p[i] = ClampProb(p[i])
+		c.lq[i] = math.Log1p(-c.p[i])
+	}
+	c.Recompute()
+}
+
+// Recompute rebuilds the logQ cache from lq (called initially and
+// periodically to cancel the drift of incremental Apply updates).
+//
+//lint:hotpath
+func (c *LogProd) Recompute() {
+	for j, path := range c.ds.paths {
+		s := 0.0
+		for _, i := range path.nodes {
+			s += c.lq[i]
+		}
+		c.logQ[j] = s
+	}
+}
+
+// Apply commits a new value for node i, updating the caches.
+//
+//lint:hotpath
+func (c *LogProd) Apply(i int, pNew float64) {
+	pNew = ClampProb(pNew)
+	lq := math.Log1p(-pNew)
+	dLogQ := lq - c.lq[i]
+	for _, j := range c.ds.nodePaths[i] {
+		c.logQ[j] += dLogQ
+	}
+	c.p[i] = pNew
+	c.lq[i] = lq
+}
+
+// GradPrior writes the Beta prior + Jacobian term of the logit-space
+// gradient into grad: ∂/∂θ_i = a(1-p_i) - b·p_i.
+//
+//lint:hotpath
+func (c *LogProd) GradPrior(prior Prior, grad []float64) {
+	for i := range grad {
+		p := c.p[i]
+		grad[i] = prior.Alpha*(1-p) - prior.Beta*p
+	}
+}
+
+// AddPathGrad adds w_j·p_i·factor to grad[i] for every node i on path
+// j, where -factor is the derivative of path j's term in log Q_j.
+//
+//lint:hotpath
+func (c *LogProd) AddPathGrad(grad []float64, j int, factor float64) {
+	path := &c.ds.paths[j]
+	for _, i := range path.nodes {
+		grad[i] += path.weight * c.p[i] * factor
+	}
+}
+
+// AddLogPrior accumulates the θ-space Beta prior + Jacobian log density
+// Σ_i [a·log p_i + b·log(1-p_i)] onto lp in node order.
+//
+//lint:hotpath
+func (c *LogProd) AddLogPrior(lp float64, prior Prior) float64 {
+	for _, p := range c.p {
+		lp += prior.Alpha*math.Log(p) + prior.Beta*math.Log(1-p)
+	}
+	return lp
+}
+
+// likState is the RFD model's incremental view of the likelihood: the
+// shared log-product core plus the § 3.1 per-path terms.
 //
 // missRate implements the explicit measurement-error model the paper
 // sketches in § 7.2: with probability missRate a path that truly shows the
@@ -43,22 +169,12 @@ func log1mexp(x float64) float64 {
 //
 // missRate = 0 recovers the exact binary-tomography model of § 3.1.
 type likState struct {
-	ds       *Dataset
-	p        []float64
+	LogProd
 	missRate float64
-	// logQ[j] = Σ_{i∈J} log(1-p_i) for every path j (used only when the
-	// path is positive, but maintained for all for simplicity).
-	logQ []float64
 }
 
 func newLikState(ds *Dataset, p []float64, missRate float64) *likState {
-	st := &likState{ds: ds, p: append([]float64(nil), p...), missRate: missRate}
-	for i := range st.p {
-		st.p[i] = clampP(st.p[i])
-	}
-	st.logQ = make([]float64, len(ds.paths))
-	st.Recompute()
-	return st
+	return &likState{LogProd: NewLogProd(ds, p), missRate: missRate}
 }
 
 // logNegTerm is the log-probability of observing a negative label on a
@@ -73,7 +189,7 @@ func (st *likState) logNegTerm(logQ float64) float64 {
 
 // logPosTerm is the log-probability of observing a positive label.
 func (st *likState) logPosTerm(logQ float64) float64 {
-	t := log1mexp(logQ)
+	t := Log1mExp(logQ)
 	if st.missRate > 0 {
 		t += math.Log1p(-st.missRate)
 	}
@@ -88,40 +204,7 @@ func (st *likState) logPosTerm(logQ float64) float64 {
 //
 //lint:hotpath
 func (st *likState) CopyFrom(src ModelState) {
-	other := src.(*likState)
-	copy(st.p, other.p)
-	copy(st.logQ, other.logQ)
-}
-
-// Probabilities returns the state's own probability vector (mutated in
-// place by Apply/SetP; callers must not modify it).
-//
-//lint:hotpath
-func (st *likState) Probabilities() []float64 { return st.p }
-
-// SetP replaces the whole probability vector and rebuilds the caches;
-// used by the HMC leapfrog, which moves all coordinates at once.
-//
-//lint:hotpath
-func (st *likState) SetP(p []float64) {
-	for i := range p {
-		st.p[i] = clampP(p[i])
-	}
-	st.Recompute()
-}
-
-// Recompute rebuilds the logQ cache from scratch (called initially and
-// periodically to cancel numerical drift).
-//
-//lint:hotpath
-func (st *likState) Recompute() {
-	for j, path := range st.ds.paths {
-		s := 0.0
-		for _, i := range path.nodes {
-			s += math.Log1p(-st.p[i])
-		}
-		st.logQ[j] = s
-	}
+	st.LogProd.CopyFrom(&src.(*likState).LogProd)
 }
 
 // LogLik returns the full data log-likelihood at the current state.
@@ -144,9 +227,7 @@ func (st *likState) LogLik() float64 {
 //
 //lint:hotpath
 func (st *likState) DeltaFor(i int, pNew float64) float64 {
-	pNew = clampP(pNew)
-	pOld := st.p[i]
-	dLogQ := math.Log1p(-pNew) - math.Log1p(-pOld)
+	dLogQ := st.DLogQ(i, pNew)
 	delta := 0.0
 	for _, j := range st.ds.nodePaths[i] {
 		path := st.ds.paths[j]
@@ -157,18 +238,6 @@ func (st *likState) DeltaFor(i int, pNew float64) float64 {
 		}
 	}
 	return delta
-}
-
-// Apply commits a new value for node i, updating the caches.
-//
-//lint:hotpath
-func (st *likState) Apply(i int, pNew float64) {
-	pNew = clampP(pNew)
-	dLogQ := math.Log1p(-pNew) - math.Log1p(-st.p[i])
-	for _, j := range st.ds.nodePaths[i] {
-		st.logQ[j] += dLogQ
-	}
-	st.p[i] = pNew
 }
 
 // LogLik computes the data log-likelihood of probability vector p (indexed
@@ -187,7 +256,7 @@ func LinearLik(ds *Dataset, p []float64) float64 {
 	for _, path := range ds.paths {
 		q := 1.0
 		for _, i := range path.nodes {
-			q *= 1 - clampP(p[i])
+			q *= 1 - ClampProb(p[i])
 		}
 		if path.positive {
 			total *= math.Pow(1-q, path.weight)
@@ -208,37 +277,23 @@ func LinearLik(ds *Dataset, p []float64) float64 {
 //	negative path j ∋ i:  ∂/∂θ_i w_j log Q_j      = -w_j p_i
 //	positive path j ∋ i:  ∂/∂θ_i w_j log(1-Q_j)   =  w_j p_i Q_j/(1-Q_j)
 //
+// Q_j is exponentiated only on the paths whose factor reads it.
+//
 //lint:hotpath
 func (st *likState) GradLogPostTheta(prior Prior, grad []float64) {
-	for i := range grad {
-		p := st.p[i]
-		grad[i] = prior.Alpha*(1-p) - prior.Beta*p
-	}
+	st.GradPrior(prior, grad)
 	for j, path := range st.ds.paths {
-		q := math.Exp(st.logQ[j])
+		factor := -1.0
 		if path.positive {
 			// d/dθ_i w log[(1-m)(1-Q)] = w p_i Q/(1-Q): the error factor
 			// (1-m) is constant in p and drops out of the gradient.
-			factor := q / (1 - q)
-			if math.IsInf(factor, 1) || math.IsNaN(factor) {
-				// Q ≈ 1: the positive observation is nearly impossible;
-				// push mass up with a large but finite factor.
-				factor = 1 / pEps
-			}
-			for _, i := range path.nodes {
-				grad[i] += path.weight * st.p[i] * factor
-			}
+			factor = PosGradFactor(math.Exp(st.logQ[j]))
 		} else if st.missRate > 0 {
 			// d/dθ_i w log[(1-m)Q + m] = -w p_i (1-m)Q / ((1-m)Q + m).
-			factor := (1 - st.missRate) * q / ((1-st.missRate)*q + st.missRate)
-			for _, i := range path.nodes {
-				grad[i] -= path.weight * st.p[i] * factor
-			}
-		} else {
-			for _, i := range path.nodes {
-				grad[i] -= path.weight * st.p[i]
-			}
+			q := math.Exp(st.logQ[j])
+			factor = -((1 - st.missRate) * q / ((1-st.missRate)*q + st.missRate))
 		}
+		st.AddPathGrad(grad, j, factor)
 	}
 }
 
@@ -248,14 +303,10 @@ func (st *likState) GradLogPostTheta(prior Prior, grad []float64) {
 //
 //lint:hotpath
 func (st *likState) LogPostTheta(prior Prior) float64 {
-	lp := st.LogLik()
-	for _, p := range st.p {
-		lp += prior.Alpha*math.Log(p) + prior.Beta*math.Log(1-p)
-	}
-	return lp
+	return st.AddLogPrior(st.LogLik(), prior)
 }
 
 func logPriorAt(prior Prior, p float64) float64 {
-	p = clampP(p)
+	p = ClampProb(p)
 	return (prior.Alpha-1)*math.Log(p) + (prior.Beta-1)*math.Log(1-p)
 }

@@ -80,7 +80,7 @@ func mhSweep(st ModelState, prior Prior, stepSize float64, order []int, rng *sta
 	for _, i := range order {
 		cur := pvec[i]
 		prop := stats.TruncNormal{Mu: cur, Sigma: stepSize, Lo: 0, Hi: 1}
-		cand := clampP(prop.Sample(rng))
+		cand := ClampProb(prop.Sample(rng))
 		// log acceptance ratio: likelihood delta + prior delta +
 		// proposal asymmetry Q(p|p')/Q(p'|p).
 		back := stats.TruncNormal{Mu: cand, Sigma: stepSize, Lo: 0, Hi: 1}

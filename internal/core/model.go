@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ObservationModel is the pluggable likelihood contract of the engine: it
 // maps a compiled Dataset of binary path observations onto the posterior
@@ -30,7 +33,8 @@ type ObservationModel interface {
 
 // ModelState is one chain's mutable view of a model's likelihood. The
 // samplers drive it exclusively through this interface; likState (the RFD
-// default) and churn.Model's state are the two implementations.
+// default) and churn.Model's state are the two implementations, and both
+// embed LogProd, which owns the probability vector and its caches.
 //
 // Implementations must uphold three invariants, documented in DESIGN.md:
 //
@@ -108,16 +112,18 @@ func (m RFDModel) NewState(ds *Dataset, p []float64) ModelState {
 	return newLikState(ds, p, m.MissRate)
 }
 
-// ClampProb clamps a probability into the open unit interval the
-// likelihood kernels work in (away from 0 and 1 by the same epsilon the
-// default model uses). Exported for ObservationModel implementations
-// outside this package, so every model agrees on the boundary handling.
-func ClampProb(p float64) float64 { return clampP(p) }
-
-// Log1mExp computes log(1 - e^x) for x < 0, stable near both ends —
-// the standard kernel for turning log "no-show" probabilities into log
-// positive-observation probabilities. Exported for model implementations.
-func Log1mExp(x float64) float64 { return log1mexp(x) }
+// PosGradFactor returns Q/(1-Q), the gradient factor of a positive
+// path's log(1-Q) term. At Q ≈ 1 the observation is nearly impossible and
+// the ratio overflows; a large but finite 1/eps then pushes mass up.
+//
+//lint:hotpath
+func PosGradFactor(q float64) float64 {
+	factor := q / (1 - q)
+	if math.IsInf(factor, 1) || math.IsNaN(factor) {
+		return 1 / pEps
+	}
+	return factor
+}
 
 // modelOrDefault resolves a possibly-nil model selection to the default
 // RFD likelihood — the shared fallback of both samplers and InferContext.

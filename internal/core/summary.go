@@ -150,19 +150,28 @@ func Summarize(ds *Dataset, chains []*Chain, hdpiMass float64) ([]NodeSummary, e
 			return nil, fmt.Errorf("core: chain/%s node count %d != dataset %d", c.Method, len(c.Nodes), n)
 		}
 	}
+	total := 0
+	for _, c := range chains {
+		total += len(c.Samples)
+	}
+	// One pooled buffer and one sort scratch serve every node.
+	pooled, scratch := make([]float64, 0, total), make([]float64, total)
 	out := make([]NodeSummary, n)
 	for i := 0; i < n; i++ {
-		var pooled []float64
+		pooled = pooled[:0]
 		cat := Category(0)
 		for _, c := range chains {
-			m := c.Marginal(i)
-			pooled = append(pooled, m...)
-			cc := Categorize(stats.Mean(m), stats.HDPIOf(m, hdpiMass))
+			start := len(pooled)
+			for _, s := range c.Samples {
+				pooled = append(pooled, s[i])
+			}
+			m := pooled[start:]
+			cc := Categorize(stats.Mean(m), stats.HDPIInto(scratch, m, hdpiMass))
 			if cc > cat {
 				cat = cc
 			}
 		}
-		h := stats.HDPIOf(pooled, hdpiMass)
+		h := stats.HDPIInto(scratch, pooled, hdpiMass)
 		// The per-chain flags are combined by the highest, but the pooled
 		// interval is the honest uncertainty estimate: when it spans almost
 		// everything the chains disagree (or the node is unidentifiable),

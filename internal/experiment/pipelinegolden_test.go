@@ -19,6 +19,11 @@ import (
 // them. The simulator, the collector, the codecs and the labeling stage
 // must stay byte-identical, so a change here is a behaviour change of
 // netsim, router, collector, beacon, label or the bgp/mrt codecs.
+//
+// The labeler runs on the in-memory feed; the test also reads every
+// archive back through collector.ReadMRT, labels the decoded feed and
+// checks that it gives the same measurements: the same labels and pair
+// counts, and r-deltas within the archive's 1 s timestamp resolution.
 var (
 	goldenMRTSHA = map[collector.Project]string{
 		collector.RIS:        "674ae51fa2c52834aa98396bc445ed8b39c1be097da1d54a9c320352492e3f7a",
@@ -46,6 +51,7 @@ func TestPipelineArchiveGolden(t *testing.T) {
 	for _, e := range run.Entries {
 		byProject[e.VP.Project] = append(byProject[e.VP.Project], e)
 	}
+	var decoded []collector.Entry
 	for _, p := range collector.Projects {
 		var buf bytes.Buffer
 		if err := collector.WriteMRT(&buf, byProject[p]); err != nil {
@@ -54,12 +60,47 @@ func TestPipelineArchiveGolden(t *testing.T) {
 		if got := sha(buf.Bytes()); got != goldenMRTSHA[p] {
 			t.Errorf("%s MRT archive sha256 = %s, want %s", p, got, goldenMRTSHA[p])
 		}
+		es, err := collector.ReadMRT(&buf, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded = append(decoded, es...)
 	}
+	checkSameLabels(t, run.Measurements, label.LabelPathsContext(context.Background(), decoded, run.Schedules, label.Config{}))
 	var buf bytes.Buffer
 	if err := label.WriteJSON(&buf, run.Measurements); err != nil {
 		t.Fatal(err)
 	}
 	if got := sha(buf.Bytes()); got != goldenLabelSHA {
 		t.Errorf("labeled paths sha256 = %s, want %s", got, goldenLabelSHA)
+	}
+}
+
+// checkSameLabels asserts that the measurements labeled from the decoded
+// archives match the in-memory ones path by path.
+func checkSameLabels(t *testing.T, want, got []label.Measurement) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("archive feed gives %d measurements, in-memory feed %d", len(got), len(want))
+	}
+	byKey := make(map[string]label.Measurement, len(got))
+	for _, m := range got {
+		byKey[m.Key()] = m
+	}
+	for _, w := range want {
+		g, ok := byKey[w.Key()]
+		switch {
+		case !ok:
+			t.Errorf("%s: missing from the archive feed", w.Key())
+		case g.RFD != w.RFD || g.PairsTotal != w.PairsTotal || g.PairsRFD != w.PairsRFD || len(g.RDeltas) != len(w.RDeltas):
+			t.Errorf("%s: archive feed labels rfd=%v pairs=%d/%d rdeltas=%d, in-memory rfd=%v pairs=%d/%d rdeltas=%d",
+				w.Key(), g.RFD, g.PairsRFD, g.PairsTotal, len(g.RDeltas), w.RFD, w.PairsRFD, w.PairsTotal, len(w.RDeltas))
+		default:
+			for k, d := range w.RDeltas {
+				if diff := (g.RDeltas[k] - d).Abs(); diff > time.Second {
+					t.Errorf("%s: r-delta %d is %v from the archive, %v in memory", w.Key(), k, g.RDeltas[k], d)
+				}
+			}
+		}
 	}
 }

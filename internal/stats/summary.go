@@ -79,11 +79,19 @@ func (h HDPI) Width() float64 { return h.Hi - h.Lo }
 // (e.g. 0.95) of the samples. For an empty input it returns a zero HDPI; for
 // a single sample, the degenerate interval at that sample.
 func HDPIOf(samples []float64, mass float64) HDPI {
+	return HDPIInto(make([]float64, len(samples)), samples, mass)
+}
+
+// HDPIInto is HDPIOf with buf (len(buf) >= len(samples)) as its sort
+// scratch, so a caller summarising many marginals allocates it once.
+// samples is left unchanged.
+func HDPIInto(buf, samples []float64, mass float64) HDPI {
 	n := len(samples)
 	if n == 0 {
 		return HDPI{}
 	}
-	s := append([]float64(nil), samples...)
+	s := buf[:n]
+	copy(s, samples)
 	sort.Float64s(s)
 	if mass >= 1 {
 		return HDPI{Lo: s[0], Hi: s[n-1], Mass: 1}

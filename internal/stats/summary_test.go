@@ -54,6 +54,20 @@ func TestHDPIContainsMass(t *testing.T) {
 	}
 }
 
+// TestHDPIIntoLeavesSamples checks that HDPIInto sorts only its scratch:
+// the samples keep their order (callers take means of them afterwards)
+// and a scratch longer than the samples gives HDPIOf's interval.
+func TestHDPIIntoLeavesSamples(t *testing.T) {
+	samples := []float64{0.9, 0.1, 0.5, 0.3, 0.7}
+	buf := make([]float64, 8)
+	if got, want := HDPIInto(buf, samples, 0.6), HDPIOf(samples, 0.6); got != want {
+		t.Errorf("HDPIInto = %+v, HDPIOf = %+v", got, want)
+	}
+	if samples[0] != 0.9 || samples[1] != 0.1 || samples[4] != 0.7 {
+		t.Errorf("samples reordered: %v", samples)
+	}
+}
+
 func TestHDPIIsNarrowestProperty(t *testing.T) {
 	r := NewRNG(2)
 	f := func(seed uint16) bool {

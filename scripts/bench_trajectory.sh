@@ -42,7 +42,7 @@ go test -run '^$' -bench '^(BenchmarkMHSweep|BenchmarkHMCLeapfrog)$' \
 go test -run '^$' -bench '^(BenchmarkPermInto|BenchmarkTruncNormalSample)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/stats | tee -a "$RAW"
 echo "bench-trajectory: churn observation-model kernels"
-go test -run '^$' -bench '^(BenchmarkChurnDeltaApply|BenchmarkChurnGrad)$' \
+go test -run '^$' -bench '^(BenchmarkChurnDeltaApply|BenchmarkChurnGrad|BenchmarkChurnGradNoMiss)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/churn | tee -a "$RAW"
 echo "bench-trajectory: campaign write path (event queue, BGP encoder, MRT writer)"
 go test -run '^$' -bench '^BenchmarkQueuePushPop$' \

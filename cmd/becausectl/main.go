@@ -74,13 +74,8 @@ import (
 
 	"because"
 	"because/internal/obs"
+	"because/internal/serve"
 )
-
-type record struct {
-	Path     []because.ASN `json:"path"`
-	Positive bool          `json:"positive"`
-	Weight   float64       `json:"weight,omitempty"`
-}
 
 // options collects every CLI flag.
 type options struct {
@@ -291,21 +286,22 @@ func render(o options, res *because.Result, observations int, stdout io.Writer) 
 	return nil
 }
 
-// decode accepts either a JSON array of records or newline-delimited JSON.
-func decode(r io.Reader) ([]record, error) {
+// decode accepts either a JSON array of observations or newline-delimited
+// JSON, in the serve wire's Observation shape.
+func decode(r io.Reader) ([]serve.Observation, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	var arr []record
+	var arr []serve.Observation
 	if err := json.Unmarshal(data, &arr); err == nil {
 		return arr, nil
 	}
 	// Fall back to NDJSON.
 	dec := json.NewDecoder(bytes.NewReader(data))
-	var out []record
+	var out []serve.Observation
 	for {
-		var rec record
+		var rec serve.Observation
 		if err := dec.Decode(&rec); errors.Is(err, io.EOF) {
 			break
 		} else if err != nil {

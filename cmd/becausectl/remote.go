@@ -18,24 +18,8 @@ import (
 	"strings"
 
 	"because"
+	"because/internal/serve"
 )
-
-// remoteRequest mirrors the serve wire's InferRequest shape.
-type remoteRequest struct {
-	Observations []record           `json:"observations"`
-	Options      remoteLocalOptions `json:"options"`
-}
-
-type remoteLocalOptions struct {
-	Seed          uint64  `json:"seed,omitempty"`
-	Prior         string  `json:"prior,omitempty"`
-	MHSweeps      int     `json:"mh_sweeps,omitempty"`
-	HMCIterations int     `json:"hmc_iterations,omitempty"`
-	Chains        int     `json:"chains,omitempty"`
-	MissRate      float64 `json:"miss_rate,omitempty"`
-	Model         string  `json:"model,omitempty"`
-	ChurnRate     float64 `json:"churn_rate,omitempty"`
-}
 
 // remoteReport mirrors because.ASReport's wire form for decoding.
 type remoteReport struct {
@@ -62,10 +46,10 @@ type remoteResult struct {
 
 // runRemote sends the dataset to the daemon, consumes the SSE stream and
 // renders the decoded result with the shared renderer.
-func runRemote(o options, records []record, stdout io.Writer) error {
-	body, err := json.Marshal(remoteRequest{
+func runRemote(o options, records []serve.Observation, stdout io.Writer) error {
+	body, err := json.Marshal(serve.InferRequest{
 		Observations: records,
-		Options: remoteLocalOptions{
+		Options: serve.RequestOptions{
 			Seed: o.seed, Prior: o.prior,
 			MHSweeps: o.mhSweeps, HMCIterations: o.hmcIters,
 			Chains: o.chains, MissRate: o.missRate,

@@ -41,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log instead of text")
 	list := fs.Bool("list", false, "describe the analyzers and exit")
 	only := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	keepUnused := fs.Bool("keep-unused-allows", false, "do not report //lint:allow directives that suppress nothing")
 	writeWireLock := fs.Bool("write-wire-lock", false, "regenerate wire.lock from the current JSON wire surface and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -95,9 +94,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	diags, err := lint.Run(cwd, patterns, lint.Options{
-		Analyzers:        analyzers,
-		KeepUnusedAllows: *keepUnused,
-		RelTo:            cwd,
+		Analyzers: analyzers,
+		RelTo:     cwd,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "becauselint: %v\n", err)

@@ -167,13 +167,9 @@ func declIsHotpath(pkg *Package, decl *ast.FuncDecl, hotLines map[int]bool) bool
 func funcSymbol(fn *types.Func) string {
 	sig, _ := fn.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
 		name := "?"
-		if named, ok := t.(*types.Named); ok {
-			name = named.Obj().Name()
+		if obj := namedObj(sig.Recv().Type()); obj != nil {
+			name = obj.Name()
 		}
 		if fn.Pkg() != nil {
 			return fn.Pkg().Path() + "." + name + "." + fn.Name()
@@ -244,9 +240,8 @@ type evidence struct {
 // acqClass is one lock class a function may acquire: acquired in the
 // function's own body (direct), or reached through the callee via.
 type acqClass struct {
-	display string
-	direct  *evidence
-	via     *funcNode
+	direct *evidence
+	via    *funcNode
 }
 
 // summary is one function's interprocedural summary: a fact bitmask
@@ -268,14 +263,14 @@ func (s *summary) join(from *summary, callee *funcNode) bool {
 		s.facts |= add
 		grew = true
 	}
-	for class, c := range from.classes {
+	for class := range from.classes {
 		if _, ok := s.classes[class]; ok {
 			continue
 		}
 		if s.classes == nil {
 			s.classes = map[string]*acqClass{}
 		}
-		s.classes[class] = &acqClass{display: c.display, via: callee}
+		s.classes[class] = &acqClass{via: callee}
 		grew = true
 	}
 	return grew
@@ -350,7 +345,7 @@ func (w *bodyWalker) Visit(node ast.Node) ast.Visitor {
 		if callees := w.g.calleesOf(pkg, x); len(callees) > 0 {
 			n.calls = append(n.calls, callSite{call: x, callees: callees})
 		}
-		if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" && isWaitGroup(pkg, sel.X) && exprPath(sel.X) != "" {
+		if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" && isNamed(pkg.Info.TypeOf(sel.X), "sync", "WaitGroup") && exprPath(sel.X) != "" {
 			w.set(factWGDone, x.Pos(), "WaitGroup.Done")
 		}
 	}
@@ -381,14 +376,14 @@ func (w *bodyWalker) lockFacts(node ast.Node) {
 	if !w.record("lockcheck", factMuAcquire, call.Pos(), desc) {
 		return
 	}
-	class, display := lockClass(pkg, x, declName(w.n.decl))
+	class := lockClass(pkg, x, declName(w.n.decl))
 	if _, ok := d.classes[class]; class == "" || ok {
 		return
 	}
 	if d.classes == nil {
 		d.classes = map[string]*acqClass{}
 	}
-	d.classes[class] = &acqClass{display: display, direct: &evidence{pos: call.Pos(), desc: desc}}
+	d.classes[class] = &acqClass{direct: &evidence{pos: call.Pos(), desc: desc}}
 }
 
 func (w *bodyWalker) alloc(pos token.Pos, desc string) { w.record("hotpath", factAlloc, pos, desc) }

@@ -77,7 +77,7 @@ func checkRootContext(pass *Pass, n ast.Node, stack []ast.Node) {
 	if len(stack) > 0 {
 		if as, ok := stack[len(stack)-1].(*ast.AssignStmt); ok && as.Tok == token.ASSIGN && len(as.Lhs) == 1 {
 			if id, ok := as.Lhs[0].(*ast.Ident); ok {
-				if v, ok := pass.Pkg.Info.Uses[id].(*types.Var); ok && isContextType(v.Type()) && isParamOfEnclosing(pass, v, stack) {
+				if v, ok := pass.Pkg.Info.Uses[id].(*types.Var); ok && isNamed(v.Type(), "context", "Context") && isParamOfEnclosing(pass, v, stack) {
 					return
 				}
 			}
@@ -100,7 +100,7 @@ func checkCtxThreading(pass *Pass, fn ast.Node) {
 	for _, fl := range fieldLists {
 		for _, field := range fl.List {
 			for _, name := range field.Names {
-				if v, ok := pass.Pkg.Info.Defs[name].(*types.Var); ok && isContextType(v.Type()) {
+				if v, ok := pass.Pkg.Info.Defs[name].(*types.Var); ok && isNamed(v.Type(), "context", "Context") {
 					hasCtx = true
 				}
 			}
@@ -139,7 +139,7 @@ func checkContextAwareCall(pass *Pass, f *flow, call *ast.CallExpr) {
 	}
 	ctxIdx := -1
 	for i := 0; i < sig.Params().Len(); i++ {
-		if isContextType(sig.Params().At(i).Type()) {
+		if isNamed(sig.Params().At(i).Type(), "context", "Context") {
 			ctxIdx = i
 			break
 		}
@@ -192,7 +192,7 @@ func ctxDerived(pass *Pass, f *flow, e ast.Expr, pos token.Pos, visited map[*def
 		// obs.ContextWithSpan(ctx, span) — the trace layer's carrier). A
 		// helper that swallowed its ctx and minted a root instead is flagged
 		// at its own Background()/TODO() call by rule 1.
-		if tv, ok := pass.Pkg.Info.Types[e]; ok && tv.Type != nil && isContextType(tv.Type) {
+		if isNamed(pass.Pkg.Info.TypeOf(e), "context", "Context") {
 			return anyCtxArgDerived(pass, f, e.Args, pos, visited)
 		}
 		return false
@@ -214,7 +214,7 @@ func ctxDerived(pass *Pass, f *flow, e ast.Expr, pos token.Pos, visited map[*def
 			case defOpaque:
 				// Entry definitions (node == nil) are the parameters; a
 				// context-typed parameter is the root of every derivation.
-				if !(d.node == nil && isContextType(d.v.Type())) {
+				if !(d.node == nil && isNamed(d.v.Type(), "context", "Context")) {
 					return false
 				}
 			case defAssign:
@@ -243,7 +243,7 @@ func ctxDerived(pass *Pass, f *flow, e ast.Expr, pos token.Pos, visited map[*def
 					return false
 				}
 				tuple, ok := tv.Type.(*types.Tuple)
-				if !ok || d.idx >= tuple.Len() || !isContextType(tuple.At(d.idx).Type()) {
+				if !ok || d.idx >= tuple.Len() || !isNamed(tuple.At(d.idx).Type(), "context", "Context") {
 					return false
 				}
 				if name, isCtx := contextFuncName(pass, rhs); isCtx {
@@ -268,8 +268,7 @@ func ctxDerived(pass *Pass, f *flow, e ast.Expr, pos token.Pos, visited map[*def
 // test behind both passthrough-helper forms.
 func anyCtxArgDerived(pass *Pass, f *flow, args []ast.Expr, pos token.Pos, visited map[*definition]bool) bool {
 	for _, arg := range args {
-		atv, ok := pass.Pkg.Info.Types[arg]
-		if !ok || atv.Type == nil || !isContextType(atv.Type) {
+		if !isNamed(pass.Pkg.Info.TypeOf(arg), "context", "Context") {
 			continue
 		}
 		if ctxDerived(pass, f, arg, pos, visited) {
@@ -310,16 +309,6 @@ func argCall(e ast.Expr) *ast.CallExpr {
 	}
 }
 
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
 // funcTypeHasContext reports whether the function type declares a
 // context.Context parameter.
 func funcTypeHasContext(pass *Pass, ft *ast.FuncType) bool {
@@ -327,8 +316,7 @@ func funcTypeHasContext(pass *Pass, ft *ast.FuncType) bool {
 		return false
 	}
 	for _, field := range ft.Params.List {
-		tv, ok := pass.Pkg.Info.Types[field.Type]
-		if ok && isContextType(tv.Type) {
+		if isNamed(pass.Pkg.Info.TypeOf(field.Type), "context", "Context") {
 			return true
 		}
 	}

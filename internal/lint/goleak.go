@@ -81,38 +81,57 @@ func goDisciplined(pkg *Package, g *callGraph, sums *summaries, gs *ast.GoStmt, 
 	}
 }
 
-// litDisciplined checks a `go func(){...}()` launch.
+// litDisciplined checks a `go func(){...}()` launch in one walk over
+// the literal's body, nested literals included. Each discipline only
+// ever turns on: a node that proves one is never undone by a later one.
 func litDisciplined(pkg *Package, g *callGraph, sums *summaries, lit *ast.FuncLit, gs *ast.GoStmt, enclosing *ast.BlockStmt) bool {
-	if bodyHasCtxDoneReceive(pkg, lit.Body) {
+	ctxJoin := false     // receives from ctx.Done(), or calls a function that does
+	wgDelegated := false // calls a function that pairs a WaitGroup Done
+	var donePaths []string
+	signalled := map[types.Object]bool{} // local channels sent on or closed
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW && recvIsCtxDone(pkg, x) {
+				ctxJoin = true
+			}
+		case *ast.SendStmt:
+			if obj := chanObj(pkg, x.Chan); obj != nil {
+				signalled[obj] = true
+			}
+		case *ast.CallExpr:
+			switch fun := ast.Unparen(x.Fun).(type) {
+			case *ast.SelectorExpr:
+				if fun.Sel.Name == "Done" && isNamed(pkg.Info.TypeOf(fun.X), "sync", "WaitGroup") {
+					if path := exprPath(fun.X); path != "" {
+						donePaths = append(donePaths, path)
+					}
+				}
+			case *ast.Ident:
+				if _, builtin := pkg.Info.Uses[fun].(*types.Builtin); builtin && fun.Name == "close" && len(x.Args) == 1 {
+					if obj := chanObj(pkg, x.Args[0]); obj != nil {
+						signalled[obj] = true
+					}
+				}
+			}
+			// Delegated discipline: a called module function blocks on
+			// ctx.Done() or pairs a WaitGroup.
+			for _, callee := range g.calleesOf(pkg, x) {
+				ctxJoin = ctxJoin || sums.has(callee, factCtxJoin)
+				wgDelegated = wgDelegated || sums.has(callee, factWGDone)
+			}
+		}
+		return !ctxJoin
+	})
+	if ctxJoin || wgDelegated && addCallBefore(pkg, enclosing, "", gs.Pos()) {
 		return true
 	}
-	for _, path := range wgDonePaths(pkg, lit.Body) {
+	for _, path := range donePaths {
 		if addCallBefore(pkg, enclosing, path, gs.Pos()) {
 			return true
 		}
 	}
-	if chanJoin(pkg, lit, enclosing) {
-		return true
-	}
-	// Delegated discipline: the body calls a module function that blocks
-	// on ctx.Done() (or pairs a WaitGroup whose Add precedes the launch).
-	delegated := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || delegated {
-			return !delegated
-		}
-		for _, callee := range g.calleesOf(pkg, call) {
-			if sums.has(callee, factCtxJoin) {
-				delegated = true
-			}
-			if sums.has(callee, factWGDone) && addCallBefore(pkg, enclosing, "", gs.Pos()) {
-				delegated = true
-			}
-		}
-		return !delegated
-	})
-	return delegated
+	return len(signalled) > 0 && chanReceived(pkg, lit, enclosing, signalled)
 }
 
 // namedDisciplined checks a `go pkg.Worker(...)` launch through the
@@ -153,19 +172,6 @@ func funcValueDef(pkg *Package, gs *ast.GoStmt, id *ast.Ident, fnNode ast.Node) 
 	return nil, nil
 }
 
-// bodyHasCtxDoneReceive reports whether body contains a receive from
-// ctx.Done() on a context.Context value (plain or inside a select).
-func bodyHasCtxDoneReceive(pkg *Package, body ast.Node) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if un, ok := n.(*ast.UnaryExpr); ok && un.Op == token.ARROW && recvIsCtxDone(pkg, un) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // recvIsCtxDone reports whether the receive un reads ctx.Done() on a
 // context.Context value.
 func recvIsCtxDone(pkg *Package, un *ast.UnaryExpr) bool {
@@ -174,36 +180,7 @@ func recvIsCtxDone(pkg *Package, un *ast.UnaryExpr) bool {
 		return false
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Done" && isContextType(pkg.Info.TypeOf(sel.X))
-}
-
-func isWaitGroup(pkg *Package, e ast.Expr) bool {
-	t := pkg.Info.TypeOf(e)
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	return t != nil && t.String() == "sync.WaitGroup"
-}
-
-// wgDonePaths lists the rendered receiver paths ("wg", "s.jobsWG") of
-// every WaitGroup.Done() call in body, nested literals included.
-func wgDonePaths(pkg *Package, body ast.Node) []string {
-	var out []string
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Done" || !isWaitGroup(pkg, sel.X) {
-			return true
-		}
-		if path := exprPath(sel.X); path != "" {
-			out = append(out, path)
-		}
-		return true
-	})
-	return out
+	return ok && sel.Sel.Name == "Done" && isNamed(pkg.Info.TypeOf(sel.X), "context", "Context")
 }
 
 // addCallBefore reports whether a WaitGroup Add call on the given
@@ -217,7 +194,7 @@ func addCallBefore(pkg *Package, scope ast.Node, path string, pos token.Pos) boo
 			return !found
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Add" || !isWaitGroup(pkg, sel.X) {
+		if !ok || sel.Sel.Name != "Add" || !isNamed(pkg.Info.TypeOf(sel.X), "sync", "WaitGroup") {
 			return true
 		}
 		if path == "" || exprPath(sel.X) == path {
@@ -228,34 +205,9 @@ func addCallBefore(pkg *Package, scope ast.Node, path string, pos token.Pos) boo
 	return found
 }
 
-// chanJoin reports whether the literal signals completion on a channel
-// local to the enclosing function that the enclosing function receives
-// from outside the literal.
-func chanJoin(pkg *Package, lit *ast.FuncLit, enclosing *ast.BlockStmt) bool {
-	signalled := map[types.Object]bool{}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SendStmt:
-			if obj := chanObj(pkg, x.Chan); obj != nil {
-				signalled[obj] = true
-			}
-		case *ast.CallExpr:
-			id, ok := ast.Unparen(x.Fun).(*ast.Ident)
-			if !ok || id.Name != "close" || len(x.Args) != 1 {
-				return true
-			}
-			if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
-				return true
-			}
-			if obj := chanObj(pkg, x.Args[0]); obj != nil {
-				signalled[obj] = true
-			}
-		}
-		return true
-	})
-	if len(signalled) == 0 {
-		return false
-	}
+// chanReceived reports whether the enclosing function receives, outside
+// the literal, from one of the channels the literal signals on.
+func chanReceived(pkg *Package, lit *ast.FuncLit, enclosing *ast.BlockStmt, signalled map[types.Object]bool) bool {
 	joined := false
 	ast.Inspect(enclosing, func(n ast.Node) bool {
 		if n == lit {

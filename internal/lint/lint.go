@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -259,7 +261,7 @@ func simpleStmtExtents(pkg *Package, f *ast.File) map[int]int {
 // actually ran) which suppressed nothing becomes an "unused directive"
 // diagnostic at the directive's own position — deleting a finding
 // without deleting its escape hatch is itself a finding.
-func suppress(diags []Diagnostic, allows []*allow, ran map[string]bool, reportUnused bool) []Diagnostic {
+func suppress(diags []Diagnostic, allows []*allow, ran map[string]bool) []Diagnostic {
 	kept := diags[:0]
 	for _, d := range diags {
 		covered := false
@@ -273,15 +275,13 @@ func suppress(diags []Diagnostic, allows []*allow, ran map[string]bool, reportUn
 			kept = append(kept, d)
 		}
 	}
-	if reportUnused {
-		for _, a := range allows {
-			if !a.used && ran[a.analyzer] {
-				kept = append(kept, Diagnostic{
-					Analyzer: "lint",
-					Pos:      token.Position{Filename: a.file, Line: a.line, Column: a.col},
-					Message:  fmt.Sprintf("unused //lint:allow %s directive (nothing on this or the next line triggers it)", a.analyzer),
-				})
-			}
+	for _, a := range allows {
+		if !a.used && ran[a.analyzer] {
+			kept = append(kept, Diagnostic{
+				Analyzer: "lint",
+				Pos:      token.Position{Filename: a.file, Line: a.line, Column: a.col},
+				Message:  fmt.Sprintf("unused //lint:allow %s directive (nothing on this or the next line triggers it)", a.analyzer),
+			})
 		}
 	}
 	return kept
@@ -315,6 +315,26 @@ func pathMatches(importPath string, suffixes []string) bool {
 		}
 	}
 	return false
+}
+
+// namedObj returns the type name of t, or of the type t points to, when
+// that is a named type; nil otherwise.
+func namedObj(t types.Type) *types.TypeName {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj()
+	}
+	return nil
+}
+
+// isNamed reports whether t, or the type t points to, is one of the
+// named types names declared in package pkgPath (pathMatches semantics:
+// "internal/par" matches "because/internal/par").
+func isNamed(t types.Type, pkgPath string, names ...string) bool {
+	obj := namedObj(t)
+	return obj != nil && obj.Pkg() != nil && slices.Contains(names, obj.Name()) && pathMatches(obj.Pkg().Path(), []string{pkgPath})
 }
 
 // enclosingFunc returns the innermost function (*ast.FuncDecl or

@@ -89,50 +89,36 @@ type guardSpec struct {
 	explicit map[string]string // guarded field → mutex field, from //lint:guard
 }
 
-// mutexTypeName returns "Mutex" or "RWMutex" when t (pointer-stripped)
-// is the corresponding sync type, else "".
-func mutexTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
+// structKeyOf resolves the named struct a field selection lands on:
+// its module-wide key ("pkgpath.TypeName") and the underlying struct
+// type. Anything else (anonymous structs included) yields "".
+func structKeyOf(recv types.Type) (string, *types.Struct) {
+	obj := namedObj(recv)
+	if obj == nil {
+		return "", nil
 	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return ""
+	st, ok := obj.Type().Underlying().(*types.Struct)
+	if !ok {
+		return "", nil
 	}
-	switch named.Obj().Name() {
-	case "Mutex", "RWMutex":
-		return named.Obj().Name()
+	if obj.Pkg() == nil {
+		return obj.Name(), st
 	}
-	return ""
+	return obj.Pkg().Path() + "." + obj.Name(), st
 }
 
-// structKeyOf resolves the named struct a field selection lands on:
-// its module-wide key ("pkgpath.TypeName"), a short display name, and
-// the underlying struct type. Anything else (anonymous structs
-// included) yields "".
-func structKeyOf(recv types.Type) (key, display string, st *types.Struct) {
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return "", "", nil
-	}
-	if st, ok = named.Underlying().(*types.Struct); !ok {
-		return "", "", nil
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name(), obj.Name(), st
-	}
-	return obj.Pkg().Path() + "." + obj.Name(), obj.Pkg().Name() + "." + obj.Name(), st
+// classDisplay shortens a lock class or struct key for messages: the
+// import path is cut to its last element ("because/internal/serve.job.mu"
+// → "serve.job.mu").
+func classDisplay(key string) string {
+	return key[strings.LastIndexByte(key, '/')+1:]
 }
 
 // structMutexes lists the sync.Mutex/RWMutex fields of st.
 func structMutexes(st *types.Struct) (mutexes, embedded map[string]bool) {
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		if mutexTypeName(f.Type()) == "" {
+		if !isNamed(f.Type(), "sync", "Mutex", "RWMutex") {
 			continue
 		}
 		if mutexes == nil {
@@ -184,7 +170,7 @@ func collectFileGuards(pass *ModulePass, pkg *Package, f *ast.File, specs map[st
 			if obj == nil {
 				continue
 			}
-			key, display, stT := structKeyOf(obj.Type())
+			key, stT := structKeyOf(obj.Type())
 			if key == "" {
 				continue
 			}
@@ -195,7 +181,7 @@ func collectFileGuards(pass *ModulePass, pkg *Package, f *ast.File, specs map[st
 				// malformed and still reported.
 				for _, field := range st.Fields.List {
 					if _, pos, ok := fieldGuardDirective(field); ok {
-						pass.Reportf(pos, "%s on a field of %s, which has no sync.Mutex/RWMutex field", GuardDirective, display)
+						pass.Reportf(pos, "%s on a field of %s, which has no sync.Mutex/RWMutex field", GuardDirective, classDisplay(key))
 					}
 				}
 				continue
@@ -212,7 +198,7 @@ func collectFileGuards(pass *ModulePass, pkg *Package, f *ast.File, specs map[st
 				}
 				switch {
 				case !mutexes[name]:
-					pass.Reportf(pos, "%s names %q, which is not a sync.Mutex/RWMutex field of %s (have %s)", GuardDirective, name, display, strings.Join(sortedKeys(mutexes), ", "))
+					pass.Reportf(pos, "%s names %q, which is not a sync.Mutex/RWMutex field of %s (have %s)", GuardDirective, name, classDisplay(key), strings.Join(sortedKeys(mutexes), ", "))
 				case len(field.Names) == 0:
 					pass.Reportf(pos, "%s cannot guard an embedded field", GuardDirective)
 				default:
@@ -253,10 +239,9 @@ func fieldGuardDirective(field *ast.Field) (name string, pos token.Pos, ok bool)
 
 // heldLock is one lock known to be held at a program point.
 type heldLock struct {
-	path    string // instance path in this function, e.g. "j.mu"
-	class   string // module-wide class key, e.g. "because/internal/serve.job.mu"
-	display string // short class render, e.g. "serve.job.mu"
-	pos     token.Pos
+	path  string // instance path in this function, e.g. "j.mu"
+	class string // module-wide class key, e.g. "because/internal/serve.job.mu"
+	pos   token.Pos
 }
 
 // lockOp is one acquire/release event inside a basic block.
@@ -396,7 +381,7 @@ func entryHeld(pkg *Package, unit ast.Node, decl *ast.FuncDecl) map[string]heldL
 	if !ok {
 		return nil
 	}
-	key, display, st := structKeyOf(recv.Type())
+	key, st := structKeyOf(recv.Type())
 	if st == nil {
 		return nil
 	}
@@ -404,7 +389,7 @@ func entryHeld(pkg *Package, unit ast.Node, decl *ast.FuncDecl) map[string]heldL
 	held := make(map[string]heldLock, len(mutexes))
 	for m := range mutexes {
 		path := lockPath(names[0].Name, m, embedded[m])
-		held[path] = heldLock{path: path, class: key + "." + m, display: display + "." + m, pos: decl.Name.Pos()}
+		held[path] = heldLock{path: path, class: key + "." + m, pos: decl.Name.Pos()}
 	}
 	return held
 }
@@ -436,11 +421,10 @@ func collectLockOps(pkg *Package, n ast.Node, enclosing string) []lockOp {
 			if path == "" {
 				return true
 			}
-			class, display := lockClass(pkg, x, enclosing)
 			op := lockOp{
 				pos:     node.Pos(),
 				acquire: method == "Lock" || method == "RLock" || method == "TryLock" || method == "TryRLock",
-				lock:    heldLock{path: path, class: class, display: display, pos: node.Pos()},
+				lock:    heldLock{path: path, class: lockClass(pkg, x, enclosing), pos: node.Pos()},
 			}
 			ops = append(ops, op)
 		}
@@ -464,7 +448,7 @@ func mutexOp(pkg *Package, call *ast.CallExpr) (ast.Expr, string) {
 		return nil, ""
 	}
 	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil || mutexTypeName(sig.Recv().Type()) == "" {
+	if sig == nil || sig.Recv() == nil || !isNamed(sig.Recv().Type(), "sync", "Mutex", "RWMutex") {
 		return nil, ""
 	}
 	return sel.X, fn.Name()
@@ -484,25 +468,25 @@ func isLockMethod(name string) bool {
 // ("j.mu" → "pkgpath.job.mu"): struct mutex fields key by their
 // declaring type, package-level vars by the var, locals by enclosing
 // function. Unresolvable expressions return "".
-func lockClass(pkg *Package, x ast.Expr, enclosing string) (class, display string) {
+func lockClass(pkg *Package, x ast.Expr, enclosing string) string {
 	if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
 		if s := pkg.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-			if key, disp, _ := structKeyOf(s.Recv()); key != "" {
-				return key + "." + sel.Sel.Name, disp + "." + sel.Sel.Name
+			if key, _ := structKeyOf(s.Recv()); key != "" {
+				return key + "." + sel.Sel.Name
 			}
 		}
 		// Anonymous-struct field (package-level var like loadCache.mu) or
 		// qualified package var (pkg.Mu): fall back to the base identifier.
 		base, _ := ast.Unparen(baseIdent(sel)).(*ast.Ident)
 		if base == nil {
-			return "", ""
+			return ""
 		}
 		return identClass(pkg, base, exprPath(x), enclosing)
 	}
 	if id, ok := ast.Unparen(x).(*ast.Ident); ok {
 		return identClass(pkg, id, id.Name, enclosing)
 	}
-	return "", ""
+	return ""
 }
 
 func baseIdent(e ast.Expr) ast.Expr {
@@ -515,19 +499,15 @@ func baseIdent(e ast.Expr) ast.Expr {
 	}
 }
 
-func identClass(pkg *Package, id *ast.Ident, path, enclosing string) (string, string) {
+func identClass(pkg *Package, id *ast.Ident, path, enclosing string) string {
 	v, _ := pkg.Info.Uses[id].(*types.Var)
-	if v == nil {
-		return "", ""
+	if v == nil || v.Pkg() == nil {
+		return ""
 	}
-	vpkg := v.Pkg()
-	if vpkg == nil {
-		return "", ""
+	if v.Parent() == v.Pkg().Scope() { // package-level var
+		return v.Pkg().Path() + "." + path
 	}
-	if v.Parent() == vpkg.Scope() { // package-level var
-		return vpkg.Path() + "." + path, vpkg.Name() + "." + path
-	}
-	return vpkg.Path() + "." + enclosing + "." + path, vpkg.Name() + "." + enclosing + "." + path
+	return v.Pkg().Path() + "." + enclosing + "." + path
 }
 
 // solve runs the forward must-analysis: in[b] is the intersection of
@@ -709,7 +689,7 @@ func (lc *lockChecker) checkGuarded(pkg *Package, sel *ast.SelectorExpr, unit as
 	if s == nil || s.Kind() != types.FieldVal || len(s.Index()) != 1 {
 		return
 	}
-	key, _, _ := structKeyOf(s.Recv())
+	key, _ := structKeyOf(s.Recv())
 	spec := lc.specs[key]
 	if spec == nil {
 		return
@@ -815,11 +795,11 @@ func (lc *lockChecker) checkAcquire(pkg *Package, call *ast.CallExpr, x ast.Expr
 		lc.pass.Reportf(call.Pos(), "%s is locked again while already held (acquired at %s:%d): self-deadlock", path, shortFile(pos.Filename), pos.Line)
 		return
 	}
-	class, display := lockClass(pkg, x, declName(decl))
+	class := lockClass(pkg, x, declName(decl))
 	if class == "" {
 		return
 	}
-	to := heldLock{path: path, class: class, display: display, pos: call.Pos()}
+	to := heldLock{path: path, class: class, pos: call.Pos()}
 	for _, h := range sortedHeld(held) {
 		if h.class == class {
 			continue // cross-instance same-class nesting (hand-over-hand): out of scope
@@ -836,15 +816,13 @@ func (lc *lockChecker) reportCallEffects(pkg *Package, call *ast.CallExpr, calle
 		return false // fast path: the callee's summary is lock-silent
 	}
 	hs := sortedHeld(held)
-	classes := lc.sums.sum[callee.id].classes
-	for _, class := range sortedKeys(classes) {
-		display := classes[class].display
+	for _, class := range sortedKeys(lc.sums.sum[callee.id].classes) {
 		for _, h := range hs {
 			if h.class == class {
-				lc.pass.Reportf(call.Pos(), "call to %s while holding %s may acquire %s again (%s): lock-class reentry deadlocks unless instances are provably distinct", callee.shortName(), h.path, display, lc.sums.explainClass(callee, class))
+				lc.pass.Reportf(call.Pos(), "call to %s while holding %s may acquire %s again (%s): lock-class reentry deadlocks unless instances are provably distinct", callee.shortName(), h.path, classDisplay(class), lc.sums.explainClass(callee, class))
 				continue
 			}
-			lc.addEdge(pkg, h, heldLock{class: class, display: display, pos: call.Pos()}, call.Pos(), callee, class)
+			lc.addEdge(pkg, h, heldLock{class: class, pos: call.Pos()}, call.Pos(), callee, class)
 		}
 	}
 	if lc.sums.has(callee, factBlock) {
@@ -869,7 +847,7 @@ func (lc *lockChecker) checkLockedSuffixCall(pkg *Package, call *ast.CallExpr, h
 	if sig == nil || sig.Recv() == nil {
 		return
 	}
-	_, _, st := structKeyOf(sig.Recv().Type())
+	_, st := structKeyOf(sig.Recv().Type())
 	if st == nil {
 		return
 	}
@@ -955,17 +933,17 @@ func directBlockingCall(pkg *Package, call *ast.CallExpr, http bool) string {
 					return "time.Sleep"
 				}
 				if fn.Pkg().Path() == "sync" && fn.Name() == "Wait" {
-					return "sync." + waitRecvName(fn) + ".Wait"
+					return "sync." + namedObj(fn.Type().(*types.Signature).Recv().Type()).Name() + ".Wait"
 				}
 			}
 		}
-		if http && isHTTPWriter(pkg, fun.X) {
+		if http && isNamed(pkg.Info.TypeOf(fun.X), "net/http", "ResponseWriter", "Flusher") {
 			return "write to the http.ResponseWriter"
 		}
 	}
 	if http {
 		for _, arg := range call.Args {
-			if isHTTPWriter(pkg, arg) {
+			if isNamed(pkg.Info.TypeOf(arg), "net/http", "ResponseWriter", "Flusher") {
 				return "write to the http.ResponseWriter"
 			}
 		}
@@ -981,35 +959,6 @@ func importsHTTP(pkg *Package) bool {
 		}
 	}
 	return false
-}
-
-func waitRecvName(fn *types.Func) string {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return "WaitGroup"
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return "WaitGroup"
-}
-
-func isHTTPWriter(pkg *Package, e ast.Expr) bool {
-	// Named-type check without types.Type.String(), which allocates and
-	// is called for every argument of every call in the module.
-	named, ok := pkg.Info.TypeOf(e).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "net/http" {
-		return false
-	}
-	return obj.Name() == "ResponseWriter" || obj.Name() == "Flusher"
 }
 
 func (lc *lockChecker) reportBlocking(pkg *Package, pos token.Pos, desc string, held map[string]heldLock) {
@@ -1050,16 +999,6 @@ func (lc *lockChecker) reportCycles() {
 	for _, k := range keys {
 		adj[k[0]] = append(adj[k[0]], k[1])
 	}
-	displays := map[string]string{}
-	for _, k := range keys {
-		e := lc.edges[k]
-		if displays[e.from.class] == "" && e.from.display != "" {
-			displays[e.from.class] = e.from.display
-		}
-		if displays[e.to.class] == "" && e.to.display != "" {
-			displays[e.to.class] = e.to.display
-		}
-	}
 	for _, k := range keys {
 		e := lc.edges[k]
 		path := findPath(adj, k[1], k[0])
@@ -1068,9 +1007,9 @@ func (lc *lockChecker) reportCycles() {
 		}
 		// path is k[1] … k[0]; the closing edge re-acquires k[0].
 		closing := lc.edges[[2]string{path[len(path)-2], path[len(path)-1]}]
-		cycle := renderCycle(displays, append([]string{k[0]}, path...))
+		cycle := renderCycle(append([]string{k[0]}, path...))
 		cp := closing.pkg.Fset.Position(closing.pos)
-		lc.pass.Reportf(e.pos, "lock acquisition order cycle %s: %s is acquired here while %s is held%s, but the reverse order is taken at %s:%d%s — pick one module-wide order, or annotate //lint:allow lockcheck with the invariant that rules the deadlock out", cycle, e.to.display, e.from.display, e.viaSuffix(lc), shortFile(cp.Filename), cp.Line, closing.viaSuffix(lc))
+		lc.pass.Reportf(e.pos, "lock acquisition order cycle %s: %s is acquired here while %s is held%s, but the reverse order is taken at %s:%d%s — pick one module-wide order, or annotate //lint:allow lockcheck with the invariant that rules the deadlock out", cycle, classDisplay(e.to.class), classDisplay(e.from.class), e.viaSuffix(lc), shortFile(cp.Filename), cp.Line, closing.viaSuffix(lc))
 	}
 }
 
@@ -1084,12 +1023,10 @@ func (e *lockEdge) viaSuffix(lc *lockChecker) string {
 }
 
 // renderCycle prints a class cycle with short display names.
-func renderCycle(displays map[string]string, classes []string) string {
+func renderCycle(classes []string) string {
 	parts := make([]string, len(classes))
 	for i, c := range classes {
-		if parts[i] = displays[c]; parts[i] == "" {
-			parts[i] = c
-		}
+		parts[i] = classDisplay(c)
 	}
 	return strings.Join(parts, " → ")
 }

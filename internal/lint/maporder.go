@@ -202,28 +202,7 @@ func outputCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 // rngFeedCall reports whether call is a method call on a *stats.RNG.
 func rngFeedCall(pass *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	tv, ok := pass.Pkg.Info.Types[sel.X]
-	if !ok {
-		return false
-	}
-	return isStatsRNG(tv.Type)
-}
-
-// isStatsRNG reports whether t is stats.RNG or a pointer to it.
-func isStatsRNG(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "RNG" && obj.Pkg() != nil &&
-		(obj.Pkg().Path() == "because/internal/stats" || strings.HasSuffix(obj.Pkg().Path(), "/internal/stats"))
+	return ok && isNamed(pass.Pkg.Info.TypeOf(sel.X), "internal/stats", "RNG")
 }
 
 // isString reports whether the expression has string type.

@@ -4,12 +4,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // RNGShare returns the analyzer that enforces PR 2's pre-split RNG
 // discipline: a *stats.RNG may only cross into a goroutine — a `go`
-// statement or a par.Group.Go task closure — if it was obtained from a
+// statement or a par.Group Go/GoCtx task closure — if it was obtained from a
 // Split call in the same function. Sharing one generator across
 // concurrently running chains makes the draw sequence depend on
 // scheduling (and races on the generator state), destroying the
@@ -32,7 +31,10 @@ func RNGShare() *Analyzer {
 						checkRNGExpr(pass, arg, stack, n.Pos(), "go statement")
 					}
 				case *ast.CallExpr:
-					if !isPoolGoCall(pass, n) || len(n.Args) == 0 {
+					// A function literal handed to (*par.Group).Go or GoCtx
+					// runs as a pool task.
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok || sel.Sel.Name != "Go" && sel.Sel.Name != "GoCtx" || len(n.Args) == 0 || !isNamed(pass.Pkg.Info.TypeOf(sel.X), "internal/par", "Group") {
 						return
 					}
 					if lit, ok := n.Args[0].(*ast.FuncLit); ok {
@@ -43,29 +45,6 @@ func RNGShare() *Analyzer {
 		}
 	}
 	return a
-}
-
-// isPoolGoCall reports whether call is pool.Go(...) on a *par.Group.
-func isPoolGoCall(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Go" {
-		return false
-	}
-	tv, ok := pass.Pkg.Info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Group" && obj.Pkg() != nil &&
-		(obj.Pkg().Path() == "because/internal/par" || strings.HasSuffix(obj.Pkg().Path(), "/internal/par"))
 }
 
 // checkCapturedRNGs reports every free *stats.RNG variable of lit — a
@@ -79,7 +58,7 @@ func checkCapturedRNGs(pass *Pass, lit *ast.FuncLit, stack []ast.Node, at token.
 			return true
 		}
 		v, ok := pass.Pkg.Info.Uses[id].(*types.Var)
-		if !ok || seen[v] || v.IsField() || !isStatsRNG(v.Type()) {
+		if !ok || seen[v] || v.IsField() || !isNamed(v.Type(), "internal/stats", "RNG") {
 			return true // fields ride in by value inside their struct
 		}
 		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
@@ -96,8 +75,7 @@ func checkCapturedRNGs(pass *Pass, lit *ast.FuncLit, stack []ast.Node, at token.
 // checkRNGExpr reports e when it is a non-Split-derived *stats.RNG handed
 // to a goroutine as a call argument.
 func checkRNGExpr(pass *Pass, e ast.Expr, stack []ast.Node, at token.Pos, context string) {
-	tv, ok := pass.Pkg.Info.Types[e]
-	if !ok || tv.Type == nil || !isStatsRNG(tv.Type) {
+	if !isNamed(pass.Pkg.Info.TypeOf(e), "internal/stats", "RNG") {
 		return
 	}
 	// rng.Split() passed directly is the blessed pattern.
@@ -184,6 +162,5 @@ func isSplitCall(pass *Pass, e ast.Expr) bool {
 	if !ok || sel.Sel.Name != "Split" {
 		return false
 	}
-	tv, ok := pass.Pkg.Info.Types[sel.X]
-	return ok && tv.Type != nil && isStatsRNG(tv.Type)
+	return isNamed(pass.Pkg.Info.TypeOf(sel.X), "internal/stats", "RNG")
 }

@@ -8,9 +8,6 @@ import (
 type Options struct {
 	// Analyzers to run; nil selects All().
 	Analyzers []*Analyzer
-	// KeepUnusedAllows disables the stale-directive check (used by tests
-	// that exercise fixtures one analyzer at a time).
-	KeepUnusedAllows bool
 	// RelTo, when non-empty, renders diagnostic file paths relative to
 	// this directory (falling back to the absolute path outside it).
 	RelTo string
@@ -36,7 +33,7 @@ func All() []*Analyzer {
 // and applies every analyzer, returning findings sorted by position.
 // A finding is suppressed by a `//lint:allow <analyzer>` comment on its
 // line or the line above; directives that suppress nothing are themselves
-// reported unless opts.KeepUnusedAllows is set.
+// reported, for every analyzer that ran.
 func Run(dir string, patterns []string, opts Options) ([]Diagnostic, error) {
 	analyzers := opts.Analyzers
 	if analyzers == nil {
@@ -84,7 +81,7 @@ func Run(dir string, patterns []string, opts Options) ([]Diagnostic, error) {
 		}
 		a.RunModule(&ModulePass{Analyzer: a, Pkgs: pkgs, graph: graph, sums: sums, diags: &all})
 	}
-	all = suppress(all, allows, ran, !opts.KeepUnusedAllows)
+	all = suppress(all, allows, ran)
 	sortDiagnostics(all)
 	all = dedupDiagnostics(all)
 	for i := range all {

@@ -104,3 +104,13 @@ func Allowed() {
 		}
 	}()
 }
+
+// CtxThenChan waits for cancellation, then drains a channel it does
+// not own: silent (the later plain receive does not undo the ctx.Done()
+// discipline).
+func CtxThenChan(ctx context.Context, ch chan int) {
+	go func() {
+		<-ctx.Done()
+		<-ch
+	}()
+}

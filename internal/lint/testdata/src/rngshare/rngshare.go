@@ -92,3 +92,30 @@ func SplitAfterLaunch(rng *stats.RNG) {
 	shared = rng.Split()
 	_ = shared
 }
+
+// CtxPoolShared hands the parent generator to a context-taking
+// par.Group task: flagged, like a Go task.
+func CtxPoolShared(rng *stats.RNG) float64 {
+	g := par.NewGroupContext(context.Background(), 2, nil, "fixture")
+	var v float64
+	g.GoCtx(func(context.Context) error {
+		v = rng.Float64()
+		return nil
+	})
+	_ = g.Wait()
+	return v
+}
+
+// CtxPoolPreSplit gives a context-taking task its own Split stream: not
+// flagged.
+func CtxPoolPreSplit(rng *stats.RNG) float64 {
+	stream := rng.Split()
+	g := par.NewGroupContext(context.Background(), 2, nil, "fixture")
+	var v float64
+	g.GoCtx(func(context.Context) error {
+		v = stream.Float64()
+		return nil
+	})
+	_ = g.Wait()
+	return v
+}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -103,46 +104,73 @@ func wireDrift(cfg wireDriftConfig) *Analyzer {
 	return a
 }
 
+// wireChangeKind sorts one struct's difference from the lock.
+type wireChangeKind int
+
+const (
+	wireJoined       wireChangeKind = iota // not in the lock
+	wireAdditive                           // fields added, none disturbed
+	wireIncompatible                       // a field removed, renamed, retyped or retagged
+	wireDeparted                           // in the lock, gone from the surface
+)
+
+// wireChange is one struct whose surface differs from the lock.
+type wireChange struct {
+	kind wireChangeKind
+	name string
+	pos  token.Pos // NoPos for a departed struct
+}
+
+// diffWire lists every difference between the computed surface and the
+// locked one: surface structs in surface order, then departed structs by
+// name.
+func diffWire(surface []*wireStruct, lock *wireLock) []wireChange {
+	var out []wireChange
+	current := make(map[string]bool, len(surface))
+	for _, s := range surface {
+		current[s.name] = true
+		locked, ok := lock.structs[s.name]
+		kind := wireIncompatible
+		switch {
+		case !ok:
+			kind = wireJoined
+		case slices.Equal(s.fields, locked):
+			continue
+		case additiveChange(locked, s.fields):
+			kind = wireAdditive
+		}
+		out = append(out, wireChange{kind, s.name, s.pos})
+	}
+	for _, name := range lock.structNames() {
+		if !current[name] {
+			out = append(out, wireChange{wireDeparted, name, token.NoPos})
+		}
+	}
+	return out
+}
+
 // reportWireDrift diagnoses every difference between the computed
 // surface and the locked one.
 func reportWireDrift(pass *ModulePass, surface []*wireStruct, lock *wireLock, version int64, versionPos, fallback token.Pos) {
-	current := make(map[string]*wireStruct, len(surface))
-	for _, s := range surface {
-		current[s.name] = s
-	}
+	changes := diffWire(surface, lock)
 	bumped := version > lock.version
-	clean := true
-	for _, s := range surface {
-		locked, ok := lock.structs[s.name]
-		if !ok {
-			pass.Reportf(s.pos, "struct %s joined the JSON wire surface: regenerate wire.lock (`make wire-lock`)", s.name)
-			clean = false
-			continue
-		}
-		if linesEqual(s.fields, locked) {
-			continue
-		}
-		clean = false
-		if additiveChange(locked, s.fields) {
-			pass.Reportf(s.pos, "JSON wire surface of %s grew additively: regenerate wire.lock (`make wire-lock`)", s.name)
-		} else if bumped {
-			pass.Reportf(s.pos, "JSON wire surface of %s changed incompatibly under the new SchemaVersion %d: regenerate wire.lock (`make wire-lock`)", s.name, version)
-		} else {
-			pass.Reportf(s.pos, "JSON wire surface of %s changed incompatibly (field removed, renamed, retyped or retagged) without a SchemaVersion bump: bump SchemaVersion and regenerate wire.lock (`make wire-lock`)", s.name)
+	for _, c := range changes {
+		switch {
+		case c.kind == wireJoined:
+			pass.Reportf(c.pos, "struct %s joined the JSON wire surface: regenerate wire.lock (`make wire-lock`)", c.name)
+		case c.kind == wireAdditive:
+			pass.Reportf(c.pos, "JSON wire surface of %s grew additively: regenerate wire.lock (`make wire-lock`)", c.name)
+		case c.kind == wireIncompatible && bumped:
+			pass.Reportf(c.pos, "JSON wire surface of %s changed incompatibly under the new SchemaVersion %d: regenerate wire.lock (`make wire-lock`)", c.name, version)
+		case c.kind == wireIncompatible:
+			pass.Reportf(c.pos, "JSON wire surface of %s changed incompatibly (field removed, renamed, retyped or retagged) without a SchemaVersion bump: bump SchemaVersion and regenerate wire.lock (`make wire-lock`)", c.name)
+		case bumped:
+			pass.Reportf(fallback, "struct %s left the JSON wire surface under the new SchemaVersion %d: regenerate wire.lock (`make wire-lock`)", c.name, version)
+		default:
+			pass.Reportf(fallback, "struct %s left the JSON wire surface without a SchemaVersion bump: bump SchemaVersion and regenerate wire.lock (`make wire-lock`)", c.name)
 		}
 	}
-	for _, name := range lock.structNames() {
-		if _, ok := current[name]; ok {
-			continue
-		}
-		clean = false
-		if bumped {
-			pass.Reportf(fallback, "struct %s left the JSON wire surface under the new SchemaVersion %d: regenerate wire.lock (`make wire-lock`)", name, version)
-		} else {
-			pass.Reportf(fallback, "struct %s left the JSON wire surface without a SchemaVersion bump: bump SchemaVersion and regenerate wire.lock (`make wire-lock`)", name)
-		}
-	}
-	if clean && version != lock.version {
+	if len(changes) == 0 && version != lock.version {
 		pass.Reportf(versionPos, "SchemaVersion is %d but wire.lock records %d: regenerate wire.lock (`make wire-lock`)", version, lock.version)
 	}
 }
@@ -168,22 +196,12 @@ func WriteWireLock(root string) (string, error) {
 	}
 	lockPath := filepath.Join(moduleRootDir(pkgs, wirePkgs), "wire.lock")
 	if old, err := readWireLock(lockPath); err == nil && version <= old.version {
-		for _, s := range surface {
-			locked, ok := old.structs[s.name]
-			if !ok || linesEqual(s.fields, locked) || additiveChange(locked, s.fields) {
-				continue
-			}
-			return "", fmt.Errorf("lint: refusing to regenerate %s: %s changed incompatibly while SchemaVersion is still %d — bump SchemaVersion first", lockPath, s.name, version)
-		}
-		for _, name := range old.structNames() {
-			found := false
-			for _, s := range surface {
-				if s.name == name {
-					found = true
-				}
-			}
-			if !found {
-				return "", fmt.Errorf("lint: refusing to regenerate %s: %s left the wire surface while SchemaVersion is still %d — bump SchemaVersion first", lockPath, name, version)
+		for _, c := range diffWire(surface, old) {
+			switch c.kind {
+			case wireIncompatible:
+				return "", fmt.Errorf("lint: refusing to regenerate %s: %s changed incompatibly while SchemaVersion is still %d — bump SchemaVersion first", lockPath, c.name, version)
+			case wireDeparted:
+				return "", fmt.Errorf("lint: refusing to regenerate %s: %s left the wire surface while SchemaVersion is still %d — bump SchemaVersion first", lockPath, c.name, version)
 			}
 		}
 	}
@@ -467,19 +485,6 @@ func readWireLock(path string) (*wireLock, error) {
 		}
 	}
 	return lock, nil
-}
-
-// linesEqual reports exact field-list equality, order included.
-func linesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // additiveChange reports whether new extends old without disturbing it:

@@ -116,9 +116,8 @@ func TestWireDriftCatchesServeTagEdit(t *testing.T) {
 	cfg.lockPath = lockPath
 	a := wireDrift(cfg)
 	diags, err := Run(root, []string{"./..."}, Options{
-		Analyzers:        []*Analyzer{a},
-		KeepUnusedAllows: true,
-		RelTo:            root,
+		Analyzers: []*Analyzer{a},
+		RelTo:     root,
 	})
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)

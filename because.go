@@ -372,8 +372,6 @@ type Result struct {
 	// (divergent transitions). More than a few percent of iterations
 	// means the HMC step size is too large for the posterior geometry.
 	HMCDivergences int
-
-	byAS map[ASN]*ASReport
 }
 
 // MarshalJSON renders the whole result as a versioned wire document:
@@ -419,13 +417,14 @@ func (r *Result) Flagged() []ASReport {
 	return out
 }
 
-// Lookup returns the report for one AS.
+// Lookup returns the report for one AS, by binary search over Reports
+// (which must be in ascending ASN order).
 func (r *Result) Lookup(as ASN) (ASReport, bool) {
-	rep, ok := r.byAS[as]
-	if !ok {
+	i := sort.Search(len(r.Reports), func(i int) bool { return r.Reports[i].AS >= as })
+	if i == len(r.Reports) || r.Reports[i].AS != as {
 		return ASReport{}, false
 	}
-	return *rep, true
+	return r.Reports[i], true
 }
 
 // CategoryCounts returns how many ASes landed in each category (indices
@@ -517,7 +516,7 @@ func InferContext(ctx context.Context, observations []PathObservation, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Model: res.Model, byAS: make(map[ASN]*ASReport, len(res.Summaries))}
+	out := &Result{Model: res.Model}
 	for _, s := range res.Summaries {
 		out.Reports = append(out.Reports, ASReport{
 			AS:            ASN(s.ASN),
@@ -534,9 +533,6 @@ func InferContext(ctx context.Context, observations []PathObservation, opts Opti
 		})
 	}
 	sort.Slice(out.Reports, func(i, j int) bool { return out.Reports[i].AS < out.Reports[j].AS })
-	for i := range out.Reports {
-		out.byAS[out.Reports[i].AS] = &out.Reports[i]
-	}
 	for _, c := range res.Chains {
 		switch c.Method {
 		case "mh":

@@ -189,6 +189,21 @@ func TestLookupMissing(t *testing.T) {
 	}
 }
 
+// TestLookupOnConstructedResult: Lookup works on any Result whose Reports
+// are sorted by AS, not only on those Infer built — a decoded wire
+// document, say.
+func TestLookupOnConstructedResult(t *testing.T) {
+	res := &Result{Reports: []ASReport{{AS: 3, Mean: 0.1}, {AS: 7, Mean: 0.9}}}
+	for _, want := range res.Reports {
+		if got, ok := res.Lookup(want.AS); !ok || got.Mean != want.Mean {
+			t.Errorf("Lookup(%d) = %+v, %v; want %+v", want.AS, got, ok, want)
+		}
+	}
+	if _, ok := res.Lookup(5); ok {
+		t.Error("Lookup(5) found an AS the result does not hold")
+	}
+}
+
 func TestInferMissRateOption(t *testing.T) {
 	res, err := Infer(plantedObs(), Options{Seed: 8, MissRate: 0.1, DisableHMC: true, MHSweeps: 400, MHBurnIn: 100})
 	if err != nil {

@@ -135,7 +135,6 @@ func run(ctx context.Context, o options, observer *obs.Observer) error {
 	pool := par.NewGroupContext(ctx, o.workers, observer, "archive")
 	wroteLines := make([]string, len(collector.Projects))
 	for i, project := range collector.Projects {
-		i, project := i, project
 		pool.Go(func() error {
 			entries := byProject[project]
 			name := filepath.Join(o.out, fmt.Sprintf("updates.%s.%s.mrt", project, run.Campaign.Name))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -230,46 +231,33 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 		}
 	}
 
+	// The pool reports ctx.Err() on cancellation — errors.Is-able, and
+	// independent of which chain noticed it first — and otherwise the
+	// failure of the earliest chain in job order, not in completion order.
 	pool := par.NewGroupContext(ctx, workers, o, "infer")
 	chains := make([]*Chain, len(jobs))
-	errs := make([]error, len(jobs))
 	for i, job := range jobs {
-		i, job := i, job
 		pool.GoCtx(func(ctx context.Context) error {
 			// Observability-only timing: feeds the per-chain duration
 			// histogram, never the chain's samples.
 			start := time.Now() //lint:allow determinism
 			cctx := obs.ContextWithSpan(ctx, chainSpans[i])
 			c, err := runChain(cctx, ds, cfg, job.sampler, job.chain, job.rng)
-			chains[i], errs[i] = c, err
+			chains[i] = c
 			chainSpans[i].End()
 			if o != nil {
 				o.Histogram(obs.MetricChainSeconds, nil, "method", job.method).
 					Observe(time.Since(start).Seconds()) //lint:allow determinism — observability-only
 			}
-			return err
+			if err != nil {
+				return fmt.Errorf("core: %s: %w", strings.ToUpper(job.method), err)
+			}
+			return nil
 		})
 	}
-	waitErr := pool.Wait()
+	err := pool.Wait()
 	sampleSpan.End()
-	if err := waitErr; err != nil {
-		// A cancelled context wins outright: the caller asked the run to
-		// stop, so surface ctx.Err() itself (errors.Is-able) rather than a
-		// per-chain wrapper — and deterministically, since ctx.Err() does
-		// not depend on which chain noticed the cancellation first.
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		// Report the first failure in chain order, not completion order,
-		// so the error too is independent of scheduling.
-		for i, jobErr := range errs {
-			if jobErr != nil {
-				if jobs[i].method == "mh" {
-					return nil, fmt.Errorf("core: MH: %w", jobErr)
-				}
-				return nil, fmt.Errorf("core: HMC: %w", jobErr)
-			}
-		}
+	if err != nil {
 		return nil, err
 	}
 	// Attach sampler statistics to the chain spans now that the fan-out has

@@ -222,14 +222,7 @@ func (r *Run) InferContext(ctx context.Context) (*core.Result, *core.Dataset, er
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := InferConfig(r.Scenario.Config.Seed + 7)
-	cfg.Obs = r.Scenario.Obs
-	cfg.Workers = r.Scenario.Config.Workers
-	res, err := core.InferContext(ctx, ds, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, ds, nil
+	return r.infer(ctx, ds, nil, 7)
 }
 
 // InferModelContext runs BeCAUSe over caller-labeled observations under
@@ -245,7 +238,14 @@ func (r *Run) InferModelContext(ctx context.Context, obs []core.PathObs, model c
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := InferConfig(r.Scenario.Config.Seed + 7)
+	return r.infer(ctx, ds, model, 7)
+}
+
+// infer is every inference a Run performs: the standard sampler settings
+// under model (nil selects the default), seeded at the scenario seed plus
+// seedOffset, on the scenario's worker count and observer.
+func (r *Run) infer(ctx context.Context, ds *core.Dataset, model core.ObservationModel, seedOffset uint64) (*core.Result, *core.Dataset, error) {
+	cfg := InferConfig(r.Scenario.Config.Seed + seedOffset)
 	cfg.Obs = r.Scenario.Obs
 	cfg.Workers = r.Scenario.Config.Workers
 	cfg.Model = model

@@ -67,3 +67,20 @@ func TestIntervalRunContextTracesCampaign(t *testing.T) {
 	}
 	t.Fatal("the leader's trace holds no campaign span")
 }
+
+// TestTab4InferencesUseScenarioObserver: both of Table 4's inferences —
+// the RFD run and the ROV benchmark — report to the scenario's observer.
+func TestTab4InferencesUseScenarioObserver(t *testing.T) {
+	s, err := NewSuite(smallSuiteConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observer := obs.New(nil, obs.NewRegistry())
+	s.Scenario().Obs = observer
+	if _, err := Tab4PrecisionRecallContext(context.Background(), s); err != nil {
+		t.Fatal(err)
+	}
+	if n := observer.Metrics.Snapshot()[obs.MetricInferRuns]; n != 2 {
+		t.Fatalf("%s = %v, want 2", obs.MetricInferRuns, n)
+	}
+}

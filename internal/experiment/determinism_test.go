@@ -6,6 +6,8 @@ import (
 	"encoding/gob"
 	"testing"
 	"time"
+
+	"because/internal/obs"
 )
 
 // smallSuiteConfig is the golden-test world: the smallScenario parameters,
@@ -78,7 +80,8 @@ func TestPipelineGoldenDeterminism(t *testing.T) {
 // TestSuitePrewarmParallelDeterminism: fanning the intervals out over the
 // worker pool must yield byte-identical results to the strictly sequential
 // suite — the experiment-harness analogue of the core reproducibility
-// harness. Run with -race to also certify the suite's singleflight caching.
+// harness. Run with -race to also certify that prewarm's tasks share no
+// suite state.
 func TestSuitePrewarmParallelDeterminism(t *testing.T) {
 	intervals := []time.Duration{1 * time.Minute, 5 * time.Minute}
 
@@ -106,41 +109,46 @@ func TestSuitePrewarmParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSuiteConcurrentAccessSharedIntervals hammers the suite's singleflight
-// cache: many goroutines requesting overlapping intervals must each get the
-// same cached objects, with every campaign and inference computed once.
-func TestSuiteConcurrentAccessSharedIntervals(t *testing.T) {
+// TestSuitePrewarmComputesEachIntervalOnce: prewarm skips intervals that
+// are already cached and computes duplicates once, and the getters then hit
+// the cache — one campaign and one inference per distinct interval.
+func TestSuitePrewarmComputesEachIntervalOnce(t *testing.T) {
 	cfg := smallSuiteConfig()
 	cfg.Workers = 4
 	s, err := NewSuite(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const callers = 8
-	runs := make([]*Run, callers)
-	errCh := make(chan error, callers)
-	done := make(chan int, callers)
-	for i := 0; i < callers; i++ {
-		i := i
-		go func() {
-			run, err := s.IntervalRunContext(context.Background(), time.Minute)
-			runs[i] = run
-			if err != nil {
-				errCh <- err
-			}
-			done <- i
-		}()
-	}
-	for i := 0; i < callers; i++ {
-		<-done
-	}
-	close(errCh)
-	for err := range errCh {
+	observer := obs.New(nil, obs.NewRegistry())
+	s.Scenario().Obs = observer
+	cached, err := s.IntervalRunContext(context.Background(), time.Minute)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < callers; i++ {
-		if runs[i] != runs[0] {
-			t.Fatalf("caller %d got a different *Run than caller 0: singleflight recomputed", i)
+	intervals := []time.Duration{time.Minute, 5 * time.Minute, time.Minute, 5 * time.Minute}
+	if err := s.PrewarmContext(context.Background(), intervals); err != nil {
+		t.Fatal(err)
+	}
+	counts := func() (campaigns, infers float64) {
+		snap := observer.Metrics.Snapshot()
+		return snap[obs.MetricStageSeconds+`_count{stage="campaign"}`], snap[obs.MetricInferRuns]
+	}
+	if campaigns, infers := counts(); campaigns != 2 || infers != 2 {
+		t.Fatalf("after prewarm: %v campaigns, %v inferences; want 2 of each", campaigns, infers)
+	}
+	for _, iv := range intervals {
+		if _, _, err := s.InferenceContext(context.Background(), iv); err != nil {
+			t.Fatal(err)
 		}
+	}
+	run, err := s.IntervalRunContext(context.Background(), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run != cached {
+		t.Error("prewarm replaced the cached 1m run")
+	}
+	if campaigns, infers := counts(); campaigns != 2 || infers != 2 {
+		t.Fatalf("after the getters: %v campaigns, %v inferences; want 2 of each", campaigns, infers)
 	}
 }

@@ -208,7 +208,7 @@ func Tab4PrecisionRecallContext(ctx context.Context, s *Suite) (*Tab4Result, err
 	// ROV benchmark: label the measured paths with a synthesised ROV
 	// deployment (§ 7 does the same with known ROV ASes), then run the
 	// identical inference.
-	rovRes, rovDS, rovASes, err := rovBenchmark(ctx, run)
+	rovRes, rovDS, rovASes, err := ROVBenchmarkContext(ctx, run)
 	if err != nil {
 		return nil, err
 	}
@@ -219,10 +219,15 @@ func Tab4PrecisionRecallContext(ctx context.Context, s *Suite) (*Tab4Result, err
 	return out, nil
 }
 
-// rovBenchmark synthesises the § 7 dataset over the run's measured paths:
-// transit ASes with large customer cones adopt ROV until ~90% of paths are
-// positive, then BeCAUSe runs unchanged.
-func rovBenchmark(ctx context.Context, run *Run) (*core.Result, *core.Dataset, map[bgp.ASN]bool, error) {
+// ROVBenchmarkContext runs the § 7 ROV benchmark end to end under a
+// context and exposes its internals — the inferred result, the synthetic
+// dataset and the planted adopter set. It synthesises the dataset over the
+// run's measured paths: transit ASes with large customer cones adopt ROV
+// until ~90% of paths are positive, then BeCAUSe runs unchanged, on the
+// scenario's worker count and observer. It is the rov-workload entry the
+// scenario runner dispatches to, symmetric with Run.InferModelContext on
+// the model side.
+func ROVBenchmarkContext(ctx context.Context, run *Run) (*core.Result, *core.Dataset, map[bgp.ASN]bool, error) {
 	s := run.Scenario
 	// Candidate adopters: measured transit ASes, largest cones first.
 	measured := run.MeasuredASes()
@@ -277,7 +282,7 @@ func rovBenchmark(ctx context.Context, run *Run) (*core.Result, *core.Dataset, m
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	res, err := core.InferContext(ctx, ds, InferConfig(s.Config.Seed+99))
+	res, ds, err := run.infer(ctx, ds, nil, 99)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -299,13 +304,4 @@ func (t *Tab4Result) Report() Report {
 			100*t.RFDPositiveShare, 100*t.ROVPositiveShare),
 	)
 	return rep
-}
-
-// ROVBenchmarkContext runs the § 7 ROV benchmark end to end under a
-// context and exposes its internals — the inferred result, the synthetic
-// dataset and the planted adopter set. It is the rov-workload entry the
-// scenario runner dispatches to, symmetric with Run.InferModelContext on
-// the model side.
-func ROVBenchmarkContext(ctx context.Context, run *Run) (*core.Result, *core.Dataset, map[bgp.ASN]bool, error) {
-	return rovBenchmark(ctx, run)
 }

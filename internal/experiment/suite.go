@@ -2,10 +2,9 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"because/internal/core"
@@ -23,83 +22,25 @@ var PaperIntervals = []time.Duration{
 // table/figure generators can share them — running the 1-minute campaign
 // once instead of once per figure.
 //
-// Suite is safe for concurrent use: each interval's campaign and inference
-// are computed exactly once (duplicate callers wait for the first), which
-// is what lets PrewarmContext fan intervals out over a worker pool while
-// the figure generators keep their simple sequential call sites. Results are
-// deterministic regardless of concurrency — each campaign derives its own
-// RNG stream from the scenario seed and the campaign name alone.
+// Suite is not safe for concurrent use. Its one fan-out, the prewarm
+// behind PrewarmContext and PrewarmRuns, computes distinct intervals on a
+// worker pool and fills the cache after the join, while the figure
+// generators keep their simple sequential call sites. Results are
+// deterministic regardless of the worker count — each campaign derives
+// its own RNG stream from the scenario seed and the campaign name alone.
 type Suite struct {
 	cfg      ScenarioConfig
 	pairs    int
 	scenario *Scenario
-
-	mu     sync.Mutex
-	runs   map[time.Duration]*cell[*Run]     //lint:guard mu
-	infers map[time.Duration]*cell[inferVal] //lint:guard mu
+	cache    map[time.Duration]slot
 }
 
-// inferVal pairs the two outputs of an inference slot.
-type inferVal struct {
+// slot is one interval's cache entry: its campaign run and, once
+// inferred, the BeCAUSe result and dataset.
+type slot struct {
+	run *Run
 	res *core.Result
 	ds  *core.Dataset
-}
-
-// cell is a cancellation-aware singleflight slot: the first caller (the
-// leader) computes; everyone else blocks on the leader's completion or on
-// their own context. A leader that fails with a context error resets the
-// cell instead of caching the failure — the NEXT caller recomputes — so
-// one cancelled request can never poison the suite's cache for everyone.
-// Non-context failures are cached like values, preserving the old
-// sync.Once behaviour.
-type cell[T any] struct {
-	mu   sync.Mutex
-	done chan struct{} //lint:guard mu — non-nil while computing or once settled
-	set  bool          //lint:guard mu — val/err are final
-	val  T             //lint:guard mu
-	err  error         //lint:guard mu
-}
-
-// get returns the cached value, computing it if this caller is elected
-// leader. A waiter whose ctx is cancelled returns ctx.Err() without
-// disturbing the in-flight computation.
-func (c *cell[T]) get(ctx context.Context, compute func() (T, error)) (T, error) {
-	var zero T
-	c.mu.Lock()
-	for {
-		if c.set {
-			val, err := c.val, c.err
-			c.mu.Unlock()
-			return val, err
-		}
-		if c.done == nil {
-			// Become the leader.
-			done := make(chan struct{})
-			c.done = done
-			c.mu.Unlock()
-			val, err := compute()
-			c.mu.Lock()
-			if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-				c.done = nil // reset: let a future caller retry
-			} else {
-				c.set, c.val, c.err = true, val, err
-			}
-			// The sanctioned broadcast-under-mutex idiom: close never
-			// blocks, and followers must see set/val/err before they wake.
-			close(done) //lint:allow lockcheck close never blocks; followers must wake after the result is published
-			c.mu.Unlock()
-			return val, err
-		}
-		// Wait for the leader, or give up on our own context.
-		done := c.done
-		c.mu.Unlock()
-		select {
-		case <-done:
-			c.mu.Lock() // loop: read the settled value, or retry as leader
-		case <-ctx.Done():
-			return zero, ctx.Err()
-		}
-	}
 }
 
 // NewSuite builds the scenario once. pairs is the number of Burst-Break
@@ -116,108 +57,110 @@ func NewSuite(cfg ScenarioConfig, pairs int) (*Suite, error) {
 		cfg:      cfg,
 		pairs:    pairs,
 		scenario: s,
-		runs:     make(map[time.Duration]*cell[*Run]),
-		infers:   make(map[time.Duration]*cell[inferVal]),
+		cache:    make(map[time.Duration]slot),
 	}, nil
 }
 
 // Scenario returns the shared world.
 func (s *Suite) Scenario() *Scenario { return s.scenario }
 
-// IntervalRunContext returns the (cached) campaign run for one update
-// interval. Concurrent callers for the same interval share one
-// computation, which runs under the leader's ctx (so a traced leader
-// records the campaign span). The campaign simulation itself is not
-// cancellable mid-flight, but a waiter blocked on another caller's
-// computation returns ctx.Err() as soon as its context is cancelled.
-func (s *Suite) IntervalRunContext(ctx context.Context, interval time.Duration) (*Run, error) {
-	s.mu.Lock()
-	slot, ok := s.runs[interval]
-	if !ok {
-		slot = &cell[*Run]{}
-		s.runs[interval] = slot
+// warm completes interval iv's slot v: it runs the campaign unless v holds
+// one, then the inference when infer is set and v holds none. It reads and
+// writes no Suite state, so prewarm's tasks may run it concurrently. On
+// failure the returned slot keeps whatever did succeed.
+func (s *Suite) warm(ctx context.Context, iv time.Duration, v slot, infer bool) (slot, error) {
+	var err error
+	if v.run == nil {
+		if v.run, err = s.scenario.RunCampaignContext(ctx, IntervalCampaign(iv, s.pairs)); err != nil {
+			return v, err
+		}
 	}
-	s.mu.Unlock()
-	return slot.get(ctx, func() (*Run, error) {
-		return s.scenario.RunCampaignContext(ctx, IntervalCampaign(interval, s.pairs))
-	})
+	if infer && v.res == nil {
+		v.res, v.ds, err = v.run.InferContext(ctx)
+	}
+	return v, err
+}
+
+// get is the memo behind the two getters: it completes and caches
+// interval iv's slot. Only successes are cached, so a cancelled call is
+// recomputed by the next one.
+func (s *Suite) get(ctx context.Context, iv time.Duration, infer bool) (slot, error) {
+	v, err := s.warm(ctx, iv, s.cache[iv], infer)
+	if v.run != nil {
+		s.cache[iv] = v
+	}
+	return v, err
+}
+
+// IntervalRunContext returns the (cached) campaign run for one update
+// interval. The campaign runs under ctx (so a traced caller records the
+// campaign span) but is not cancellable mid-flight.
+func (s *Suite) IntervalRunContext(ctx context.Context, interval time.Duration) (*Run, error) {
+	v, err := s.get(ctx, interval, false)
+	return v.run, err
 }
 
 // InferenceContext returns the (cached) BeCAUSe result for one interval.
-// Concurrent callers for the same interval share one computation. A
-// leader's sampler chains stop within one sweep of cancellation, a
-// cancelled leader's slot is recomputed by the next caller rather than
-// cached, and cancelled waiters return ctx.Err() immediately.
+// The sampler chains stop within one sweep of cancellation, and a
+// cancelled inference is recomputed by the next caller rather than cached.
 func (s *Suite) InferenceContext(ctx context.Context, interval time.Duration) (*core.Result, *core.Dataset, error) {
-	s.mu.Lock()
-	slot, ok := s.infers[interval]
-	if !ok {
-		slot = &cell[inferVal]{}
-		s.infers[interval] = slot
+	v, err := s.get(ctx, interval, true)
+	if err != nil {
+		return nil, nil, err
 	}
-	s.mu.Unlock()
-	v, err := slot.get(ctx, func() (inferVal, error) {
-		run, err := s.IntervalRunContext(ctx, interval)
-		if err != nil {
-			return inferVal{}, err
-		}
-		res, ds, err := run.InferContext(ctx)
-		return inferVal{res: res, ds: ds}, err
-	})
-	return v.res, v.ds, err
+	return v.res, v.ds, nil
 }
 
 // PrewarmContext computes the campaign run and inference for every
 // interval on a bounded worker pool (ScenarioConfig.Workers; 0 selects
-// GOMAXPROCS) and fills the suite's caches, so subsequent generator calls
+// GOMAXPROCS) and fills the suite's cache, so subsequent generator calls
 // hit warm entries. The multi-interval sweeps (Figure 12/13) call it
 // first: intervals are independent worlds, the natural fan-out axis of the
-// experiment harness. Errors are reported deterministically — the first
-// failing interval in the given order wins, not the first to fail on the
-// clock. A cancelled context skips intervals still queued on the pool,
-// stops running inferences within one sweep, and returns ctx.Err().
+// experiment harness. Each distinct interval is computed at most once,
+// and stages already cached not at all. Errors are reported
+// deterministically (see par.Group.Wait): the first failing interval in
+// the given order wins, not the first to fail on the clock. A cancelled
+// context skips intervals still queued on the pool, stops running
+// inferences within one sweep, and returns ctx.Err().
 func (s *Suite) PrewarmContext(ctx context.Context, intervals []time.Duration) error {
-	return s.prewarm(ctx, intervals, func(iv time.Duration) error {
-		_, _, err := s.InferenceContext(ctx, iv)
-		return err
-	})
+	return s.prewarm(ctx, intervals, true)
 }
 
 // PrewarmRuns is PrewarmContext without the inference stage: it fans out
 // only the campaign simulations. The distribution figures (e.g. Figure 13)
 // read raw measurements and never need the sampler output.
 func (s *Suite) PrewarmRuns(ctx context.Context, intervals []time.Duration) error {
-	return s.prewarm(ctx, intervals, func(iv time.Duration) error {
-		_, err := s.IntervalRunContext(ctx, iv)
-		return err
-	})
+	return s.prewarm(ctx, intervals, false)
 }
 
-func (s *Suite) prewarm(ctx context.Context, intervals []time.Duration, warm func(time.Duration) error) error {
+func (s *Suite) prewarm(ctx context.Context, intervals []time.Duration, infer bool) error {
 	if len(intervals) == 0 {
 		intervals = PaperIntervals
 	}
+	// One task per distinct interval still missing a stage, each writing
+	// its own slot; the cache is filled after the join.
+	var todo []time.Duration
+	var slots []slot
+	for _, iv := range intervals {
+		v, ok := s.cache[iv]
+		if !slices.Contains(todo, iv) && (!ok || infer && v.res == nil) {
+			todo, slots = append(todo, iv), append(slots, v)
+		}
+	}
 	pool := par.NewGroupContext(ctx, s.cfg.Workers, s.scenario.Obs, "experiments")
-	errs := make([]error, len(intervals))
-	for i, iv := range intervals {
-		i, iv := i, iv
-		pool.Go(func() error {
-			errs[i] = warm(iv)
-			return errs[i]
+	for i, iv := range todo {
+		pool.GoCtx(func(ctx context.Context) (err error) {
+			slots[i], err = s.warm(ctx, iv, slots[i], infer)
+			return err
 		})
 	}
-	if err := pool.Wait(); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return ctxErr
+	err := pool.Wait()
+	for i, iv := range todo {
+		if slots[i].run != nil {
+			s.cache[iv] = slots[i]
 		}
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
-		return err
 	}
-	return nil
+	return err
 }
 
 // Report is a rendered experiment: a title, paper-style text rows, and is

@@ -1,14 +1,17 @@
 // Package par provides the bounded parallel-execution primitive shared by
 // the inference engine and the experiment harness: an errgroup-style Group
-// that runs tasks on at most N goroutines, records the first failure, and
-// skips tasks submitted after one (cooperative cancellation).
+// that runs tasks on at most N goroutines, skips tasks submitted after a
+// failure (cooperative cancellation), and reports one error chosen
+// independently of scheduling.
 //
-// The package deliberately contains no randomness and imposes no ordering
-// of its own: callers that need deterministic output pre-compute every
-// input (RNG streams included) before submitting tasks and write results
-// into pre-assigned slots, so the result is bit-identical at any worker
-// count — only the wall-clock changes. That contract is what the
-// reproducibility harness in internal/core pins down.
+// The package contains no randomness, and it is the module's only fan-out
+// idiom: pre-assign slots, join, then assemble. Callers pre-compute every
+// input (RNG streams included) before submitting tasks, each task writes
+// its own pre-assigned result slot, and the caller reads the slots only
+// after an error-free Wait — so the result, and the error when there is
+// one, are bit-identical at any worker count; only the wall-clock changes.
+// That contract is what the reproducibility harness in internal/core pins
+// down.
 package par
 
 import (
@@ -32,12 +35,13 @@ func Workers(n int) int {
 // usable; construct with NewGroupContext. A Group may be used for one wave
 // of tasks: submit with Go, then Wait. It must not be reused after Wait.
 type Group struct {
-	ctx  context.Context
-	sem  chan struct{}
-	wg   sync.WaitGroup
-	mu   sync.Mutex
-	err  error //lint:guard mu
-	fail bool  //lint:guard mu
+	ctx   context.Context
+	sem   chan struct{}
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	next  int   //lint:guard mu — submission index of the next task
+	first int   //lint:guard mu — index of the earliest-submitted failure
+	err   error //lint:guard mu — that failure's error; nil while none
 
 	busy  *obs.Gauge
 	tasks *obs.Counter
@@ -65,22 +69,25 @@ func NewGroupContext(ctx context.Context, workers int, o *obs.Observer, name str
 	return g
 }
 
-// Go submits one task. It blocks until a worker slot frees up (bounding
-// both concurrency and the submission loop), then runs f on its own
-// goroutine. After any task has failed — or the group's context has been
-// cancelled — subsequent tasks are skipped: their slots are never written,
-// which is fine because the caller only reads results after an error-free
-// Wait.
+// Go submits one task, numbering it in submission order. It blocks until
+// a worker slot frees up (bounding both concurrency and the submission
+// loop), then runs f on its own goroutine. After any task has failed — or
+// the group's context has been cancelled — subsequent tasks are skipped:
+// their slots are never written, which is fine because the caller only
+// reads results after an error-free Wait.
 func (g *Group) Go(f func() error) {
 	g.sem <- struct{}{}
-	if g.failed() {
+	g.mu.Lock()
+	i, failed := g.next, g.err != nil
+	g.next++
+	g.mu.Unlock()
+	if failed {
 		<-g.sem
 		return
 	}
 	if err := g.ctx.Err(); err != nil {
-		// Record the cancellation as the group error (first failure wins),
-		// so a Wait over skipped tasks still reports why nothing ran.
-		g.record(err)
+		// A skip counts as a failure, so Wait reports the cancellation.
+		g.record(i, err)
 		<-g.sem
 		return
 	}
@@ -95,7 +102,7 @@ func (g *Group) Go(f func() error) {
 		g.busy.Add(-1)
 		g.tasks.Inc()
 		if err != nil {
-			g.record(err)
+			g.record(i, err)
 		}
 	}()
 }
@@ -109,29 +116,30 @@ func (g *Group) GoCtx(f func(ctx context.Context) error) {
 	g.Go(func() error { return f(g.ctx) })
 }
 
-// record notes the first failure; later errors are dropped (callers that
-// need a deterministic pick collect per-task errors themselves).
-func (g *Group) record(err error) {
+// record latches the failure of task i if no earlier-submitted task has
+// failed.
+func (g *Group) record(i int, err error) {
 	g.mu.Lock()
-	if !g.fail {
-		g.fail, g.err = true, err
+	if g.err == nil || i < g.first {
+		g.first, g.err = i, err
 	}
 	g.mu.Unlock()
 }
 
-// Wait blocks until every submitted task has finished and returns the
-// first error observed (completion order). Callers that need a
-// deterministic error pick collect per-task errors themselves and use
-// Wait's result only as a fallback.
+// Wait blocks until every submitted task has finished. If any task failed
+// or was skipped, it returns ctx.Err() when the group's context is done,
+// and otherwise the error of the earliest-submitted task that failed. Both
+// are independent of scheduling: tasks submitted after a failure are
+// skipped, and every task before the first failing one succeeds, so the
+// first failing task always runs and always wins the latch — at any
+// worker count, whichever task fails first on the clock.
 func (g *Group) Wait() error {
 	g.wg.Wait()
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
-}
-
-func (g *Group) failed() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.fail
+	err := g.err
+	g.mu.Unlock()
+	if ctxErr := g.ctx.Err(); err != nil && ctxErr != nil {
+		return ctxErr
+	}
+	return err
 }

@@ -111,12 +111,10 @@ func TestGroupStress(t *testing.T) {
 	results := make([]int, tasks)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := w; i < tasks; i += 4 {
-				i := i
 				g.Go(func() error {
 					results[i] = i * i
 					return nil
@@ -195,10 +193,11 @@ func TestGroupNilContext(t *testing.T) {
 	}
 }
 
+// TestGroupErrorFromConcurrentTasks: with every odd task failing, Wait
+// reports task 1 — the earliest-submitted failure — at any scheduling.
 func TestGroupErrorFromConcurrentTasks(t *testing.T) {
 	g := NewGroupContext(context.Background(), 8, nil, "test")
 	for i := 0; i < 32; i++ {
-		i := i
 		g.Go(func() error {
 			if i%2 == 1 {
 				return fmt.Errorf("task %d", i)
@@ -206,8 +205,48 @@ func TestGroupErrorFromConcurrentTasks(t *testing.T) {
 			return nil
 		})
 	}
-	if err := g.Wait(); err == nil {
-		t.Fatal("Wait returned nil despite failing tasks")
+	if err := g.Wait(); err == nil || err.Error() != "task 1" {
+		t.Fatalf("Wait = %v, want task 1", err)
+	}
+}
+
+// TestGroupWaitReportsEarliestSubmittedFailure: task 0 fails only after
+// task 1's failure is recorded, and Wait still reports task 0's error.
+func TestGroupWaitReportsEarliestSubmittedFailure(t *testing.T) {
+	first, second := errors.New("task 0"), errors.New("task 1")
+	g := NewGroupContext(context.Background(), 2, nil, "test")
+	started := make(chan struct{})
+	g.Go(func() error {
+		// Once task 1 has started, both worker slots are held until it
+		// finishes, so this submission returns only after task 1 has
+		// released its slot — which it does after recording its failure.
+		// The probe itself is skipped.
+		<-started
+		g.Go(func() error { return nil })
+		return first
+	})
+	g.Go(func() error {
+		close(started)
+		return second
+	})
+	if err := g.Wait(); !errors.Is(err, first) {
+		t.Fatalf("Wait = %v, want %v", err, first)
+	}
+}
+
+// TestGroupWaitPrefersCancellation: a task that cancels the group's
+// context and then fails makes Wait report the cancellation, not the
+// task's own error.
+func TestGroupWaitPrefersCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := NewGroupContext(ctx, 1, nil, "test")
+	g.Go(func() error {
+		cancel()
+		return errors.New("boom")
+	})
+	if err := g.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait = %v, want context.Canceled", err)
 	}
 }
 

@@ -473,6 +473,7 @@ func InferContext(ctx context.Context, observations []PathObservation, opts Opti
 	span.SetAttr("chains", opts.Chains)
 	dsSpan, _ := obs.StartTraceSpan(ctx, "dataset")
 	coreObs := make([]core.PathObs, 0, len(observations))
+	seen := make(map[ASN]bool)
 	for j, o := range observations {
 		if len(o.Path) == 0 {
 			return nil, &ValidationError{Field: fmt.Sprintf("observations[%d].path", j), Reason: "empty AS path"}
@@ -480,8 +481,14 @@ func InferContext(ctx context.Context, observations []PathObservation, opts Opti
 		if !(o.Weight >= 0) || math.IsInf(o.Weight, 1) {
 			return nil, &ValidationError{Field: fmt.Sprintf("observations[%d].weight", j), Reason: "must be finite and non-negative"}
 		}
+		// The likelihood takes one Bernoulli choice per AS per path.
+		clear(seen)
 		asns := make([]bgp.ASN, len(o.Path))
 		for i, a := range o.Path {
+			if seen[a] {
+				return nil, &ValidationError{Field: fmt.Sprintf("observations[%d].path", j), Reason: fmt.Sprintf("repeats %v (clean the path first)", bgp.ASN(a))}
+			}
+			seen[a] = true
 			asns[i] = bgp.ASN(a)
 		}
 		coreObs = append(coreObs, core.PathObs{ASNs: asns, Positive: o.ShowsProperty, Weight: o.Weight})

@@ -137,6 +137,7 @@ func TestTypedErrors(t *testing.T) {
 		{"NaN pinpoint threshold", plantedObs(), Options{PinpointThreshold: math.NaN()}, "pinpoint_threshold"},
 		{"infinite pinpoint threshold", plantedObs(), Options{PinpointThreshold: math.Inf(-1)}, "pinpoint_threshold"},
 		{"empty path", []PathObservation{{Path: []ASN{1}}, {}}, Options{}, "observations[1].path"},
+		{"repeated AS", []PathObservation{{Path: []ASN{1, 2}}, {Path: []ASN{3, 4, 3}}}, Options{}, "observations[1].path"},
 		{"negative weight", []PathObservation{{Path: []ASN{1, 2}, Weight: -1}}, Options{}, "observations[0].weight"},
 		{"NaN weight", []PathObservation{{Path: []ASN{1, 2}, Weight: math.NaN()}}, Options{}, "observations[0].weight"},
 		{"infinite weight", []PathObservation{{Path: []ASN{1, 2}, Weight: math.Inf(1)}}, Options{}, "observations[0].weight"},

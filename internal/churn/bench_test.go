@@ -71,6 +71,26 @@ func gradFixture(tb testing.TB, m Model) func() {
 	}
 }
 
+// trajectoryFixture returns the model side of one HMC trajectory — a
+// SetP and a gradient per leapfrog step, then the log posterior — through
+// the ModelState interface, as a closure.
+func trajectoryFixture(tb testing.TB) func() {
+	st := benchState(tb, benchModel)
+	prior := core.Prior{Alpha: 0.4, Beta: 0.4}
+	p := make([]float64, len(st.Probabilities()))
+	grad := make([]float64, len(p))
+	return func() {
+		for step := 0; step < 12; step++ {
+			for i := range p {
+				p[i] = 0.05 + 0.9*float64((i+step)%7)/7
+			}
+			st.SetP(p)
+			st.GradLogPostTheta(prior, grad)
+		}
+		st.LogPostTheta(prior)
+	}
+}
+
 // BenchmarkChurnDeltaApply times the MH kernel pair;
 // TestHotpathKernelsAllocateNothing pins it at zero allocs/op.
 func BenchmarkChurnDeltaApply(b *testing.B) {
@@ -107,7 +127,9 @@ func BenchmarkChurnGradNoMiss(b *testing.B) {
 
 // TestHotpathKernelsAllocateNothing is the dynamic side of the
 // //lint:hotpath contract: over the benchmark fixtures, the churn model's
-// DeltaFor/Apply pair and its gradient allocate nothing.
+// DeltaFor/Apply pair (committing the cached terms of each accepted
+// move), its gradient and an HMC trajectory's model calls allocate
+// nothing.
 func TestHotpathKernelsAllocateNothing(t *testing.T) {
 	for _, k := range []struct {
 		name string
@@ -116,6 +138,7 @@ func TestHotpathKernelsAllocateNothing(t *testing.T) {
 		{"DeltaFor/Apply", deltaApplyFixture(t)},
 		{"GradLogPostTheta", gradFixture(t, benchModel)},
 		{"GradLogPostTheta/nomiss", gradFixture(t, Model{BackgroundRate: benchModel.BackgroundRate})},
+		{"trajectory", trajectoryFixture(t)},
 	} {
 		if n := testing.AllocsPerRun(50, k.run); n != 0 {
 			t.Errorf("%s: %g allocs/op, want 0", k.name, n)

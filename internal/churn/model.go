@@ -95,13 +95,13 @@ func (st *state) logChurnTerm(logQ float64) float64 {
 	return t
 }
 
-// CopyFrom makes st an exact copy of src's mutable state. Both states
-// must come from the same Model's NewState over the same dataset (the
-// HMC sampler's two swap states do by construction).
-//
-//lint:hotpath
-func (st *state) CopyFrom(src core.ModelState) {
-	st.LogProd.CopyFrom(&src.(*state).LogProd)
+// pathTerm is the log-probability of path j's label at modeled log
+// product logQ.
+func (st *state) pathTerm(j int, logQ float64) float64 {
+	if st.Dataset().PathPositive(j) {
+		return st.logChurnTerm(logQ)
+	}
+	return st.logStableTerm(logQ)
 }
 
 // LogLik returns the full data log-likelihood at the current state.
@@ -111,30 +111,29 @@ func (st *state) LogLik() float64 {
 	ds := st.Dataset()
 	total := 0.0
 	for j, logQ := range st.LogQ() {
-		if ds.PathPositive(j) {
-			total += ds.PathWeight(j) * st.logChurnTerm(logQ)
-		} else {
-			total += ds.PathWeight(j) * st.logStableTerm(logQ)
-		}
+		total += ds.PathWeight(j) * st.pathTerm(j, logQ)
 	}
 	return total
 }
 
 // DeltaFor returns the change in log-likelihood if node i moved from its
-// current value to pNew, without mutating state.
+// current value to pNew, without moving the state: it refills a stale
+// term cache and leaves the candidate terms for a matching Apply.
 //
 //lint:hotpath
 func (st *state) DeltaFor(i int, pNew float64) float64 {
 	ds, logQ := st.Dataset(), st.LogQ()
-	dLogQ := st.DLogQ(i, pNew)
-	delta := 0.0
-	for _, j := range ds.NodePathIndices(i) {
-		w := ds.PathWeight(j)
-		if ds.PathPositive(j) {
-			delta += w * (st.logChurnTerm(logQ[j]+dLogQ) - st.logChurnTerm(logQ[j]))
-		} else {
-			delta += w * (st.logStableTerm(logQ[j]+dLogQ) - st.logStableTerm(logQ[j]))
+	dLogQ, term, cand, stale := st.StartDelta(i, pNew)
+	if stale {
+		for j, q := range logQ {
+			term[j] = st.pathTerm(j, q)
 		}
+	}
+	delta := 0.0
+	for k, j := range ds.NodePathIndices(i) {
+		t := st.pathTerm(j, logQ[j]+dLogQ)
+		cand[k] = t
+		delta += ds.PathWeight(j) * (t - term[j])
 	}
 	return delta
 }

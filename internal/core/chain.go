@@ -42,11 +42,17 @@ func (c *Chain) Len() int { return len(c.Samples) }
 // Marginal returns the sample column of node index i — the marginal
 // posterior P(p_i | D) as samples.
 func (c *Chain) Marginal(i int) []float64 {
-	out := make([]float64, len(c.Samples))
-	for t, s := range c.Samples {
-		out[t] = s[i]
+	return c.marginalInto(make([]float64, 0, len(c.Samples)), i)
+}
+
+// marginalInto is Marginal written over dst's storage, which grows only
+// when it is too short.
+func (c *Chain) marginalInto(dst []float64, i int) []float64 {
+	dst = dst[:0]
+	for _, s := range c.Samples {
+		dst = append(dst, s[i])
 	}
-	return out
+	return dst
 }
 
 // sampler is one MCMC method as the chain driver sees it. MHConfig and

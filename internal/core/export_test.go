@@ -10,3 +10,6 @@ func (c *LogProd) logProd() *LogProd { return c }
 
 // NodeLogs returns the per-node log(1-p_i) cache.
 func (c *LogProd) NodeLogs() []float64 { return c.lq }
+
+// TermCache returns the per-path term cache and whether it is valid.
+func (c *LogProd) TermCache() ([]float64, bool) { return c.term, c.termsOK }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -84,17 +85,27 @@ func churnTerms(m, bg float64) refTerms {
 }
 
 // FuzzModelStateInvariants drives both observation models' states through
-// a fuzzed sequence of Apply/SetP/CopyFrom/Recompute calls over a small
+// a fuzzed sequence of DeltaFor/Apply/SetP/Recompute calls over a small
 // fuzzed dataset and checks the log-product core's invariants after every
 // call: lq[i] is bitwise log1p(-p_i); after SetP/Recompute every logQ[j]
 // is bitwise the in-order sum of log1p(-p_i) over the path; DeltaFor is
 // bitwise the two-log1p reference formula, and it matches the LogLik
-// difference of actually applying the move to within 1e-9.
+// difference of actually applying the move to within 1e-9; and whenever
+// the term cache is valid, each path's cached term is bitwise the
+// reference term at its logQ. DeltaFor is interleaved with the Apply of
+// its own move (which commits the candidate terms), of another move, a
+// repeated Apply, and a SetP between the two.
 func FuzzModelStateInvariants(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 6, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0x40, 0, 0, 1, 2, 3, 4, 5, 6})
 	f.Add([]byte{7, 9, 3, 200, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{2, 3, 1, 40, 0, 0, 0, 0, 0, 0, 2, 3, 1, 2, 3, 0, 1, 2, 3, 4, 0, 1})
+	// Each fails a term cache that commits on anything short of the
+	// exact pending move (another value at the proposal's node, the
+	// proposal's value at another node) or that survives a SetP.
+	f.Add([]byte("0y000000000000001"))
+	f.Add([]byte("02C0000\x00\x00\x01\x02%2"))
+	f.Add([]byte("02000000000002"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := byteSource(data)
 		n := 2 + int(src.next()%7)
@@ -126,37 +137,73 @@ func FuzzModelStateInvariants(f *testing.F) {
 			{core.RFDModel{MissRate: m}, rfdTerms(m)},
 			{churn.Model{BackgroundRate: bg, MissRate: m}, churnTerms(m, bg)},
 		} {
-			sts := [2]core.ModelState{model.om.NewState(ds, p), model.om.NewState(ds, p)}
-			checkSums(t, ds, sts[0], "NewState")
+			st := model.om.NewState(ds, p)
+			checkSums(t, ds, st, "NewState")
 			ops := src
 			for step := 0; step < 64 && len(ops) > 0; step++ {
-				op := ops.next()
-				st := sts[op>>7]
+				op := ops.next() % 8
 				i := int(ops.next()) % ds.NumNodes()
-				switch op % 5 {
-				case 0:
-					checkDelta(t, ds, model.om, st, model.terms, i, ops.prob())
-				case 1:
-					st.Apply(i, ops.prob())
-				case 2:
+				delta := func() float64 {
+					x := ops.prob()
+					checkDelta(t, ds, model.om, st, model.terms, i, x)
+					return x
+				}
+				setP := func() {
 					q := make([]float64, ds.NumNodes())
 					for k := range q {
 						q[k] = ops.prob()
 					}
 					st.SetP(q)
 					checkSums(t, ds, st, "SetP")
+				}
+				switch op {
+				case 0:
+					delta()
+				case 1:
+					st.Apply(i, ops.prob())
+				case 2:
+					setP()
 				case 3:
-					st.CopyFrom(sts[1-op>>7])
-				case 4:
 					st.Recompute()
 					checkSums(t, ds, st, "Recompute")
+				case 4: // the proposal's own move, accepted
+					st.Apply(i, delta())
+				case 5: // a move other than the proposal's
+					delta()
+					st.Apply(int(ops.next())%ds.NumNodes(), ops.prob())
+				case 6: // the proposal's move, then another at its node
+					st.Apply(i, delta())
+					checkTerms(t, ds, st, model.terms, "first Apply")
+					st.Apply(i, ops.prob())
+				case 7: // the proposal's move, after a SetP
+					x := delta()
+					setP()
+					st.Apply(i, x)
 				}
-				for _, s := range sts {
-					checkNodeLogs(t, s, model.om.Name(), op%5)
-				}
+				checkNodeLogs(t, st, model.om.Name(), op)
+				checkTerms(t, ds, st, model.terms, fmt.Sprintf("op %d", op))
 			}
 		}
 	})
+}
+
+// checkTerms asserts that a valid term cache holds, bitwise, each path's
+// reference term at its current logQ.
+func checkTerms(t *testing.T, ds *core.Dataset, st core.ModelState, terms refTerms, after string) {
+	t.Helper()
+	term, ok := core.ProdOf(st).TermCache()
+	if !ok {
+		return
+	}
+	for j, logQ := range core.ProdOf(st).LogQ() {
+		want := terms.neg(logQ)
+		if ds.PathPositive(j) {
+			want = terms.pos(logQ)
+		}
+		if math.Float64bits(term[j]) != math.Float64bits(want) {
+			t.Fatalf("after %s: cached term[%d] = %v, want %v at logQ %v", after, j, term[j], want, logQ)
+		}
+	}
 }
 
 // checkNodeLogs asserts lq[i] == log1p(-p_i) bitwise.
@@ -187,8 +234,11 @@ func checkSums(t *testing.T, ds *core.Dataset, st core.ModelState, after string)
 }
 
 // checkDelta compares DeltaFor(i, x) with the reference formula that
-// evaluates both log1p terms, bitwise, and with the LogLik difference of
-// applying the move (on a copy, so st is left as it was).
+// evaluates both log1p terms, bitwise, and checks on a fresh state at
+// st's vector that DeltaFor matches the LogLik difference of applying the
+// move. st itself carries the drift of its incremental updates, which the
+// reference formula shares and a fresh state does not; st is left with
+// its move pending.
 func checkDelta(t *testing.T, ds *core.Dataset, om core.ObservationModel, st core.ModelState, terms refTerms, i int, x float64) {
 	t.Helper()
 	got := st.DeltaFor(i, x)
@@ -206,11 +256,10 @@ func checkDelta(t *testing.T, ds *core.Dataset, om core.ObservationModel, st cor
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("DeltaFor(%d, %v) = %v, reference formula %v", i, x, got, want)
 	}
-	before := st.LogLik()
-	moved := om.NewState(ds, st.Probabilities())
-	moved.CopyFrom(st)
-	moved.Apply(i, x)
-	if diff := moved.LogLik() - before; math.Abs(diff-got) > 1e-9*math.Max(1, math.Abs(before)) {
-		t.Fatalf("DeltaFor(%d, %v) = %v, LogLik difference %v", i, x, got, diff)
+	fresh := om.NewState(ds, st.Probabilities())
+	before, delta := fresh.LogLik(), fresh.DeltaFor(i, x)
+	fresh.Apply(i, x)
+	if diff := fresh.LogLik() - before; math.Abs(diff-delta) > 1e-9*math.Max(1, math.Abs(before)) {
+		t.Fatalf("DeltaFor(%d, %v) = %v on a fresh state, LogLik difference %v", i, x, delta, diff)
 	}
 }

@@ -78,12 +78,11 @@ func (c HMCConfig) start(model ObservationModel, ds *Dataset, prior Prior, p0 []
 	pProp := make([]float64, n)
 	thetaToP(theta, pProp)
 	st := model.NewState(ds, pProp)
-	return &hmcKernel{
+	k := &hmcKernel{
 		st: st,
-		// stProp is the proposal's scratch state, allocated once and
-		// refreshed from st per trajectory (CopyFrom is exact: HMC never
-		// updates the incremental caches coordinate-wise, so a copied
-		// state always equals a fresh recompute). On accept the two
+		// stProp is the proposal's scratch state, allocated once; a
+		// trajectory's first leapfrog SetP overwrites everything it
+		// holds, so it needs no refresh from st. On accept the two
 		// states swap instead of allocating.
 		stProp:      model.NewState(ds, pProp),
 		prior:       prior,
@@ -91,24 +90,29 @@ func (c HMCConfig) start(model ObservationModel, ds *Dataset, prior Prior, p0 []
 		thetaProp:   make([]float64, n),
 		pProp:       pProp,
 		grad:        make([]float64, n),
+		gradProp:    make([]float64, n),
 		mom:         make([]float64, n),
 		logPost:     st.LogPostTheta(prior),
 		stepSize:    c.StepSize,
 		leapfrog:    c.Leapfrog,
 		divergences: o.Counter(obs.MetricDivergences, "method", "hmc", "chain", chain),
 	}
+	st.GradLogPostTheta(prior, k.grad)
+	return k
 }
 
 // hmcKernel is the HMC transition: one jittered leapfrog trajectory and
-// its Metropolis correction per step.
+// its Metropolis correction per step. grad is the log-posterior gradient
+// at theta: computed once at the start, then taken over from each
+// accepted trajectory's final step, which evaluated it at the proposal.
 type hmcKernel struct {
-	st, stProp                         ModelState
-	prior                              Prior
-	theta, thetaProp, pProp, grad, mom []float64
-	logPost                            float64 // log posterior at theta
-	stepSize                           float64
-	leapfrog                           int
-	divergences                        *obs.Counter
+	st, stProp                                   ModelState
+	prior                                        Prior
+	theta, thetaProp, pProp, grad, gradProp, mom []float64
+	logPost                                      float64 // log posterior at theta
+	stepSize                                     float64
+	leapfrog                                     int
+	divergences                                  *obs.Counter
 }
 
 func (k *hmcKernel) step(c *Chain, _ int, rng *stats.RNG) {
@@ -120,10 +124,9 @@ func (k *hmcKernel) step(c *Chain, _ int, rng *stats.RNG) {
 		kin0 += mom[i] * mom[i] / 2
 	}
 	copy(k.thetaProp, k.theta)
-	k.stProp.CopyFrom(k.st)
 
 	eps := k.stepSize * (1 + hmcJitter*(2*rng.Float64()-1))
-	hmcLeapfrog(k.stProp, k.prior, k.thetaProp, k.pProp, k.grad, mom, eps, k.leapfrog)
+	hmcLeapfrog(k.stProp, k.prior, k.thetaProp, k.pProp, k.grad, k.gradProp, mom, eps, k.leapfrog)
 	kin1 := 0.0
 	for i := range mom {
 		kin1 += mom[i] * mom[i] / 2
@@ -139,6 +142,7 @@ func (k *hmcKernel) step(c *Chain, _ int, rng *stats.RNG) {
 	if logAlpha >= 0 || math.Log(rng.Float64()+1e-300) < logAlpha {
 		copy(k.theta, k.thetaProp)
 		k.st, k.stProp = k.stProp, k.st
+		k.grad, k.gradProp = k.gradProp, k.grad
 		k.logPost = logPostProp
 		c.Accepted++
 	}
@@ -158,17 +162,19 @@ func thetaToP(theta, p []float64) {
 
 // hmcLeapfrog integrates one trajectory in place — half momentum step,
 // steps-1 full position/momentum steps, closing half momentum step —
-// leaving the proposal position in thetaProp/pProp/stProp and the final
-// momentum in mom. All buffers are caller-owned; the integrator touches
-// the likelihood only through the ModelState interface and allocates
-// nothing (a contract every model implementation inherits through the
-// hotpath resolution of the interface calls).
+// from the start gradient grad0, leaving the proposal position in
+// thetaProp/pProp/stProp, its gradient in grad and the final momentum in
+// mom. Every step begins with SetP, which overwrites all of stProp, so
+// stProp may hold any earlier state on entry. All buffers are
+// caller-owned; the integrator touches the likelihood only through the
+// ModelState interface and allocates nothing (a contract every model
+// implementation inherits through the hotpath resolution of the
+// interface calls).
 //
 //lint:hotpath
-func hmcLeapfrog(stProp ModelState, prior Prior, thetaProp, pProp, grad, mom []float64, eps float64, steps int) {
-	stProp.GradLogPostTheta(prior, grad)
+func hmcLeapfrog(stProp ModelState, prior Prior, thetaProp, pProp, grad0, grad, mom []float64, eps float64, steps int) {
 	for i := range mom {
-		mom[i] += eps / 2 * grad[i]
+		mom[i] += eps / 2 * grad0[i]
 	}
 	for step := 0; step < steps; step++ {
 		for i := range thetaProp {

@@ -307,10 +307,11 @@ func summarizeStage(ctx context.Context, o *obs.Observer, ds *Dataset, chains, m
 	}
 	if len(mhChains) >= 2 {
 		rhatMax := math.Inf(-1)
+		// One column buffer per chain serves every node.
+		marginals := make([][]float64, len(mhChains))
 		for i := range summaries {
-			marginals := make([][]float64, len(mhChains))
 			for k, c := range mhChains {
-				marginals[k] = c.Marginal(i)
+				marginals[k] = c.marginalInto(marginals[k], i)
 			}
 			summaries[i].RHat = RHat(marginals)
 			if r := summaries[i].RHat; !math.IsNaN(r) && r > rhatMax {
@@ -328,9 +329,11 @@ func summarizeStage(ctx context.Context, o *obs.Observer, ds *Dataset, chains, m
 		// over every chain (not just the first) means one badly mixing
 		// chain in an ensemble cannot hide behind its siblings.
 		essMin := math.Inf(1)
+		var col []float64
 		for _, c := range chains {
 			for i := 0; i < ds.NumNodes(); i++ {
-				if e := ESS(c.Marginal(i)); e < essMin {
+				col = c.marginalInto(col, i)
+				if e := ESS(col); e < essMin {
 					essMin = e
 				}
 			}

@@ -36,16 +36,36 @@ func Log1mExp(x float64) float64 {
 // one coordinate moves. lq is an invariant, not scratch: every write to
 // p[i] writes lq[i], so each log1p runs once per value. The models add
 // only their per-path terms and gradient factors.
+//
+// LogProd also caches each path's current log-likelihood term, which the
+// model computes: term[j] is the model's term at logQ[j] whenever termsOK
+// holds. StartDelta leaves the candidate terms of one move in cand, and
+// an Apply of exactly that move commits them, so an MH proposal evaluates
+// each path's term once; every other write to the state (SetP, Recompute,
+// an Apply of any other move) only invalidates the cache.
 type LogProd struct {
 	ds   *Dataset
 	p    []float64
 	lq   []float64
 	logQ []float64
+
+	term    []float64
+	termsOK bool
+	cand    []float64 // candidate terms of the pending move, sized to the largest node degree
+	pendI   int       // node of the pending move, -1 when none is pending
+	pendP   float64   // its clamped value
 }
 
 // NewLogProd builds the core over ds at p (copied and clamped).
 func NewLogProd(ds *Dataset, p []float64) LogProd {
-	c := LogProd{ds: ds, p: make([]float64, len(p)), lq: make([]float64, len(p)), logQ: make([]float64, len(ds.paths))}
+	deg := 0
+	for _, paths := range ds.nodePaths {
+		deg = max(deg, len(paths))
+	}
+	c := LogProd{
+		ds: ds, p: make([]float64, len(p)), lq: make([]float64, len(p)), logQ: make([]float64, len(ds.paths)),
+		term: make([]float64, len(ds.paths)), cand: make([]float64, deg),
+	}
 	c.SetP(p)
 	return c
 }
@@ -66,25 +86,35 @@ func (c *LogProd) LogQ() []float64 { return c.logQ }
 //lint:hotpath
 func (c *LogProd) Probabilities() []float64 { return c.p }
 
-// DLogQ returns the shift every logQ[j] of a path through node i takes if
-// the node moved to pNew (clamped): log(1-pNew) - lq[i].
+// StartDelta begins a model's DeltaFor of node i to pNew. It returns the
+// shift every logQ[j] of a path through i takes, log(1-pNew) - lq[i]; the
+// per-path term cache; and cand, one slot per path of node i in
+// NodePathIndices order, for the candidate terms. When stale is true the
+// cache does not hold the current terms, and the caller must write every
+// path's term at its logQ before reading it. The move becomes pending:
+// an Apply(i, pNew) before any other write commits cand into the cache.
 //
 //lint:hotpath
-func (c *LogProd) DLogQ(i int, pNew float64) float64 {
-	return math.Log1p(-ClampProb(pNew)) - c.lq[i]
+func (c *LogProd) StartDelta(i int, pNew float64) (dLogQ float64, term, cand []float64, stale bool) {
+	pNew = ClampProb(pNew)
+	stale = !c.termsOK
+	c.termsOK = true
+	c.pendI, c.pendP = i, pNew
+	return math.Log1p(-pNew) - c.lq[i], c.term, c.cand[:len(c.ds.nodePaths[i])], stale
 }
 
-// CopyFrom makes c an exact copy of src (built over the same dataset).
+// invalidate marks the term cache stale and drops any pending move.
 //
 //lint:hotpath
-func (c *LogProd) CopyFrom(src *LogProd) {
-	copy(c.p, src.p)
-	copy(c.lq, src.lq)
-	copy(c.logQ, src.logQ)
+func (c *LogProd) invalidate() {
+	c.termsOK = false
+	c.pendI = -1
 }
 
 // SetP replaces the whole probability vector and rebuilds the caches;
-// used by the HMC leapfrog, which moves all coordinates at once.
+// used by the HMC leapfrog, which moves all coordinates at once. It
+// overwrites every value the state holds, so the result does not depend
+// on what the state held before.
 //
 //lint:hotpath
 func (c *LogProd) SetP(p []float64) {
@@ -96,7 +126,8 @@ func (c *LogProd) SetP(p []float64) {
 }
 
 // Recompute rebuilds the logQ cache from lq (called initially and
-// periodically to cancel the drift of incremental Apply updates).
+// periodically to cancel the drift of incremental Apply updates) and
+// invalidates the term cache, whose terms were taken at the old sums.
 //
 //lint:hotpath
 func (c *LogProd) Recompute() {
@@ -107,20 +138,33 @@ func (c *LogProd) Recompute() {
 		}
 		c.logQ[j] = s
 	}
+	c.invalidate()
 }
 
-// Apply commits a new value for node i, updating the caches.
+// Apply commits a new value for node i, updating the caches. If (i, pNew)
+// is the pending move of the last StartDelta, the candidate terms become
+// the current ones: they were taken at logQ[j] + dLogQ, bitwise the sums
+// written here. Any other move invalidates the term cache.
 //
 //lint:hotpath
 func (c *LogProd) Apply(i int, pNew float64) {
 	pNew = ClampProb(pNew)
 	lq := math.Log1p(-pNew)
 	dLogQ := lq - c.lq[i]
-	for _, j := range c.ds.nodePaths[i] {
+	paths := c.ds.nodePaths[i]
+	for _, j := range paths {
 		c.logQ[j] += dLogQ
 	}
 	c.p[i] = pNew
 	c.lq[i] = lq
+	if c.pendI != i || c.pendP != pNew {
+		c.invalidate()
+		return
+	}
+	for k, j := range paths {
+		c.term[j] = c.cand[k]
+	}
+	c.pendI = -1
 }
 
 // GradPrior writes the Beta prior + Jacobian term of the logit-space
@@ -196,15 +240,12 @@ func (st *likState) logPosTerm(logQ float64) float64 {
 	return t
 }
 
-// CopyFrom makes st an exact copy of src's mutable state. st and src
-// must come from the same model's NewState over the same dataset (the
-// HMC sampler's two swap states do by construction); the ModelState
-// contract makes anything else a programming error, so the assertion
-// panics.
-//
-//lint:hotpath
-func (st *likState) CopyFrom(src ModelState) {
-	st.LogProd.CopyFrom(&src.(*likState).LogProd)
+// pathTerm is the log-probability of path j's label at log product logQ.
+func (st *likState) pathTerm(j int, logQ float64) float64 {
+	if st.ds.paths[j].positive {
+		return st.logPosTerm(logQ)
+	}
+	return st.logNegTerm(logQ)
 }
 
 // LogLik returns the full data log-likelihood at the current state.
@@ -213,29 +254,28 @@ func (st *likState) CopyFrom(src ModelState) {
 func (st *likState) LogLik() float64 {
 	total := 0.0
 	for j, path := range st.ds.paths {
-		if path.positive {
-			total += path.weight * st.logPosTerm(st.logQ[j])
-		} else {
-			total += path.weight * st.logNegTerm(st.logQ[j])
-		}
+		total += path.weight * st.pathTerm(j, st.logQ[j])
 	}
 	return total
 }
 
 // DeltaFor returns the change in log-likelihood if node i moved from its
-// current value to pNew, without mutating state.
+// current value to pNew, without moving the state: it refills a stale
+// term cache and leaves the candidate terms for a matching Apply.
 //
 //lint:hotpath
 func (st *likState) DeltaFor(i int, pNew float64) float64 {
-	dLogQ := st.DLogQ(i, pNew)
-	delta := 0.0
-	for _, j := range st.ds.nodePaths[i] {
-		path := st.ds.paths[j]
-		if path.positive {
-			delta += path.weight * (st.logPosTerm(st.logQ[j]+dLogQ) - st.logPosTerm(st.logQ[j]))
-		} else {
-			delta += path.weight * (st.logNegTerm(st.logQ[j]+dLogQ) - st.logNegTerm(st.logQ[j]))
+	dLogQ, term, cand, stale := st.StartDelta(i, pNew)
+	if stale {
+		for j, logQ := range st.logQ {
+			term[j] = st.pathTerm(j, logQ)
 		}
+	}
+	delta := 0.0
+	for k, j := range st.ds.nodePaths[i] {
+		t := st.pathTerm(j, st.logQ[j]+dLogQ)
+		cand[k] = t
+		delta += st.ds.paths[j].weight * (t - term[j])
 	}
 	return delta
 }

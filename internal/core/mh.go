@@ -40,18 +40,31 @@ func (c MHConfig) schedule() (string, int, int, error) {
 }
 
 func (MHConfig) start(model ObservationModel, ds *Dataset, prior Prior, p0 []float64, _ *obs.Observer, _ string) kernel {
-	return &mhKernel{st: model.NewState(ds, p0), prior: prior, order: make([]int, len(p0))}
+	k := &mhKernel{
+		st: model.NewState(ds, p0), prior: prior, order: make([]int, len(p0)),
+		logMass: make([]float64, len(p0)), logPrior: make([]float64, len(p0)),
+	}
+	for i, p := range k.st.Probabilities() {
+		k.logMass[i] = proposal(p).LogMass()
+		k.logPrior[i] = logPriorAt(prior, p)
+	}
+	return k
 }
 
-// mhKernel is the MH transition: one mhSweep per step.
+// mhKernel is the MH transition: one sweep per step. Beside the model
+// state it keeps two per-node terms of the current position, so a
+// proposal evaluates neither again: logMass[i], the log-normaliser of the
+// proposal centred at p_i, and logPrior[i] = logPriorAt(prior, p_i).
+// Only an accepted move changes p_i, and it takes the candidate's values.
 type mhKernel struct {
-	st    ModelState
-	prior Prior
-	order []int // mhSweep's visit-order buffer
+	st                ModelState
+	prior             Prior
+	order             []int // sweep's visit-order buffer
+	logMass, logPrior []float64
 }
 
 func (k *mhKernel) step(c *Chain, t int, rng *stats.RNG) {
-	acc, prop := mhSweep(k.st, k.prior, mhStepSize, k.order, rng)
+	acc, prop := k.sweep(rng)
 	c.Accepted += acc
 	c.Proposed += prop
 	// Periodically cancel numeric drift in the incremental cache.
@@ -62,34 +75,40 @@ func (k *mhKernel) step(c *Chain, t int, rng *stats.RNG) {
 
 func (k *mhKernel) state() ModelState { return k.st }
 
-// mhSweep runs one random-scan Metropolis-within-Gibbs sweep: every
-// coordinate, in a fresh random order written into the caller's order
-// buffer, gets a truncated-normal proposal with the asymmetry correction
-// of Eq. 7. The draw sequence is identical to the pre-extraction inline
-// loop, so chains are bit-for-bit stable across the refactor. The sweep
-// touches the likelihood only through the ModelState interface — every
-// implementation's kernels must stay allocation-free (the hotpath
-// contract below resolves the interface calls against all of them).
+// proposal is the truncated-normal random-walk proposal centred at p.
+func proposal(p float64) stats.TruncNormal {
+	return stats.TruncNormal{Mu: p, Sigma: mhStepSize, Lo: 0, Hi: 1}
+}
+
+// sweep runs one random-scan Metropolis-within-Gibbs sweep: every
+// coordinate, in a fresh random order written into the order buffer,
+// gets a truncated-normal proposal with the asymmetry correction of
+// Eq. 7. The sweep touches the likelihood only through the ModelState
+// interface — every implementation's kernels must stay allocation-free
+// (the hotpath contract below resolves the interface calls against all
+// of them).
 //
 //lint:hotpath
-func mhSweep(st ModelState, prior Prior, stepSize float64, order []int, rng *stats.RNG) (accepted, proposed int) {
-	rng.PermInto(order)
+func (k *mhKernel) sweep(rng *stats.RNG) (accepted, proposed int) {
+	rng.PermInto(k.order)
 	// Apply mutates the vector in place, so the slice stays current
 	// across the whole sweep (part of the Probabilities contract).
-	pvec := st.Probabilities()
-	for _, i := range order {
+	pvec := k.st.Probabilities()
+	for _, i := range k.order {
 		cur := pvec[i]
-		prop := stats.TruncNormal{Mu: cur, Sigma: stepSize, Lo: 0, Hi: 1}
-		cand := ClampProb(prop.Sample(rng))
+		fwd := proposal(cur)
+		cand := ClampProb(fwd.Sample(rng))
+		back := proposal(cand)
+		massCand, priorCand := back.LogMass(), logPriorAt(k.prior, cand)
 		// log acceptance ratio: likelihood delta + prior delta +
 		// proposal asymmetry Q(p|p')/Q(p'|p).
-		back := stats.TruncNormal{Mu: cand, Sigma: stepSize, Lo: 0, Hi: 1}
-		logAlpha := st.DeltaFor(i, cand) +
-			logPriorAt(prior, cand) - logPriorAt(prior, cur) +
-			back.LogPDF(cur) - prop.LogPDF(cand)
+		logAlpha := k.st.DeltaFor(i, cand) +
+			priorCand - k.logPrior[i] +
+			back.LogPDFGiven(cur, massCand) - fwd.LogPDFGiven(cand, k.logMass[i])
 		proposed++
 		if logAlpha >= 0 || math.Log(rng.Float64()+1e-300) < logAlpha {
-			st.Apply(i, cand)
+			k.st.Apply(i, cand)
+			k.logMass[i], k.logPrior[i] = massCand, priorCand
 			accepted++
 		}
 	}

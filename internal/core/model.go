@@ -51,20 +51,21 @@ type ModelState interface {
 	// LogLik returns the full data log-likelihood at the current vector.
 	LogLik() float64
 	// DeltaFor returns the log-likelihood change if node i moved to pNew,
-	// without mutating the state.
+	// without moving the state. It may fill the state's per-path term
+	// cache and keep the move's candidate terms for an Apply of the same
+	// move.
 	DeltaFor(i int, pNew float64) float64
 	// Apply commits a new value for node i, updating incremental caches.
 	Apply(i int, pNew float64)
 	// SetP replaces the whole probability vector (the HMC leapfrog moves
-	// every coordinate at once) and rebuilds the caches.
+	// every coordinate at once) and rebuilds the caches. It overwrites
+	// everything the state holds, so its result does not depend on the
+	// state's past: HMC starts each trajectory on a scratch state without
+	// copying the current one into it.
 	SetP(p []float64)
 	// Recompute rebuilds the incremental caches from scratch, cancelling
 	// numeric drift.
 	Recompute()
-	// CopyFrom makes the state an exact copy of src. Both states must come
-	// from the same model's NewState over the same dataset (the HMC
-	// sampler's two swap states do by construction); anything else panics.
-	CopyFrom(src ModelState)
 	// Probabilities returns the state's current probability vector in
 	// dataset index order. The slice is the state's own storage: callers
 	// must not modify it, and Apply/SetP mutate it in place.

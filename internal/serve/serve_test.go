@@ -353,12 +353,17 @@ func TestValidationStatuses(t *testing.T) {
 func TestInferValidationErrorMapsTo422(t *testing.T) {
 	srv := New(Config{}) // real because.InferContext
 	h := srv.Handler()
-	rec := postInfer(t, h, `{"observations":[{"path":[],"positive":true}]}`)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("empty-path POST = %d, want 422: %s", rec.Code, rec.Body)
-	}
-	if !strings.Contains(rec.Body.String(), "observations[0].path") {
-		t.Errorf("error body does not name the field: %s", rec.Body)
+	for _, tc := range []struct{ name, body, field string }{
+		{"empty path", `{"observations":[{"path":[],"positive":true}]}`, "observations[0].path"},
+		{"repeated AS", `{"observations":[{"path":[2,3]},{"path":[1,1],"positive":true}]}`, "observations[1].path"},
+	} {
+		rec := postInfer(t, h, tc.body)
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s POST = %d, want 422: %s", tc.name, rec.Code, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), tc.field) {
+			t.Errorf("%s: error body does not name %s: %s", tc.name, tc.field, rec.Body)
+		}
 	}
 }
 

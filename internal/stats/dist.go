@@ -14,13 +14,16 @@ type Normal struct {
 // Sample draws from the normal.
 func (n Normal) Sample(rng *RNG) float64 { return n.Mu + n.Sigma*rng.Norm() }
 
+// halfLog2Pi is the Gaussian log density's constant term, 0.5·log 2π.
+var halfLog2Pi = 0.5 * math.Log(2*math.Pi)
+
 // LogPDF is the Gaussian log density.
 func (n Normal) LogPDF(x float64) float64 {
 	if n.Sigma <= 0 {
 		return math.Inf(-1)
 	}
 	z := (x - n.Mu) / n.Sigma
-	return -0.5*z*z - math.Log(n.Sigma) - 0.5*math.Log(2*math.Pi)
+	return -0.5*z*z - math.Log(n.Sigma) - halfLog2Pi
 }
 
 // Beta is the Beta(Alpha, Beta) distribution on [0, 1]. It is the workhorse
@@ -103,16 +106,30 @@ func (t TruncNormal) Sample(rng *RNG) float64 {
 // LogPDF is the truncated-normal log density including the normalising mass.
 //
 //lint:hotpath
-func (t TruncNormal) LogPDF(x float64) float64 {
-	if x < t.Lo || x > t.Hi {
-		return math.Inf(-1)
-	}
-	n := Normal{Mu: t.Mu, Sigma: t.Sigma}
+func (t TruncNormal) LogPDF(x float64) float64 { return t.LogPDFGiven(x, t.LogMass()) }
+
+// LogMass is the log of the mass the untruncated normal puts on [Lo, Hi]:
+// the normaliser LogPDF subtracts. It is -Inf when that mass is zero.
+//
+//lint:hotpath
+func (t TruncNormal) LogMass() float64 {
 	mass := normCDF((t.Hi-t.Mu)/t.Sigma) - normCDF((t.Lo-t.Mu)/t.Sigma)
 	if mass <= 0 {
 		return math.Inf(-1)
 	}
-	return n.LogPDF(x) - math.Log(mass)
+	return math.Log(mass)
+}
+
+// LogPDFGiven is LogPDF with the normaliser supplied: logMass must be
+// t.LogMass(), which a caller that keeps one distribution across many
+// densities evaluates once.
+//
+//lint:hotpath
+func (t TruncNormal) LogPDFGiven(x, logMass float64) float64 {
+	if x < t.Lo || x > t.Hi || math.IsInf(logMass, -1) {
+		return math.Inf(-1)
+	}
+	return Normal{Mu: t.Mu, Sigma: t.Sigma}.LogPDF(x) - logMass
 }
 
 // normCDF is the standard normal CDF.

@@ -87,6 +87,31 @@ func TestTruncNormalSupport(t *testing.T) {
 	}
 }
 
+// TestTruncNormalLogMass pins LogPDF as the Gaussian log density less
+// LogMass, the normaliser a caller may evaluate once per centre and hand
+// to LogPDFGiven, bitwise.
+func TestTruncNormalLogMass(t *testing.T) {
+	for _, mu := range []float64{1e-9, 0.02, 0.5, 0.97, 1 - 1e-9} {
+		tn := TruncNormal{Mu: mu, Sigma: 0.15, Lo: 0, Hi: 1}
+		mass := normCDF((1-mu)/0.15) - normCDF(-mu/0.15)
+		if got := tn.LogMass(); got != math.Log(mass) {
+			t.Errorf("Mu %g: LogMass = %v, want log %v", mu, got, mass)
+		}
+		for _, x := range []float64{1e-9, 0.3, mu, 1} {
+			want := Normal{Mu: mu, Sigma: 0.15}.LogPDF(x) - math.Log(mass)
+			got, given := tn.LogPDF(x), tn.LogPDFGiven(x, tn.LogMass())
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(given) != math.Float64bits(want) {
+				t.Errorf("Mu %g: LogPDF(%g) = %v, LogPDFGiven %v, want %v", mu, x, got, given, want)
+			}
+		}
+	}
+	// All of the mass lies outside the interval: no density anywhere.
+	far := TruncNormal{Mu: -100, Sigma: 0.15, Lo: 0, Hi: 1}
+	if !math.IsInf(far.LogMass(), -1) || !math.IsInf(far.LogPDF(0.5), -1) {
+		t.Errorf("zero-mass LogMass = %v, LogPDF = %v, want -Inf", far.LogMass(), far.LogPDF(0.5))
+	}
+}
+
 func TestLogitExpitRoundTrip(t *testing.T) {
 	f := func(raw float64) bool {
 		p := Expit(raw) // any real -> (0,1)

@@ -5,7 +5,9 @@
 # sampling engine; BenchmarkPublicInfer: the full public API path;
 # BenchmarkCampaignSimulation: one beacon campaign through the simulator;
 # BenchmarkLint: a whole-module becauselint pass; the //lint:hotpath
-# sampler and observation-model kernels and the campaign write path —
+# sampler and observation-model kernels, BenchmarkPaperChain: one MH
+# sweep and one HMC trajectory at paper scale, 600 ASes and 3000 paths;
+# and the campaign write path —
 # event queue, BGP encoder, MRT writer — which must hold zero allocs/op)
 # and emits a
 # machine-readable JSON document — benchmark name, ns/op, B/op,
@@ -37,7 +39,7 @@ echo "bench-trajectory: lint benchmark"
 go test -run '^$' -bench '^BenchmarkLint$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/lint | tee -a "$RAW"
 echo "bench-trajectory: hotpath kernels"
-go test -run '^$' -bench '^(BenchmarkMHSweep|BenchmarkHMCLeapfrog)$' \
+go test -run '^$' -bench '^(BenchmarkMHSweep|BenchmarkHMCLeapfrog|BenchmarkPaperChain)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/core | tee -a "$RAW"
 go test -run '^$' -bench '^(BenchmarkPermInto|BenchmarkTruncNormalSample)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/stats | tee -a "$RAW"

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +27,7 @@ func TestRunWritesAllArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The observer must be wired through to the collector stage.
-	snap := observer.Metrics.Snapshot()
+	snap := scrape(t, observer.Metrics)
 	ingested := 0.0
 	for name, v := range snap {
 		if strings.HasPrefix(name, obs.MetricCollectorUpdates) {
@@ -84,4 +85,27 @@ func TestRunWritesAllArtifacts(t *testing.T) {
 	if len(ms) == 0 {
 		t.Error("no labeled paths in JSON")
 	}
+}
+
+// scrape parses the registry's Prometheus exposition into a series →
+// value map: counters and gauges by series, histograms by their
+// name_sum / name_count series (bucket lines are skipped).
+func scrape(t *testing.T, r *obs.Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i > 0 && !strings.HasPrefix(line, "#") && !strings.Contains(line[:i], "_bucket{") {
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("exposition line %q: %v", line, err)
+			}
+			out[line[:i]] = v
+		}
+	}
+	return out
 }

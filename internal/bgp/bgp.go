@@ -124,11 +124,6 @@ type Community uint32
 // String renders the community in the usual "asn:value" notation.
 func (c Community) String() string { return fmt.Sprintf("%d:%d", uint32(c)>>16, uint32(c)&0xffff) }
 
-// MakeCommunity composes the "asn:value" community encoding.
-func MakeCommunity(asn uint16, value uint16) Community {
-	return Community(uint32(asn)<<16 | uint32(value))
-}
-
 // Aggregator is the AGGREGATOR path attribute: the AS and router-id of the
 // speaker that formed an aggregate. The RFD Beacons repurpose the 4-byte
 // router-id field to carry the Unix timestamp of the beacon event, the same

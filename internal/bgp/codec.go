@@ -35,10 +35,6 @@ var (
 	ErrMessageTooLong = errors.New("bgp: message exceeds 4096 bytes")
 )
 
-// EncodeMessage serialises u as a complete BGP message (header + UPDATE
-// body).
-func (c Codec) EncodeMessage(u *Update) ([]byte, error) { return c.AppendMessage(nil, u) }
-
 // AppendMessage appends u, serialised as a complete BGP message (header +
 // UPDATE body), to dst and returns the extended slice. Into a buffer with
 // enough capacity it allocates nothing. On error it returns dst unextended;

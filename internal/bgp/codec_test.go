@@ -12,21 +12,21 @@ import (
 func sampleUpdate() *Update {
 	return &Update{
 		Origin:  OriginIGP,
-		ASPath:  NewPath(64500, 64501, 3356),
+		ASPath:  seqPath(64500, 64501, 3356),
 		NextHop: netip.MustParseAddr("192.0.2.1"),
 		NLRI:    []Prefix{MustPrefix("203.0.113.0/24")},
 		Aggregator: &Aggregator{
 			AS: 64500,
 			ID: 1583020800, // 2020-03-01T00:00:00Z — a beacon timestamp
 		},
-		Communities: []Community{MakeCommunity(64500, 1)},
+		Communities: []Community{Community(64500<<16 | 1)},
 	}
 }
 
 func TestRoundTripAnnounceAS4(t *testing.T) {
 	c := Codec{AS4: true}
 	u := sampleUpdate()
-	wire, err := c.EncodeMessage(u)
+	wire, err := c.AppendMessage(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestRoundTripAnnounceAS4(t *testing.T) {
 func TestRoundTripWithdrawal(t *testing.T) {
 	c := Codec{AS4: true}
 	u := &Update{Withdrawn: []Prefix{MustPrefix("203.0.113.0/24"), MustPrefix("198.51.100.0/25")}}
-	wire, err := c.EncodeMessage(u)
+	wire, err := c.AppendMessage(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRoundTripWithdrawal(t *testing.T) {
 func TestRoundTrip2ByteASN(t *testing.T) {
 	c := Codec{} // 2-octet
 	u := sampleUpdate()
-	wire, err := c.EncodeMessage(u)
+	wire, err := c.AppendMessage(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +92,9 @@ func TestRoundTrip2ByteASN(t *testing.T) {
 func TestASTransSubstitution(t *testing.T) {
 	c := Codec{} // 2-octet session
 	u := sampleUpdate()
-	u.ASPath = NewPath(4200000000, 64501) // 4-byte ASN on a 2-byte session
+	u.ASPath = seqPath(4200000000, 64501) // 4-byte ASN on a 2-byte session
 	u.Aggregator.AS = 4200000000
-	wire, err := c.EncodeMessage(u)
+	wire, err := c.AppendMessage(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestASTransSubstitution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first, _ := got.ASPath.First(); first != ASTrans {
+	if first := got.ASPath.ASNs()[0]; first != ASTrans {
 		t.Errorf("4-byte ASN should encode as AS_TRANS, got %v", first)
 	}
 	if got.Aggregator.AS != ASTrans {
@@ -116,7 +116,7 @@ func TestRoundTripMEDLocalPrefAtomic(t *testing.T) {
 	u.MED, u.HasMED = 120, true
 	u.LocalPref, u.HasLocal = 300, true
 	u.AtomicAgg = true
-	wire, err := c.EncodeMessage(u)
+	wire, err := c.AppendMessage(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRoundTripASSet(t *testing.T) {
 		{Type: SegSequence, ASNs: []ASN{100, 200}},
 		{Type: SegSet, ASNs: []ASN{300, 400}},
 	}}
-	wire, err := c.EncodeMessage(u)
+	wire, err := c.AppendMessage(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRoundTripASSet(t *testing.T) {
 
 func TestHeaderValidation(t *testing.T) {
 	c := Codec{AS4: true}
-	wire, _ := c.EncodeMessage(sampleUpdate())
+	wire, _ := c.AppendMessage(nil, sampleUpdate())
 
 	if _, _, err := c.DecodeMessage(wire[:10]); !errors.Is(err, ErrShortMessage) {
 		t.Errorf("short header: %v", err)
@@ -192,7 +192,7 @@ func TestDecodeMalformedAttrs(t *testing.T) {
 	c := Codec{AS4: true}
 	// Build a message with a corrupted attribute length by hand.
 	u := sampleUpdate()
-	wire, _ := c.EncodeMessage(u)
+	wire, _ := c.AppendMessage(nil, u)
 	// Attribute section starts after header(19) + wlen(2)+0 + alen(2).
 	attrStart := HeaderLen + 2 + 2
 	bad := append([]byte(nil), wire...)
@@ -223,7 +223,7 @@ func TestEncodeRejectsIPv6(t *testing.T) {
 	c := Codec{AS4: true}
 	u := sampleUpdate()
 	u.NLRI = []Prefix{netip.MustParsePrefix("2001:db8::/32")}
-	if _, err := c.EncodeMessage(u); err == nil {
+	if _, err := c.AppendMessage(nil, u); err == nil {
 		t.Error("IPv6 NLRI accepted by IPv4-only codec")
 	}
 }
@@ -232,7 +232,7 @@ func TestEncodeHostBitsMasked(t *testing.T) {
 	c := Codec{AS4: true}
 	u := sampleUpdate()
 	u.NLRI = []Prefix{netip.MustParsePrefix("203.0.113.77/24")}
-	wire, err := c.EncodeMessage(u)
+	wire, err := c.AppendMessage(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,12 +262,12 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		u := &Update{
 			Origin:     OriginIGP,
-			ASPath:     NewPath(asns...),
+			ASPath:     seqPath(asns...),
 			NextHop:    netip.AddrFrom4([4]byte{192, 0, 2, 1}),
 			NLRI:       []Prefix{pfx},
 			Aggregator: &Aggregator{AS: asns[len(asns)-1], ID: ts},
 		}
-		wire, err := c.EncodeMessage(u)
+		wire, err := c.AppendMessage(nil, u)
 		if err != nil {
 			return false
 		}
@@ -292,7 +292,7 @@ func TestStreamOfMessages(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		u := sampleUpdate()
 		u.Aggregator.ID = uint32(1000 + i)
-		w, err := c.EncodeMessage(u)
+		w, err := c.AppendMessage(nil, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +382,7 @@ func BenchmarkEncodeUpdate(b *testing.B) {
 
 func BenchmarkDecodeUpdate(b *testing.B) {
 	c := Codec{AS4: true}
-	wire, err := c.EncodeMessage(sampleUpdate())
+	wire, err := c.AppendMessage(nil, sampleUpdate())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func BenchmarkDecodeUpdate(b *testing.B) {
 }
 
 func BenchmarkPathClean(b *testing.B) {
-	p := NewPath(1, 1, 1, 2, 3, 3, 4, 5, 5, 5, 5, 6)
+	p := seqPath(1, 1, 1, 2, 3, 3, 4, 5, 5, 5, 5, 6)
 	for i := 0; i < b.N; i++ {
 		if got := p.Clean(); len(got) != 6 {
 			b.Fatal("clean changed")

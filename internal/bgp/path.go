@@ -29,14 +29,6 @@ type Path struct {
 	Segments []Segment
 }
 
-// NewPath builds a single-sequence path from the given ASNs (origin last).
-func NewPath(asns ...ASN) Path {
-	if len(asns) == 0 {
-		return Path{}
-	}
-	return Path{Segments: []Segment{{Type: SegSequence, ASNs: append([]ASN(nil), asns...)}}}
-}
-
 // Clone returns a deep copy.
 func (p Path) Clone() Path {
 	segs := make([]Segment, len(p.Segments))
@@ -68,17 +60,6 @@ func (p Path) ASNs() []ASN {
 		out = append(out, s.ASNs...)
 	}
 	return out
-}
-
-// First returns the leftmost (most recently traversed) AS and true, or
-// false for an empty path.
-func (p Path) First() (ASN, bool) {
-	for _, s := range p.Segments {
-		if len(s.ASNs) > 0 {
-			return s.ASNs[0], true
-		}
-	}
-	return 0, false
 }
 
 // Origin returns the rightmost AS — the route's originator — and true, or

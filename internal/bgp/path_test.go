@@ -6,13 +6,15 @@ import (
 	"testing/quick"
 )
 
+// seqPath builds a single-sequence path from the given ASNs (origin last).
+func seqPath(asns ...ASN) Path {
+	return Path{Segments: []Segment{{Type: SegSequence, ASNs: asns}}}
+}
+
 func TestNewPathBasics(t *testing.T) {
-	p := NewPath(64500, 64501, 64502)
+	p := seqPath(64500, 64501, 64502)
 	if p.Len() != 3 {
 		t.Errorf("Len = %d", p.Len())
-	}
-	if first, _ := p.First(); first != 64500 {
-		t.Errorf("First = %v", first)
 	}
 	if origin, _ := p.Origin(); origin != 64502 {
 		t.Errorf("Origin = %v", origin)
@@ -26,9 +28,6 @@ func TestEmptyPath(t *testing.T) {
 	var p Path
 	if p.Len() != 0 {
 		t.Error("empty path length")
-	}
-	if _, ok := p.First(); ok {
-		t.Error("First on empty path should report !ok")
 	}
 	if _, ok := p.Origin(); ok {
 		t.Error("Origin on empty path should report !ok")
@@ -52,7 +51,7 @@ func TestPathLenCountsSetAsOne(t *testing.T) {
 }
 
 func TestPrepend(t *testing.T) {
-	p := NewPath(100, 200)
+	p := seqPath(100, 200)
 	q := p.Prepend(99, 3)
 	want := []ASN{99, 99, 99, 100, 200}
 	if !reflect.DeepEqual(q.ASNs(), want) {
@@ -85,7 +84,7 @@ func TestPrependOntoSetSegment(t *testing.T) {
 }
 
 func TestContainsAndLoops(t *testing.T) {
-	p := NewPath(1, 2, 3)
+	p := seqPath(1, 2, 3)
 	if !p.Contains(2) || p.Contains(9) {
 		t.Error("Contains wrong")
 	}
@@ -93,17 +92,17 @@ func TestContainsAndLoops(t *testing.T) {
 		t.Error("no loop expected")
 	}
 	// Adjacent repeats (prepending) are not loops.
-	if NewPath(1, 2, 2, 2, 3).HasLoop() {
+	if seqPath(1, 2, 2, 2, 3).HasLoop() {
 		t.Error("prepending flagged as loop")
 	}
 	// A genuine loop.
-	if !NewPath(1, 2, 3, 2).HasLoop() {
+	if !seqPath(1, 2, 3, 2).HasLoop() {
 		t.Error("loop not detected")
 	}
 }
 
 func TestClean(t *testing.T) {
-	p := NewPath(10, 10, 20, 30, 30, 30, 40)
+	p := seqPath(10, 10, 20, 30, 30, 30, 40)
 	want := []ASN{10, 20, 30, 40}
 	if got := p.Clean(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Clean = %v, want %v", got, want)
@@ -116,7 +115,7 @@ func TestCleanProperty(t *testing.T) {
 		for i, v := range raw {
 			asns[i] = ASN(v%8 + 1) // force repeats
 		}
-		cleaned := NewPath(asns...).Clean()
+		cleaned := seqPath(asns...).Clean()
 		// No two adjacent entries equal.
 		for i := 1; i < len(cleaned); i++ {
 			if cleaned[i] == cleaned[i-1] {
@@ -124,7 +123,7 @@ func TestCleanProperty(t *testing.T) {
 			}
 		}
 		// Cleaning is idempotent.
-		again := NewPath(cleaned...).Clean()
+		again := seqPath(cleaned...).Clean()
 		return reflect.DeepEqual(again, cleaned)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -145,7 +144,7 @@ func TestPathEqualAndClone(t *testing.T) {
 	if p.Equal(q) {
 		t.Error("clone aliases original storage")
 	}
-	if p.Equal(NewPath(1, 2, 3)) {
+	if p.Equal(seqPath(1, 2, 3)) {
 		t.Error("different structure reported equal")
 	}
 }
@@ -176,7 +175,7 @@ func TestASNString(t *testing.T) {
 }
 
 func TestCommunityString(t *testing.T) {
-	c := MakeCommunity(65000, 120)
+	c := Community(65000<<16 | 120)
 	if c.String() != "65000:120" {
 		t.Errorf("Community = %q", c.String())
 	}

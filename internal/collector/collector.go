@@ -190,9 +190,6 @@ func (c *Collector) Entries() []Entry {
 	return c.entries
 }
 
-// Len returns the number of archived entries.
-func (c *Collector) Len() int { return len(c.entries) }
-
 // WriteMRT serialises entries, in the given order, as MRT
 // BGP4MP_MESSAGE_AS4 records to w, each under the collector's own AS and
 // IP. Pass one project's entries for a per-project archive like the real

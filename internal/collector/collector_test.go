@@ -61,9 +61,6 @@ func TestCollectorArchivesUpdates(t *testing.T) {
 	if len(entries) != 4 { // 2 VPs x (announce + withdraw)
 		t.Fatalf("entries = %d", len(entries))
 	}
-	if c.Len() != 4 {
-		t.Errorf("Len = %d", c.Len())
-	}
 	for _, e := range entries {
 		if e.Exported.Before(e.Received) {
 			t.Errorf("export %v before receive %v", e.Exported, e.Received)

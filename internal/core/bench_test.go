@@ -118,7 +118,9 @@ func paperDataset(tb testing.TB) *Dataset {
 	const nAS, nPaths = 600, 3000
 	rng := stats.NewRNG(5)
 	p := make([]float64, nAS)
-	for _, i := range rng.Perm(nAS)[:nAS/10] {
+	perm := make([]int, nAS)
+	rng.PermInto(perm)
+	for _, i := range perm[:nAS/10] {
 		p[i] = 0.8 + 0.2*rng.Float64()
 	}
 	obs := make([]PathObs, nPaths)

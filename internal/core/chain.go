@@ -84,12 +84,16 @@ type kernel interface {
 // carry chain index 0. Cancellation is checked once per sweep and draws
 // nothing from the RNG, so a run that completes is bit-identical to an
 // uncancelled one; a cancelled run returns ctx.Err() and no chain.
+//
+//lint:allow deadcode test oracle: one MH chain for the sampler and cancellation tests
 func RunMH(ctx context.Context, ds *Dataset, cfg Config, rng *stats.RNG) (*Chain, error) {
 	return runChain(ctx, ds, cfg, cfg.MH, 0, rng)
 }
 
 // RunHMC is RunMH for Hamiltonian Monte Carlo: cfg.HMC sets the chain's
 // length and integrator, and cancellation is checked once per trajectory.
+//
+//lint:allow deadcode test oracle: one HMC chain for the sampler and cancellation tests
 func RunHMC(ctx context.Context, ds *Dataset, cfg Config, rng *stats.RNG) (*Chain, error) {
 	return runChain(ctx, ds, cfg, cfg.HMC, 0, rng)
 }

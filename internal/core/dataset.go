@@ -151,14 +151,6 @@ func (ds *Dataset) PositivePaths() [][]int {
 	return out
 }
 
-// PathNodes returns the node-index slice of observation j (shared
-// storage — callers must not modify). Together with PathPositive,
-// PathWeight and NodePathIndices it is the read surface that
-// ObservationModel implementations outside this package build their
-// likelihood kernels on; all four are O(1) field loads so they inline
-// into the models' hot loops.
-func (ds *Dataset) PathNodes(j int) []int { return ds.paths[j].nodes }
-
 // PathPositive reports whether observation j was labeled positive.
 func (ds *Dataset) PathPositive(j int) bool { return ds.paths[j].positive }
 

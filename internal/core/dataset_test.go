@@ -198,7 +198,4 @@ func TestPriorValidate(t *testing.T) {
 	if err := (Prior{}).Validate(); err == nil {
 		t.Error("zero prior accepted")
 	}
-	if got := UniformPrior.Mean(); got != 0.5 {
-		t.Errorf("uniform mean = %g", got)
-	}
 }

@@ -13,3 +13,6 @@ func (c *LogProd) NodeLogs() []float64 { return c.lq }
 
 // TermCache returns the per-path term cache and whether it is valid.
 func (c *LogProd) TermCache() ([]float64, bool) { return c.term, c.termsOK }
+
+// PathNodes returns the node indices of observation j, in path order.
+func (ds *Dataset) PathNodes(j int) []int { return ds.paths[j].nodes }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"because/internal/obs"
@@ -116,7 +118,7 @@ func TestInferObserverMetrics(t *testing.T) {
 	if _, err := InferContext(context.Background(), ds, cfg); err != nil {
 		t.Fatal(err)
 	}
-	snap := observer.Metrics.Snapshot()
+	snap := scrape(t, observer.Metrics)
 	want := []string{
 		obs.MetricInferRuns,
 		obs.MetricInferNodes,
@@ -179,7 +181,7 @@ func TestHMCDivergenceCounterMatchesChain(t *testing.T) {
 	if c.Divergent == 0 {
 		t.Fatal("step size 60 produced no divergences; test needs a harsher setting")
 	}
-	snap := observer.Metrics.Snapshot()
+	snap := scrape(t, observer.Metrics)
 	got := snap[obs.MetricDivergences+`{chain="0",method="hmc"}`]
 	if got != float64(c.Divergent) {
 		t.Errorf("divergence counter = %g, chain.Divergent = %d", got, c.Divergent)
@@ -219,7 +221,7 @@ func TestInferESSGaugeMinAcrossAllChains(t *testing.T) {
 			}
 		}
 	}
-	got := observer.Metrics.Snapshot()[obs.MetricESSMin]
+	got := scrape(t, observer.Metrics)[obs.MetricESSMin]
 	if got != want {
 		t.Errorf("ess gauge = %g, want min over all chains %g", got, want)
 	}
@@ -248,7 +250,7 @@ func TestInferPoolMetrics(t *testing.T) {
 	if _, err := InferContext(context.Background(), ds, cfg); err != nil {
 		t.Fatal(err)
 	}
-	snap := observer.Metrics.Snapshot()
+	snap := scrape(t, observer.Metrics)
 	if got := snap[obs.MetricPoolTasks+`{pool="infer"}`]; got != 3 {
 		t.Errorf("pool task counter = %g, want 3 (2 MH chains + 1 HMC)", got)
 	}
@@ -261,4 +263,27 @@ func TestInferPoolMetrics(t *testing.T) {
 	if got := snap[obs.MetricChainSeconds+`_count{method="hmc"}`]; got != 1 {
 		t.Errorf("hmc chain histogram count = %g, want 1", got)
 	}
+}
+
+// scrape parses the registry's Prometheus exposition into a series →
+// value map: counters and gauges by series, histograms by their
+// name_sum / name_count series (bucket lines are skipped).
+func scrape(t *testing.T, r *obs.Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i > 0 && !strings.HasPrefix(line, "#") && !strings.Contains(line[:i], "_bucket{") {
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("exposition line %q: %v", line, err)
+			}
+			out[line[:i]] = v
+		}
+	}
+	return out
 }

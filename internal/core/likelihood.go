@@ -283,6 +283,8 @@ func (st *likState) DeltaFor(i int, pNew float64) float64 {
 // LogLik computes the data log-likelihood of probability vector p (indexed
 // like ds.Nodes()) from scratch. Exposed for tests and ablations comparing
 // log-space and linear-space evaluation.
+//
+//lint:allow deadcode test oracle: the from-scratch likelihood the incremental state is checked against
 func LogLik(ds *Dataset, p []float64) float64 {
 	st := newLikState(ds, p, 0)
 	return st.LogLik()
@@ -291,6 +293,8 @@ func LogLik(ds *Dataset, p []float64) float64 {
 // LinearLik computes the likelihood in linear space (the naive translation
 // of Eq. 5). It underflows for realistic datasets — the log-space ablation
 // bench demonstrates exactly that — and exists only for comparison.
+//
+//lint:allow deadcode test oracle: the linear-space ablation
 func LinearLik(ds *Dataset, p []float64) float64 {
 	total := 1.0
 	for _, path := range ds.paths {

@@ -29,6 +29,3 @@ func (p Prior) Validate() error {
 	}
 	return nil
 }
-
-// Mean returns the prior mean Alpha/(Alpha+Beta).
-func (p Prior) Mean() float64 { return p.Alpha / (p.Alpha + p.Beta) }

@@ -135,7 +135,7 @@ func TestHiddenNodeRecoversPrior(t *testing.T) {
 		t.Fatal(err)
 	}
 	i50, _ := ds.NodeIndex(50)
-	h := stats.HDPIOf(c.Marginal(i50), 0.95)
+	h := stats.HDPIInto(make([]float64, len(c.Marginal(i50))), c.Marginal(i50), 0.95)
 	if h.Width() < 0.5 {
 		t.Errorf("hidden node HDPI width = %g, expected wide (prior recovered)", h.Width())
 	}

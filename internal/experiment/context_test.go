@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,9 +12,10 @@ import (
 )
 
 // sweepsRecorded sums the sampler sweep counters over every chain.
-func sweepsRecorded(o *obs.Observer) float64 {
+func sweepsRecorded(t *testing.T, o *obs.Observer) float64 {
+	t.Helper()
 	total := 0.0
-	for name, v := range o.Metrics.Snapshot() {
+	for name, v := range scrape(t, o.Metrics) {
 		if strings.HasPrefix(name, obs.MetricSweeps) {
 			total += v
 		}
@@ -37,13 +39,13 @@ func TestTab4PrecisionRecallHonoursCancellation(t *testing.T) {
 	if _, err := Tab4PrecisionRecallContext(ctx, s); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if n := sweepsRecorded(observer); n != 0 {
+	if n := sweepsRecorded(t, observer); n != 0 {
 		t.Fatalf("%v sampler sweeps ran under a cancelled ctx", n)
 	}
 	if _, _, err := s.InferenceContext(context.Background(), time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if sweepsRecorded(observer) == 0 {
+	if sweepsRecorded(t, observer) == 0 {
 		t.Fatalf("no %s series after a live inference: the check above is vacuous", obs.MetricSweeps)
 	}
 }
@@ -80,7 +82,30 @@ func TestTab4InferencesUseScenarioObserver(t *testing.T) {
 	if _, err := Tab4PrecisionRecallContext(context.Background(), s); err != nil {
 		t.Fatal(err)
 	}
-	if n := observer.Metrics.Snapshot()[obs.MetricInferRuns]; n != 2 {
+	if n := scrape(t, observer.Metrics)[obs.MetricInferRuns]; n != 2 {
 		t.Fatalf("%s = %v, want 2", obs.MetricInferRuns, n)
 	}
+}
+
+// scrape parses the registry's Prometheus exposition into a series →
+// value map: counters and gauges by series, histograms by their
+// name_sum / name_count series (bucket lines are skipped).
+func scrape(t *testing.T, r *obs.Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i > 0 && !strings.HasPrefix(line, "#") && !strings.Contains(line[:i], "_bucket{") {
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("exposition line %q: %v", line, err)
+			}
+			out[line[:i]] = v
+		}
+	}
+	return out
 }

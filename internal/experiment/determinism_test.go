@@ -130,7 +130,7 @@ func TestSuitePrewarmComputesEachIntervalOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := func() (campaigns, infers float64) {
-		snap := observer.Metrics.Snapshot()
+		snap := scrape(t, observer.Metrics)
 		return snap[obs.MetricStageSeconds+`_count{stage="campaign"}`], snap[obs.MetricInferRuns]
 	}
 	if campaigns, infers := counts(); campaigns != 2 || infers != 2 {

@@ -82,7 +82,7 @@ func entryAt(at time.Time, path ...bgp.ASN) collector.Entry {
 	return collector.Entry{
 		VP: vpA, Received: at, Exported: at,
 		Update: &bgp.Update{
-			ASPath: bgp.NewPath(path...),
+			ASPath: bgp.Path{Segments: []bgp.Segment{{Type: bgp.SegSequence, ASNs: path}}},
 			NLRI:   []bgp.Prefix{pfxT},
 		},
 	}

@@ -60,6 +60,8 @@ func WriteJSON(w io.Writer, ms []Measurement) error {
 // ReadJSON parses measurements written by WriteJSON. Provenance fields are
 // restored as far as the schema carries them; the path is re-extended with
 // the site as origin so TomographyPath returns the stored path again.
+//
+//lint:allow deadcode test oracle: decodes what WriteJSON emits for the round-trip tests
 func ReadJSON(r io.Reader) ([]Measurement, error) {
 	var in []jsonMeasurement
 	dec := json.NewDecoder(r)

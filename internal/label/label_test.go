@@ -35,6 +35,11 @@ func testSchedule(pairs int) beacon.Schedule {
 	}
 }
 
+// seqPath builds a single-sequence path from the given ASNs (origin last).
+func seqPath(asns ...bgp.ASN) bgp.Path {
+	return bgp.Path{Segments: []bgp.Segment{{Type: bgp.SegSequence, ASNs: asns}}}
+}
+
 // announceAt builds a synthetic collector entry.
 func announceAt(at time.Time, path ...bgp.ASN) collector.Entry {
 	return collector.Entry{
@@ -42,7 +47,7 @@ func announceAt(at time.Time, path ...bgp.ASN) collector.Entry {
 		Received: at,
 		Exported: at,
 		Update: &bgp.Update{
-			ASPath:     bgp.NewPath(path...),
+			ASPath:     seqPath(path...),
 			NLRI:       []bgp.Prefix{pfx},
 			Aggregator: &bgp.Aggregator{AS: path[len(path)-1], ID: beacon.EncodeTimestamp(at)},
 		},
@@ -226,7 +231,7 @@ func TestAnchorSchedulesSkipped(t *testing.T) {
 	}
 	entries := []collector.Entry{{
 		VP: vpRIS, Received: t0, Exported: t0,
-		Update: &bgp.Update{ASPath: bgp.NewPath(1, 2, 3), NLRI: []bgp.Prefix{anchor}},
+		Update: &bgp.Update{ASPath: seqPath(1, 2, 3), NLRI: []bgp.Prefix{anchor}},
 	}}
 	ms := LabelPathsContext(context.Background(), entries, []beacon.Schedule{anchorSched}, Config{})
 	if len(ms) != 0 {
@@ -243,7 +248,7 @@ func TestPropagationDeltas(t *testing.T) {
 	first := collector.Entry{
 		VP: vpRIS, Received: sent.Add(20 * time.Second), Exported: sent.Add(45 * time.Second),
 		Update: &bgp.Update{
-			ASPath:     bgp.NewPath(1, 2, 3),
+			ASPath:     seqPath(1, 2, 3),
 			NLRI:       []bgp.Prefix{anchor},
 			Aggregator: &bgp.Aggregator{AS: 3, ID: beacon.EncodeTimestamp(sent)},
 		},

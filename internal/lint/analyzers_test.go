@@ -149,6 +149,54 @@ func TestTransitiveDeterminismGolden(t *testing.T) {
 	checkGolden(t, "transdet", got)
 }
 
+// TestDeadCodeGolden names the fixture as its own root package: the
+// unreferenced function and methods are flagged, and so is a method that
+// a conversion's interface does not name; function and method values,
+// conversions in an argument, an assignment and a return, generic code
+// reached through Origin, initialisers and an allowed oracle's helper
+// stay silent; a deadcode allow on a reached function is stale.
+func TestDeadCodeGolden(t *testing.T) {
+	got := runFixture(t, DeadCode([]string{"testdata/src/deadcode"}, nil), "deadcode/...")
+	checkGolden(t, "deadcode", got)
+}
+
+// TestDeadCodeSilentOnPartialLoad: a load without the root package lacks
+// the callers, so the analyzer reports nothing, and its allows in the
+// loaded packages are not stale.
+func TestDeadCodeSilentOnPartialLoad(t *testing.T) {
+	if got := runFixture(t, DeadCode([]string{"because"}, []string{"perfbench"}), "deadcode/..."); got != "" {
+		t.Errorf("partial load reported findings:\n%s", got)
+	}
+}
+
+// TestDeadCodeNestedModuleRoot drops the nested perfbench module from the
+// roots: the functions only perfbench calls must then be flagged, which
+// shows that its references are loaded and counted.
+func TestDeadCodeNestedModuleRoot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module type-check is slow; run without -short")
+	}
+	cwd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := filepath.Join(cwd, "..", "..")
+	diags, err := Run(root, []string{"./..."}, Options{Analyzers: []*Analyzer{DeadCode([]string{"because"}, nil)}, RelTo: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := map[string]bool{}
+	for _, d := range diags {
+		name, _, _ := strings.Cut(d.Message, " ")
+		flagged[name] = true
+	}
+	for _, name := range []string{"collector.ReadMRT", "label.Measurement.Key", "obs.Trace.ID", "obs.TraceFromContext"} {
+		if !flagged[name] {
+			t.Errorf("%s is reached only from perfbench, but was not flagged without it:\n%s", name, renderDiags(diags))
+		}
+	}
+}
+
 // TestAllowMultiGolden exercises comma-separated directives: one
 // comment suppressing two analyzers at once, and per-analyzer
 // staleness reported at the directive's own column.

@@ -1,6 +1,7 @@
 // Module-wide call graph and function-summary fixpoint solver — the
 // interprocedural backbone shared by the determinism, hotpath, goleak
-// and lockcheck analyzers. Run builds the graph and solves the
+// and lockcheck analyzers; deadcode walks reference edges over its nodes
+// with the same resolution (resolve). Run builds the graph and solves the
 // summaries once; every consumer reads the same solution. Resolution is
 // CHA-style over go/types, stdlib-only:
 //
@@ -76,9 +77,10 @@ type callSite struct {
 // callGraph indexes every function declared in the loaded targets. Run
 // builds one per lint run and hands it to every module analyzer.
 type callGraph struct {
-	nodes  []*funcNode            // deterministic: package, file, decl order
-	bySym  map[string]*funcNode   // symbol → node
-	byName map[string][]*funcNode // method name → concrete methods (CHA)
+	nodes    []*funcNode                 // deterministic: package, file, decl order
+	bySym    map[string]*funcNode        // symbol → node
+	byName   map[string][]*funcNode      // method name → concrete methods (CHA)
+	resolved map[*types.Func][]*funcNode // resolve's memo
 }
 
 // HotpathDirective marks a function as allocation-free by contract: the
@@ -88,8 +90,9 @@ const HotpathDirective = "//lint:hotpath"
 
 func buildCallGraph(pkgs []*Package) *callGraph {
 	g := &callGraph{
-		bySym:  map[string]*funcNode{},
-		byName: map[string][]*funcNode{},
+		bySym:    map[string]*funcNode{},
+		byName:   map[string][]*funcNode{},
+		resolved: map[*types.Func][]*funcNode{},
 	}
 	// Pass 1: index every declared function.
 	for _, pkg := range pkgs {
@@ -182,23 +185,28 @@ func funcSymbol(fn *types.Func) string {
 	return fn.Pkg().Path() + "." + fn.Name()
 }
 
-// calleesOf resolves one call expression to module funcNodes. Calls to
-// functions without module source (stdlib, export-data-only) and calls
-// through plain function values resolve to nothing.
-func (g *callGraph) calleesOf(pkg *Package, call *ast.CallExpr) []*funcNode {
-	fn := calledFunc(pkg, call)
+// resolve maps a reference to a function (taken through Origin) to the
+// module funcNodes it may reach: for an interface method, by CHA, every
+// module method of that name; else the function's own node. Functions
+// without module source (stdlib, export-data-only) and anything but a
+// function resolve to nothing.
+func (g *callGraph) resolve(obj types.Object) []*funcNode {
+	fn, _ := obj.(*types.Func)
 	if fn == nil {
 		return nil
 	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-		// Interface dispatch: CHA over every module method of this name.
-		return g.byName[fn.Name()]
+	if ns, ok := g.resolved[fn]; ok {
+		return ns
 	}
-	if n := g.bySym[funcSymbol(fn)]; n != nil {
-		return []*funcNode{n}
+	var ns []*funcNode
+	origin := fn.Origin()
+	if recv := origin.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		ns = g.byName[origin.Name()]
+	} else if n := g.bySym[funcSymbol(origin)]; n != nil {
+		ns = []*funcNode{n}
 	}
-	return nil
+	g.resolved[fn] = ns
+	return ns
 }
 
 // calledFunc returns the *types.Func a call expression statically names,
@@ -342,7 +350,7 @@ func (w *bodyWalker) Visit(node ast.Node) ast.Visitor {
 			w.set(factCtxJoin, x.Pos(), "ctx.Done() receive")
 		}
 	case *ast.CallExpr:
-		if callees := w.g.calleesOf(pkg, x); len(callees) > 0 {
+		if callees := w.g.resolve(calledFunc(pkg, x)); len(callees) > 0 {
 			n.calls = append(n.calls, callSite{call: x, callees: callees})
 		}
 		if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" && isNamed(pkg.Info.TypeOf(sel.X), "sync", "WaitGroup") && exprPath(sel.X) != "" {

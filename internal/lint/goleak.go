@@ -116,7 +116,7 @@ func litDisciplined(pkg *Package, g *callGraph, sums *summaries, lit *ast.FuncLi
 			}
 			// Delegated discipline: a called module function blocks on
 			// ctx.Done() or pairs a WaitGroup.
-			for _, callee := range g.calleesOf(pkg, x) {
+			for _, callee := range g.resolve(calledFunc(pkg, x)) {
 				ctxJoin = ctxJoin || sums.has(callee, factCtxJoin)
 				wgDelegated = wgDelegated || sums.has(callee, factWGDone)
 			}

@@ -61,26 +61,18 @@ type listedPackage struct {
 // BenchmarkLint's timed loop — so each package pays `go list -export`
 // and the type-check exactly once. Everything an analysis derives from
 // the load lives for one Run. Sources are assumed stable while the
-// process lives; ResetLoadCache drops the memo when a caller rewrites
-// sources mid-process.
+// process lives.
 var loadCache = struct {
 	sync.Mutex
 	m map[string][]*Package
 }{m: map[string][]*Package{}}
-
-// ResetLoadCache forgets every memoised Load result.
-func ResetLoadCache() {
-	loadCache.Lock()
-	loadCache.m = map[string][]*Package{}
-	loadCache.Unlock()
-}
 
 // Load resolves patterns (e.g. "./...") relative to dir, parses every
 // matched package's non-test sources, and type-checks them against export
 // data produced by the go toolchain — no dependencies beyond the stdlib
 // and the `go` command itself. Test files are deliberately excluded: the
 // contracts becauselint enforces are about shipped code. Results are
-// memoised per (dir, patterns); see ResetLoadCache.
+// memoised per (dir, patterns) for the life of the process.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	key := dir + "\x00" + strings.Join(patterns, "\x00")
 	loadCache.Lock()

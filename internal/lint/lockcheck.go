@@ -769,7 +769,7 @@ func (lc *lockChecker) checkCall(pkg *Package, call *ast.CallExpr, decl *ast.Fun
 	if len(h) == 0 {
 		return
 	}
-	for _, callee := range lc.pass.graph.calleesOf(pkg, call) {
+	for _, callee := range lc.pass.graph.resolve(calledFunc(pkg, call)) {
 		// Skip self-resolution (direct recursion, or CHA matching an
 		// interface call back to the enclosing method, the lockedImporter
 		// pattern): mirrors the summary solver's self-edge skip.

@@ -26,6 +26,7 @@ func All() []*Analyzer {
 		Hotpath(),
 		GoLeak(),
 		Lockcheck(),
+		DeadCode([]string{"because"}, []string{"perfbench"}),
 	}
 }
 

@@ -18,7 +18,15 @@ func writeTempModule(t *testing.T, dir, wireSrc string) {
 	if err := os.WriteFile(filepath.Join(dir, "wire.go"), []byte(wireSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ResetLoadCache()
+	resetLoadCache()
+}
+
+// resetLoadCache forgets every memoised Load result, for tests that
+// rewrite a module's sources between runs.
+func resetLoadCache() {
+	loadCache.Lock()
+	loadCache.m = map[string][]*Package{}
+	loadCache.Unlock()
 }
 
 const tempWireV1 = `package tmpwire
@@ -38,7 +46,7 @@ func TestWriteWireLockLifecycle(t *testing.T) {
 		t.Skip("drives go list in a temp module; run without -short")
 	}
 	dir := t.TempDir()
-	defer ResetLoadCache()
+	defer resetLoadCache()
 
 	writeTempModule(t, dir, tempWireV1)
 	lockPath, err := WriteWireLock(dir)

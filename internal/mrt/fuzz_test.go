@@ -25,7 +25,7 @@ func fuzzSnapshot(tb testing.TB) []byte {
 	}
 	attrs := &bgp.Update{
 		NLRI:    []bgp.Prefix{bgp.MustPrefix("10.0.0.0/24")},
-		ASPath:  bgp.NewPath(64500, 64999),
+		ASPath:  seqPath(64500, 64999),
 		NextHop: netip.AddrFrom4([4]byte{192, 0, 2, 1}),
 	}
 	for _, p := range []string{"10.0.0.0/24", "10.1.0.0/16"} {
@@ -47,7 +47,7 @@ func fuzzUpdateDump(tb testing.TB) []byte {
 	w := NewWriter(&buf)
 	u := &bgp.Update{
 		NLRI:    []bgp.Prefix{bgp.MustPrefix("10.0.0.0/24")},
-		ASPath:  bgp.NewPath(64500),
+		ASPath:  seqPath(64500),
 		NextHop: netip.AddrFrom4([4]byte{192, 0, 2, 9}),
 	}
 	if err := w.WriteUpdate(time.Unix(1583020800, 0), 64500, 64999,
@@ -84,7 +84,7 @@ func FuzzParseTableDump(f *testing.F) {
 			if !rec.Prefix.Addr().Is4() {
 				t.Fatalf("decoded RIB prefix %v is not IPv4", rec.Prefix)
 			}
-			peers := rr.Peers()
+			peers := rr.peers
 			if len(peers) == 0 {
 				t.Fatal("RIB record decoded with an empty peer table")
 			}

@@ -241,6 +241,8 @@ func (r *Reader) decodeBGP4MP(rec *Record, body []byte) error {
 }
 
 // ReadAll drains the reader, returning every record until EOF.
+//
+//lint:allow deadcode test oracle: decodes what collector.WriteMRT emits for the archive and fuzz tests
 func ReadAll(r io.Reader) ([]*Record, error) {
 	mr := NewReader(r)
 	var out []*Record

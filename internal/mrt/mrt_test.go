@@ -16,7 +16,7 @@ import (
 func testUpdate(ts uint32) *bgp.Update {
 	return &bgp.Update{
 		Origin:     bgp.OriginIGP,
-		ASPath:     bgp.NewPath(64500, 3356, 65010),
+		ASPath:     seqPath(64500, 3356, 65010),
 		NextHop:    netip.MustParseAddr("192.0.2.1"),
 		NLRI:       []bgp.Prefix{bgp.MustPrefix("203.0.113.0/24")},
 		Aggregator: &bgp.Aggregator{AS: 65010, ID: ts},
@@ -261,7 +261,7 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		u := &bgp.Update{
 			Origin:     bgp.OriginIGP,
-			ASPath:     bgp.NewPath(asns...),
+			ASPath:     seqPath(asns...),
 			NextHop:    netip.MustParseAddr("192.0.2.1"),
 			NLRI:       []bgp.Prefix{bgp.MustPrefix("203.0.113.0/24")},
 			Aggregator: &bgp.Aggregator{AS: asns[len(asns)-1], ID: ts},
@@ -324,11 +324,11 @@ func Test2ByteSubtype(t *testing.T) {
 	codec := bgp.Codec{}
 	u := &bgp.Update{
 		Origin:  bgp.OriginIGP,
-		ASPath:  bgp.NewPath(65000, 65001),
+		ASPath:  seqPath(65000, 65001),
 		NextHop: netip.MustParseAddr("192.0.2.1"),
 		NLRI:    []bgp.Prefix{bgp.MustPrefix("203.0.113.0/24")},
 	}
-	msg, err := codec.EncodeMessage(u)
+	msg, err := codec.AppendMessage(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,16 +189,17 @@ type RIBReader struct {
 }
 
 // NewRIBReader returns a snapshot reader over r.
+//
+//lint:allow deadcode test oracle: decodes what collector.WriteRIB emits for the snapshot and fuzz tests
 func NewRIBReader(r io.Reader) *RIBReader {
 	return &RIBReader{r: NewReader(r), codec: bgp.Codec{AS4: true}}
 }
 
-// Peers returns the peer table (available after the first Next call).
-func (rr *RIBReader) Peers() []Peer { return rr.peers }
-
 // Next returns the next RIB record, decoding the peer table transparently.
 // It returns io.EOF at end of stream. Non-TABLE_DUMP_V2 records in the
 // stream are skipped.
+//
+//lint:allow deadcode test oracle: see NewRIBReader
 func (rr *RIBReader) Next() (*RIBRecord, error) {
 	for {
 		rec, err := rr.r.Next()

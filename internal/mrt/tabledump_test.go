@@ -18,10 +18,15 @@ func ribPeers() []Peer {
 	}
 }
 
+// seqPath builds a single-sequence path from the given ASNs (origin last).
+func seqPath(asns ...bgp.ASN) bgp.Path {
+	return bgp.Path{Segments: []bgp.Segment{{Type: bgp.SegSequence, ASNs: asns}}}
+}
+
 func ribAttrs(path ...bgp.ASN) *bgp.Update {
 	return &bgp.Update{
 		Origin:     bgp.OriginIGP,
-		ASPath:     bgp.NewPath(path...),
+		ASPath:     seqPath(path...),
 		NextHop:    netip.MustParseAddr("192.0.2.1"),
 		Aggregator: &bgp.Aggregator{AS: path[len(path)-1], ID: 1583020800},
 	}
@@ -61,7 +66,7 @@ func TestRIBRoundTrip(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("records = %d", len(recs))
 	}
-	if got := r.Peers(); len(got) != 2 || got[1].AS != 4200000000 {
+	if got := r.peers; len(got) != 2 || got[1].AS != 4200000000 {
 		t.Fatalf("peer table = %+v", got)
 	}
 	for i, rec := range recs {

@@ -107,8 +107,7 @@ func (c *calendar) push(ev event) {
 	b := bucketOf(ev.key)
 	switch {
 	case b <= c.cur:
-		// Due in the current bucket, or before it when a peek has moved
-		// the window past the clock (RunUntil): insert into run.
+		// Due in the current bucket: insert into run.
 		c.insertRun(ev)
 	case b < c.cur+wheelSize:
 		c.link(b, ev)
@@ -149,28 +148,17 @@ func (c *calendar) link(b int64, ev event) {
 	c.inWheel++
 }
 
-// peek returns the earliest queued event without removing it, making the
-// next occupied bucket current if run has no pending event. It reports
-// false when the queue is empty.
-//
-//lint:hotpath
-func (c *calendar) peek() (event, bool) {
-	if c.head == len(c.run) && !c.advance() {
-		return event{}, false
-	}
-	return c.run[c.head], true
-}
-
-// pop removes and returns the earliest queued event. It reports false
+// pop removes and returns the earliest queued event, making the next
+// occupied bucket current if run has no pending event. It reports false
 // when the queue is empty.
 //
 //lint:hotpath
 func (c *calendar) pop() (event, bool) {
-	ev, ok := c.peek()
-	if ok {
-		c.head++
+	if c.head == len(c.run) && !c.advance() {
+		return event{}, false
 	}
-	return ev, ok
+	c.head++
+	return c.run[c.head-1], true
 }
 
 // advance makes the next occupied bucket current: it loads the bucket's

@@ -190,22 +190,6 @@ func (e *Engine) Run() time.Time {
 	}
 }
 
-// RunUntil executes events with timestamps <= deadline, advances the clock
-// to exactly deadline, and leaves later events queued.
-func (e *Engine) RunUntil(deadline time.Time) {
-	for {
-		ev, ok := e.queue.peek()
-		if !ok || e.slots[ev.slot].at.After(deadline) {
-			break
-		}
-		e.queue.pop()
-		e.fire(ev.slot)
-	}
-	if e.now.Before(deadline) {
-		e.now = deadline
-	}
-}
-
 // fire frees slot i, advances the clock to its instant and runs its
 // handler.
 func (e *Engine) fire(i int32) {

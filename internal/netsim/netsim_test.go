@@ -82,30 +82,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	e.After(-time.Second, Func(func() {}))
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine(t0)
-	ran := 0
-	for i := 1; i <= 10; i++ {
-		e.At(t0.Add(time.Duration(i)*time.Minute), Func(func() { ran++ }))
-	}
-	e.RunUntil(t0.Add(5 * time.Minute))
-	if ran != 5 {
-		t.Fatalf("ran %d events, want 5", ran)
-	}
-	if !e.Now().Equal(t0.Add(5 * time.Minute)) {
-		t.Errorf("clock = %v", e.Now())
-	}
-	// Deadline with no events still advances the clock.
-	e.RunUntil(t0.Add(5*time.Minute + 30*time.Second))
-	if !e.Now().Equal(t0.Add(5*time.Minute + 30*time.Second)) {
-		t.Errorf("clock = %v", e.Now())
-	}
-	e.Run()
-	if ran != 10 {
-		t.Errorf("total ran = %d", ran)
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	trace := func() []int {
 		e := NewEngine(t0)
@@ -251,11 +227,9 @@ func TestInstantsOutsideUnixNanoRangePanic(t *testing.T) {
 // nanoseconds, link delays, MRAI ± one bucket, the wheel's window ± 1 ns,
 // bucket boundaries ± 1 ns, hours, and exact repeats of instants already
 // scheduled (ties between events that entered the queue in different
-// tiers), with RunUntil deadlines interleaved. Each seed starts with a
-// deadline that stops short of the next occupied bucket, so the peek
-// makes that bucket current, followed by At(now) landing before it.
-// Execution order must equal a stable sort of every scheduled event by
-// instant.
+// tiers). Thirty chained round events each add a few more from a later
+// instant. Execution order must equal a stable sort of every scheduled
+// event by instant.
 func TestExecutionOrderAcrossHorizons(t *testing.T) {
 	const (
 		bucket = time.Duration(1) << bucketShift
@@ -291,8 +265,8 @@ func TestExecutionOrderAcrossHorizons(t *testing.T) {
 				return 0
 			}
 		}
-		var schedule func(d time.Duration, depth int)
-		schedule = func(d time.Duration, depth int) {
+		var schedule func(d time.Duration, depth int, then func())
+		schedule = func(d time.Duration, depth int, then func()) {
 			id := len(scheduled)
 			at := e.Now().Add(d)
 			scheduled = append(scheduled, at)
@@ -303,28 +277,32 @@ func TestExecutionOrderAcrossHorizons(t *testing.T) {
 				ran = append(ran, id)
 				if depth < 4 {
 					for k := rng.Intn(3); k > 0; k-- {
-						schedule(horizon(), depth+1)
+						schedule(horizon(), depth+1, nil)
 					}
+				}
+				if then != nil {
+					then()
 				}
 			}))
 		}
 
-		schedule(10*bucket, 0)
-		e.RunUntil(t0.Add(2 * bucket))
-		if e.queue.cur <= bucketOf(e.Now().UnixNano()) {
-			t.Fatalf("seed %d: the deadline's peek left bucket %d current, want one past the clock's", seed, e.queue.cur)
-		}
-		schedule(0, 0)
-		schedule(bucket, 0)
+		schedule(0, 0, nil)
+		schedule(bucket, 0, nil)
 		for i := 0; i < 60; i++ {
-			schedule(horizon(), 0)
+			schedule(horizon(), 0, nil)
 		}
-		for round := 0; round < 30; round++ {
-			e.RunUntil(e.Now().Add(horizon()))
-			for k := rng.Intn(4); k > 0; k-- {
-				schedule(horizon(), 1)
-			}
+		var round func(n int)
+		round = func(n int) {
+			schedule(horizon(), 4, func() {
+				for k := rng.Intn(4); k > 0; k-- {
+					schedule(horizon(), 1, nil)
+				}
+				if n < 30 {
+					round(n + 1)
+				}
+			})
 		}
+		round(1)
 		e.Run()
 
 		want := make([]int, len(scheduled))

@@ -63,11 +63,6 @@ func (o *Observer) Log(level Level, msg string, kv ...any) {
 	o.Logger.Log(level, msg, kv...)
 }
 
-// Enabled reports whether the attached logger emits at level.
-func (o *Observer) Enabled(level Level) bool {
-	return o != nil && o.Logger != nil && o.Logger.Enabled(level)
-}
-
 // Counter returns the named counter (nil handle when unobserved).
 func (o *Observer) Counter(name string, labels ...string) *Counter {
 	if o == nil {

@@ -74,10 +74,10 @@ func TestSpanRecordsDuration(t *testing.T) {
 		sp.End()
 	}
 	h := r.Histogram(MetricStageSeconds, nil, "stage", "label")
-	if h.Count() != 2 || h.Sum() <= 0 {
-		t.Errorf("stage histogram count=%d sum=%g, want one observation per span", h.Count(), h.Sum())
+	if h.count != 2 || h.Sum() <= 0 {
+		t.Errorf("stage histogram count=%d sum=%g, want one observation per span", h.count, h.Sum())
 	}
-	if n := tr.SpanCount(); n != 2 {
+	if n := tr.spans; n != 2 {
 		t.Errorf("trace holds %d spans, want root + the traced stage", n)
 	}
 }
@@ -134,7 +134,7 @@ func TestNewLeveled(t *testing.T) {
 	if o == nil || o.Metrics == nil {
 		t.Fatal("observer without a registry: /metrics would be empty")
 	}
-	if o.Enabled(LevelError) {
+	if o.Logger.Enabled(LevelError) {
 		t.Error("empty level enabled logging")
 	}
 	var buf strings.Builder

@@ -154,16 +154,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // Sum returns the total of all observed values (0 for nil).
 func (h *Histogram) Sum() float64 {
 	if h == nil {
@@ -390,30 +380,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Unlock()
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Snapshot returns a flat series → value map (counters and gauges by
-// their rendered name, histograms as name_sum / name_count entries) —
-// the JSON-able view tests assert against.
-func (r *Registry) Snapshot() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]float64)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, f := range r.families {
-		for _, s := range f.series {
-			switch f.kind {
-			case kindCounter:
-				out[f.name+s.labels] = float64(s.counter.Value())
-			case kindGauge:
-				out[f.name+s.labels] = s.gauge.Value()
-			case kindHistogram:
-				out[f.name+"_sum"+s.labels] = s.hist.Sum()
-				out[f.name+"_count"+s.labels] = float64(s.hist.Count())
-			}
-		}
-	}
-	return out
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,7 +96,7 @@ func TestGroupPoolMetrics(t *testing.T) {
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	snap := observer.Metrics.Snapshot()
+	snap := scrape(t, observer.Metrics)
 	if got := snap[obs.MetricPoolTasks+`{pool="unit"}`]; got != 9 {
 		t.Errorf("task counter = %g, want 9", got)
 	}
@@ -278,4 +280,27 @@ func TestGroupGoCtx(t *testing.T) {
 	if ran {
 		t.Error("GoCtx ran a task on a cancelled group")
 	}
+}
+
+// scrape parses the registry's Prometheus exposition into a series →
+// value map: counters and gauges by series, histograms by their
+// name_sum / name_count series (bucket lines are skipped).
+func scrape(t *testing.T, r *obs.Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i > 0 && !strings.HasPrefix(line, "#") && !strings.Contains(line[:i], "_bucket{") {
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("exposition line %q: %v", line, err)
+			}
+			out[line[:i]] = v
+		}
+	}
+	return out
 }

@@ -115,8 +115,10 @@ func (p Params) CanSuppress() bool {
 
 // DampsInterval predicts whether a beacon that alternates withdrawal and
 // announcement every interval will eventually be suppressed under p. It
-// iterates the penalty recurrence to its fixed point; used to choose beacon
-// update intervals in the experiment harness (§ 4.3 of the paper).
+// iterates the penalty recurrence to its fixed point, the prediction behind
+// the paper's choice of beacon update intervals (§ 4.3).
+//
+//lint:allow deadcode test oracle: the paper's interval expectations are checked against it
 func (p Params) DampsInterval(interval time.Duration) bool {
 	if err := p.Validate(); err != nil {
 		return false
@@ -292,10 +294,6 @@ func (d *Damper[K]) ReuseAt(key K, now time.Time) (time.Time, bool) {
 	minutes := d.params.HalfLife.Minutes() * math.Log2(s.penalty/d.params.ReuseThreshold)
 	return now.Add(time.Duration(minutes * float64(time.Minute))), true
 }
-
-// Len returns the number of keys with damping state, for introspection and
-// leak tests.
-func (d *Damper[K]) Len() int { return len(d.states) }
 
 // AggressiveLegacy is a real-world "tightened" configuration some operators
 // carried over from the 1990s guidance: vendor-default thresholds with a

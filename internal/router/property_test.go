@@ -109,7 +109,7 @@ func TestAllBestPathsValleyFreeProperty(t *testing.T) {
 					continue
 				}
 				clean := path.Clean()
-				if bgp.NewPath(clean...).HasLoop() {
+				if path.HasLoop() {
 					t.Errorf("seed %d: loop in %v", seed, clean)
 				}
 				if !valleyFree(t, g, clean) {

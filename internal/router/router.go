@@ -229,15 +229,6 @@ type Router struct {
 	UpdatesSent     uint64
 }
 
-// ASN returns the router's AS number.
-func (r *Router) ASN() bgp.ASN { return r.asn }
-
-// MRAI returns the router's configured MRAI.
-func (r *Router) MRAI() time.Duration { return r.mrai }
-
-// Damping reports whether the router runs RFD on any session.
-func (r *Router) Damping() bool { return r.policy != nil }
-
 // damperFor returns (creating on first use) the damping engine whose
 // parameters apply to prefix id.
 func (r *Router) damperFor(id int32) *rfd.Damper[dampKey] {
@@ -394,12 +385,6 @@ func (n *Network) prefixID(prefix bgp.Prefix) int32 {
 
 // Router returns the speaker for asn, or nil.
 func (n *Network) Router(asn bgp.ASN) *Router { return n.routers[asn] }
-
-// Engine returns the simulation engine the network runs on.
-func (n *Network) Engine() *netsim.Engine { return n.engine }
-
-// Graph returns the underlying topology.
-func (n *Network) Graph() *topology.Graph { return n.graph }
 
 // AttachMonitor subscribes fn to the full-feed exports of asn's router, as
 // a route collector session would. It returns an error for unknown ASes.

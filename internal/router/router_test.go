@@ -316,7 +316,7 @@ func TestMonitorsGetIndependentUpdates(t *testing.T) {
 			u.Withdrawn[i] = other
 		}
 		u.NLRI = append(u.NLRI, other)
-		u.Origin, u.ASPath, u.Aggregator = bgp.OriginIncomplete, bgp.NewPath(9), nil
+		u.Origin, u.ASPath, u.Aggregator = bgp.OriginIncomplete, bgp.Path{}.Prepend(9, 1), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -568,15 +568,15 @@ func TestRFDPerNeighborPolicy(t *testing.T) {
 	}
 	flap(4, pfxA)
 	flap(5, pfxB)
-	eng.RunUntil(t0.Add(29*time.Minute + 30*time.Second))
-
-	r1 := net.Router(1)
-	if !probe(r1, pfxA).suppressed(2) {
-		t.Error("damped session (via AS2) not suppressed")
-	}
-	if probe(r1, pfxB).suppressed(3) {
-		t.Error("undamped session (via AS3) suppressed")
-	}
+	eng.At(t0.Add(29*time.Minute+30*time.Second), netsim.Func(func() {
+		r1 := net.Router(1)
+		if !probe(r1, pfxA).suppressed(2) {
+			t.Error("damped session (via AS2) not suppressed")
+		}
+		if probe(r1, pfxB).suppressed(3) {
+			t.Error("undamped session (via AS3) suppressed")
+		}
+	}))
 	eng.Run()
 }
 
@@ -688,17 +688,8 @@ func TestRouterAccessors(t *testing.T) {
 	g := chainGraph(t, 2)
 	net := New(netsim.NewEngine(t0), g, fastOpts(), stats.NewRNG(1))
 	r := net.Router(1)
-	if r.ASN() != 1 {
-		t.Error("ASN accessor")
-	}
-	if r.MRAI() != 0 {
-		t.Error("MRAI accessor")
-	}
-	if r.Damping() {
-		t.Error("Damping should be off")
-	}
-	if net.Engine() == nil || net.Graph() == nil {
-		t.Error("nil accessors")
+	if r == nil || r.policy != nil {
+		t.Error("AS1's router missing, or damping with no RFD policy")
 	}
 	if net.Router(42) != nil {
 		t.Error("unknown router should be nil")
@@ -745,18 +736,18 @@ func TestPrefixDependentRFDPolicy(t *testing.T) {
 	}
 	flap(long, 7)
 	flap(short, 7)
-	eng.RunUntil(t0.Add(7 * time.Minute))
-
-	r2 := net.Router(2)
-	if !probe(r2, long).suppressed(3) {
-		t.Error("/24 not suppressed under the aggressive per-prefix config")
-	}
-	if probe(r2, short).suppressed(3) {
-		t.Error("/20 suppressed despite the lenient per-prefix config")
-	}
-	// Two distinct parameter sets => two damping engines.
-	if len(r2.dampers) != 2 {
-		t.Errorf("damper engines = %d, want 2", len(r2.dampers))
-	}
+	eng.At(t0.Add(7*time.Minute), netsim.Func(func() {
+		r2 := net.Router(2)
+		if !probe(r2, long).suppressed(3) {
+			t.Error("/24 not suppressed under the aggressive per-prefix config")
+		}
+		if probe(r2, short).suppressed(3) {
+			t.Error("/20 suppressed despite the lenient per-prefix config")
+		}
+		// Two distinct parameter sets => two damping engines.
+		if len(r2.dampers) != 2 {
+			t.Errorf("damper engines = %d, want 2", len(r2.dampers))
+		}
+	}))
 	eng.Run()
 }

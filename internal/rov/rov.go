@@ -67,9 +67,6 @@ func (t *Table) Add(r ROA) error {
 	return nil
 }
 
-// Len returns the number of ROAs.
-func (t *Table) Len() int { return len(t.roas) }
-
 // Validate classifies a route per RFC 6811: Valid if a covering ROA
 // authorises the origin at this length; Invalid if covered by at least one
 // ROA but authorised by none; NotFound when no ROA covers the prefix.

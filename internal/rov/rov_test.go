@@ -39,9 +39,6 @@ func TestTableValidate(t *testing.T) {
 			t.Errorf("Validate(%s, %v) = %v, want %v", c.prefix, c.origin, got, c.want)
 		}
 	}
-	if tbl.Len() != 2 {
-		t.Errorf("Len = %d", tbl.Len())
-	}
 }
 
 func TestTableAddValidation(t *testing.T) {

@@ -60,10 +60,3 @@ func (c *lruCache) put(key string, payload []byte) {
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 	}
 }
-
-// len reports the number of cached entries.
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

@@ -81,7 +81,7 @@ type job struct {
 
 	mu      sync.Mutex
 	state   jobState        //lint:guard mu
-	errMsg  string          //lint:guard mu
+	err     error           //lint:guard mu — why the job failed or was cancelled
 	cached  bool            //lint:guard mu
 	result  []byte          //lint:guard mu — marshalled because.Result document (state == done)
 	events  []jobEvent      //lint:guard mu
@@ -119,14 +119,21 @@ func (j *job) setRunning() {
 }
 
 // finish records the job's terminal state; the first one wins.
-func (j *job) finish(state jobState, result []byte, cached bool, errMsg string) {
+func (j *job) finish(state jobState, result []byte, cached bool, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.terminal() {
 		return
 	}
-	j.state, j.result, j.cached, j.errMsg = state, result, cached, errMsg
+	j.state, j.result, j.cached, j.err = state, result, cached, err
 	j.broadcastLocked()
+}
+
+// failure returns the error a terminal job recorded, nil when it is done.
+func (j *job) failure() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.err
 }
 
 // broadcastLocked wakes every blocked streamer; caller holds j.mu.
@@ -179,10 +186,12 @@ func (j *job) status(includeResult bool) JobStatus {
 		JobID:         j.id,
 		State:         string(j.state),
 		Cached:        j.cached,
-		Error:         j.errMsg,
 		Events:        len(j.events),
 		DroppedEvents: j.dropped,
 		Trace:         j.trace.Export(),
+	}
+	if j.err != nil {
+		st.Error = j.err.Error()
 	}
 	if includeResult && j.state == jobDone {
 		st.Result = json.RawMessage(j.result)

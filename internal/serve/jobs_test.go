@@ -335,6 +335,46 @@ func TestStreamInline(t *testing.T) {
 	}
 }
 
+// TestStreamValidationFailureMatchesSync: a request whose validation only
+// fails inside the inference (a path repeating an AS) answers 422 with the
+// offending field in sync mode, and the ?stream=1 error frame carries the
+// same status and field instead of a 500.
+func TestStreamValidationFailureMatchesSync(t *testing.T) {
+	const body = `{"observations":[{"path":[1,1],"positive":true}]}`
+	const field = "observations[0].path"
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/infer", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sync struct{ Field string }
+	err = json.NewDecoder(resp.Body).Decode(&sync)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusUnprocessableEntity || sync.Field != field {
+		t.Fatalf("sync = %d, field %q (%v); want 422, %q", resp.StatusCode, sync.Field, err, field)
+	}
+
+	resp, err = http.Post(ts.URL+"/v1/infer?stream=1", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := readSSEFrames(resp.Body)
+	f := nextFrame(t, frames)
+	for f.event == "job" || f.event == "progress" {
+		f = nextFrame(t, frames)
+	}
+	var env struct {
+		Code  int
+		Field string
+	}
+	if err := json.Unmarshal([]byte(f.data), &env); err != nil || f.event != "error" || env.Code != http.StatusUnprocessableEntity || env.Field != field {
+		t.Fatalf("stream terminal frame %q = %s; want error with code 422 and field %q", f.event, f.data, field)
+	}
+}
+
 // TestStreamDisconnectCancelsJob: dropping the ?stream=1 connection
 // cancels the running job through its context, the job lands in state
 // cancelled, and the request is counted under the 499 path.

@@ -60,8 +60,8 @@ func (s *Server) handleScenarioList(w http.ResponseWriter, r *http.Request) {
 	for _, name := range names {
 		spec, err := scenario.ByName(name)
 		if err != nil {
-			// The corpus is embedded and parse-tested; a failure here is a
-			// build defect, not a client mistake.
+			// Unreachable from input: the names come from the embedded
+			// corpus, which TestCorpusResolvesAndKeys parses whole.
 			jsonError(w, http.StatusInternalServerError, err.Error(), "")
 			return
 		}
@@ -92,6 +92,8 @@ func (s *Server) handleScenarioInfer(w http.ResponseWriter, r *http.Request) {
 			jsonError(w, http.StatusNotFound, err.Error(), "")
 			return
 		}
+		// Unreachable from input: any name but a corpus file's is unknown,
+		// and every corpus document parses (TestCorpusResolvesAndKeys).
 		jsonError(w, http.StatusInternalServerError, err.Error(), "")
 		return
 	}
@@ -117,6 +119,8 @@ func (s *Server) handleScenarioInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	key, err := scenarioRequestKey(spec)
 	if err != nil {
+		// Unreachable from input: spec is a corpus document, and every
+		// one has a canonical form (TestCorpusResolvesAndKeys).
 		jsonError(w, http.StatusInternalServerError, err.Error(), "")
 		return
 	}

@@ -47,6 +47,35 @@ func TestScenarioInferUnknown(t *testing.T) {
 	}
 }
 
+// TestCorpusResolvesAndKeys backs the scenario handlers' unreachable 500
+// branches: every corpus name resolves and keys, and a name that only
+// cleans to a corpus file is unknown (404), not a 500.
+func TestCorpusResolvesAndKeys(t *testing.T) {
+	keys := map[string]string{}
+	for _, name := range scenario.Names() {
+		spec, err := scenario.ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		key, err := scenarioRequestKey(spec)
+		if err != nil {
+			t.Fatalf("scenarioRequestKey(%q): %v", name, err)
+		}
+		if other, ok := keys[key]; ok {
+			t.Errorf("%s and %s share a cache key", name, other)
+		}
+		keys[key] = name
+	}
+	h := New(Config{}).Handler()
+	for _, name := range []string{"..%2Fscenarios%2Fsmall-world", ".%2Fsmall-world", "x%2F..%2Fsmall-world"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/scenarios/"+name+"/infer", nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("scenario %q = %d, want 404: %s", name, rec.Code, rec.Body)
+		}
+	}
+}
+
 func TestScenarioInferBadBody(t *testing.T) {
 	srv := New(Config{})
 	h := srv.Handler()

@@ -319,11 +319,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Typed API errors pick the status: semantic validation failures
 		// are 422, anything else at this stage is a bad request.
-		code := http.StatusBadRequest
-		if errors.Is(err, because.ErrInvalidOptions) || errors.Is(err, because.ErrNoObservations) {
-			code = http.StatusUnprocessableEntity
+		code, field := errorStatus(err)
+		if code == http.StatusInternalServerError {
+			code = http.StatusBadRequest
 		}
-		jsonError(w, code, err.Error(), validationField(err))
+		jsonError(w, code, err.Error(), field)
 		return
 	}
 
@@ -365,7 +365,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, key string, pr
 			j := s.jobs.create(key, func() {})
 			j.trace.Root().SetAttr("cache", "hit")
 			j.trace.Root().End()
-			j.finish(jobDone, payload, true, "")
+			j.finish(jobDone, payload, true, nil)
 			s.countJob(j)
 			switch {
 			case async:
@@ -426,14 +426,12 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, key string, pr
 
 	payload, err := s.runJob(jctx, j, work)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			jsonError(w, statusClientClosedRequest, "client closed request", "")
-		case errors.Is(err, because.ErrInvalidOptions) || errors.Is(err, because.ErrNoObservations):
-			jsonError(w, http.StatusUnprocessableEntity, err.Error(), validationField(err))
-		default:
-			jsonError(w, http.StatusInternalServerError, err.Error(), "")
+		code, field := errorStatus(err)
+		msg := err.Error()
+		if code == statusClientClosedRequest {
+			msg = "client closed request"
 		}
+		jsonError(w, code, msg, field)
 		return
 	}
 	writeResult(w, payload, false, j.id)
@@ -454,7 +452,7 @@ func (s *Server) runJob(ctx context.Context, j *job, work jobWork) ([]byte, erro
 	case <-ctx.Done():
 		s.queued.Add(-1)
 		j.trace.Root().End()
-		j.finish(jobCancelled, nil, false, "job cancelled before start")
+		j.finish(jobCancelled, nil, false, errors.New("job cancelled before start"))
 		return nil, ctx.Err()
 	}
 	defer func() { <-s.run }()
@@ -470,21 +468,22 @@ func (s *Server) runJob(ctx context.Context, j *job, work jobWork) ([]byte, erro
 	j.trace.Root().End()
 	if err != nil {
 		if ctx.Err() != nil {
-			j.finish(jobCancelled, nil, false, "job cancelled")
+			j.finish(jobCancelled, nil, false, errors.New("job cancelled"))
 			return nil, ctx.Err()
 		}
-		j.finish(jobFailed, nil, false, err.Error())
+		j.finish(jobFailed, nil, false, err)
 		return nil, err
 	}
 	payload, err := json.Marshal(res)
 	if err != nil {
-		j.finish(jobFailed, nil, false, "encoding result: "+err.Error())
-		return nil, fmt.Errorf("encoding result: %w", err)
+		err = fmt.Errorf("encoding result: %w", err)
+		j.finish(jobFailed, nil, false, err)
+		return nil, err
 	}
 	if s.cache != nil {
 		s.cache.put(j.key, payload)
 	}
-	j.finish(jobDone, payload, false, "")
+	j.finish(jobDone, payload, false, nil)
 	return payload, nil
 }
 
@@ -523,12 +522,13 @@ func (s *Server) streamInfer(w http.ResponseWriter, r *http.Request, j *job) {
 	case string(jobDone):
 		writeSSEEvent(w, "result", streamResultEnvelope(st)) //nolint:errcheck // stream is ending either way
 	case string(jobCancelled):
-		writeSSEEvent(w, "error", streamErrorEnvelope(statusClientClosedRequest, st)) //nolint:errcheck
+		writeSSEEvent(w, "error", streamErrorEnvelope(statusClientClosedRequest, "", st)) //nolint:errcheck
 		if sw, ok := w.(*statusWriter); ok {
 			sw.record(statusClientClosedRequest)
 		}
 	default:
-		writeSSEEvent(w, "error", streamErrorEnvelope(http.StatusInternalServerError, st)) //nolint:errcheck
+		code, field := errorStatus(j.failure())
+		writeSSEEvent(w, "error", streamErrorEnvelope(code, field, st)) //nolint:errcheck
 	}
 }
 
@@ -585,14 +585,21 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// validationField extracts the offending field name from a
-// *ValidationError, or "".
-func validationField(err error) string {
+// errorStatus maps a failed request's error to its HTTP status and the
+// offending request field: 499 for a cancelled or timed-out request, 422
+// and the *ValidationError's field for an invalid one, else 500. The sync
+// response and the stream's error frame both answer with it.
+func errorStatus(err error) (int, string) {
 	var ve *because.ValidationError
-	if errors.As(err, &ve) {
-		return ve.Field
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return statusClientClosedRequest, ""
+	case errors.As(err, &ve):
+		return http.StatusUnprocessableEntity, ve.Field
+	case errors.Is(err, because.ErrInvalidOptions) || errors.Is(err, because.ErrNoObservations):
+		return http.StatusUnprocessableEntity, ""
 	}
-	return ""
+	return http.StatusInternalServerError, ""
 }
 
 // writeResult sends the versioned success envelope. result is the

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,7 +81,7 @@ func TestCacheHitOnRepeatQuery(t *testing.T) {
 		t.Errorf("hit envelope = %+v", env)
 	}
 
-	snap := observer.Metrics.Snapshot()
+	snap := scrape(t, observer.Metrics)
 	if got := snap[obs.MetricServeCacheHits]; got != 1 {
 		t.Errorf("cache hits counter = %g, want 1", got)
 	}
@@ -379,7 +380,7 @@ func TestCancelledJobMapsTo499(t *testing.T) {
 	if rec.Code != statusClientClosedRequest {
 		t.Errorf("cancelled job status = %d, want %d", rec.Code, statusClientClosedRequest)
 	}
-	snap := observer.Metrics.Snapshot()
+	snap := scrape(t, observer.Metrics)
 	if got := snap[obs.MetricServeRequests+`{code="499",endpoint="infer"}`]; got != 1 {
 		t.Errorf("499 counter = %g, want 1", got)
 	}
@@ -424,15 +425,38 @@ func TestLRUCache(t *testing.T) {
 	if _, ok := c.get("a"); !ok {
 		t.Error("recently-used entry evicted")
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	if c.ll.Len() != 2 {
+		t.Errorf("len = %d, want 2", c.ll.Len())
 	}
 	// Refreshing an existing key replaces the payload without growing.
 	c.put("a", []byte("A2"))
 	if v, _ := c.get("a"); string(v) != "A2" {
 		t.Errorf("refreshed payload = %q", v)
 	}
-	if c.len() != 2 {
-		t.Errorf("len after refresh = %d", c.len())
+	if c.ll.Len() != 2 {
+		t.Errorf("len after refresh = %d", c.ll.Len())
 	}
+}
+
+// scrape parses the registry's Prometheus exposition into a series →
+// value map: counters and gauges by series, histograms by their
+// name_sum / name_count series (bucket lines are skipped).
+func scrape(t *testing.T, r *obs.Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i > 0 && !strings.HasPrefix(line, "#") && !strings.Contains(line[:i], "_bucket{") {
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("exposition line %q: %v", line, err)
+			}
+			out[line[:i]] = v
+		}
+	}
+	return out
 }

@@ -130,7 +130,7 @@ func streamResultEnvelope(st JobStatus) any {
 
 // streamErrorEnvelope is the terminal "error" SSE frame: the jsonError
 // envelope plus the HTTP status it would have carried and the job ID.
-func streamErrorEnvelope(code int, st JobStatus) any {
+func streamErrorEnvelope(code int, field string, st JobStatus) any {
 	msg := st.Error
 	if msg == "" {
 		msg = "job " + st.State
@@ -138,9 +138,10 @@ func streamErrorEnvelope(code int, st JobStatus) any {
 	return struct {
 		SchemaVersion int    `json:"schema_version"`
 		Error         string `json:"error"`
+		Field         string `json:"field,omitempty"`
 		Code          int    `json:"code"`
 		JobID         string `json:"job_id,omitempty"`
-	}{because.SchemaVersion, msg, code, st.JobID}
+	}{because.SchemaVersion, msg, field, code, st.JobID}
 }
 
 // requestKey hashes the canonicalised request — observations in order,

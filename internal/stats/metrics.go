@@ -38,6 +38,3 @@ func (c Confusion) Recall() float64 {
 	}
 	return float64(c.TP) / float64(c.TP+c.FN)
 }
-
-// Total returns the number of recorded observations.
-func (c Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }

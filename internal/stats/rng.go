@@ -118,16 +118,9 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	r.PermInto(p)
-	return p
-}
-
-// PermInto fills p with a pseudo-random permutation of [0, len(p)),
-// drawing exactly the values Perm(len(p)) would — the allocation-free
-// form the samplers use with a reusable buffer (inside-out Fisher–Yates).
+// PermInto fills p with a pseudo-random permutation of [0, len(p))
+// (inside-out Fisher–Yates); it allocates nothing, so the samplers reuse
+// one buffer.
 //
 //lint:hotpath
 func (r *RNG) PermInto(p []int) {

@@ -102,7 +102,8 @@ func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(5)
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%64) + 1
-		p := r.Perm(n)
+		p := make([]int, n)
+		r.PermInto(p)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {

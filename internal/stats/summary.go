@@ -75,16 +75,11 @@ type HDPI struct {
 // Width returns Hi - Lo.
 func (h HDPI) Width() float64 { return h.Hi - h.Lo }
 
-// HDPIOf computes the highest-density interval containing at least mass
-// (e.g. 0.95) of the samples. For an empty input it returns a zero HDPI; for
+// HDPIInto computes the highest-density interval containing at least mass
+// (e.g. 0.95) of the samples, sorting a copy in buf (len(buf) >=
+// len(samples)) so a caller summarising many marginals allocates it once;
+// samples is left unchanged. For an empty input it returns a zero HDPI; for
 // a single sample, the degenerate interval at that sample.
-func HDPIOf(samples []float64, mass float64) HDPI {
-	return HDPIInto(make([]float64, len(samples)), samples, mass)
-}
-
-// HDPIInto is HDPIOf with buf (len(buf) >= len(samples)) as its sort
-// scratch, so a caller summarising many marginals allocates it once.
-// samples is left unchanged.
 func HDPIInto(buf, samples []float64, mass float64) HDPI {
 	n := len(samples)
 	if n == 0 {
@@ -155,17 +150,6 @@ func NewECDF(xs []float64) ECDF {
 	return ECDF{X: s, P: p}
 }
 
-// At returns the CDF value at x.
-func (e ECDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(e.X, x)
-	// SearchFloat64s returns the first index with X[i] >= x; we want the
-	// share of samples <= x.
-	for i < len(e.X) && e.X[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.X))
-}
-
 // Quantile returns the q-quantile of the ECDF's samples.
 func (e ECDF) Quantile(q float64) float64 {
 	if len(e.X) == 0 {
@@ -212,30 +196,4 @@ func LinRegFit(xs, ys []float64) LinReg {
 		reg.R2 = (sxy * sxy) / (sxx * syy)
 	}
 	return reg
-}
-
-// At evaluates the fitted line at x.
-func (l LinReg) At(x float64) float64 { return l.Intercept + l.Slope*x }
-
-// KSStatistic returns the two-sample Kolmogorov-Smirnov statistic: the
-// maximum vertical distance between the empirical CDFs of xs and ys. The
-// paper's Figure 8 argues two beacon families "show the same
-// characteristics"; the statistic quantifies that claim.
-func KSStatistic(xs, ys []float64) float64 {
-	if len(xs) == 0 || len(ys) == 0 {
-		return math.NaN()
-	}
-	ex, ey := NewECDF(xs), NewECDF(ys)
-	maxD := 0.0
-	for _, x := range ex.X {
-		if d := math.Abs(ex.At(x) - ey.At(x)); d > maxD {
-			maxD = d
-		}
-	}
-	for _, y := range ey.X {
-		if d := math.Abs(ex.At(y) - ey.At(y)); d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
 }

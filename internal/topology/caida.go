@@ -21,6 +21,8 @@ const caidaProvider = -1
 
 // WriteCAIDA serialises the graph in the CAIDA serial-1 format, links in
 // deterministic order.
+//
+//lint:allow deadcode test oracle: emits the serial-1 text that ReadCAIDA round-trips
 func (g *Graph) WriteCAIDA(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "# AS relationships: <provider-as>|<customer-as>|-1 or <peer-as>|<peer-as>|0"); err != nil {

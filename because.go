@@ -44,7 +44,6 @@ import (
 	"sort"
 
 	"because/internal/bgp"
-	"because/internal/churn"
 	"because/internal/core"
 	"because/internal/obs"
 )
@@ -87,9 +86,9 @@ func (e *ValidationError) Error() string {
 func (e *ValidationError) Unwrap() error { return ErrInvalidOptions }
 
 // Observation-model names accepted by Options.Model. Each selects a
-// likelihood interpretation of the binary path observations (an
-// internal core.ObservationModel implementation); the resolved name is
-// carried on Result and ASReport and keyed into becaused's result cache.
+// likelihood interpretation of the binary path observations (the name of
+// an internal core.Model); the resolved name is carried on Result and
+// ASReport and keyed into becaused's result cache.
 const (
 	// ModelRFD is the default: the paper's § 3.1 beacon tomography
 	// likelihood, optionally under the § 7.2 MissRate error model.
@@ -277,12 +276,9 @@ func (o Options) ResolvedModel() string {
 }
 
 // observationModel maps the validated options onto the internal model
-// implementation the samplers draw against.
-func (o Options) observationModel() core.ObservationModel {
-	if o.ResolvedModel() == ModelChurn {
-		return churn.Model{BackgroundRate: o.ChurnRate, MissRate: o.MissRate}
-	}
-	return core.RFDModel{MissRate: o.MissRate}
+// the samplers draw against.
+func (o Options) observationModel() core.Model {
+	return core.Model{Name: o.Model, MissRate: o.MissRate, BackgroundRate: o.ChurnRate}
 }
 
 // Category is the five-level certainty scale of the paper's Table 1.

@@ -529,7 +529,7 @@ func BenchmarkBeaconExpansion(b *testing.B) {
 // the available parallelism.)
 func BenchmarkInfer(b *testing.B) {
 	run := benchRun(b, time.Minute)
-	ds, err := run.Dataset()
+	ds, err := run.Dataset(core.Model{})
 	if err != nil {
 		b.Fatal(err)
 	}

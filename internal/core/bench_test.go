@@ -39,18 +39,18 @@ func benchDataset(tb testing.TB) *Dataset {
 	return ds
 }
 
-// kernelFixture returns one step of s's kernel over ds — an MH sweep
-// with its term and proposal caches, or an HMC trajectory with its
-// Metropolis correction — from a start state drawn from the sparse prior,
-// as a closure over the kernel and a chain tally.
-func kernelFixture(ds *Dataset, s sampler) func() {
+// kernelFixture returns one step of s's kernel over ds under model m —
+// an MH sweep with its term and proposal caches, or an HMC trajectory
+// with its Metropolis correction — from a start state drawn from the
+// sparse prior, as a closure over the kernel and a chain tally.
+func kernelFixture(ds *Dataset, s sampler, m Model) func() {
 	rng := stats.NewRNG(42)
 	beta := stats.NewBeta(SparsePrior.Alpha, SparsePrior.Beta)
 	p0 := make([]float64, ds.NumNodes())
 	for i := range p0 {
-		p0[i] = ClampProb(beta.Sample(rng))
+		p0[i] = clampProb(beta.Sample(rng))
 	}
-	k := s.start(RFDModel{}, ds, SparsePrior, p0, nil, "0")
+	k := s.start(m, ds, SparsePrior, p0, nil, "0")
 	c, t := &Chain{}, 0
 	return func() {
 		k.step(c, t, rng)
@@ -59,18 +59,117 @@ func kernelFixture(ds *Dataset, s sampler) func() {
 }
 
 // mhSweepFixture returns one Metropolis-within-Gibbs sweep over the bench
-// dataset — the MH sampler's inner loop, annotated //lint:hotpath.
-func mhSweepFixture(tb testing.TB) func() { return kernelFixture(benchDataset(tb), MHConfig{}) }
+// dataset under m — the MH sampler's inner loop, annotated //lint:hotpath.
+func mhSweepFixture(tb testing.TB, m Model) func() {
+	return kernelFixture(benchDataset(tb), MHConfig{}, m)
+}
 
-// hmcTrajectoryFixture returns one full HMC trajectory (momentum refresh,
-// 12 leapfrog steps and the accept/reject) — the other //lint:hotpath
-// kernel.
-func hmcTrajectoryFixture(tb testing.TB) func() { return kernelFixture(benchDataset(tb), HMCConfig{}) }
+// hmcTrajectoryFixture returns one full HMC trajectory under m (momentum
+// refresh, 12 leapfrog steps and the accept/reject) — the other
+// //lint:hotpath kernel.
+func hmcTrajectoryFixture(tb testing.TB, m Model) func() {
+	return kernelFixture(benchDataset(tb), HMCConfig{}, m)
+}
+
+// churnBenchState compiles a mid-sized dataset (120 paths over ~30 ASes)
+// and returns m's likelihood state over it, for the churn kernel benches.
+func churnBenchState(tb testing.TB, m Model) *likState {
+	tb.Helper()
+	var obs []PathObs
+	for k := 0; k < 120; k++ {
+		obs = append(obs, PathObs{
+			ASNs: []bgp.ASN{
+				bgp.ASN(64500 + k%10),
+				bgp.ASN(64600 + (k*3)%11),
+				bgp.ASN(64700 + (k*7)%9),
+			},
+			Positive: k%4 == 0,
+		})
+	}
+	ds, err := NewDataset(obs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := make([]float64, ds.NumNodes())
+	for i := range p {
+		p[i] = 0.05 + 0.9*float64(i)/float64(len(p))
+	}
+	return newLikState(ds, p, m)
+}
+
+// churnBenchModel is the churn configuration the kernel benches default
+// to; BenchmarkChurnGradNoMiss drops its miss rate to 0, the configuration
+// becaused's churn requests run at by default.
+var churnBenchModel = Model{Name: "churn", BackgroundRate: 0.08, MissRate: 0.04}
+
+// deltaApplyFixture returns the MH inner-loop kernel pair — one DeltaFor
+// probe plus one Apply commit per coordinate — under the churn model, as
+// a closure.
+func deltaApplyFixture(tb testing.TB) func() {
+	st := churnBenchState(tb, churnBenchModel)
+	n := len(st.p)
+	i := 0
+	return func() {
+		for j := 0; j < n; j++ {
+			cand := 0.1 + 0.8*float64((i+j)%7)/7
+			if st.DeltaFor(j, cand) > -1 {
+				st.Apply(j, cand)
+			}
+		}
+		i++
+	}
+}
+
+// gradFixture returns the HMC leapfrog kernel — the full logit-space
+// posterior gradient of m — as a closure.
+func gradFixture(tb testing.TB, m Model) func() {
+	st := churnBenchState(tb, m)
+	prior := Prior{Alpha: 0.4, Beta: 0.4}
+	grad := make([]float64, len(st.p))
+	return func() {
+		st.GradLogPostTheta(prior, grad)
+		st.Recompute()
+	}
+}
+
+// BenchmarkChurnDeltaApply times the MH kernel pair under the churn model;
+// TestChurnHotpathKernelsAllocateNothing pins it at zero allocs/op.
+func BenchmarkChurnDeltaApply(b *testing.B) {
+	deltaApply := deltaApplyFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deltaApply()
+	}
+}
+
+// BenchmarkChurnGrad times the HMC gradient under the churn model;
+// TestChurnHotpathKernelsAllocateNothing pins it at zero allocs/op.
+func BenchmarkChurnGrad(b *testing.B) {
+	grad := gradFixture(b, churnBenchModel)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		grad()
+	}
+}
+
+// BenchmarkChurnGradNoMiss times the HMC gradient at MissRate 0, where
+// stable paths take the exact factor 1 and skip the exponential;
+// TestChurnHotpathKernelsAllocateNothing pins it at zero allocs/op.
+func BenchmarkChurnGradNoMiss(b *testing.B) {
+	grad := gradFixture(b, Model{Name: "churn", BackgroundRate: churnBenchModel.BackgroundRate})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		grad()
+	}
+}
 
 // BenchmarkMHSweep times one MH sweep; TestHotpathKernelsAllocateNothing
 // pins it at zero allocs/op.
 func BenchmarkMHSweep(b *testing.B) {
-	sweep := mhSweepFixture(b)
+	sweep := mhSweepFixture(b, Model{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -81,7 +180,7 @@ func BenchmarkMHSweep(b *testing.B) {
 // BenchmarkHMCLeapfrog times one HMC trajectory;
 // TestHotpathKernelsAllocateNothing pins it at zero allocs/op.
 func BenchmarkHMCLeapfrog(b *testing.B) {
-	trajectory := hmcTrajectoryFixture(b)
+	trajectory := hmcTrajectoryFixture(b, Model{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -91,16 +190,37 @@ func BenchmarkHMCLeapfrog(b *testing.B) {
 
 // TestHotpathKernelsAllocateNothing is the dynamic side of the
 // //lint:hotpath contract the static analyzer enforces: over the
-// benchmark fixtures, an MH sweep (with its term and proposal caches)
-// and an HMC trajectory (from the kept start gradient, through the
+// benchmark fixtures, an MH sweep (with its term and proposal caches) and
+// an HMC trajectory (from the kept start gradient, through the
 // accept/reject) allocate nothing.
 func TestHotpathKernelsAllocateNothing(t *testing.T) {
 	for _, k := range []struct {
 		name string
 		run  func()
 	}{
-		{"mhSweep", mhSweepFixture(t)},
-		{"hmcLeapfrog", hmcTrajectoryFixture(t)},
+		{"mhSweep", mhSweepFixture(t, Model{})},
+		{"hmcLeapfrog", hmcTrajectoryFixture(t, Model{})},
+	} {
+		if n := testing.AllocsPerRun(50, k.run); n != 0 {
+			t.Errorf("%s: %g allocs/op, want 0", k.name, n)
+		}
+	}
+}
+
+// TestChurnHotpathKernelsAllocateNothing is the same contract under the
+// churn model: an MH sweep, an HMC trajectory, the DeltaFor/Apply pair
+// (committing the cached terms of each accepted move) and the gradient
+// allocate nothing.
+func TestChurnHotpathKernelsAllocateNothing(t *testing.T) {
+	for _, k := range []struct {
+		name string
+		run  func()
+	}{
+		{"mhSweep", mhSweepFixture(t, churnBenchModel)},
+		{"hmcLeapfrog", hmcTrajectoryFixture(t, churnBenchModel)},
+		{"DeltaFor/Apply", deltaApplyFixture(t)},
+		{"GradLogPostTheta", gradFixture(t, churnBenchModel)},
+		{"GradLogPostTheta/nomiss", gradFixture(t, Model{Name: "churn", BackgroundRate: churnBenchModel.BackgroundRate})},
 	} {
 		if n := testing.AllocsPerRun(50, k.run); n != 0 {
 			t.Errorf("%s: %g allocs/op, want 0", k.name, n)
@@ -157,7 +277,7 @@ func BenchmarkPaperChain(b *testing.B) {
 		{"hmc", HMCConfig{}},
 	} {
 		b.Run(s.name, func(b *testing.B) {
-			step := kernelFixture(ds, s.sampler)
+			step := kernelFixture(ds, s.sampler, Model{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -65,7 +65,7 @@ type sampler interface {
 	// start returns the method's transition kernel positioned at p0, the
 	// start state the driver drew from the prior. o and chain label the
 	// kernel's own metric series, if it has any.
-	start(model ObservationModel, ds *Dataset, prior Prior, p0 []float64, o *obs.Observer, chain string) kernel
+	start(model Model, ds *Dataset, prior Prior, p0 []float64, o *obs.Observer, chain string) kernel
 }
 
 // kernel is a sampler's transition rule and the state it moves.
@@ -75,7 +75,7 @@ type kernel interface {
 	// decisions on c; t is the step's index from 0.
 	step(c *Chain, t int, rng *stats.RNG)
 	// state is the current position, the one retained as a sample.
-	state() ModelState
+	state() *likState
 }
 
 // RunMH draws one Metropolis–Hastings chain from the posterior. cfg.MH
@@ -122,18 +122,17 @@ func runChain(ctx context.Context, ds *Dataset, cfg Config, s sampler, chain int
 	if ds.NumNodes() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
-	model := modelOrDefault(cfg.Model)
-	if err := model.Validate(); err != nil {
+	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
 	}
 
 	betaDist := stats.NewBeta(cfg.Prior.Alpha, cfg.Prior.Beta)
 	p0 := make([]float64, ds.NumNodes())
 	for i := range p0 {
-		p0[i] = ClampProb(betaDist.Sample(rng))
+		p0[i] = clampProb(betaDist.Sample(rng))
 	}
 	label := obs.ChainLabel(chain)
-	k := s.start(model, ds, cfg.Prior, p0, cfg.Obs, label)
+	k := s.start(cfg.Model, ds, cfg.Prior, p0, cfg.Obs, label)
 
 	c := &Chain{Method: method, Nodes: ds.Nodes()}
 	total := burnIn + retained

@@ -150,13 +150,3 @@ func (ds *Dataset) PositivePaths() [][]int {
 	}
 	return out
 }
-
-// PathPositive reports whether observation j was labeled positive.
-func (ds *Dataset) PathPositive(j int) bool { return ds.paths[j].positive }
-
-// PathWeight returns observation j's likelihood weight (defaults applied).
-func (ds *Dataset) PathWeight(j int) float64 { return ds.paths[j].weight }
-
-// NodePathIndices returns the indices of the observations containing
-// node i (shared storage — callers must not modify).
-func (ds *Dataset) NodePathIndices(i int) []int { return ds.nodePaths[i] }

@@ -120,7 +120,7 @@ func TestIncrementalDeltaMatchesFullRecompute(t *testing.T) {
 		{ASNs: []bgp.ASN{1}, Positive: false},
 	})
 	p := []float64{0.2, 0.5, 0.7}
-	st := newLikState(ds, p, 0)
+	st := newLikState(ds, p, Model{})
 	base := st.LogLik()
 	for i := 0; i < 3; i++ {
 		for _, pNew := range []float64{0.1, 0.45, 0.9} {
@@ -146,13 +146,13 @@ func TestLog1mexp(t *testing.T) {
 		// Reference via expm1 keeps precision for small |x| where the
 		// naive log(1-exp(x)) loses digits.
 		want := math.Log(-math.Expm1(x))
-		got := Log1mExp(x)
+		got := log1mExp(x)
 		if math.Abs(got-want) > 1e-9*math.Abs(want)+1e-12 {
-			t.Errorf("Log1mExp(%g) = %g, want %g", x, got, want)
+			t.Errorf("log1mExp(%g) = %g, want %g", x, got, want)
 		}
 	}
-	if !math.IsInf(Log1mExp(0), -1) {
-		t.Error("Log1mExp(0) should be -Inf")
+	if !math.IsInf(log1mExp(0), -1) {
+		t.Error("log1mExp(0) should be -Inf")
 	}
 }
 
@@ -172,7 +172,7 @@ func TestGradientMatchesFiniteDifferences(t *testing.T) {
 		}
 		return p
 	}
-	st := newLikState(ds, pOf(theta), 0)
+	st := newLikState(ds, pOf(theta), Model{})
 	grad := make([]float64, n)
 	st.GradLogPostTheta(prior, grad)
 
@@ -182,8 +182,8 @@ func TestGradientMatchesFiniteDifferences(t *testing.T) {
 		dn := append([]float64(nil), theta...)
 		up[i] += h
 		dn[i] -= h
-		stUp := newLikState(ds, pOf(up), 0)
-		stDn := newLikState(ds, pOf(dn), 0)
+		stUp := newLikState(ds, pOf(up), Model{})
+		stDn := newLikState(ds, pOf(dn), Model{})
 		want := (stUp.LogPostTheta(prior) - stDn.LogPostTheta(prior)) / (2 * h)
 		if math.Abs(grad[i]-want) > 1e-4*(1+math.Abs(want)) {
 			t.Errorf("grad[%d] = %g, finite diff %g", i, grad[i], want)

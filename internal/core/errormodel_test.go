@@ -12,7 +12,7 @@ import (
 // errLogLik evaluates the § 7.2 likelihood through the model API, exactly
 // as the samplers do.
 func errLogLik(ds *Dataset, p []float64, missRate float64) float64 {
-	return RFDModel{MissRate: missRate}.NewState(ds, p).LogLik()
+	return newLikState(ds, p, Model{MissRate: missRate}).LogLik()
 }
 
 func TestErrorLikelihoodReducesToExact(t *testing.T) {
@@ -49,7 +49,7 @@ func TestErrorModelDeltaConsistent(t *testing.T) {
 		{ASNs: []bgp.ASN{2, 3}, Positive: false},
 		{ASNs: []bgp.ASN{1}, Positive: false},
 	})
-	st := newLikState(ds, []float64{0.2, 0.5, 0.7}, 0.15)
+	st := newLikState(ds, []float64{0.2, 0.5, 0.7}, Model{MissRate: 0.15})
 	base := st.LogLik()
 	for i := 0; i < 3; i++ {
 		for _, pNew := range []float64{0.1, 0.6, 0.9} {
@@ -80,7 +80,7 @@ func TestErrorModelGradient(t *testing.T) {
 		}
 		return p
 	}
-	st := newLikState(ds, pOf(theta), m)
+	st := newLikState(ds, pOf(theta), Model{MissRate: m})
 	grad := make([]float64, len(theta))
 	st.GradLogPostTheta(prior, grad)
 	const h = 1e-6
@@ -89,8 +89,8 @@ func TestErrorModelGradient(t *testing.T) {
 		dn := append([]float64(nil), theta...)
 		up[i] += h
 		dn[i] -= h
-		stUp := newLikState(ds, pOf(up), m)
-		stDn := newLikState(ds, pOf(dn), m)
+		stUp := newLikState(ds, pOf(up), Model{MissRate: m})
+		stDn := newLikState(ds, pOf(dn), Model{MissRate: m})
 		want := (stUp.LogPostTheta(prior) - stDn.LogPostTheta(prior)) / (2 * h)
 		if math.Abs(grad[i]-want) > 1e-4*(1+math.Abs(want)) {
 			t.Errorf("grad[%d] = %g, finite diff %g", i, grad[i], want)
@@ -124,7 +124,7 @@ func TestErrorModelToleratesNoisyLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	robust, err := RunMH(context.Background(), ds, Config{Model: RFDModel{MissRate: 0.25}, MH: MHConfig{Sweeps: 800, BurnIn: 200}}, stats.NewRNG(5))
+	robust, err := RunMH(context.Background(), ds, Config{Model: Model{MissRate: 0.25}, MH: MHConfig{Sweeps: 800, BurnIn: 200}}, stats.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,18 +142,18 @@ func TestErrorModelToleratesNoisyLabels(t *testing.T) {
 func TestMissRateValidation(t *testing.T) {
 	ds := mustDataset(t, []PathObs{{ASNs: []bgp.ASN{1}, Positive: true}})
 	for _, m := range []float64{-0.1, 1, math.NaN()} {
-		if _, err := RunMH(context.Background(), ds, Config{Model: RFDModel{MissRate: m}}, stats.NewRNG(1)); err == nil {
+		if _, err := RunMH(context.Background(), ds, Config{Model: Model{MissRate: m}}, stats.NewRNG(1)); err == nil {
 			t.Errorf("MH miss rate %g accepted", m)
 		}
 	}
-	if _, err := RunHMC(context.Background(), ds, Config{Model: RFDModel{MissRate: 1.5}}, stats.NewRNG(1)); err == nil {
+	if _, err := RunHMC(context.Background(), ds, Config{Model: Model{MissRate: 1.5}}, stats.NewRNG(1)); err == nil {
 		t.Error("HMC miss rate 1.5 accepted")
 	}
 }
 
 func TestInferWithMissRate(t *testing.T) {
 	ds := plantedDataset(t)
-	res, err := InferContext(context.Background(), ds, Config{Seed: 21, Model: RFDModel{MissRate: 0.1},
+	res, err := InferContext(context.Background(), ds, Config{Seed: 21, Model: Model{MissRate: 0.1},
 		MH: MHConfig{Sweeps: 400, BurnIn: 100}, HMC: HMCConfig{Iterations: 150, BurnIn: 50}})
 	if err != nil {
 		t.Fatal(err)

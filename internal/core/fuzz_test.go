@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"because/internal/bgp"
-	"because/internal/churn"
 	"because/internal/core"
 )
 
@@ -84,10 +83,11 @@ func churnTerms(m, bg float64) refTerms {
 	}
 }
 
-// FuzzModelStateInvariants drives both observation models' states through
-// a fuzzed sequence of DeltaFor/Apply/SetP/Recompute calls over a small
-// fuzzed dataset and checks the log-product core's invariants after every
-// call: lq[i] is bitwise log1p(-p_i); after SetP/Recompute every logQ[j]
+// FuzzModelStateInvariants drives the likelihood state under both
+// observation models through a fuzzed sequence of
+// DeltaFor/Apply/SetP/Recompute calls over a small fuzzed dataset and
+// checks the state's invariants after every call, each against reference
+// arithmetic written out independently of the state: lq[i] is bitwise log1p(-p_i); after SetP/Recompute every logQ[j]
 // is bitwise the in-order sum of log1p(-p_i) over the path; DeltaFor is
 // bitwise the two-log1p reference formula, and it matches the LogLik
 // difference of actually applying the move to within 1e-9; and whenever
@@ -131,13 +131,13 @@ func FuzzModelStateInvariants(f *testing.F) {
 			p[i] = src.prob()
 		}
 		for _, model := range []struct {
-			om    core.ObservationModel
+			om    core.Model
 			terms refTerms
 		}{
-			{core.RFDModel{MissRate: m}, rfdTerms(m)},
-			{churn.Model{BackgroundRate: bg, MissRate: m}, churnTerms(m, bg)},
+			{core.Model{MissRate: m}, rfdTerms(m)},
+			{core.Model{Name: "churn", BackgroundRate: bg, MissRate: m}, churnTerms(m, bg)},
 		} {
-			st := model.om.NewState(ds, p)
+			st := core.NewState(ds, p, model.om)
 			checkSums(t, ds, st, "NewState")
 			ops := src
 			for step := 0; step < 64 && len(ops) > 0; step++ {
@@ -180,7 +180,7 @@ func FuzzModelStateInvariants(f *testing.F) {
 					setP()
 					st.Apply(i, x)
 				}
-				checkNodeLogs(t, st, model.om.Name(), op)
+				checkNodeLogs(t, st, fmt.Sprint(model.om), op)
 				checkTerms(t, ds, st, model.terms, fmt.Sprintf("op %d", op))
 			}
 		}
@@ -189,13 +189,13 @@ func FuzzModelStateInvariants(f *testing.F) {
 
 // checkTerms asserts that a valid term cache holds, bitwise, each path's
 // reference term at its current logQ.
-func checkTerms(t *testing.T, ds *core.Dataset, st core.ModelState, terms refTerms, after string) {
+func checkTerms(t *testing.T, ds *core.Dataset, st *core.State, terms refTerms, after string) {
 	t.Helper()
-	term, ok := core.ProdOf(st).TermCache()
+	term, ok := st.TermCache()
 	if !ok {
 		return
 	}
-	for j, logQ := range core.ProdOf(st).LogQ() {
+	for j, logQ := range st.LogQ() {
 		want := terms.neg(logQ)
 		if ds.PathPositive(j) {
 			want = terms.pos(logQ)
@@ -207,9 +207,9 @@ func checkTerms(t *testing.T, ds *core.Dataset, st core.ModelState, terms refTer
 }
 
 // checkNodeLogs asserts lq[i] == log1p(-p_i) bitwise.
-func checkNodeLogs(t *testing.T, st core.ModelState, model string, op byte) {
+func checkNodeLogs(t *testing.T, st *core.State, model string, op byte) {
 	t.Helper()
-	lq := core.ProdOf(st).NodeLogs()
+	lq := st.NodeLogs()
 	for i, pi := range st.Probabilities() {
 		if want := math.Log1p(-pi); math.Float64bits(lq[i]) != math.Float64bits(want) {
 			t.Fatalf("%s after op %d: lq[%d] = %v, want log1p(-%v) = %v", model, op, i, lq[i], pi, want)
@@ -219,9 +219,9 @@ func checkNodeLogs(t *testing.T, st core.ModelState, model string, op byte) {
 
 // checkSums asserts every logQ[j] is the in-order sum of log1p(-p_i) over
 // path j, bitwise.
-func checkSums(t *testing.T, ds *core.Dataset, st core.ModelState, after string) {
+func checkSums(t *testing.T, ds *core.Dataset, st *core.State, after string) {
 	t.Helper()
-	p, logQ := st.Probabilities(), core.ProdOf(st).LogQ()
+	p, logQ := st.Probabilities(), st.LogQ()
 	for j := 0; j < ds.NumPaths(); j++ {
 		s := 0.0
 		for _, i := range ds.PathNodes(j) {
@@ -239,12 +239,12 @@ func checkSums(t *testing.T, ds *core.Dataset, st core.ModelState, after string)
 // move. st itself carries the drift of its incremental updates, which the
 // reference formula shares and a fresh state does not; st is left with
 // its move pending.
-func checkDelta(t *testing.T, ds *core.Dataset, om core.ObservationModel, st core.ModelState, terms refTerms, i int, x float64) {
+func checkDelta(t *testing.T, ds *core.Dataset, om core.Model, st *core.State, terms refTerms, i int, x float64) {
 	t.Helper()
 	got := st.DeltaFor(i, x)
 	pNew := core.ClampProb(x)
 	dLogQ := math.Log1p(-pNew) - math.Log1p(-st.Probabilities()[i])
-	logQ := core.ProdOf(st).LogQ()
+	logQ := st.LogQ()
 	want := 0.0
 	for _, j := range ds.NodePathIndices(i) {
 		term := terms.neg
@@ -256,7 +256,7 @@ func checkDelta(t *testing.T, ds *core.Dataset, om core.ObservationModel, st cor
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("DeltaFor(%d, %v) = %v, reference formula %v", i, x, got, want)
 	}
-	fresh := om.NewState(ds, st.Probabilities())
+	fresh := core.NewState(ds, st.Probabilities(), om)
 	before, delta := fresh.LogLik(), fresh.DeltaFor(i, x)
 	fresh.Apply(i, x)
 	if diff := fresh.LogLik() - before; math.Abs(diff-delta) > 1e-9*math.Max(1, math.Abs(before)) {

@@ -66,25 +66,25 @@ func (c HMCConfig) schedule() (string, int, int, error) {
 	return "hmc", c.BurnIn, c.Iterations, nil
 }
 
-func (c HMCConfig) start(model ObservationModel, ds *Dataset, prior Prior, p0 []float64, o *obs.Observer, chain string) kernel {
+func (c HMCConfig) start(model Model, ds *Dataset, prior Prior, p0 []float64, o *obs.Observer, chain string) kernel {
 	c = c.withDefaults()
 	n := len(p0)
 	theta := make([]float64, n)
 	for i, pi := range p0 {
 		theta[i] = stats.Logit(pi)
 	}
-	// pProp doubles as the start position's p buffer: NewState copies it,
-	// and every leapfrog step overwrites it before reading.
+	// pProp doubles as the start position's p buffer: newLikState copies
+	// it, and every leapfrog step overwrites it before reading.
 	pProp := make([]float64, n)
 	thetaToP(theta, pProp)
-	st := model.NewState(ds, pProp)
+	st := newLikState(ds, pProp, model)
 	k := &hmcKernel{
 		st: st,
 		// stProp is the proposal's scratch state, allocated once; a
 		// trajectory's first leapfrog SetP overwrites everything it
 		// holds, so it needs no refresh from st. On accept the two
 		// states swap instead of allocating.
-		stProp:      model.NewState(ds, pProp),
+		stProp:      newLikState(ds, pProp, model),
 		prior:       prior,
 		theta:       theta,
 		thetaProp:   make([]float64, n),
@@ -106,7 +106,7 @@ func (c HMCConfig) start(model ObservationModel, ds *Dataset, prior Prior, p0 []
 // at theta: computed once at the start, then taken over from each
 // accepted trajectory's final step, which evaluated it at the proposal.
 type hmcKernel struct {
-	st, stProp                                   ModelState
+	st, stProp                                   *likState
 	prior                                        Prior
 	theta, thetaProp, pProp, grad, gradProp, mom []float64
 	logPost                                      float64 // log posterior at theta
@@ -148,7 +148,7 @@ func (k *hmcKernel) step(c *Chain, _ int, rng *stats.RNG) {
 	}
 }
 
-func (k *hmcKernel) state() ModelState { return k.st }
+func (k *hmcKernel) state() *likState { return k.st }
 
 // thetaToP maps a logit-space position onto the clamped probability
 // simplex coordinates the likelihood works in.
@@ -156,7 +156,7 @@ func (k *hmcKernel) state() ModelState { return k.st }
 //lint:hotpath
 func thetaToP(theta, p []float64) {
 	for i, th := range theta {
-		p[i] = ClampProb(stats.Expit(th))
+		p[i] = clampProb(stats.Expit(th))
 	}
 }
 
@@ -166,13 +166,10 @@ func thetaToP(theta, p []float64) {
 // thetaProp/pProp/stProp, its gradient in grad and the final momentum in
 // mom. Every step begins with SetP, which overwrites all of stProp, so
 // stProp may hold any earlier state on entry. All buffers are
-// caller-owned; the integrator touches the likelihood only through the
-// ModelState interface and allocates nothing (a contract every model
-// implementation inherits through the hotpath resolution of the
-// interface calls).
+// caller-owned; the integrator allocates nothing.
 //
 //lint:hotpath
-func hmcLeapfrog(stProp ModelState, prior Prior, thetaProp, pProp, grad0, grad, mom []float64, eps float64, steps int) {
+func hmcLeapfrog(stProp *likState, prior Prior, thetaProp, pProp, grad0, grad, mom []float64, eps float64, steps int) {
 	for i := range mom {
 		mom[i] += eps / 2 * grad0[i]
 	}

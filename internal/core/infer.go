@@ -35,12 +35,10 @@ type Config struct {
 	// PinpointThreshold is the Eq. 8 vote share (default 0.8). Negative
 	// disables the pinpointing pass.
 	PinpointThreshold float64
-	// Model is the observation model both samplers draw against. Nil (the
-	// default) selects RFDModel{} — the paper's § 3.1 likelihood,
-	// bit-identical to every pre-interface release; RFDModel{MissRate: m}
-	// is its § 7.2 measurement-error variant. Models must be pure values
-	// (see ObservationModel); their Name() is carried on the Result.
-	Model ObservationModel
+	// Model is the observation model both samplers draw against. The
+	// zero value is the paper's § 3.1 likelihood; see Model for the miss
+	// and background rates. Its resolved name is carried on the Result.
+	Model Model
 	// Seed makes the run reproducible.
 	Seed uint64
 	// Workers bounds how many chains run concurrently: every MH chain and
@@ -86,7 +84,7 @@ func (c Config) withDefaults() Config {
 // Result is a full inference outcome.
 type Result struct {
 	// Model names the observation model the samplers drew against
-	// ("rfd" unless Config.Model selected another).
+	// ("rfd" or "churn", resolved from Config.Model.Name).
 	Model string
 	// Summaries are per-AS outcomes in dataset node order.
 	Summaries []NodeSummary
@@ -166,7 +164,6 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 	if cfg.DisableMH && cfg.DisableHMC {
 		return nil, fmt.Errorf("core: both samplers disabled")
 	}
-	model := modelOrDefault(cfg.Model)
 	if cfg.Chains < 1 {
 		cfg.Chains = 1
 	}
@@ -179,7 +176,7 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 		o.Log(obs.LevelInfo, "inference started",
 			"paths", ds.NumPaths(), "nodes", ds.NumNodes(), "chains", cfg.Chains,
 			"mh", !cfg.DisableMH, "hmc", !cfg.DisableHMC,
-			"model", model.Name(), "workers", workers)
+			"model", cfg.Model.name(), "workers", workers)
 	}
 	// Progress callbacks may now arrive from several chain goroutines;
 	// serialise them so user callbacks keep their single-threaded contract.
@@ -287,7 +284,7 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Model: model.Name(), Summaries: summaries, Chains: chains}
+	res := &Result{Model: cfg.Model.name(), Summaries: summaries, Chains: chains}
 	res.buildIndex()
 	if cfg.PinpointThreshold > 0 {
 		res.pinpoint(ctx, o, ds, cfg.PinpointThreshold)

@@ -6,9 +6,9 @@ import "math"
 // finite; the samplers never need to represent an exact 0 or 1.
 const pEps = 1e-9
 
-// ClampProb clamps a probability into the open unit interval every
-// model's kernels work in, so all models agree on the boundary handling.
-func ClampProb(p float64) float64 {
+// clampProb clamps a probability into the open unit interval the
+// kernels work in.
+func clampProb(p float64) float64 {
 	if p < pEps {
 		return pEps
 	}
@@ -18,9 +18,9 @@ func ClampProb(p float64) float64 {
 	return p
 }
 
-// Log1mExp computes log(1 - e^x) for x < 0, stable near both ends: the
+// log1mExp computes log(1 - e^x) for x < 0, stable near both ends: the
 // kernel that turns a log no-show probability into a log positive one.
-func Log1mExp(x float64) float64 {
+func log1mExp(x float64) float64 {
 	if x >= 0 {
 		return math.Inf(-1)
 	}
@@ -30,20 +30,44 @@ func Log1mExp(x float64) float64 {
 	return math.Log1p(-math.Exp(x))
 }
 
-// LogProd is the log-product core both observation models' states embed:
-// the probability vector p, the per-node lq[i] = log(1-p_i) and the
-// per-path logQ[j] = Σ_{i∈J} lq[i], updated in O(paths containing i) when
-// one coordinate moves. lq is an invariant, not scratch: every write to
-// p[i] writes lq[i], so each log1p runs once per value. The models add
-// only their per-path terms and gradient factors.
+// posGradFactor returns Q/(1-Q), the gradient factor of a positive
+// path's log(1-Q) term. At Q ≈ 1 the observation is nearly impossible and
+// the ratio overflows; a large but finite 1/eps then pushes mass up.
 //
-// LogProd also caches each path's current log-likelihood term, which the
-// model computes: term[j] is the model's term at logQ[j] whenever termsOK
-// holds. StartDelta leaves the candidate terms of one move in cand, and
-// an Apply of exactly that move commits them, so an MH proposal evaluates
-// each path's term once; every other write to the state (SetP, Recompute,
-// an Apply of any other move) only invalidates the cache.
-type LogProd struct {
+//lint:hotpath
+func posGradFactor(q float64) float64 {
+	factor := q / (1 - q)
+	if math.IsInf(factor, 1) || math.IsNaN(factor) {
+		return 1 / pEps
+	}
+	return factor
+}
+
+// likState is one chain's incremental view of a Model's likelihood: the
+// probability vector p, the per-node lq[i] = log(1-p_i) and the per-path
+// logQ[j] = Σ_{i∈J} lq[i], updated in O(paths containing i) when one
+// coordinate moves. lq is an invariant, not scratch: every write to p[i]
+// writes lq[i], so each log1p runs once per value.
+//
+// Every path term and gradient factor is evaluated at logQ[j] + logBG,
+// where logBG = log(1-β) is the background rate's shift of log Q. Under
+// the rfd model β = 0 and logBG is +0.0; the addition is then exact,
+// because logQ[j] < 0 always (p is clamped), so the rfd draws keep their
+// bits.
+//
+// The state also caches each path's current log-likelihood term: term[j]
+// is the term at logQ[j] whenever termsOK holds. DeltaFor leaves the
+// candidate terms of one move in cand, and an Apply of exactly that move
+// commits them, so an MH proposal evaluates each path's term once; every
+// other write to the state (SetP, Recompute, an Apply of any other move)
+// only invalidates the cache.
+//
+// The state upholds three invariants (DESIGN.md): every method is a pure
+// function of the vector and the dataset; after any sequence of Apply
+// calls, LogLik and DeltaFor agree with a fresh state's up to float drift,
+// which Recompute cancels on the samplers' fixed cadence; and no method
+// allocates.
+type likState struct {
 	ds   *Dataset
 	p    []float64
 	lq   []float64
@@ -54,75 +78,56 @@ type LogProd struct {
 	cand    []float64 // candidate terms of the pending move, sized to the largest node degree
 	pendI   int       // node of the pending move, -1 when none is pending
 	pendP   float64   // its clamped value
+
+	miss  float64 // m, the miss rate
+	logBG float64 // log(1-β), folded into every path term and gradient factor
 }
 
-// NewLogProd builds the core over ds at p (copied and clamped).
-func NewLogProd(ds *Dataset, p []float64) LogProd {
+// newLikState compiles m's likelihood state over ds at p (copied and
+// clamped). Each chain gets its own state; states are never shared
+// across goroutines.
+func newLikState(ds *Dataset, p []float64, m Model) *likState {
 	deg := 0
 	for _, paths := range ds.nodePaths {
 		deg = max(deg, len(paths))
 	}
-	c := LogProd{
+	st := &likState{
 		ds: ds, p: make([]float64, len(p)), lq: make([]float64, len(p)), logQ: make([]float64, len(ds.paths)),
 		term: make([]float64, len(ds.paths)), cand: make([]float64, deg),
+		miss: m.MissRate, logBG: math.Log1p(-m.BackgroundRate),
 	}
-	c.SetP(p)
-	return c
+	st.SetP(p)
+	return st
 }
 
-// Dataset returns the observations the core was built over.
+// Probabilities returns the state's own probability vector in dataset
+// index order (mutated in place by Apply/SetP; callers must not modify
+// it).
 //
 //lint:hotpath
-func (c *LogProd) Dataset() *Dataset { return c.ds }
-
-// LogQ returns the per-path log products (callers must not modify it).
-//
-//lint:hotpath
-func (c *LogProd) LogQ() []float64 { return c.logQ }
-
-// Probabilities returns the core's own probability vector (mutated in
-// place by Apply/SetP; callers must not modify it).
-//
-//lint:hotpath
-func (c *LogProd) Probabilities() []float64 { return c.p }
-
-// StartDelta begins a model's DeltaFor of node i to pNew. It returns the
-// shift every logQ[j] of a path through i takes, log(1-pNew) - lq[i]; the
-// per-path term cache; and cand, one slot per path of node i in
-// NodePathIndices order, for the candidate terms. When stale is true the
-// cache does not hold the current terms, and the caller must write every
-// path's term at its logQ before reading it. The move becomes pending:
-// an Apply(i, pNew) before any other write commits cand into the cache.
-//
-//lint:hotpath
-func (c *LogProd) StartDelta(i int, pNew float64) (dLogQ float64, term, cand []float64, stale bool) {
-	pNew = ClampProb(pNew)
-	stale = !c.termsOK
-	c.termsOK = true
-	c.pendI, c.pendP = i, pNew
-	return math.Log1p(-pNew) - c.lq[i], c.term, c.cand[:len(c.ds.nodePaths[i])], stale
-}
+func (st *likState) Probabilities() []float64 { return st.p }
 
 // invalidate marks the term cache stale and drops any pending move.
 //
 //lint:hotpath
-func (c *LogProd) invalidate() {
-	c.termsOK = false
-	c.pendI = -1
+func (st *likState) invalidate() {
+	st.termsOK = false
+	st.pendI = -1
 }
 
 // SetP replaces the whole probability vector and rebuilds the caches;
 // used by the HMC leapfrog, which moves all coordinates at once. It
 // overwrites every value the state holds, so the result does not depend
-// on what the state held before.
+// on what the state held before: HMC starts each trajectory on a scratch
+// state without copying the current one into it.
 //
 //lint:hotpath
-func (c *LogProd) SetP(p []float64) {
+func (st *likState) SetP(p []float64) {
 	for i := range p {
-		c.p[i] = ClampProb(p[i])
-		c.lq[i] = math.Log1p(-c.p[i])
+		st.p[i] = clampProb(p[i])
+		st.lq[i] = math.Log1p(-st.p[i])
 	}
-	c.Recompute()
+	st.Recompute()
 }
 
 // Recompute rebuilds the logQ cache from lq (called initially and
@@ -130,122 +135,64 @@ func (c *LogProd) SetP(p []float64) {
 // invalidates the term cache, whose terms were taken at the old sums.
 //
 //lint:hotpath
-func (c *LogProd) Recompute() {
-	for j, path := range c.ds.paths {
+func (st *likState) Recompute() {
+	for j, path := range st.ds.paths {
 		s := 0.0
 		for _, i := range path.nodes {
-			s += c.lq[i]
+			s += st.lq[i]
 		}
-		c.logQ[j] = s
+		st.logQ[j] = s
 	}
-	c.invalidate()
+	st.invalidate()
 }
 
 // Apply commits a new value for node i, updating the caches. If (i, pNew)
-// is the pending move of the last StartDelta, the candidate terms become
+// is the pending move of the last DeltaFor, the candidate terms become
 // the current ones: they were taken at logQ[j] + dLogQ, bitwise the sums
 // written here. Any other move invalidates the term cache.
 //
 //lint:hotpath
-func (c *LogProd) Apply(i int, pNew float64) {
-	pNew = ClampProb(pNew)
+func (st *likState) Apply(i int, pNew float64) {
+	pNew = clampProb(pNew)
 	lq := math.Log1p(-pNew)
-	dLogQ := lq - c.lq[i]
-	paths := c.ds.nodePaths[i]
+	dLogQ := lq - st.lq[i]
+	paths := st.ds.nodePaths[i]
 	for _, j := range paths {
-		c.logQ[j] += dLogQ
+		st.logQ[j] += dLogQ
 	}
-	c.p[i] = pNew
-	c.lq[i] = lq
-	if c.pendI != i || c.pendP != pNew {
-		c.invalidate()
+	st.p[i] = pNew
+	st.lq[i] = lq
+	if st.pendI != i || st.pendP != pNew {
+		st.invalidate()
 		return
 	}
 	for k, j := range paths {
-		c.term[j] = c.cand[k]
+		st.term[j] = st.cand[k]
 	}
-	c.pendI = -1
+	st.pendI = -1
 }
 
-// GradPrior writes the Beta prior + Jacobian term of the logit-space
-// gradient into grad: ∂/∂θ_i = a(1-p_i) - b·p_i.
+// pathTerm is the log-probability of path j's label at modeled log
+// product logQ:
 //
-//lint:hotpath
-func (c *LogProd) GradPrior(prior Prior, grad []float64) {
-	for i := range grad {
-		p := c.p[i]
-		grad[i] = prior.Alpha*(1-p) - prior.Beta*p
-	}
-}
-
-// AddPathGrad adds w_j·p_i·factor to grad[i] for every node i on path
-// j, where -factor is the derivative of path j's term in log Q_j.
+//	positive: log[(1-m)·(1 - (1-β)Q)]
+//	negative: log[m + (1-m)·(1-β)Q]
 //
-//lint:hotpath
-func (c *LogProd) AddPathGrad(grad []float64, j int, factor float64) {
-	path := &c.ds.paths[j]
-	for _, i := range path.nodes {
-		grad[i] += path.weight * c.p[i] * factor
-	}
-}
-
-// AddLogPrior accumulates the θ-space Beta prior + Jacobian log density
-// Σ_i [a·log p_i + b·log(1-p_i)] onto lp in node order.
-//
-//lint:hotpath
-func (c *LogProd) AddLogPrior(lp float64, prior Prior) float64 {
-	for _, p := range c.p {
-		lp += prior.Alpha*math.Log(p) + prior.Beta*math.Log(1-p)
-	}
-	return lp
-}
-
-// likState is the RFD model's incremental view of the likelihood: the
-// shared log-product core plus the § 3.1 per-path terms.
-//
-// missRate implements the explicit measurement-error model the paper
-// sketches in § 7.2: with probability missRate a path that truly shows the
-// property is recorded as clean (e.g. an RFD suppression that the labeling
-// window misses). With Q = Π(1-p_i):
-//
-//	P(labeled positive) = (1-missRate)·(1-Q)
-//	P(labeled negative) = Q + missRate·(1-Q)
-//
-// missRate = 0 recovers the exact binary-tomography model of § 3.1.
-type likState struct {
-	LogProd
-	missRate float64
-}
-
-func newLikState(ds *Dataset, p []float64, missRate float64) *likState {
-	return &likState{LogProd: NewLogProd(ds, p), missRate: missRate}
-}
-
-// logNegTerm is the log-probability of observing a negative label on a
-// path with log no-show probability logQ.
-func (st *likState) logNegTerm(logQ float64) float64 {
-	if st.missRate <= 0 {
-		return logQ
-	}
-	// log((1-m)·Q + m); Q ∈ (0,1] so the linear-space sum is safe.
-	return math.Log((1-st.missRate)*math.Exp(logQ) + st.missRate)
-}
-
-// logPosTerm is the log-probability of observing a positive label.
-func (st *likState) logPosTerm(logQ float64) float64 {
-	t := Log1mExp(logQ)
-	if st.missRate > 0 {
-		t += math.Log1p(-st.missRate)
-	}
-	return t
-}
-
-// pathTerm is the log-probability of path j's label at log product logQ.
+// At m = 0 the negative term is exactly log((1-β)Q); otherwise the
+// linear-space sum is safe, (1-β)Q ∈ (0,1].
 func (st *likState) pathTerm(j int, logQ float64) float64 {
+	t := logQ + st.logBG
 	if st.ds.paths[j].positive {
-		return st.logPosTerm(logQ)
+		t = log1mExp(t)
+		if st.miss > 0 {
+			t += math.Log1p(-st.miss)
+		}
+		return t
 	}
-	return st.logNegTerm(logQ)
+	if st.miss <= 0 {
+		return t
+	}
+	return math.Log((1-st.miss)*math.Exp(t) + st.miss)
 }
 
 // LogLik returns the full data log-likelihood at the current state.
@@ -260,22 +207,27 @@ func (st *likState) LogLik() float64 {
 }
 
 // DeltaFor returns the change in log-likelihood if node i moved from its
-// current value to pNew, without moving the state: it refills a stale
-// term cache and leaves the candidate terms for a matching Apply.
+// current value to pNew, without moving the state. Every logQ[j] of a
+// path through i would shift by log(1-pNew) - lq[i]. It refills a stale
+// term cache, and it leaves the candidate terms in cand, one slot per
+// path of node i, for an Apply of the same move.
 //
 //lint:hotpath
 func (st *likState) DeltaFor(i int, pNew float64) float64 {
-	dLogQ, term, cand, stale := st.StartDelta(i, pNew)
-	if stale {
+	pNew = clampProb(pNew)
+	if !st.termsOK {
 		for j, logQ := range st.logQ {
-			term[j] = st.pathTerm(j, logQ)
+			st.term[j] = st.pathTerm(j, logQ)
 		}
+		st.termsOK = true
 	}
+	st.pendI, st.pendP = i, pNew
+	dLogQ := math.Log1p(-pNew) - st.lq[i]
 	delta := 0.0
 	for k, j := range st.ds.nodePaths[i] {
 		t := st.pathTerm(j, st.logQ[j]+dLogQ)
-		cand[k] = t
-		delta += st.ds.paths[j].weight * (t - term[j])
+		st.cand[k] = t
+		delta += st.ds.paths[j].weight * (t - st.term[j])
 	}
 	return delta
 }
@@ -286,8 +238,7 @@ func (st *likState) DeltaFor(i int, pNew float64) float64 {
 //
 //lint:allow deadcode test oracle: the from-scratch likelihood the incremental state is checked against
 func LogLik(ds *Dataset, p []float64) float64 {
-	st := newLikState(ds, p, 0)
-	return st.LogLik()
+	return newLikState(ds, p, Model{}).LogLik()
 }
 
 // LinearLik computes the likelihood in linear space (the naive translation
@@ -300,7 +251,7 @@ func LinearLik(ds *Dataset, p []float64) float64 {
 	for _, path := range ds.paths {
 		q := 1.0
 		for _, i := range path.nodes {
-			q *= 1 - ClampProb(p[i])
+			q *= 1 - clampProb(p[i])
 		}
 		if path.positive {
 			total *= math.Pow(1-q, path.weight)
@@ -315,29 +266,36 @@ func LinearLik(ds *Dataset, p []float64) float64 {
 // logit space θ (p = expit(θ)), including the Beta(prior) term and the
 // change-of-variables Jacobian. Used by the HMC sampler.
 //
-// Derivation (per node i, with Q_j = Π_{k∈J_j}(1-p_k)):
+// Derivation (per node i, with Q'_j = (1-β)·Π_{k∈J_j}(1-p_k) and
+// ∂ log Q'_j/∂θ_i = -p_i):
 //
-//	∂/∂θ_i log prior+jac = a(1-p_i) - b·p_i
-//	negative path j ∋ i:  ∂/∂θ_i w_j log Q_j      = -w_j p_i
-//	positive path j ∋ i:  ∂/∂θ_i w_j log(1-Q_j)   =  w_j p_i Q_j/(1-Q_j)
+//	∂/∂θ_i log prior+jac                    = a(1-p_i) - b·p_i
+//	positive path j ∋ i: w log[(1-m)(1-Q')] → +w p_i Q'/(1-Q')
+//	negative path j ∋ i: w log[m + (1-m)Q'] → -w p_i (1-m)Q'/((1-m)Q'+m)
 //
-// Q_j is exponentiated only on the paths whose factor reads it.
+// The error factor (1-m) of a positive path is constant in p and drops
+// out. At m = 0 the negative factor is exactly 1 and Q' is not
+// evaluated: the ratio form would be Q'/Q', which is NaN once Q'
+// underflows to 0 on a long path of near-certain ASes.
 //
 //lint:hotpath
 func (st *likState) GradLogPostTheta(prior Prior, grad []float64) {
-	st.GradPrior(prior, grad)
-	for j, path := range st.ds.paths {
+	for i := range grad {
+		p := st.p[i]
+		grad[i] = prior.Alpha*(1-p) - prior.Beta*p
+	}
+	for j := range st.ds.paths {
+		path := &st.ds.paths[j]
 		factor := -1.0
 		if path.positive {
-			// d/dθ_i w log[(1-m)(1-Q)] = w p_i Q/(1-Q): the error factor
-			// (1-m) is constant in p and drops out of the gradient.
-			factor = PosGradFactor(math.Exp(st.logQ[j]))
-		} else if st.missRate > 0 {
-			// d/dθ_i w log[(1-m)Q + m] = -w p_i (1-m)Q / ((1-m)Q + m).
-			q := math.Exp(st.logQ[j])
-			factor = -((1 - st.missRate) * q / ((1-st.missRate)*q + st.missRate))
+			factor = posGradFactor(math.Exp(st.logQ[j] + st.logBG))
+		} else if st.miss > 0 {
+			q := math.Exp(st.logQ[j] + st.logBG)
+			factor = -((1 - st.miss) * q / ((1-st.miss)*q + st.miss))
 		}
-		st.AddPathGrad(grad, j, factor)
+		for _, i := range path.nodes {
+			grad[i] += path.weight * st.p[i] * factor
+		}
 	}
 }
 
@@ -347,10 +305,14 @@ func (st *likState) GradLogPostTheta(prior Prior, grad []float64) {
 //
 //lint:hotpath
 func (st *likState) LogPostTheta(prior Prior) float64 {
-	return st.AddLogPrior(st.LogLik(), prior)
+	lp := st.LogLik()
+	for _, p := range st.p {
+		lp += prior.Alpha*math.Log(p) + prior.Beta*math.Log(1-p)
+	}
+	return lp
 }
 
 func logPriorAt(prior Prior, p float64) float64 {
-	p = ClampProb(p)
+	p = clampProb(p)
 	return (prior.Alpha-1)*math.Log(p) + (prior.Beta-1)*math.Log(1-p)
 }

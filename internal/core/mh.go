@@ -39,9 +39,9 @@ func (c MHConfig) schedule() (string, int, int, error) {
 	return "mh", c.BurnIn, c.Sweeps, nil
 }
 
-func (MHConfig) start(model ObservationModel, ds *Dataset, prior Prior, p0 []float64, _ *obs.Observer, _ string) kernel {
+func (MHConfig) start(model Model, ds *Dataset, prior Prior, p0 []float64, _ *obs.Observer, _ string) kernel {
 	k := &mhKernel{
-		st: model.NewState(ds, p0), prior: prior, order: make([]int, len(p0)),
+		st: newLikState(ds, p0, model), prior: prior, order: make([]int, len(p0)),
 		logMass: make([]float64, len(p0)), logPrior: make([]float64, len(p0)),
 	}
 	for i, p := range k.st.Probabilities() {
@@ -57,7 +57,7 @@ func (MHConfig) start(model ObservationModel, ds *Dataset, prior Prior, p0 []flo
 // proposal centred at p_i, and logPrior[i] = logPriorAt(prior, p_i).
 // Only an accepted move changes p_i, and it takes the candidate's values.
 type mhKernel struct {
-	st                ModelState
+	st                *likState
 	prior             Prior
 	order             []int // sweep's visit-order buffer
 	logMass, logPrior []float64
@@ -73,7 +73,7 @@ func (k *mhKernel) step(c *Chain, t int, rng *stats.RNG) {
 	}
 }
 
-func (k *mhKernel) state() ModelState { return k.st }
+func (k *mhKernel) state() *likState { return k.st }
 
 // proposal is the truncated-normal random-walk proposal centred at p.
 func proposal(p float64) stats.TruncNormal {
@@ -83,10 +83,7 @@ func proposal(p float64) stats.TruncNormal {
 // sweep runs one random-scan Metropolis-within-Gibbs sweep: every
 // coordinate, in a fresh random order written into the order buffer,
 // gets a truncated-normal proposal with the asymmetry correction of
-// Eq. 7. The sweep touches the likelihood only through the ModelState
-// interface — every implementation's kernels must stay allocation-free
-// (the hotpath contract below resolves the interface calls against all
-// of them).
+// Eq. 7.
 //
 //lint:hotpath
 func (k *mhKernel) sweep(rng *stats.RNG) (accepted, proposed int) {
@@ -97,7 +94,7 @@ func (k *mhKernel) sweep(rng *stats.RNG) (accepted, proposed int) {
 	for _, i := range k.order {
 		cur := pvec[i]
 		fwd := proposal(cur)
-		cand := ClampProb(fwd.Sample(rng))
+		cand := clampProb(fwd.Sample(rng))
 		back := proposal(cand)
 		massCand, priorCand := back.LogMass(), logPriorAt(k.prior, cand)
 		// log acceptance ratio: likelihood delta + prior delta +

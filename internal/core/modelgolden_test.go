@@ -11,14 +11,17 @@ import (
 	"because/internal/bgp"
 )
 
-// Golden hashes of the default-model inference output, captured before the
-// likelihood was lifted behind the ObservationModel interface. The refactor
-// contract is bit-identity: the default RFD model must reproduce the exact
-// pre-interface chains, so these constants must never change without a
-// deliberate (and documented) sampler-semantics break.
+// Golden hashes of the inference output per observation model. The rfd
+// hashes were captured before the likelihood was first lifted behind a
+// model interface, the churn hashes while the churn model still had its
+// own copy of the likelihood kernels. The refactor contract is
+// bit-identity, so these constants must never change without a deliberate
+// (and documented) sampler-semantics break.
 const (
-	goldenDefaultModelSHA  = "0d22c31f39dd65e74522e87de28cf623c069afadd02e74ce777f28890458e17c"
-	goldenMissRateModelSHA = "e9390551c800b90a69c261138ffa581b04a749ca600fe7953e6a6f04bcde034e"
+	goldenDefaultModelSHA     = "0d22c31f39dd65e74522e87de28cf623c069afadd02e74ce777f28890458e17c"
+	goldenMissRateModelSHA    = "e9390551c800b90a69c261138ffa581b04a749ca600fe7953e6a6f04bcde034e"
+	goldenChurnModelSHA       = "65b2d41b3d7359caa9191b260c61a3ea04e454ba122ed073998559e2f32b73a5"
+	goldenChurnNoMissModelSHA = "d6765aeca9c5abc1b7036f45c14fb83f8decf2ea806c0c6e0106b1475e98c425"
 )
 
 // goldenObs builds a fixed synthetic tomography input: 40 paths over a
@@ -79,10 +82,9 @@ func hashResult(res *Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestDefaultModelGolden proves the ObservationModel refactor left the
-// default RFD model's Infer output byte-identical to the pre-refactor
-// implementation: the hashes below were recorded on the commit before the
-// likelihood moved behind the interface.
+// TestDefaultModelGolden proves that the likelihood refactors left every
+// model's Infer output byte-identical to the implementation the hashes
+// were recorded on.
 func TestDefaultModelGolden(t *testing.T) {
 	ds, err := NewDataset(goldenObs())
 	if err != nil {
@@ -105,11 +107,29 @@ func TestDefaultModelGolden(t *testing.T) {
 		{
 			name: "missrate",
 			cfg: Config{
-				Seed: 23, Model: RFDModel{MissRate: 0.05},
+				Seed: 23, Model: Model{MissRate: 0.05},
 				MH:  MHConfig{Sweeps: 150, BurnIn: 30},
 				HMC: HMCConfig{Iterations: 50, BurnIn: 10, Leapfrog: 6},
 			},
 			want: goldenMissRateModelSHA,
+		},
+		{
+			name: "churn",
+			cfg: Config{
+				Seed: 29, Chains: 2, Model: Model{Name: "churn", BackgroundRate: 0.08, MissRate: 0.04},
+				MH:  MHConfig{Sweeps: 200, BurnIn: 50},
+				HMC: HMCConfig{Iterations: 60, BurnIn: 20, Leapfrog: 6},
+			},
+			want: goldenChurnModelSHA,
+		},
+		{
+			name: "churn-nomiss",
+			cfg: Config{
+				Seed: 31, Model: Model{Name: "churn", BackgroundRate: 0.05},
+				MH:  MHConfig{Sweeps: 150, BurnIn: 30},
+				HMC: HMCConfig{Iterations: 50, BurnIn: 10, Leapfrog: 6},
+			},
+			want: goldenChurnNoMissModelSHA,
 		},
 	}
 	for _, tc := range cases {
@@ -119,7 +139,7 @@ func TestDefaultModelGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := hashResult(res); got != tc.want {
-				t.Fatalf("default-model output drifted from the pre-refactor golden:\n got %s\nwant %s", got, tc.want)
+				t.Fatalf("%s output drifted from its golden:\n got %s\nwant %s", tc.name, got, tc.want)
 			}
 		})
 	}

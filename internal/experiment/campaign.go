@@ -184,17 +184,29 @@ func (s *Scenario) scheduleChurn(eng *netsim.Engine, net *router.Network, rng *s
 	return nil
 }
 
-// Dataset compiles the run's measurements into the tomography input: one
-// observation per labeled path, over the tomography portion (origin
-// excluded).
-func (r *Run) Dataset() (*core.Dataset, error) {
+// Dataset compiles the run's measurements into the tomography input of
+// model: one observation per labeled path, over the tomography portion
+// (origin excluded, since an origin cannot act on its own prefix).
+//
+// Each measurement takes model's label. Under the default rfd model a
+// path is positive when it carries the RFD signature (label.Measurement's
+// 90%-of-pairs rule). Under the churn model it is positive when at least
+// one of its burst/break pairs showed a route change: a deliberately
+// weaker signal that fires on dampers, on flaky sessions and on
+// background instability alike, which the model's background rate is
+// there to tell apart.
+func (r *Run) Dataset(model core.Model) (*core.Dataset, error) {
 	var obs []core.PathObs
 	for _, m := range r.Measurements {
 		tomo := m.TomographyPath()
 		if len(tomo) == 0 {
 			continue
 		}
-		obs = append(obs, core.PathObs{ASNs: tomo, Positive: m.RFD})
+		positive := m.RFD
+		if model.Name == "churn" {
+			positive = m.PairsRFD >= 1
+		}
+		obs = append(obs, core.PathObs{ASNs: tomo, Positive: positive})
 	}
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("experiment: campaign %s produced no measurements", r.Campaign.Name)
@@ -212,29 +224,22 @@ func InferConfig(seed uint64) core.Config {
 	}
 }
 
-// InferContext runs BeCAUSe over the campaign's measurements,
-// instrumented with the scenario's observer. The sampler chains stop
-// within one sweep of cancellation and the call returns ctx.Err(). The
-// campaign simulation itself already happened when a Run exists, so
-// inference is the only cancellable stage.
+// InferContext runs BeCAUSe over the campaign's measurements under the
+// default model, instrumented with the scenario's observer. The sampler
+// chains stop within one sweep of cancellation and the call returns
+// ctx.Err(). The campaign simulation itself already happened when a Run
+// exists, so inference is the only cancellable stage.
 func (r *Run) InferContext(ctx context.Context) (*core.Result, *core.Dataset, error) {
-	ds, err := r.Dataset()
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.infer(ctx, ds, nil, 7)
+	return r.InferModelContext(ctx, core.Model{})
 }
 
-// InferModelContext runs BeCAUSe over caller-labeled observations under
-// an explicit observation model, with the run's standard sampler settings
-// and the same seed derivation as InferContext — so swapping the model is
-// the ONLY difference between workloads built on the same campaign. This
-// is the entry the scenario runner dispatches non-default models through.
-func (r *Run) InferModelContext(ctx context.Context, obs []core.PathObs, model core.ObservationModel) (*core.Result, *core.Dataset, error) {
-	if len(obs) == 0 {
-		return nil, nil, fmt.Errorf("experiment: campaign %s produced no observations", r.Campaign.Name)
-	}
-	ds, err := core.NewDataset(obs)
+// InferModelContext is InferContext under an explicit observation model:
+// the measurements take model's labels (see Dataset), with the run's
+// standard sampler settings and the same seed derivation, so swapping the
+// model is the ONLY difference between workloads built on the same
+// campaign.
+func (r *Run) InferModelContext(ctx context.Context, model core.Model) (*core.Result, *core.Dataset, error) {
+	ds, err := r.Dataset(model)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -242,9 +247,9 @@ func (r *Run) InferModelContext(ctx context.Context, obs []core.PathObs, model c
 }
 
 // infer is every inference a Run performs: the standard sampler settings
-// under model (nil selects the default), seeded at the scenario seed plus
-// seedOffset, on the scenario's worker count and observer.
-func (r *Run) infer(ctx context.Context, ds *core.Dataset, model core.ObservationModel, seedOffset uint64) (*core.Result, *core.Dataset, error) {
+// under model, seeded at the scenario seed plus seedOffset, on the
+// scenario's worker count and observer.
+func (r *Run) infer(ctx context.Context, ds *core.Dataset, model core.Model, seedOffset uint64) (*core.Result, *core.Dataset, error) {
 	cfg := InferConfig(r.Scenario.Config.Seed + seedOffset)
 	cfg.Obs = r.Scenario.Obs
 	cfg.Workers = r.Scenario.Config.Workers

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"because/internal/bgp"
+	"because/internal/core"
+	"because/internal/label"
 )
 
 // runSmallCampaign executes a short 1-minute-interval campaign on the
@@ -111,7 +113,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestDatasetFromRun(t *testing.T) {
 	s := smallScenario(t)
 	run := runSmallCampaign(t, s)
-	ds, err := run.Dataset()
+	ds, err := run.Dataset(core.Model{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +189,38 @@ func TestMeasuredASes(t *testing.T) {
 	for _, site := range s.Sites {
 		if measured[site.ASN] {
 			t.Errorf("site %v counted as measured", site.ASN)
+		}
+	}
+}
+
+// TestLabelMeasurements checks each model's binarisation of the same
+// measurements and the origin-stripping convention: rfd takes the
+// signature label, churn marks a path churned when any pair changed.
+func TestLabelMeasurements(t *testing.T) {
+	run := &Run{Measurements: []label.Measurement{
+		{Path: []bgp.ASN{1, 2, 3}, PairsTotal: 10, PairsRFD: 1},             // one change → churned
+		{Path: []bgp.ASN{1, 4, 3}, PairsTotal: 10, PairsRFD: 0},             // stable
+		{Path: []bgp.ASN{1, 5, 3}, PairsTotal: 10, PairsRFD: 10, RFD: true}, // full signature → both
+		{Path: []bgp.ASN{9}, PairsTotal: 10, PairsRFD: 10, RFD: true},       // origin-only → dropped
+	}}
+	for _, tc := range []struct {
+		model   core.Model
+		wantPos map[bgp.ASN]int // positive paths per middle AS
+	}{
+		{core.Model{}, map[bgp.ASN]int{2: 0, 4: 0, 5: 1}},
+		{core.Model{Name: "churn"}, map[bgp.ASN]int{2: 1, 4: 0, 5: 1}},
+	} {
+		ds, err := run.Dataset(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.NumPaths() != 3 || ds.NumNodes() != 4 {
+			t.Fatalf("%+v: %d paths over %d ASes, want 3 over 4 (origins stripped)", tc.model, ds.NumPaths(), ds.NumNodes())
+		}
+		for asn, want := range tc.wantPos {
+			if pos, neg := ds.PathsOf(asn); pos != want || pos+neg != 1 {
+				t.Errorf("%+v: AS%d has %d positive of %d paths, want %d of 1", tc.model, asn, pos, pos+neg, want)
+			}
 		}
 	}
 }

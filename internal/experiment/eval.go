@@ -282,7 +282,7 @@ func ROVBenchmarkContext(ctx context.Context, run *Run) (*core.Result, *core.Dat
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	res, ds, err := run.infer(ctx, ds, nil, 99)
+	res, ds, err := run.infer(ctx, ds, core.Model{}, 99)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -1,9 +1,10 @@
 // Module-wide call graph and function-summary fixpoint solver — the
 // interprocedural backbone shared by the determinism, hotpath, goleak
-// and lockcheck analyzers; deadcode walks reference edges over its nodes
-// with the same resolution (resolve). Run builds the graph and solves the
-// summaries once; every consumer reads the same solution. Resolution is
-// CHA-style over go/types, stdlib-only:
+// and lockcheck analyzers; deadcode walks the reference edges the same
+// body walk records over its nodes, with the same resolution (resolve).
+// Run builds the graph and solves the summaries once; every consumer
+// reads the same solution. Resolution is CHA-style over go/types,
+// stdlib-only:
 //
 //   - Static calls (plain functions and concrete-receiver methods)
 //     resolve through Info.Uses. Calls into packages type-checked from
@@ -21,9 +22,10 @@
 //     business (see goleak.go).
 //
 // One walk per function body (bodyWalker) resolves its call sites and
-// records the direct evidence for every summary fact, whichever
-// analyzer consumes it. Function literals are attributed to their
-// enclosing declared function: a closure's facts are the decl's facts.
+// references and records the direct evidence for every summary fact,
+// whichever analyzer consumes it. Function literals are attributed to
+// their enclosing declared function: a closure's facts are the decl's
+// facts.
 // Calls through function values stay unresolved (no taint propagates) —
 // acceptable because every summary fact here also has a direct
 // intraprocedural detector.
@@ -49,7 +51,8 @@ type funcNode struct {
 	obj     *types.Func
 	hotpath bool // carries a //lint:hotpath marker
 	calls   []callSite
-	direct  summary // the body's own facts, before propagation
+	refs    []*funcNode // what the body references (refsAt): deadcode's edges
+	direct  summary     // the body's own facts, before propagation
 	// mutexOps is set when the body names a Lock/Unlock-family method:
 	// lockcheck's syntactic probe for its trivial-flow fast path.
 	mutexOps bool
@@ -285,8 +288,9 @@ func (s *summary) join(from *summary, callee *funcNode) bool {
 }
 
 // bodyWalker is the one walk of a function body, nested literals
-// included: it resolves the body's call sites and records the direct
-// evidence for all seven summary facts. The per-analyzer rules:
+// included: it resolves the body's call sites and references and records
+// the direct evidence for all seven summary facts. The per-analyzer
+// rules:
 //
 //   - a declaration-level //lint:allow X zeroes only analyzer X's facts
 //     (determinism: clock and rand; hotpath: alloc; lockcheck: block,
@@ -304,6 +308,7 @@ type bodyWalker struct {
 	n        *funcNode
 	exempt   struct{ det, hot, lock bool } // declaration-level allows
 	deferred bool                          // inside a defer statement
+	sig      *types.Signature              // of the innermost function around the node
 	block    blockingSites
 }
 
@@ -313,6 +318,7 @@ func (w *bodyWalker) walk(n *funcNode) {
 	w.exempt.det = pkg.exemptFunc("determinism", n.decl)
 	w.exempt.hot = pkg.exemptFunc("hotpath", n.decl)
 	w.exempt.lock = pkg.exemptFunc("lockcheck", n.decl)
+	w.sig, _ = n.obj.Type().(*types.Signature)
 	w.block.reset(pkg)
 	ast.Walk(w, n.decl.Body)
 }
@@ -325,6 +331,7 @@ func (w *bodyWalker) Visit(node ast.Node) ast.Visitor {
 	if !w.exempt.hot {
 		allocSites(pkg, node, w.alloc)
 	}
+	n.refs = w.g.refsAt(pkg, node, w.sig, n.refs)
 	switch x := node.(type) {
 	case *ast.DeferStmt:
 		prev := w.deferred
@@ -359,6 +366,14 @@ func (w *bodyWalker) Visit(node ast.Node) ast.Visitor {
 	}
 	if !w.deferred && !w.exempt.lock {
 		w.lockFacts(node)
+	}
+	if lit, ok := node.(*ast.FuncLit); ok {
+		sig := w.sig
+		w.sig, _ = pkg.Info.TypeOf(lit).(*types.Signature)
+		ast.Walk(w, lit.Type)
+		ast.Walk(w, lit.Body)
+		w.sig = sig
+		return nil
 	}
 	return w
 }

@@ -19,10 +19,6 @@ var DefaultDeterminismPaths = []string{
 	"internal/rfd",
 	"internal/label",
 	"internal/experiment",
-	// internal/churn is an observation model: its kernels execute inside
-	// every sampler sweep, where any clock or unseeded-RNG read would
-	// break chain reproducibility exactly as it would in internal/core.
-	"internal/churn",
 	// internal/serve caches and serves inference results keyed by request
 	// content; any clock dependence there would make cache behaviour (and
 	// therefore responses) time-sensitive. Its two latency-metric timings

@@ -350,11 +350,11 @@ func enclosingFunc(stack []ast.Node) ast.Node {
 	return nil
 }
 
-// inspectWithStack walks the file like ast.Inspect but hands the visitor
-// its ancestor chain (outermost first, not including n itself).
-func inspectWithStack(f *ast.File, visit func(n ast.Node, stack []ast.Node)) {
+// inspectWithStack walks root like ast.Inspect but hands the visitor its
+// ancestor chain (outermost first, not including n itself).
+func inspectWithStack(root ast.Node, visit func(n ast.Node, stack []ast.Node)) {
 	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		if n == nil {
 			stack = stack[:len(stack)-1]
 			return true

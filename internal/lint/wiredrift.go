@@ -42,14 +42,12 @@ func WireDrift() *Analyzer {
 // regenerator (WriteWireLock) so the two can never disagree about what
 // the surface is: the module root (because.Result / because.ASReport),
 // internal/serve (request, response and job/event envelopes),
-// internal/obs (the trace export embedded in job status documents),
+// internal/obs (the trace export embedded in job status documents) and
 // internal/scenario (the scenario document format and the outcome
-// served by POST /v1/scenarios/{name}/infer) and internal/churn (the
-// churn observation model — currently tag-free, registered so any future
-// wire struct there is locked from its first commit).
+// served by POST /v1/scenarios/{name}/infer).
 func productionWireConfig() wireDriftConfig {
 	return wireDriftConfig{
-		pkgSuffixes: []string{"internal/serve", "internal/obs", "internal/scenario", "internal/churn"},
+		pkgSuffixes: []string{"internal/serve", "internal/obs", "internal/scenario"},
 		includeRoot: true,
 	}
 }

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
-	"because"
 	"because/internal/bgp"
-	"because/internal/churn"
 	"because/internal/core"
 	"because/internal/experiment"
 )
@@ -76,22 +74,12 @@ func Run(ctx context.Context, spec *Spec) (*Outcome, error) {
 			return nil, fmt.Errorf("scenario %s: rov benchmark: %w", spec.Name, err)
 		}
 		truth = rovASes
-	case spec.ResolvedModel() == because.ModelChurn:
+	default:
 		// The churn model relabels the same campaign: any path change marks
 		// a path churned, and the planted dampers remain the ground truth —
 		// they are what the extra churn must be attributed to once the
 		// background rate absorbs the noise floor.
-		obs := churn.LabelMeasurements(run.Measurements)
-		res, ds, err = run.InferModelContext(ctx, obs, churn.Model{BackgroundRate: spec.ChurnRate})
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: churn inference: %w", spec.Name, err)
-		}
-		truth = make(map[bgp.ASN]bool, len(world.Deployments))
-		for _, asn := range world.TrueDampers() {
-			truth[asn] = true
-		}
-	default:
-		res, ds, err = run.InferContext(ctx)
+		res, ds, err = run.InferModelContext(ctx, core.Model{Name: spec.ResolvedModel(), BackgroundRate: spec.ChurnRate})
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: inference: %w", spec.Name, err)
 		}

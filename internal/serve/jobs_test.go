@@ -338,11 +338,13 @@ func TestStreamInline(t *testing.T) {
 // TestStreamValidationFailureMatchesSync: a request whose validation only
 // fails inside the inference (a path repeating an AS) answers 422 with the
 // offending field in sync mode, and the ?stream=1 error frame carries the
-// same status and field instead of a 500.
+// same status and field instead of a 500. Both requests are counted as
+// 422 in the request metric.
 func TestStreamValidationFailureMatchesSync(t *testing.T) {
 	const body = `{"observations":[{"path":[1,1],"positive":true}]}`
 	const field = "observations[0].path"
-	ts := httptest.NewServer(New(Config{}).Handler())
+	observer := obs.New(nil, obs.NewRegistry())
+	ts := httptest.NewServer(New(Config{Obs: observer}).Handler())
 	defer ts.Close()
 
 	resp, err := http.Post(ts.URL+"/v1/infer", "application/json", strings.NewReader(body))
@@ -372,6 +374,18 @@ func TestStreamValidationFailureMatchesSync(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(f.data), &env); err != nil || f.event != "error" || env.Code != http.StatusUnprocessableEntity || env.Field != field {
 		t.Fatalf("stream terminal frame %q = %s; want error with code 422 and field %q", f.event, f.data, field)
+	}
+	// The handler counts the request after its last write, so wait for it.
+	const counted = obs.MetricServeRequests + `{code="422",endpoint="infer"} 2`
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var buf strings.Builder
+		observer.Metrics.WritePrometheus(&buf) //nolint:errcheck
+		if strings.Contains(buf.String(), counted) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("want %s; metrics:\n%s", counted, buf.String())
+		}
 	}
 }
 

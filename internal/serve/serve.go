@@ -240,8 +240,9 @@ type statusWriter struct {
 	http.ResponseWriter
 	status int
 	// recorded overrides status for the request counter. SSE handlers use
-	// it when the outcome (client disconnected → 499) is only known after
-	// the 200 header has already gone out.
+	// it when the outcome (client disconnected → 499, a failed job → its
+	// 422 or 500) is only known after the 200 header has already gone
+	// out.
 	recorded int
 }
 
@@ -517,18 +518,23 @@ func (s *Server) streamInfer(w http.ResponseWriter, r *http.Request, j *job) {
 		}
 		return
 	}
+	// The request counter reports the status the synchronous path would
+	// have answered, not the 200 header the stream went out under.
 	st := j.status(true)
+	code := http.StatusOK
 	switch st.State {
 	case string(jobDone):
 		writeSSEEvent(w, "result", streamResultEnvelope(st)) //nolint:errcheck // stream is ending either way
 	case string(jobCancelled):
-		writeSSEEvent(w, "error", streamErrorEnvelope(statusClientClosedRequest, "", st)) //nolint:errcheck
-		if sw, ok := w.(*statusWriter); ok {
-			sw.record(statusClientClosedRequest)
-		}
+		code = statusClientClosedRequest
+		writeSSEEvent(w, "error", streamErrorEnvelope(code, "", st)) //nolint:errcheck
 	default:
-		code, field := errorStatus(j.failure())
+		var field string
+		code, field = errorStatus(j.failure())
 		writeSSEEvent(w, "error", streamErrorEnvelope(code, field, st)) //nolint:errcheck
+	}
+	if sw, ok := w.(*statusWriter); ok {
+		sw.record(code)
 	}
 }
 

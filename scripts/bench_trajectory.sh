@@ -38,14 +38,11 @@ go test -run '^$' -bench '^(BenchmarkInfer|BenchmarkPublicInfer|BenchmarkCampaig
 echo "bench-trajectory: lint benchmark"
 go test -run '^$' -bench '^BenchmarkLint$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/lint | tee -a "$RAW"
-echo "bench-trajectory: hotpath kernels"
-go test -run '^$' -bench '^(BenchmarkMHSweep|BenchmarkHMCLeapfrog|BenchmarkPaperChain)$' \
+echo "bench-trajectory: hotpath kernels (both observation models)"
+go test -run '^$' -bench '^(BenchmarkMHSweep|BenchmarkHMCLeapfrog|BenchmarkPaperChain|BenchmarkChurnDeltaApply|BenchmarkChurnGrad|BenchmarkChurnGradNoMiss)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/core | tee -a "$RAW"
 go test -run '^$' -bench '^(BenchmarkPermInto|BenchmarkTruncNormalSample)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/stats | tee -a "$RAW"
-echo "bench-trajectory: churn observation-model kernels"
-go test -run '^$' -bench '^(BenchmarkChurnDeltaApply|BenchmarkChurnGrad|BenchmarkChurnGradNoMiss)$' \
-    -benchmem -benchtime "$BENCHTIME" ./internal/churn | tee -a "$RAW"
 echo "bench-trajectory: campaign write path (event queue, BGP encoder, MRT writer)"
 go test -run '^$' -bench '^BenchmarkQueuePushPop$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/netsim | tee -a "$RAW"

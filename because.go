@@ -246,19 +246,9 @@ func (o Options) Validate() error {
 	if o.HDPIMass < 0 || o.HDPIMass > 1 {
 		return &ValidationError{Field: "hdpi_mass", Reason: "must be in [0, 1] (0 selects the 0.95 default)"}
 	}
-	if o.MissRate < 0 || o.MissRate >= 1 {
-		return &ValidationError{Field: "miss_rate", Reason: "must be in [0, 1)"}
-	}
-	switch o.Model {
-	case "", ModelRFD, ModelChurn:
-	default:
-		return &ValidationError{Field: "model", Reason: fmt.Sprintf("unknown model %q (want rfd or churn)", o.Model)}
-	}
-	if o.ChurnRate < 0 || o.ChurnRate >= 1 {
-		return &ValidationError{Field: "churn_rate", Reason: "must be in [0, 1)"}
-	}
-	if o.ChurnRate > 0 && o.Model != ModelChurn {
-		return &ValidationError{Field: "churn_rate", Reason: `only meaningful with model "churn"`}
+	var me *core.ModelError
+	if errors.As(o.observationModel().Validate(), &me) {
+		return &ValidationError{Field: modelFields[me.Field], Reason: me.Reason}
 	}
 	if o.ProgressEvery < 0 {
 		return &ValidationError{Field: "progress_every", Reason: "must be non-negative"}
@@ -275,8 +265,11 @@ func (o Options) ResolvedModel() string {
 	return o.Model
 }
 
-// observationModel maps the validated options onto the internal model
-// the samplers draw against.
+// modelFields spells each core.Model field as its Options field.
+var modelFields = map[string]string{"Name": "model", "MissRate": "miss_rate", "BackgroundRate": "churn_rate"}
+
+// observationModel maps the options onto the internal model the samplers
+// draw against, which also checks them.
 func (o Options) observationModel() core.Model {
 	return core.Model{Name: o.Model, MissRate: o.MissRate, BackgroundRate: o.ChurnRate}
 }

@@ -120,15 +120,20 @@ func deltaApplyFixture(tb testing.TB) func() {
 	}
 }
 
-// gradFixture returns the HMC leapfrog kernel — the full logit-space
-// posterior gradient of m — as a closure.
+// gradFixture returns the HMC gradient kernel of m — one leapfrog step's
+// node and path passes, at a fixed position (zero momentum) — as a
+// closure.
 func gradFixture(tb testing.TB, m Model) func() {
 	st := churnBenchState(tb, m)
 	prior := Prior{Alpha: 0.4, Beta: 0.4}
-	grad := make([]float64, len(st.p))
+	n := len(st.p)
+	theta, mom, grad := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i, p := range st.p {
+		theta[i] = stats.Logit(p)
+	}
 	return func() {
-		st.GradLogPostTheta(prior, grad)
-		st.Recompute()
+		st.stepNodes(prior, theta, mom, grad, grad, 0, 0)
+		st.stepPaths(grad)
 	}
 }
 
@@ -219,8 +224,8 @@ func TestChurnHotpathKernelsAllocateNothing(t *testing.T) {
 		{"mhSweep", mhSweepFixture(t, churnBenchModel)},
 		{"hmcLeapfrog", hmcTrajectoryFixture(t, churnBenchModel)},
 		{"DeltaFor/Apply", deltaApplyFixture(t)},
-		{"GradLogPostTheta", gradFixture(t, churnBenchModel)},
-		{"GradLogPostTheta/nomiss", gradFixture(t, Model{Name: "churn", BackgroundRate: churnBenchModel.BackgroundRate})},
+		{"gradient", gradFixture(t, churnBenchModel)},
+		{"gradient/nomiss", gradFixture(t, Model{Name: "churn", BackgroundRate: churnBenchModel.BackgroundRate})},
 	} {
 		if n := testing.AllocsPerRun(50, k.run); n != 0 {
 			t.Errorf("%s: %g allocs/op, want 0", k.name, n)
@@ -284,5 +289,35 @@ func BenchmarkPaperChain(b *testing.B) {
 				step()
 			}
 		})
+	}
+}
+
+// BenchmarkSummarize times Summarize at paper scale: 600 nodes, an MH
+// chain of 1500 samples and an HMC chain of 800, each node's column drawn
+// from a Beta marginal of its own shape.
+func BenchmarkSummarize(b *testing.B) {
+	ds := paperDataset(b)
+	rng := stats.NewRNG(3)
+	chains := []*Chain{{Method: "mh"}, {Method: "hmc"}}
+	for k, n := range []int{1500, 800} {
+		c := chains[k]
+		c.Nodes = ds.Nodes()
+		c.Samples = make([][]float64, n)
+		for t := range c.Samples {
+			c.Samples[t] = make([]float64, ds.NumNodes())
+		}
+		for i := 0; i < ds.NumNodes(); i++ {
+			beta := stats.NewBeta(0.5+float64(i%5), 0.5+float64(i%7))
+			for _, s := range c.Samples {
+				s[i] = beta.Sample(rng)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Summarize(ds, chains, 0.95); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -105,9 +105,9 @@ func TestDeltaForMatchesFullRecompute(t *testing.T) {
 	}
 }
 
-// TestGradientFiniteDifference validates GradLogPostTheta under a
-// background rate against central finite differences of LogPostTheta in
-// θ space.
+// TestGradientFiniteDifference validates the leapfrog passes' gradient
+// under a background rate against central finite differences of
+// LogPostTheta in θ space.
 func TestGradientFiniteDifference(t *testing.T) {
 	ds := mustDataset(t, churnObs())
 	m := churnModel(0.05, 0.1)
@@ -124,8 +124,7 @@ func TestGradientFiniteDifference(t *testing.T) {
 		}
 		return p
 	}
-	grad := make([]float64, n)
-	newLikState(ds, pOf(theta), m).GradLogPostTheta(prior, grad)
+	grad := newLikState(ds, pOf(theta), m).MoveTo(prior, theta)
 	const h = 1e-6
 	for i := 0; i < n; i++ {
 		up := append([]float64(nil), theta...)
@@ -140,7 +139,7 @@ func TestGradientFiniteDifference(t *testing.T) {
 }
 
 // TestGradFiniteOnLongStablePath pins the m = 0 stable-path gradient on a
-// path long enough for Q' to underflow: 40 ASes at p = 1 (clamped to
+// path long enough for Q' to underflow: 40 ASes at θ = 36 (p clamped to
 // 1-1e-9) give log Q' ≈ -829, past exp's range. Each node's gradient is
 // then exactly the prior term minus p_i, under churn as under RFD; the
 // ratio form (1-m)Q'/((1-m)Q'+m) evaluated 0/0 and poisoned HMC with NaN.
@@ -150,15 +149,14 @@ func TestGradFiniteOnLongStablePath(t *testing.T) {
 		path[k] = bgp.ASN(64500 + k)
 	}
 	ds := mustDataset(t, []PathObs{{ASNs: path}})
-	p := make([]float64, ds.NumNodes())
+	p, theta := make([]float64, ds.NumNodes()), make([]float64, ds.NumNodes())
 	for i := range p {
-		p[i] = 1
+		p[i], theta[i] = 1, 36
 	}
 	prior := Prior{Alpha: 0.4, Beta: 0.4}
 	for _, m := range []Model{churnModel(0, 0), churnModel(0.05, 0), {}} {
-		grad := make([]float64, len(p))
 		st := newLikState(ds, p, m)
-		st.GradLogPostTheta(prior, grad)
+		grad := st.MoveTo(prior, theta)
 		for i, g := range grad {
 			pi := st.p[i]
 			if want := prior.Alpha*(1-pi) - prior.Beta*pi - pi; g != want {

@@ -172,9 +172,7 @@ func TestGradientMatchesFiniteDifferences(t *testing.T) {
 		}
 		return p
 	}
-	st := newLikState(ds, pOf(theta), Model{})
-	grad := make([]float64, n)
-	st.GradLogPostTheta(prior, grad)
+	grad := newLikState(ds, pOf(theta), Model{}).MoveTo(prior, theta)
 
 	const h = 1e-6
 	for i := 0; i < n; i++ {

@@ -52,15 +52,23 @@ func RHat(marginals [][]float64) float64 {
 // ESS estimates the effective sample size of one marginal using the
 // initial-positive-sequence estimator over autocorrelations.
 func ESS(samples []float64) float64 {
+	return essInto(make([]float64, len(samples)), samples)
+}
+
+// essInto is ESS over a caller-owned scratch, at least len(samples) long,
+// into which the column is centred once. The autocovariances at lags ℓ
+// and ℓ+1 then accumulate in one loop, each in index order.
+func essInto(buf, samples []float64) float64 {
 	n := len(samples)
 	if n < 4 {
 		return float64(n)
 	}
 	mean := stats.Mean(samples)
+	d := buf[:n]
 	var c0 float64
-	for _, x := range samples {
-		d := x - mean
-		c0 += d * d
+	for i, x := range samples {
+		d[i] = x - mean
+		c0 += d[i] * d[i]
 	}
 	c0 /= float64(n)
 	if c0 == 0 {
@@ -70,8 +78,17 @@ func ESS(samples []float64) float64 {
 	// (Geyer's initial positive sequence).
 	sum := 0.0
 	for lag := 1; lag+1 < n; lag += 2 {
-		r1 := autocov(samples, mean, lag) / c0
-		r2 := autocov(samples, mean, lag+1) / c0
+		// The lag+1 sum has m terms; the lag sum has one more, d[m]·d[n-1].
+		m := n - lag - 1
+		head, at1, at2 := d[:m], d[lag:lag+m], d[lag+1:n]
+		var s1, s2 float64
+		for i, x := range head {
+			s1 += x * at1[i]
+			s2 += x * at2[i]
+		}
+		s1 += d[m] * d[n-1]
+		r1 := s1 / float64(n) / c0
+		r2 := s2 / float64(n) / c0
 		if r1+r2 <= 0 {
 			break
 		}
@@ -85,13 +102,4 @@ func ESS(samples []float64) float64 {
 		ess = 1
 	}
 	return ess
-}
-
-func autocov(xs []float64, mean float64, lag int) float64 {
-	n := len(xs)
-	var s float64
-	for i := 0; i+lag < n; i++ {
-		s += (xs[i] - mean) * (xs[i+lag] - mean)
-	}
-	return s / float64(n)
 }

@@ -80,9 +80,7 @@ func TestErrorModelGradient(t *testing.T) {
 		}
 		return p
 	}
-	st := newLikState(ds, pOf(theta), Model{MissRate: m})
-	grad := make([]float64, len(theta))
-	st.GradLogPostTheta(prior, grad)
+	grad := newLikState(ds, pOf(theta), Model{MissRate: m}).MoveTo(prior, theta)
 	const h = 1e-6
 	for i := range theta {
 		up := append([]float64(nil), theta...)

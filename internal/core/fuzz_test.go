@@ -7,6 +7,7 @@ import (
 
 	"because/internal/bgp"
 	"because/internal/core"
+	"because/internal/stats"
 )
 
 // byteSource hands out fuzz bytes, then zeros once they run out.
@@ -85,16 +86,17 @@ func churnTerms(m, bg float64) refTerms {
 
 // FuzzModelStateInvariants drives the likelihood state under both
 // observation models through a fuzzed sequence of
-// DeltaFor/Apply/SetP/Recompute calls over a small fuzzed dataset and
+// DeltaFor/Apply/MoveTo/Recompute calls over a small fuzzed dataset and
 // checks the state's invariants after every call, each against reference
-// arithmetic written out independently of the state: lq[i] is bitwise log1p(-p_i); after SetP/Recompute every logQ[j]
-// is bitwise the in-order sum of log1p(-p_i) over the path; DeltaFor is
+// arithmetic written out independently of the state: lq[i] is bitwise
+// log1p(-p_i); after MoveTo (the HMC leapfrog passes) or Recompute every
+// logQ[j] is bitwise the in-order sum of log1p(-p_i) over the path; DeltaFor is
 // bitwise the two-log1p reference formula, and it matches the LogLik
 // difference of actually applying the move to within 1e-9; and whenever
 // the term cache is valid, each path's cached term is bitwise the
 // reference term at its logQ. DeltaFor is interleaved with the Apply of
 // its own move (which commits the candidate terms), of another move, a
-// repeated Apply, and a SetP between the two.
+// repeated Apply, and a MoveTo between the two.
 func FuzzModelStateInvariants(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 6, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0x40, 0, 0, 1, 2, 3, 4, 5, 6})
@@ -102,7 +104,7 @@ func FuzzModelStateInvariants(f *testing.F) {
 	f.Add([]byte{2, 3, 1, 40, 0, 0, 0, 0, 0, 0, 2, 3, 1, 2, 3, 0, 1, 2, 3, 4, 0, 1})
 	// Each fails a term cache that commits on anything short of the
 	// exact pending move (another value at the proposal's node, the
-	// proposal's value at another node) or that survives a SetP.
+	// proposal's value at another node) or that survives a MoveTo.
 	f.Add([]byte("0y000000000000001"))
 	f.Add([]byte("02C0000\x00\x00\x01\x02%2"))
 	f.Add([]byte("02000000000002"))
@@ -148,13 +150,13 @@ func FuzzModelStateInvariants(f *testing.F) {
 					checkDelta(t, ds, model.om, st, model.terms, i, x)
 					return x
 				}
-				setP := func() {
-					q := make([]float64, ds.NumNodes())
-					for k := range q {
-						q[k] = ops.prob()
+				moveTo := func() {
+					theta := make([]float64, ds.NumNodes())
+					for k := range theta {
+						theta[k] = stats.Logit(ops.prob())
 					}
-					st.SetP(q)
-					checkSums(t, ds, st, "SetP")
+					st.MoveTo(core.SparsePrior, theta)
+					checkSums(t, ds, st, "MoveTo")
 				}
 				switch op {
 				case 0:
@@ -162,7 +164,7 @@ func FuzzModelStateInvariants(f *testing.F) {
 				case 1:
 					st.Apply(i, ops.prob())
 				case 2:
-					setP()
+					moveTo()
 				case 3:
 					st.Recompute()
 					checkSums(t, ds, st, "Recompute")
@@ -175,9 +177,9 @@ func FuzzModelStateInvariants(f *testing.F) {
 					st.Apply(i, delta())
 					checkTerms(t, ds, st, model.terms, "first Apply")
 					st.Apply(i, ops.prob())
-				case 7: // the proposal's move, after a SetP
+				case 7: // the proposal's move, after a MoveTo
 					x := delta()
-					setP()
+					moveTo()
 					st.Apply(i, x)
 				}
 				checkNodeLogs(t, st, fmt.Sprint(model.om), op)

@@ -73,31 +73,29 @@ func (c HMCConfig) start(model Model, ds *Dataset, prior Prior, p0 []float64, o 
 	for i, pi := range p0 {
 		theta[i] = stats.Logit(pi)
 	}
-	// pProp doubles as the start position's p buffer: newLikState copies
-	// it, and every leapfrog step overwrites it before reading.
-	pProp := make([]float64, n)
-	thetaToP(theta, pProp)
-	st := newLikState(ds, pProp, model)
 	k := &hmcKernel{
-		st: st,
+		st: newLikState(ds, p0, model),
 		// stProp is the proposal's scratch state, allocated once; a
-		// trajectory's first leapfrog SetP overwrites everything it
+		// trajectory's first leapfrog step overwrites everything it
 		// holds, so it needs no refresh from st. On accept the two
 		// states swap instead of allocating.
-		stProp:      newLikState(ds, pProp, model),
+		stProp:      newLikState(ds, p0, model),
 		prior:       prior,
 		theta:       theta,
 		thetaProp:   make([]float64, n),
-		pProp:       pProp,
 		grad:        make([]float64, n),
 		gradProp:    make([]float64, n),
 		mom:         make([]float64, n),
-		logPost:     st.LogPostTheta(prior),
 		stepSize:    c.StepSize,
 		leapfrog:    c.Leapfrog,
 		divergences: o.Counter(obs.MetricDivergences, "method", "hmc", "chain", chain),
 	}
-	st.GradLogPostTheta(prior, k.grad)
+	// The start is a leapfrog step of length zero from rest (kick and
+	// drift 0, momentum 0): the passes every step runs move the state to
+	// θ and leave the log-posterior gradient there in grad.
+	k.st.stepNodes(prior, theta, k.mom, k.grad, k.grad, 0, 0)
+	k.st.stepPaths(k.grad)
+	k.logPost = k.st.LogPostTheta(prior)
 	return k
 }
 
@@ -106,13 +104,13 @@ func (c HMCConfig) start(model Model, ds *Dataset, prior Prior, p0 []float64, o 
 // at theta: computed once at the start, then taken over from each
 // accepted trajectory's final step, which evaluated it at the proposal.
 type hmcKernel struct {
-	st, stProp                                   *likState
-	prior                                        Prior
-	theta, thetaProp, pProp, grad, gradProp, mom []float64
-	logPost                                      float64 // log posterior at theta
-	stepSize                                     float64
-	leapfrog                                     int
-	divergences                                  *obs.Counter
+	st, stProp                            *likState
+	prior                                 Prior
+	theta, thetaProp, grad, gradProp, mom []float64
+	logPost                               float64 // log posterior at theta
+	stepSize                              float64
+	leapfrog                              int
+	divergences                           *obs.Counter
 }
 
 func (k *hmcKernel) step(c *Chain, _ int, rng *stats.RNG) {
@@ -126,7 +124,7 @@ func (k *hmcKernel) step(c *Chain, _ int, rng *stats.RNG) {
 	copy(k.thetaProp, k.theta)
 
 	eps := k.stepSize * (1 + hmcJitter*(2*rng.Float64()-1))
-	hmcLeapfrog(k.stProp, k.prior, k.thetaProp, k.pProp, k.grad, k.gradProp, mom, eps, k.leapfrog)
+	hmcLeapfrog(k.stProp, k.prior, k.thetaProp, k.grad, k.gradProp, mom, eps, k.leapfrog)
 	kin1 := 0.0
 	for i := range mom {
 		kin1 += mom[i] * mom[i] / 2
@@ -150,50 +148,24 @@ func (k *hmcKernel) step(c *Chain, _ int, rng *stats.RNG) {
 
 func (k *hmcKernel) state() *likState { return k.st }
 
-// thetaToP maps a logit-space position onto the clamped probability
-// simplex coordinates the likelihood works in.
-//
-//lint:hotpath
-func thetaToP(theta, p []float64) {
-	for i, th := range theta {
-		p[i] = clampProb(stats.Expit(th))
-	}
-}
-
 // hmcLeapfrog integrates one trajectory in place — half momentum step,
 // steps-1 full position/momentum steps, closing half momentum step —
-// from the start gradient grad0, leaving the proposal position in
-// thetaProp/pProp/stProp, its gradient in grad and the final momentum in
-// mom. Every step begins with SetP, which overwrites all of stProp, so
-// stProp may hold any earlier state on entry. All buffers are
-// caller-owned; the integrator allocates nothing.
+// from the start gradient grad0, leaving the proposal position in theta
+// and stProp, its gradient in grad and the final momentum in mom. Each
+// step is one node pass, which also takes the previous momentum step,
+// and one path pass; the node pass overwrites all of stProp, so stProp
+// may hold any earlier state on entry. All buffers are caller-owned; the
+// integrator allocates nothing.
 //
 //lint:hotpath
-func hmcLeapfrog(stProp *likState, prior Prior, thetaProp, pProp, grad0, grad, mom []float64, eps float64, steps int) {
-	for i := range mom {
-		mom[i] += eps / 2 * grad0[i]
-	}
+func hmcLeapfrog(stProp *likState, prior Prior, theta, grad0, grad, mom []float64, eps float64, steps int) {
+	kick, gPrev := eps/2, grad0
 	for step := 0; step < steps; step++ {
-		for i := range thetaProp {
-			thetaProp[i] += eps * mom[i]
-			// Keep θ in a numerically safe band; expit saturates
-			// beyond ±36 anyway.
-			if thetaProp[i] > 36 {
-				thetaProp[i] = 36
-			}
-			if thetaProp[i] < -36 {
-				thetaProp[i] = -36
-			}
-		}
-		thetaToP(thetaProp, pProp)
-		stProp.SetP(pProp)
-		stProp.GradLogPostTheta(prior, grad)
-		scale := eps
-		if step == steps-1 {
-			scale = eps / 2
-		}
-		for i := range mom {
-			mom[i] += scale * grad[i]
-		}
+		stProp.stepNodes(prior, theta, mom, gPrev, grad, kick, eps)
+		stProp.stepPaths(grad)
+		kick, gPrev = eps, grad
+	}
+	for i := range mom {
+		mom[i] += eps / 2 * grad[i]
 	}
 }

@@ -326,11 +326,15 @@ func summarizeStage(ctx context.Context, o *obs.Observer, ds *Dataset, chains, m
 		// over every chain (not just the first) means one badly mixing
 		// chain in an ensemble cannot hide behind its siblings.
 		essMin := math.Inf(1)
-		var col []float64
+		longest := 0
+		for _, c := range chains {
+			longest = max(longest, c.Len())
+		}
+		col, centred := make([]float64, 0, longest), make([]float64, longest)
 		for _, c := range chains {
 			for i := 0; i < ds.NumNodes(); i++ {
 				col = c.marginalInto(col, i)
-				if e := ESS(col); e < essMin {
+				if e := essInto(centred, col); e < essMin {
 					essMin = e
 				}
 			}

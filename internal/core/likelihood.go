@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"because/internal/stats"
+)
 
 // pEps clamps probabilities away from the boundary so log terms stay
 // finite; the samplers never need to represent an exact 0 or 1.
@@ -59,8 +63,8 @@ func posGradFactor(q float64) float64 {
 // is the term at logQ[j] whenever termsOK holds. DeltaFor leaves the
 // candidate terms of one move in cand, and an Apply of exactly that move
 // commits them, so an MH proposal evaluates each path's term once; every
-// other write to the state (SetP, Recompute, an Apply of any other move)
-// only invalidates the cache.
+// other write to the state (a leapfrog step, Recompute, an Apply of any
+// other move) only invalidates the cache.
 //
 // The state upholds three invariants (DESIGN.md): every method is a pure
 // function of the vector and the dataset; after any sequence of Apply
@@ -81,6 +85,8 @@ type likState struct {
 
 	miss  float64 // m, the miss rate
 	logBG float64 // log(1-β), folded into every path term and gradient factor
+
+	factor []float64 // each path's gradient factor, scratch of the leapfrog path pass
 }
 
 // newLikState compiles m's likelihood state over ds at p (copied and
@@ -88,21 +94,25 @@ type likState struct {
 // across goroutines.
 func newLikState(ds *Dataset, p []float64, m Model) *likState {
 	deg := 0
-	for _, paths := range ds.nodePaths {
-		deg = max(deg, len(paths))
+	for i := range ds.nodes {
+		deg = max(deg, len(ds.pathsOf(i)))
 	}
 	st := &likState{
-		ds: ds, p: make([]float64, len(p)), lq: make([]float64, len(p)), logQ: make([]float64, len(ds.paths)),
-		term: make([]float64, len(ds.paths)), cand: make([]float64, deg),
+		ds: ds, p: make([]float64, len(p)), lq: make([]float64, len(p)), logQ: make([]float64, ds.NumPaths()),
+		term: make([]float64, ds.NumPaths()), cand: make([]float64, deg), factor: make([]float64, ds.NumPaths()),
 		miss: m.MissRate, logBG: math.Log1p(-m.BackgroundRate),
 	}
-	st.SetP(p)
+	for i := range p {
+		st.p[i] = clampProb(p[i])
+		st.lq[i] = math.Log1p(-st.p[i])
+	}
+	st.Recompute()
 	return st
 }
 
 // Probabilities returns the state's own probability vector in dataset
-// index order (mutated in place by Apply/SetP; callers must not modify
-// it).
+// index order (mutated in place by Apply and the leapfrog passes; callers
+// must not modify it).
 //
 //lint:hotpath
 func (st *likState) Probabilities() []float64 { return st.p }
@@ -115,30 +125,15 @@ func (st *likState) invalidate() {
 	st.pendI = -1
 }
 
-// SetP replaces the whole probability vector and rebuilds the caches;
-// used by the HMC leapfrog, which moves all coordinates at once. It
-// overwrites every value the state holds, so the result does not depend
-// on what the state held before: HMC starts each trajectory on a scratch
-// state without copying the current one into it.
-//
-//lint:hotpath
-func (st *likState) SetP(p []float64) {
-	for i := range p {
-		st.p[i] = clampProb(p[i])
-		st.lq[i] = math.Log1p(-st.p[i])
-	}
-	st.Recompute()
-}
-
 // Recompute rebuilds the logQ cache from lq (called initially and
 // periodically to cancel the drift of incremental Apply updates) and
 // invalidates the term cache, whose terms were taken at the old sums.
 //
 //lint:hotpath
 func (st *likState) Recompute() {
-	for j, path := range st.ds.paths {
+	for j := range st.logQ {
 		s := 0.0
-		for _, i := range path.nodes {
+		for _, i := range st.ds.pathNodesOf(j) {
 			s += st.lq[i]
 		}
 		st.logQ[j] = s
@@ -156,7 +151,7 @@ func (st *likState) Apply(i int, pNew float64) {
 	pNew = clampProb(pNew)
 	lq := math.Log1p(-pNew)
 	dLogQ := lq - st.lq[i]
-	paths := st.ds.nodePaths[i]
+	paths := st.ds.pathsOf(i)
 	for _, j := range paths {
 		st.logQ[j] += dLogQ
 	}
@@ -172,7 +167,7 @@ func (st *likState) Apply(i int, pNew float64) {
 	st.pendI = -1
 }
 
-// pathTerm is the log-probability of path j's label at modeled log
+// pathTerm is the log-probability of a path's label at modeled log
 // product logQ:
 //
 //	positive: log[(1-m)·(1 - (1-β)Q)]
@@ -180,9 +175,9 @@ func (st *likState) Apply(i int, pNew float64) {
 //
 // At m = 0 the negative term is exactly log((1-β)Q); otherwise the
 // linear-space sum is safe, (1-β)Q ∈ (0,1].
-func (st *likState) pathTerm(j int, logQ float64) float64 {
+func (st *likState) pathTerm(positive bool, logQ float64) float64 {
 	t := logQ + st.logBG
-	if st.ds.paths[j].positive {
+	if positive {
 		t = log1mExp(t)
 		if st.miss > 0 {
 			t += math.Log1p(-st.miss)
@@ -200,8 +195,8 @@ func (st *likState) pathTerm(j int, logQ float64) float64 {
 //lint:hotpath
 func (st *likState) LogLik() float64 {
 	total := 0.0
-	for j, path := range st.ds.paths {
-		total += path.weight * st.pathTerm(j, st.logQ[j])
+	for j, logQ := range st.logQ {
+		total += st.ds.weight[j] * st.pathTerm(st.ds.positive[j], logQ)
 	}
 	return total
 }
@@ -217,17 +212,17 @@ func (st *likState) DeltaFor(i int, pNew float64) float64 {
 	pNew = clampProb(pNew)
 	if !st.termsOK {
 		for j, logQ := range st.logQ {
-			st.term[j] = st.pathTerm(j, logQ)
+			st.term[j] = st.pathTerm(st.ds.positive[j], logQ)
 		}
 		st.termsOK = true
 	}
 	st.pendI, st.pendP = i, pNew
 	dLogQ := math.Log1p(-pNew) - st.lq[i]
 	delta := 0.0
-	for k, j := range st.ds.nodePaths[i] {
-		t := st.pathTerm(j, st.logQ[j]+dLogQ)
+	for k, j := range st.ds.pathsOf(i) {
+		t := st.pathTerm(st.ds.positive[j], st.logQ[j]+dLogQ)
 		st.cand[k] = t
-		delta += st.ds.paths[j].weight * (t - st.term[j])
+		delta += st.ds.weight[j] * (t - st.term[j])
 	}
 	return delta
 }
@@ -248,23 +243,62 @@ func LogLik(ds *Dataset, p []float64) float64 {
 //lint:allow deadcode test oracle: the linear-space ablation
 func LinearLik(ds *Dataset, p []float64) float64 {
 	total := 1.0
-	for _, path := range ds.paths {
+	for j, w := range ds.weight {
 		q := 1.0
-		for _, i := range path.nodes {
+		for _, i := range ds.pathNodesOf(j) {
 			q *= 1 - clampProb(p[i])
 		}
-		if path.positive {
-			total *= math.Pow(1-q, path.weight)
+		if ds.positive[j] {
+			total *= math.Pow(1-q, w)
 		} else {
-			total *= math.Pow(q, path.weight)
+			total *= math.Pow(q, w)
 		}
 	}
 	return total
 }
 
-// GradLogPostTheta fills grad with the gradient of the log posterior in
-// logit space θ (p = expit(θ)), including the Beta(prior) term and the
-// change-of-variables Jacobian. Used by the HMC sampler.
+// stepNodes is the node pass of one HMC leapfrog step: the momentum step
+// mom += kick·gPrev and the position step θ += eps·mom (θ kept in ±36,
+// where expit saturates anyway), then p = clampProb(expit θ), then
+// lq = log1p(-p) and the prior-plus-Jacobian term a(1-p) - b·p that
+// starts grad. gPrev may alias grad: the first loop reads it before the
+// last one writes it. The two transcendental calls sit in loops of their
+// own, where successive calls overlap; sharing one loop body chains each
+// node's expit into its log1p and measured slower. The path pass
+// stepPaths then completes logQ and grad.
+//
+//lint:hotpath
+func (st *likState) stepNodes(prior Prior, theta, mom, gPrev, grad []float64, kick, eps float64) {
+	for i, th := range theta {
+		mom[i] += kick * gPrev[i]
+		th += eps * mom[i]
+		if th > 36 {
+			th = 36
+		}
+		if th < -36 {
+			th = -36
+		}
+		theta[i] = th
+	}
+	p, lq := st.p, st.lq
+	for i, th := range theta {
+		p[i] = clampProb(stats.Expit(th))
+	}
+	for i, pi := range p {
+		lq[i] = math.Log1p(-pi)
+		grad[i] = prior.Alpha*(1-pi) - prior.Beta*pi
+	}
+}
+
+// stepPaths is the path pass of one HMC leapfrog step, after stepNodes.
+// For each path it sums logQ[j] from lq in path order and takes the
+// path's gradient factor; then each node adds w_j·p_i·factor_j over its
+// paths to the gradient of the log posterior in logit space θ (p =
+// expit(θ)). Node i's paths are listed in ascending order, so it adds the
+// same products in the same order as scattering each path's factor over
+// its nodes would, without a second loop of the path's unpredictable
+// length. It invalidates the term cache, whose terms were taken at the
+// old sums.
 //
 // Derivation (per node i, with Q'_j = (1-β)·Π_{k∈J_j}(1-p_k) and
 // ∂ log Q'_j/∂θ_i = -p_i):
@@ -279,24 +313,33 @@ func LinearLik(ds *Dataset, p []float64) float64 {
 // underflows to 0 on a long path of near-certain ASes.
 //
 //lint:hotpath
-func (st *likState) GradLogPostTheta(prior Prior, grad []float64) {
-	for i := range grad {
-		p := st.p[i]
-		grad[i] = prior.Alpha*(1-p) - prior.Beta*p
-	}
-	for j := range st.ds.paths {
-		path := &st.ds.paths[j]
-		factor := -1.0
-		if path.positive {
-			factor = posGradFactor(math.Exp(st.logQ[j] + st.logBG))
-		} else if st.miss > 0 {
-			q := math.Exp(st.logQ[j] + st.logBG)
-			factor = -((1 - st.miss) * q / ((1-st.miss)*q + st.miss))
+func (st *likState) stepPaths(grad []float64) {
+	// Locals, not fields: the compiler reloads a field after every store.
+	ds, lq, logQ, factor := st.ds, st.lq, st.logQ, st.factor
+	logBG, miss := st.logBG, st.miss
+	for j := range logQ {
+		s := 0.0
+		for _, i := range ds.pathNodesOf(j) {
+			s += lq[i]
 		}
-		for _, i := range path.nodes {
-			grad[i] += path.weight * st.p[i] * factor
+		logQ[j] = s
+		f := -1.0
+		if ds.positive[j] {
+			f = posGradFactor(math.Exp(s + logBG))
+		} else if miss > 0 {
+			q := math.Exp(s + logBG)
+			f = -((1 - miss) * q / ((1-miss)*q + miss))
 		}
+		factor[j] = f
 	}
+	for i, pi := range st.p {
+		g := grad[i]
+		for _, j := range ds.pathsOf(i) {
+			g += ds.weight[j] * pi * factor[j]
+		}
+		grad[i] = g
+	}
+	st.invalidate()
 }
 
 // LogPostTheta returns the log posterior density in θ space at the current

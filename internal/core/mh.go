@@ -23,6 +23,13 @@ type MHConfig struct {
 // mhStepSize is the standard deviation of the truncated-normal proposal.
 const mhStepSize = 0.15
 
+// mhLogStep and halfLog2Pi are the constant terms of the proposal's
+// Gaussian log density.
+var (
+	mhLogStep  = math.Log(mhStepSize)
+	halfLog2Pi = 0.5 * math.Log(2*math.Pi)
+)
+
 func (c MHConfig) schedule() (string, int, int, error) {
 	if c.Sweeps == 0 {
 		c.Sweeps = 1500
@@ -80,6 +87,19 @@ func proposal(p float64) stats.TruncNormal {
 	return stats.TruncNormal{Mu: p, Sigma: mhStepSize, Lo: 0, Hi: 1}
 }
 
+// proposalLogNormal is the untruncated Gaussian log density of a move
+// between cur and cand, the same in both directions: (cur-cand)/σ is
+// exactly -(cand-cur)/σ. Less the truncation mass of the proposal's
+// centre, it is bitwise that proposal's LogPDFGiven at the other point,
+// whose support and zero-mass checks never fire here: both points lie in
+// [pEps, 1-pEps], where the mass is at least one half.
+//
+//lint:hotpath
+func proposalLogNormal(cur, cand float64) float64 {
+	z := (cand - cur) / mhStepSize
+	return -0.5*z*z - mhLogStep - halfLog2Pi
+}
+
 // sweep runs one random-scan Metropolis-within-Gibbs sweep: every
 // coordinate, in a fresh random order written into the order buffer,
 // gets a truncated-normal proposal with the asymmetry correction of
@@ -93,15 +113,15 @@ func (k *mhKernel) sweep(rng *stats.RNG) (accepted, proposed int) {
 	pvec := k.st.Probabilities()
 	for _, i := range k.order {
 		cur := pvec[i]
-		fwd := proposal(cur)
-		cand := clampProb(fwd.Sample(rng))
-		back := proposal(cand)
-		massCand, priorCand := back.LogMass(), logPriorAt(k.prior, cand)
+		cand := clampProb(proposal(cur).Sample(rng))
+		massCand, priorCand := proposal(cand).LogMass(), logPriorAt(k.prior, cand)
+		norm := proposalLogNormal(cur, cand)
 		// log acceptance ratio: likelihood delta + prior delta +
-		// proposal asymmetry Q(p|p')/Q(p'|p).
+		// proposal asymmetry Q(p|p')/Q(p'|p), whose two densities share
+		// their Gaussian term.
 		logAlpha := k.st.DeltaFor(i, cand) +
 			priorCand - k.logPrior[i] +
-			back.LogPDFGiven(cur, massCand) - fwd.LogPDFGiven(cand, k.logMass[i])
+			(norm - massCand) - (norm - k.logMass[i])
 		proposed++
 		if logAlpha >= 0 || math.Log(rng.Float64()+1e-300) < logAlpha {
 			k.st.Apply(i, cand)

@@ -44,23 +44,36 @@ func (m Model) name() string {
 	return m.Name
 }
 
-// Validate checks the model: a known name, both rates in [0, 1) (NaN
-// included in the rejects), and a background rate only under "churn".
-// The samplers call it before drawing anything.
+// ModelError is a Model.Validate failure. Field is the Go name of the
+// Model field at fault ("Name", "MissRate" or "BackgroundRate"), so a
+// layer with its own spelling of the model can report the failure under
+// its field name.
+type ModelError struct {
+	Field  string
+	Reason string
+}
+
+func (e *ModelError) Error() string { return "core: " + e.Reason }
+
+// Validate checks the model: both rates in [0, 1) (NaN included in the
+// rejects), a known name, and a background rate only under "churn". The
+// first failure in that order is a *ModelError. The samplers call it
+// before drawing anything; the public options and scenario specs call it
+// to check their model fields.
 func (m Model) Validate() error {
+	if !(m.MissRate >= 0 && m.MissRate < 1) {
+		return &ModelError{"MissRate", fmt.Sprintf("%s model miss rate %g outside [0, 1)", m.name(), m.MissRate)}
+	}
 	switch m.Name {
 	case "", "rfd", "churn":
 	default:
-		return fmt.Errorf("core: unknown observation model %q (want rfd or churn)", m.Name)
-	}
-	if !(m.MissRate >= 0 && m.MissRate < 1) {
-		return fmt.Errorf("core: %s model miss rate %g outside [0, 1)", m.name(), m.MissRate)
+		return &ModelError{"Name", fmt.Sprintf("unknown observation model %q (want rfd or churn)", m.Name)}
 	}
 	if !(m.BackgroundRate >= 0 && m.BackgroundRate < 1) {
-		return fmt.Errorf("core: %s model background rate %g outside [0, 1)", m.name(), m.BackgroundRate)
+		return &ModelError{"BackgroundRate", fmt.Sprintf("%s model background rate %g outside [0, 1)", m.name(), m.BackgroundRate)}
 	}
 	if m.BackgroundRate > 0 && m.Name != "churn" {
-		return fmt.Errorf("core: background rate %g needs the churn model, not %s", m.BackgroundRate, m.name())
+		return &ModelError{"BackgroundRate", fmt.Sprintf("background rate %g needs the churn model, not %s", m.BackgroundRate, m.name())}
 	}
 	return nil
 }

@@ -144,3 +144,63 @@ func TestDefaultModelGolden(t *testing.T) {
 		})
 	}
 }
+
+// Golden hashes of the inference output over paperDataset (600 ASes, 3000
+// paths of 3–6 hops), where every node sits on many paths of mixed length,
+// so the flat path layout, the fused leapfrog passes and HDPI selection
+// are exercised at the scale the serving workloads run at.
+const (
+	goldenPaperRFDSHA      = "44eddd0892b1f15da368633c6934cead7de4843f71dfc0a7cc5379831edb88db"
+	goldenPaperMissRateSHA = "3776f7b1dcfeac1f00fd13f73636ae8ab80778ef4ff9e50cb9fc6434e8ce57a0"
+	goldenPaperChurnSHA    = "99ad63544c08845563314b9fb33677d3c58ff38e80ab94cf5dfa3ce44c2d32a9"
+)
+
+// TestPaperScaleGolden pins the paper-scale output of each observation
+// model under short schedules.
+func TestPaperScaleGolden(t *testing.T) {
+	ds := paperDataset(t)
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{
+			name: "rfd",
+			cfg: Config{
+				Seed: 41, Chains: 2,
+				MH:  MHConfig{Sweeps: 40, BurnIn: 10},
+				HMC: HMCConfig{Iterations: 20, BurnIn: 5, Leapfrog: 8},
+			},
+			want: goldenPaperRFDSHA,
+		},
+		{
+			name: "missrate",
+			cfg: Config{
+				Seed: 43, Model: Model{MissRate: 0.05},
+				MH:  MHConfig{Sweeps: 40, BurnIn: 10},
+				HMC: HMCConfig{Iterations: 20, BurnIn: 5, Leapfrog: 8},
+			},
+			want: goldenPaperMissRateSHA,
+		},
+		{
+			name: "churn",
+			cfg: Config{
+				Seed: 47, Model: Model{Name: "churn", BackgroundRate: 0.05},
+				MH:  MHConfig{Sweeps: 40, BurnIn: 10},
+				HMC: HMCConfig{Iterations: 20, BurnIn: 5, Leapfrog: 8},
+			},
+			want: goldenPaperChurnSHA,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := InferContext(context.Background(), ds, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hashResult(res); got != tc.want {
+				t.Fatalf("%s output drifted from its golden:\n got %s\nwant %s", tc.name, got, tc.want)
+			}
+		})
+	}
+}

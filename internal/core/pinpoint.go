@@ -17,10 +17,10 @@ func PinpointInconsistent(ds *Dataset, chains []*Chain, summaries []NodeSummary,
 	if threshold <= 0 || threshold > 1 {
 		threshold = 0.8
 	}
-	byIndex := make(map[int]*NodeSummary, len(summaries))
+	byIndex := make(map[int32]*NodeSummary, len(summaries))
 	for k := range summaries {
 		if i, ok := ds.NodeIndex(summaries[k].ASN); ok {
-			byIndex[i] = &summaries[k]
+			byIndex[int32(i)] = &summaries[k]
 		}
 	}
 
@@ -40,11 +40,11 @@ func PinpointInconsistent(ds *Dataset, chains []*Chain, summaries []NodeSummary,
 		}
 		// Vote across all pooled samples: which AS on the path has the
 		// highest damping proportion in each posterior draw?
-		votes := make(map[int]int, len(path))
+		votes := make(map[int32]int, len(path))
 		total := 0
 		for _, c := range chains {
 			for _, sample := range c.Samples {
-				best, bestVal := -1, -1.0
+				best, bestVal := int32(-1), -1.0
 				for _, i := range path {
 					if sample[i] > bestVal {
 						best, bestVal = i, sample[i]

@@ -286,6 +286,87 @@ func TestRHatEdgeCases(t *testing.T) {
 	}
 }
 
+// TestProposalLogNormalMatchesTruncNormal pins the MH sweep's shared
+// proposal term: less each centre's truncation mass it is bitwise the
+// truncated-normal density of the move in either direction, across the
+// clamped unit interval and at its ends.
+func TestProposalLogNormalMatchesTruncNormal(t *testing.T) {
+	points := []float64{pEps, 1e-6, 0.01, 0.1, 0.15, 0.3, 0.4999, 0.5, 0.71, 0.9, 0.99, 1 - 1e-6, 1 - pEps}
+	for _, cur := range points {
+		for _, cand := range points {
+			norm := proposalLogNormal(cur, cand)
+			fwd, back := proposal(cur), proposal(cand)
+			if got, want := norm-fwd.LogMass(), fwd.LogPDFGiven(cand, fwd.LogMass()); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("forward %v -> %v: %v, LogPDFGiven %v", cur, cand, got, want)
+			}
+			if got, want := norm-back.LogMass(), back.LogPDFGiven(cur, back.LogMass()); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("backward %v -> %v: %v, LogPDFGiven %v", cand, cur, got, want)
+			}
+		}
+	}
+}
+
+// essReference is the ESS estimator written as its definition: one
+// autocovariance pass per lag, each over the uncentred samples.
+func essReference(samples []float64) float64 {
+	n := len(samples)
+	if n < 4 {
+		return float64(n)
+	}
+	mean := stats.Mean(samples)
+	autocov := func(lag int) float64 {
+		var s float64
+		for i := 0; i+lag < n; i++ {
+			s += (samples[i] - mean) * (samples[i+lag] - mean)
+		}
+		return s / float64(n)
+	}
+	c0 := autocov(0)
+	if c0 == 0 {
+		return float64(n)
+	}
+	sum := 0.0
+	for lag := 1; lag+1 < n; lag += 2 {
+		r1, r2 := autocov(lag)/c0, autocov(lag+1)/c0
+		if r1+r2 <= 0 {
+			break
+		}
+		sum += r1 + r2
+	}
+	return min(max(float64(n)/(1+2*sum), 1), float64(n))
+}
+
+// TestESSMatchesReference pins the one-pass-per-lag-pair ESS bitwise to
+// the per-lag definition, over white noise, slowly mixing AR(1) columns
+// (whose positive sequence runs over many lags), constant columns and
+// every short length.
+func TestESSMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(31)
+	var cols [][]float64
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 17, 64, 301, 1500} {
+		for _, rho := range []float64{0, 0.5, 0.95, 0.999} {
+			col := make([]float64, n)
+			x := rng.Float64()
+			for i := range col {
+				x = rho*x + (1-rho)*rng.Float64()
+				col[i] = x
+			}
+			cols = append(cols, col)
+		}
+		constant := make([]float64, n)
+		for i := range constant {
+			constant[i] = 0.3
+		}
+		cols = append(cols, constant)
+	}
+	for _, col := range cols {
+		got, want := ESS(col), essReference(col)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("n=%d: ESS = %v, reference %v", len(col), got, want)
+		}
+	}
+}
+
 func TestESS(t *testing.T) {
 	rng := stats.NewRNG(30)
 	// Independent samples: ESS near n.

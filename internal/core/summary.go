@@ -154,7 +154,7 @@ func Summarize(ds *Dataset, chains []*Chain, hdpiMass float64) ([]NodeSummary, e
 	for _, c := range chains {
 		total += len(c.Samples)
 	}
-	// One pooled buffer and one sort scratch serve every node.
+	// One pooled buffer and one HDPI scratch serve every node.
 	pooled, scratch := make([]float64, 0, total), make([]float64, total)
 	out := make([]NodeSummary, n)
 	for i := 0; i < n; i++ {

@@ -46,6 +46,10 @@ func TestParseRejects(t *testing.T) {
 		{"bad-category-value", strings.Replace(string(validDoc(t)), `"10004": 5`, `"10004": 6`, 1), "expect.categories"},
 		{"bad-campaign", strings.Replace(string(validDoc(t)), `"pairs": 2`, `"pairs": 0`, 1), "campaign"},
 		{"bad-duration", strings.Replace(string(validDoc(t)), `"1m0s"`, `"eventually"`, 1), "document"},
+		{"bad-model", strings.Replace(string(validDoc(t)), `"seed": 11`, `"model":"rov","seed":11`, 1), "model"},
+		{"churn-on-rov", strings.Replace(string(validDoc(t)), `"seed": 11`, `"workload":"rov","model":"churn","churn_rate":2,"seed":11`, 1), "model"},
+		{"bad-churn-rate", strings.Replace(string(validDoc(t)), `"seed": 11`, `"model":"churn","churn_rate":1,"seed":11`, 1), "churn_rate"},
+		{"churn-rate-without-churn", strings.Replace(string(validDoc(t)), `"seed": 11`, `"churn_rate":0.1,"seed":11`, 1), "churn_rate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -210,19 +210,12 @@ func (s *Spec) Validate() error {
 	default:
 		return errf("workload", "unknown workload %q (want rfd or rov)", s.Workload)
 	}
-	switch s.Model {
-	case "", because.ModelRFD, because.ModelChurn:
-	default:
-		return errf("model", "unknown model %q (want rfd or churn)", s.Model)
-	}
 	if s.ResolvedModel() != because.ModelRFD && s.ResolvedWorkload() != "rfd" {
 		return errf("model", "model %q requires the default rfd workload", s.Model)
 	}
-	if s.ChurnRate < 0 || s.ChurnRate >= 1 {
-		return errf("churn_rate", "must be in [0, 1), got %g", s.ChurnRate)
-	}
-	if s.ChurnRate > 0 && s.Model != because.ModelChurn {
-		return errf("churn_rate", `only meaningful with model "churn"`)
+	// The model fields share the inference options' wire spelling.
+	if err := (because.Options{Model: s.Model, ChurnRate: s.ChurnRate}).Validate(); err != nil {
+		return err
 	}
 	if s.Workers < 0 {
 		return errf("workers", "must be non-negative")

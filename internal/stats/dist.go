@@ -116,7 +116,7 @@ func (t TruncNormal) LogMass() float64 {
 // normaliser supplied: logMass must be t.LogMass(), which a caller that
 // keeps one distribution across many densities evaluates once.
 //
-//lint:hotpath
+//lint:allow deadcode test oracle: the density the MH sweep's shared proposal term is checked against
 func (t TruncNormal) LogPDFGiven(x, logMass float64) float64 {
 	if x < t.Lo || x > t.Hi || math.IsInf(logMass, -1) {
 		return math.Inf(-1)

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -76,27 +77,46 @@ type HDPI struct {
 func (h HDPI) Width() float64 { return h.Hi - h.Lo }
 
 // HDPIInto computes the highest-density interval containing at least mass
-// (e.g. 0.95) of the samples, sorting a copy in buf (len(buf) >=
+// (e.g. 0.95) of the samples, ordering a copy in buf (len(buf) >=
 // len(samples)) so a caller summarising many marginals allocates it once;
 // samples is left unchanged. For an empty input it returns a zero HDPI; for
 // a single sample, the degenerate interval at that sample.
+//
+// The interval is the narrowest window of k consecutive order statistics.
+// The windows start at the t = n-k+1 lowest and end at the t highest, so
+// only those two tails need to be in order: two quickselects isolate them
+// and each is sorted. The result is the one a full sort.Float64s of the
+// copy gives. A full sort runs instead when the tails are a quarter of the
+// samples or more, where it is cheaper, and when a sample is NaN, which
+// only that sort's order places.
 func HDPIInto(buf, samples []float64, mass float64) HDPI {
 	n := len(samples)
 	if n == 0 {
 		return HDPI{}
 	}
 	s := buf[:n]
-	copy(s, samples)
-	sort.Float64s(s)
-	if mass >= 1 {
-		return HDPI{Lo: s[0], Hi: s[n-1], Mass: 1}
+	hasNaN := false
+	for i, x := range samples {
+		s[i] = x
+		hasNaN = hasNaN || x != x
 	}
-	k := int(math.Ceil(mass * float64(n)))
-	if k < 1 {
-		k = 1
+	k := n
+	if !(mass >= 1) {
+		k = int(math.Ceil(mass * float64(n)))
+		if k < 1 {
+			k = 1
+		}
+		if k > n {
+			k = n
+		}
 	}
-	if k > n {
-		k = n
+	if t := n - k + 1; 4*t >= n || hasNaN {
+		sort.Float64s(s)
+	} else {
+		selectNth(s, t-1)
+		sort.Float64s(s[:t])
+		selectNth(s[t:], n-2*t)
+		sort.Float64s(s[n-t:])
 	}
 	// Slide a window of k consecutive order statistics; the narrowest window
 	// is the HDPI for a unimodal sample cloud (and a good approximation
@@ -108,6 +128,55 @@ func HDPIInto(buf, samples []float64, mass float64) HDPI {
 		}
 	}
 	return HDPI{Lo: bestLo, Hi: bestHi, Mass: float64(k) / float64(n)}
+}
+
+// selectNth reorders the NaN-free s so that s[nth] holds the value a full
+// sort would put there, with no greater element before it and no smaller
+// one after. It is Hoare's FIND: each round partitions the window holding
+// nth around the median of its first, middle and last elements, and
+// elements equal to the pivot stop both scans, so ties split evenly. A
+// window still open after 2·log2(len(s)) rounds is sorted outright.
+func selectNth(s []float64, nth int) {
+	lo, hi := 0, len(s)-1
+	for rounds := 2 * bits.Len(uint(len(s))); lo < hi; rounds-- {
+		if rounds == 0 {
+			sort.Float64s(s[lo : hi+1])
+			return
+		}
+		pivot := median3(s[lo], s[lo+(hi-lo)/2], s[hi])
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for pivot < s[j] {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// Now s[lo:j+1] <= pivot <= s[i:hi+1], and s[j+1:i] equals it.
+		if j < nth {
+			lo = i
+		}
+		if nth < i {
+			hi = j
+		}
+	}
+}
+
+// median3 returns the median of a, b and c.
+func median3(a, b, c float64) float64 {
+	if b < a {
+		a, b = b, a
+	}
+	if c < b {
+		b = max(a, c)
+	}
+	return b
 }
 
 // Histogram bins xs into n equal-width bins over [lo, hi]. Values outside

@@ -130,6 +130,84 @@ func TestHDPIEdgeCases(t *testing.T) {
 	}
 }
 
+// hdpiBySort is HDPIInto as a full sort of the samples followed by the
+// window scan: the reference its selection of the two tails must match.
+func hdpiBySort(samples []float64, mass float64) HDPI {
+	n := len(samples)
+	if n == 0 {
+		return HDPI{}
+	}
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	if mass >= 1 {
+		return HDPI{Lo: s[0], Hi: s[n-1], Mass: 1}
+	}
+	k := min(max(int(math.Ceil(mass*float64(n))), 1), n)
+	bestLo, bestHi := s[0], s[k-1]
+	for i := 1; i+k-1 < n; i++ {
+		if s[i+k-1]-s[i] < bestHi-bestLo {
+			bestLo, bestHi = s[i], s[i+k-1]
+		}
+	}
+	return HDPI{Lo: bestLo, Hi: bestHi, Mass: float64(k) / float64(n)}
+}
+
+// TestHDPIIntoMatchesSort pins HDPIInto bitwise to the full-sort
+// reference for every n up to 400 and a spread of n up to 3000, at masses
+// from 0.5 to 0.99 (and 1), over continuous samples, heavy ties, NaNs,
+// presorted, reversed and organ-pipe inputs. Zeros stay unsigned: -0 and +0 tie under
+// the sort order, so which of the two an endpoint carries is not part of
+// the contract.
+func TestHDPIIntoMatchesSort(t *testing.T) {
+	r := NewRNG(9)
+	gens := map[string]func(i, n int) float64{
+		"uniform":  func(int, int) float64 { return r.Float64() },
+		"ties":     func(int, int) float64 { return float64(r.Intn(4)) / 4 },
+		"constant": func(int, int) float64 { return 0.5 },
+		"sorted":   func(i, n int) float64 { return float64(i) / float64(n) },
+		"reversed": func(i, n int) float64 { return float64(n-i) / float64(n) },
+		// Rising then falling, like a chain that drifts out and back: it
+		// defeats the median-of-three pivot until selectNth sorts the
+		// window it has left.
+		"organ": func(i, n int) float64 { return float64(min(i, n-i)) / float64(n) },
+		"nan": func(int, int) float64 {
+			if r.Intn(10) == 0 {
+				return math.NaN()
+			}
+			return r.Norm()
+		},
+	}
+	names := make([]string, 0, len(gens))
+	for name := range gens {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var sizes []int
+	for n := 1; n <= 400; n++ {
+		sizes = append(sizes, n)
+	}
+	for n := 401; n < 3000; n += 97 {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 3000)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	buf := make([]float64, 3000)
+	for _, name := range names {
+		for _, n := range sizes {
+			samples := make([]float64, n)
+			for i := range samples {
+				samples[i] = gens[name](i, n)
+			}
+			for _, mass := range []float64{0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 1} {
+				got, want := HDPIInto(buf, samples, mass), hdpiBySort(samples, mass)
+				if !same(got.Lo, want.Lo) || !same(got.Hi, want.Hi) || !same(got.Mass, want.Mass) {
+					t.Fatalf("%s n=%d mass %g: HDPIInto = %+v, full sort %+v", name, n, mass, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestHistogram(t *testing.T) {
 	xs := []float64{0, 0.1, 0.5, 0.99, 1.5, -1}
 	h := Histogram(xs, 0, 1, 4)

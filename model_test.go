@@ -64,6 +64,8 @@ func TestModelOptionValidation(t *testing.T) {
 		{Options{Model: ModelRFD, ChurnRate: 0.2}, "churn_rate"},    // ditto, spelled out
 		{Options{Model: ModelChurn, ChurnRate: 1}, "churn_rate"},    // out of range
 		{Options{Model: ModelChurn, ChurnRate: -0.1}, "churn_rate"}, // out of range
+		{Options{Model: "rov", MissRate: 2}, "miss_rate"},           // the miss rate is checked first
+		{Options{Model: "rov", ChurnRate: 2}, "model"},              // then the name
 	}
 	for _, tc := range cases {
 		_, err := Infer(plantedObs(), tc.opts)

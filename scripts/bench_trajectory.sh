@@ -7,7 +7,8 @@
 # BenchmarkLint: a whole-module becauselint pass; the //lint:hotpath
 # sampler and observation-model kernels, BenchmarkPaperChain: one MH
 # sweep and one HMC trajectory at paper scale, 600 ASes and 3000 paths;
-# and the campaign write path —
+# BenchmarkSummarize: the per-node means and HDPIs of a paper-scale
+# result; and the campaign write path —
 # event queue, BGP encoder, MRT writer — which must hold zero allocs/op)
 # and emits a
 # machine-readable JSON document — benchmark name, ns/op, B/op,
@@ -39,7 +40,7 @@ echo "bench-trajectory: lint benchmark"
 go test -run '^$' -bench '^BenchmarkLint$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/lint | tee -a "$RAW"
 echo "bench-trajectory: hotpath kernels (both observation models)"
-go test -run '^$' -bench '^(BenchmarkMHSweep|BenchmarkHMCLeapfrog|BenchmarkPaperChain|BenchmarkChurnDeltaApply|BenchmarkChurnGrad|BenchmarkChurnGradNoMiss)$' \
+go test -run '^$' -bench '^(BenchmarkMHSweep|BenchmarkHMCLeapfrog|BenchmarkPaperChain|BenchmarkSummarize|BenchmarkChurnDeltaApply|BenchmarkChurnGrad|BenchmarkChurnGradNoMiss)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/core | tee -a "$RAW"
 go test -run '^$' -bench '^(BenchmarkPermInto|BenchmarkTruncNormalSample)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/stats | tee -a "$RAW"

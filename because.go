@@ -128,12 +128,12 @@ type Prior struct {
 var (
 	// PriorSparse concentrates mass near 0 and 1: most ASes apply a policy
 	// to (nearly) all routes or (nearly) none. The default.
-	PriorSparse = Prior{0.4, 0.4}
+	PriorSparse = Prior(core.SparsePrior)
 	// PriorUniform is the uninformative choice.
-	PriorUniform = Prior{1, 1}
+	PriorUniform = Prior(core.UniformPrior)
 	// PriorCentered mildly favors middling proportions; useful in
 	// sensitivity analyses.
-	PriorCentered = Prior{2, 2}
+	PriorCentered = Prior(core.SymmetricPrior)
 )
 
 // Options configures an inference run. The zero value is usable: sparse
@@ -162,10 +162,10 @@ type Options struct {
 	// each chain's RNG stream is derived from Seed before any chain starts.
 	Workers int
 
-	// HDPIMass is the credible-interval mass (default 0.95).
+	// HDPIMass is the credible-interval mass, in (0, 1) (default 0.95).
 	HDPIMass float64
 	// PinpointThreshold is the Eq. 8 vote share for flagging inconsistent
-	// ASes (default 0.8; negative disables the pass).
+	// ASes, at most 1 (default 0.8; negative disables the pass).
 	PinpointThreshold float64
 	// MissRate, when positive, switches the likelihood to the paper's
 	// § 7.2 measurement-error model: a truly-positive path is recorded
@@ -207,71 +207,71 @@ type ProgressEvent = obs.Progress
 // InferContext call it first; a failure is a *ValidationError (unwrapping
 // to ErrInvalidOptions) that names the offending field.
 func (o Options) Validate() error {
-	for _, f := range []struct {
-		field string
-		v     float64
-	}{
-		{"prior", o.Prior.Alpha}, {"prior", o.Prior.Beta},
-		{"miss_rate", o.MissRate}, {"churn_rate", o.ChurnRate},
-		{"hdpi_mass", o.HDPIMass}, {"pinpoint_threshold", o.PinpointThreshold},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return &ValidationError{Field: f.field, Reason: fmt.Sprintf("%g is not a finite number", f.v)}
-		}
-	}
-	if o.Prior != (Prior{}) && (o.Prior.Alpha <= 0 || o.Prior.Beta <= 0) {
-		return &ValidationError{Field: "prior", Reason: fmt.Sprintf("Beta(%g, %g) parameters must be positive", o.Prior.Alpha, o.Prior.Beta)}
-	}
-	if o.MHSweeps < 0 {
-		return &ValidationError{Field: "mh_sweeps", Reason: "must be non-negative"}
-	}
-	if o.MHBurnIn < 0 {
-		return &ValidationError{Field: "mh_burn_in", Reason: "must be non-negative"}
-	}
-	if o.HMCIterations < 0 {
-		return &ValidationError{Field: "hmc_iterations", Reason: "must be non-negative"}
-	}
-	if o.HMCBurnIn < 0 {
-		return &ValidationError{Field: "hmc_burn_in", Reason: "must be non-negative"}
-	}
-	if o.DisableMH && o.DisableHMC {
-		return &ValidationError{Field: "disable_mh, disable_hmc", Reason: "both samplers disabled"}
-	}
-	if o.Chains < 0 {
-		return &ValidationError{Field: "chains", Reason: "must be non-negative"}
-	}
-	if o.Workers < 0 {
-		return &ValidationError{Field: "workers", Reason: "must be non-negative"}
-	}
-	if o.HDPIMass < 0 || o.HDPIMass > 1 {
-		return &ValidationError{Field: "hdpi_mass", Reason: "must be in [0, 1] (0 selects the 0.95 default)"}
-	}
-	var me *core.ModelError
-	if errors.As(o.observationModel().Validate(), &me) {
-		return &ValidationError{Field: modelFields[me.Field], Reason: me.Reason}
-	}
-	if o.ProgressEvery < 0 {
-		return &ValidationError{Field: "progress_every", Reason: "must be non-negative"}
-	}
-	return nil
+	_, err := o.Resolved()
+	return err
 }
 
-// ResolvedModel returns the effective observation model name (ModelRFD
-// unless another model is stated). It does not validate.
-func (o Options) ResolvedModel() string {
-	if o.Model == "" {
-		return ModelRFD
+// Resolved returns the semantic options — everything but Workers, Obs,
+// OnProgress and ProgressEvery, which never change a result — with every
+// default filled in, as the inference engine resolves them: the paper's
+// schedule, prior, chain count, interval mass, vote threshold and model
+// name. Invalid options fail as Validate does.
+func (o Options) Resolved() (Options, error) {
+	cfg, err := o.coreConfig().Resolve()
+	var ce *core.ConfigError
+	if errors.As(err, &ce) {
+		return Options{}, &ValidationError{Field: wireFields[ce.Field], Reason: ce.Reason}
 	}
-	return o.Model
+	if err != nil {
+		return Options{}, err
+	}
+	return Options{
+		Prior: Prior(cfg.Prior), Seed: cfg.Seed,
+		MHSweeps: cfg.MH.Sweeps, MHBurnIn: cfg.MH.BurnIn, DisableMH: cfg.DisableMH,
+		HMCIterations: cfg.HMC.Iterations, HMCBurnIn: cfg.HMC.BurnIn, DisableHMC: cfg.DisableHMC,
+		Chains: cfg.Chains, HDPIMass: cfg.HDPIMass, PinpointThreshold: cfg.PinpointThreshold,
+		MissRate: cfg.Model.MissRate, Model: cfg.Model.Name, ChurnRate: cfg.Model.BackgroundRate,
+	}, nil
 }
 
-// modelFields spells each core.Model field as its Options field.
-var modelFields = map[string]string{"Name": "model", "MissRate": "miss_rate", "BackgroundRate": "churn_rate"}
+// wireFields spells each core.Config field path an Options field reaches
+// as that field's wire name.
+var wireFields = map[string]string{
+	"Prior":                 "prior",
+	"MH.Sweeps":             "mh_sweeps",
+	"MH.BurnIn":             "mh_burn_in",
+	"HMC.Iterations":        "hmc_iterations",
+	"HMC.BurnIn":            "hmc_burn_in",
+	"DisableMH, DisableHMC": "disable_mh, disable_hmc",
+	"Chains":                "chains",
+	"Workers":               "workers",
+	"HDPIMass":              "hdpi_mass",
+	"PinpointThreshold":     "pinpoint_threshold",
+	"Model.Name":            "model",
+	"Model.MissRate":        "miss_rate",
+	"Model.BackgroundRate":  "churn_rate",
+	"ProgressEvery":         "progress_every",
+}
 
-// observationModel maps the options onto the internal model the samplers
-// draw against, which also checks them.
-func (o Options) observationModel() core.Model {
-	return core.Model{Name: o.Model, MissRate: o.MissRate, BackgroundRate: o.ChurnRate}
+// coreConfig maps the options onto the engine's config, which resolves
+// and checks them.
+func (o Options) coreConfig() core.Config {
+	return core.Config{
+		Prior:             core.Prior(o.Prior),
+		Seed:              o.Seed,
+		MH:                core.MHConfig{Sweeps: o.MHSweeps, BurnIn: o.MHBurnIn},
+		HMC:               core.HMCConfig{Iterations: o.HMCIterations, BurnIn: o.HMCBurnIn},
+		DisableMH:         o.DisableMH,
+		DisableHMC:        o.DisableHMC,
+		Chains:            o.Chains,
+		Workers:           o.Workers,
+		HDPIMass:          o.HDPIMass,
+		PinpointThreshold: o.PinpointThreshold,
+		Model:             core.Model{Name: o.Model, MissRate: o.MissRate, BackgroundRate: o.ChurnRate},
+		Obs:               o.Obs,
+		Progress:          o.OnProgress,
+		ProgressEvery:     o.ProgressEvery,
+	}
 }
 
 // Category is the five-level certainty scale of the paper's Table 1.
@@ -461,54 +461,27 @@ func InferContext(ctx context.Context, observations []PathObservation, opts Opti
 	span.SetAttr("observations", len(observations))
 	span.SetAttr("chains", opts.Chains)
 	dsSpan, _ := obs.StartTraceSpan(ctx, "dataset")
-	coreObs := make([]core.PathObs, 0, len(observations))
-	seen := make(map[ASN]bool)
+	coreObs := make([]core.PathObs, len(observations))
 	for j, o := range observations {
-		if len(o.Path) == 0 {
-			return nil, &ValidationError{Field: fmt.Sprintf("observations[%d].path", j), Reason: "empty AS path"}
-		}
-		if !(o.Weight >= 0) || math.IsInf(o.Weight, 1) {
-			return nil, &ValidationError{Field: fmt.Sprintf("observations[%d].weight", j), Reason: "must be finite and non-negative"}
-		}
-		// The likelihood takes one Bernoulli choice per AS per path.
-		clear(seen)
 		asns := make([]bgp.ASN, len(o.Path))
 		for i, a := range o.Path {
-			if seen[a] {
-				return nil, &ValidationError{Field: fmt.Sprintf("observations[%d].path", j), Reason: fmt.Sprintf("repeats %v (clean the path first)", bgp.ASN(a))}
-			}
-			seen[a] = true
 			asns[i] = bgp.ASN(a)
 		}
-		coreObs = append(coreObs, core.PathObs{ASNs: asns, Positive: o.ShowsProperty, Weight: o.Weight})
+		coreObs[j] = core.PathObs{ASNs: asns, Positive: o.ShowsProperty, Weight: o.Weight}
 	}
 	ds, err := core.NewDataset(coreObs)
 	if err != nil {
 		dsSpan.End()
+		var oe *core.ObservationError
+		if errors.As(err, &oe) {
+			return nil, &ValidationError{Field: fmt.Sprintf("observations[%d].%s", oe.Index, oe.Field), Reason: oe.Reason}
+		}
 		return nil, err
 	}
 	dsSpan.SetAttr("paths", ds.NumPaths())
 	dsSpan.SetAttr("nodes", ds.NumNodes())
 	dsSpan.End()
-	cfg := core.Config{
-		Seed:              opts.Seed,
-		HDPIMass:          opts.HDPIMass,
-		PinpointThreshold: opts.PinpointThreshold,
-		Model:             opts.observationModel(),
-		Chains:            opts.Chains,
-		Workers:           opts.Workers,
-		DisableMH:         opts.DisableMH,
-		DisableHMC:        opts.DisableHMC,
-		MH:                core.MHConfig{Sweeps: opts.MHSweeps, BurnIn: opts.MHBurnIn},
-		HMC:               core.HMCConfig{Iterations: opts.HMCIterations, BurnIn: opts.HMCBurnIn},
-		Obs:               opts.Obs,
-		Progress:          opts.OnProgress,
-		ProgressEvery:     opts.ProgressEvery,
-	}
-	if opts.Prior != (Prior{}) {
-		cfg.Prior = core.Prior{Alpha: opts.Prior.Alpha, Beta: opts.Prior.Beta}
-	}
-	res, err := core.InferContext(ctx, ds, cfg)
+	res, err := core.InferContext(ctx, ds, opts.coreConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -162,37 +162,26 @@ func run(o options, observer *obs.Observer, stdout io.Writer) error {
 	if len(records) == 0 {
 		return because.ErrNoObservations
 	}
+	// One request serves both modes: remote mode sends it to becaused,
+	// local mode reads it exactly as becaused does.
+	req := serve.InferRequest{
+		Observations: records,
+		Options: serve.RequestOptions{
+			Seed: o.seed, Prior: o.prior,
+			MHSweeps: o.mhSweeps, HMCIterations: o.hmcIters,
+			Chains: o.chains, MissRate: o.missRate,
+			Model: o.model, ChurnRate: o.churnRate,
+		},
+	}
 	if o.remote != "" {
-		return runRemote(o, records, stdout)
+		return runRemote(o, req, stdout)
 	}
-
-	opts := because.Options{
-		Seed:     o.seed,
-		MHSweeps: o.mhSweeps, HMCIterations: o.hmcIters,
-		Chains:    o.chains,
-		Workers:   o.workers,
-		MissRate:  o.missRate,
-		Model:     o.model,
-		ChurnRate: o.churnRate,
-		Obs:       observer,
-	}
-	switch o.prior {
-	case "sparse":
-		opts.Prior = because.PriorSparse
-	case "uniform":
-		opts.Prior = because.PriorUniform
-	case "centered":
-		opts.Prior = because.PriorCentered
-	default:
-		return &because.ValidationError{Field: "prior", Reason: fmt.Sprintf("unknown prior %q", o.prior)}
+	obsIn, opts, err := req.ToOptions(o.workers, observer)
+	if err != nil {
+		return err
 	}
 	if o.progress {
 		opts.OnProgress = printProgress
-	}
-
-	obsIn := make([]because.PathObservation, len(records))
-	for i, rec := range records {
-		obsIn[i] = because.PathObservation{Path: rec.Path, ShowsProperty: rec.Positive, Weight: rec.Weight}
 	}
 
 	if o.traceOut == "" {

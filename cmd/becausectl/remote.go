@@ -44,18 +44,10 @@ type remoteResult struct {
 	HMCDivergences int            `json:"hmc_divergences"`
 }
 
-// runRemote sends the dataset to the daemon, consumes the SSE stream and
+// runRemote sends the request to the daemon, consumes the SSE stream and
 // renders the decoded result with the shared renderer.
-func runRemote(o options, records []serve.Observation, stdout io.Writer) error {
-	body, err := json.Marshal(serve.InferRequest{
-		Observations: records,
-		Options: serve.RequestOptions{
-			Seed: o.seed, Prior: o.prior,
-			MHSweeps: o.mhSweeps, HMCIterations: o.hmcIters,
-			Chains: o.chains, MissRate: o.missRate,
-			Model: o.model, ChurnRate: o.churnRate,
-		},
-	})
+func runRemote(o options, req serve.InferRequest, stdout io.Writer) error {
+	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
@@ -82,7 +74,7 @@ func runRemote(o options, records []serve.Observation, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return render(o, res, len(records), stdout)
+	return render(o, res, len(req.Observations), stdout)
 }
 
 // consumeStream reads the SSE frames of an inline-stream inference: the

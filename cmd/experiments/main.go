@@ -89,6 +89,11 @@ func run(ctx context.Context, o options, observer *obs.Observer) error {
 	seed, pairs, scale, only := o.seed, o.pairs, o.scale, o.only
 	cfg := experiment.DefaultScenario()
 	cfg.Seed = seed
+	if o.workers < 0 {
+		// Inference rejects a negative worker count; refuse it before
+		// any campaign runs.
+		return fmt.Errorf("-workers must be non-negative, got %d", o.workers)
+	}
 	cfg.Workers = o.workers
 	switch scale {
 	case "default":

@@ -134,6 +134,8 @@ func TestTypedErrors(t *testing.T) {
 		{"NaN churn rate", plantedObs(), Options{Model: ModelChurn, ChurnRate: math.NaN()}, "churn_rate"},
 		{"bad hdpi mass", plantedObs(), Options{HDPIMass: 2}, "hdpi_mass"},
 		{"NaN hdpi mass", plantedObs(), Options{HDPIMass: math.NaN()}, "hdpi_mass"},
+		{"hdpi mass 1", plantedObs(), Options{HDPIMass: 1}, "hdpi_mass"},
+		{"pinpoint threshold above 1", plantedObs(), Options{PinpointThreshold: 1.5}, "pinpoint_threshold"},
 		{"NaN pinpoint threshold", plantedObs(), Options{PinpointThreshold: math.NaN()}, "pinpoint_threshold"},
 		{"infinite pinpoint threshold", plantedObs(), Options{PinpointThreshold: math.Inf(-1)}, "pinpoint_threshold"},
 		{"empty path", []PathObservation{{Path: []ASN{1}}, {}}, Options{}, "observations[1].path"},

@@ -39,6 +39,16 @@ func benchDataset(tb testing.TB) *Dataset {
 	return ds
 }
 
+// defaults returns the resolved zero Config: the paper's schedule and
+// HMC integrator.
+func defaults(tb testing.TB) Config {
+	cfg, err := Config{}.Resolve()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cfg
+}
+
 // kernelFixture returns one step of s's kernel over ds under model m —
 // an MH sweep with its term and proposal caches, or an HMC trajectory
 // with its Metropolis correction — from a start state drawn from the
@@ -61,14 +71,14 @@ func kernelFixture(ds *Dataset, s sampler, m Model) func() {
 // mhSweepFixture returns one Metropolis-within-Gibbs sweep over the bench
 // dataset under m — the MH sampler's inner loop, annotated //lint:hotpath.
 func mhSweepFixture(tb testing.TB, m Model) func() {
-	return kernelFixture(benchDataset(tb), MHConfig{}, m)
+	return kernelFixture(benchDataset(tb), defaults(tb).MH, m)
 }
 
 // hmcTrajectoryFixture returns one full HMC trajectory under m (momentum
 // refresh, 12 leapfrog steps and the accept/reject) — the other
 // //lint:hotpath kernel.
 func hmcTrajectoryFixture(tb testing.TB, m Model) func() {
-	return kernelFixture(benchDataset(tb), HMCConfig{}, m)
+	return kernelFixture(benchDataset(tb), defaults(tb).HMC, m)
 }
 
 // churnBenchState compiles a mid-sized dataset (120 paths over ~30 ASes)
@@ -278,8 +288,8 @@ func BenchmarkPaperChain(b *testing.B) {
 		name    string
 		sampler sampler
 	}{
-		{"mh", MHConfig{}},
-		{"hmc", HMCConfig{}},
+		{"mh", defaults(b).MH},
+		{"hmc", defaults(b).HMC},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			step := kernelFixture(ds, s.sampler, Model{})

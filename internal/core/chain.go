@@ -58,10 +58,9 @@ func (c *Chain) marginalInto(dst []float64, i int) []float64 {
 // sampler is one MCMC method as the chain driver sees it. MHConfig and
 // HMCConfig implement it; everything else about a chain is runChain's.
 type sampler interface {
-	// schedule applies the method's defaults and returns its name with
-	// the burn-in and retained step counts, or an error naming the first
-	// invalid field.
-	schedule() (method string, burnIn, retained int, err error)
+	// schedule returns the method's name with its burn-in and retained
+	// step counts, read from a resolved config.
+	schedule() (method string, burnIn, retained int)
 	// start returns the method's transition kernel positioned at p0, the
 	// start state the driver drew from the prior. o and chain label the
 	// kernel's own metric series, if it has any.
@@ -81,12 +80,18 @@ type kernel interface {
 // RunMH draws one Metropolis–Hastings chain from the posterior. cfg.MH
 // sets its length; cfg's prior, model, observer and progress settings
 // apply as in InferContext, and the chain's metrics and progress events
-// carry chain index 0. Cancellation is checked once per sweep and draws
-// nothing from the RNG, so a run that completes is bit-identical to an
-// uncancelled one; a cancelled run returns ctx.Err() and no chain.
+// carry chain index 0. cfg goes through Resolve first, whose
+// *ConfigError is returned unwrapped. Cancellation is checked once per
+// sweep and draws nothing from the RNG, so a run that completes is
+// bit-identical to an uncancelled one; a cancelled run returns ctx.Err()
+// and no chain.
 //
 //lint:allow deadcode test oracle: one MH chain for the sampler and cancellation tests
 func RunMH(ctx context.Context, ds *Dataset, cfg Config, rng *stats.RNG) (*Chain, error) {
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
+	}
 	return runChain(ctx, ds, cfg, cfg.MH, 0, rng)
 }
 
@@ -95,36 +100,27 @@ func RunMH(ctx context.Context, ds *Dataset, cfg Config, rng *stats.RNG) (*Chain
 //
 //lint:allow deadcode test oracle: one HMC chain for the sampler and cancellation tests
 func RunHMC(ctx context.Context, ds *Dataset, cfg Config, rng *stats.RNG) (*Chain, error) {
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
+	}
 	return runChain(ctx, ds, cfg, cfg.HMC, 0, rng)
 }
 
-// runChain is the one chain driver behind RunMH, RunHMC and InferContext.
-// It validates the run, draws the start state from the prior, then steps
-// the sampler's kernel through burn-in and retention, reporting metrics,
-// progress and a done log under cfg.Obs and cfg.Progress; chain is the
-// chain's index within an ensemble. The per-step cancellation check sits
-// between steps, never inside one.
+// runChain is the one chain driver behind RunMH, RunHMC and InferContext,
+// over a config they resolved. It draws the start state from the prior,
+// then steps the sampler's kernel through burn-in and retention,
+// reporting metrics, progress and a done log under cfg.Obs and
+// cfg.Progress; chain is the chain's index within an ensemble. The
+// per-step cancellation check sits between steps, never inside one.
 func runChain(ctx context.Context, ds *Dataset, cfg Config, s sampler, chain int, rng *stats.RNG) (*Chain, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg = cfg.withDefaults()
-	method, burnIn, retained, err := s.schedule()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.ProgressEvery < 1 {
-		return nil, fmt.Errorf("core: Config.ProgressEvery must be ≥ 1, got %d", cfg.ProgressEvery)
-	}
-	if err := cfg.Prior.Validate(); err != nil {
-		return nil, err
-	}
 	if ds.NumNodes() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
-	if err := cfg.Model.Validate(); err != nil {
-		return nil, err
-	}
+	method, burnIn, retained := s.schedule()
 
 	betaDist := stats.NewBeta(cfg.Prior.Alpha, cfg.Prior.Beta)
 	p0 := make([]float64, ds.NumNodes())

@@ -54,9 +54,23 @@ type Dataset struct {
 	weight               []float64
 }
 
-// NewDataset compiles observations. Empty paths are rejected; an AS
-// appearing twice on one (cleaned) path is an error because the likelihood
-// assumes one Bernoulli choice per AS per path.
+// ObservationError is a NewDataset failure on one observation: Index is
+// its position in the input and Field the part at fault, "path" or
+// "weight".
+type ObservationError struct {
+	Index  int
+	Field  string
+	Reason string
+}
+
+func (e *ObservationError) Error() string {
+	return fmt.Sprintf("core: observation %d: %s: %s", e.Index, e.Field, e.Reason)
+}
+
+// NewDataset compiles observations. An empty path, a weight that is not
+// finite and non-negative, and an AS appearing twice on one (cleaned)
+// path — the likelihood assumes one Bernoulli choice per AS per path —
+// are each an *ObservationError on the first observation at fault.
 func NewDataset(obs []PathObs) (*Dataset, error) {
 	hops := 0
 	for _, o := range obs {
@@ -77,14 +91,14 @@ func NewDataset(obs []PathObs) (*Dataset, error) {
 	var lastOn []int
 	for k, o := range obs {
 		if len(o.ASNs) == 0 {
-			return nil, fmt.Errorf("core: observation %d has an empty path", k)
+			return nil, &ObservationError{k, "path", "empty AS path"}
 		}
 		w := o.Weight
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return nil, &ObservationError{k, "weight", "must be finite and non-negative"}
+		}
 		if w == 0 {
 			w = 1
-		}
-		if w < 0 {
-			return nil, fmt.Errorf("core: observation %d has negative weight", k)
 		}
 		ds.positive[k], ds.weight[k] = o.Positive, w
 		for _, a := range o.ASNs {
@@ -96,7 +110,7 @@ func NewDataset(obs []PathObs) (*Dataset, error) {
 				lastOn = append(lastOn, 0)
 			}
 			if lastOn[i] == k+1 {
-				return nil, fmt.Errorf("core: observation %d repeats %v (clean the path first)", k, a)
+				return nil, &ObservationError{k, "path", fmt.Sprintf("repeats %v (clean the path first)", a)}
 			}
 			lastOn[i] = k + 1
 			ds.pathNodes = append(ds.pathNodes, int32(i))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -50,14 +51,23 @@ func TestNewDatasetBasics(t *testing.T) {
 }
 
 func TestNewDatasetRejectsBadInput(t *testing.T) {
-	if _, err := NewDataset([]PathObs{{}}); err == nil {
-		t.Error("empty path accepted")
-	}
-	if _, err := NewDataset([]PathObs{{ASNs: []bgp.ASN{1, 2, 1}}}); err == nil {
-		t.Error("repeated AS accepted")
-	}
-	if _, err := NewDataset([]PathObs{{ASNs: []bgp.ASN{1}, Weight: -1}}); err == nil {
-		t.Error("negative weight accepted")
+	ok := PathObs{ASNs: []bgp.ASN{1, 2}}
+	for _, tc := range []struct {
+		name  string
+		bad   PathObs
+		field string
+	}{
+		{"empty path", PathObs{}, "path"},
+		{"repeated AS", PathObs{ASNs: []bgp.ASN{1, 2, 1}}, "path"},
+		{"negative weight", PathObs{ASNs: []bgp.ASN{1}, Weight: -1}, "weight"},
+		{"NaN weight", PathObs{ASNs: []bgp.ASN{1}, Weight: math.NaN()}, "weight"},
+		{"infinite weight", PathObs{ASNs: []bgp.ASN{1}, Weight: math.Inf(1)}, "weight"},
+	} {
+		_, err := NewDataset([]PathObs{ok, tc.bad, tc.bad})
+		var oe *ObservationError
+		if !errors.As(err, &oe) || oe.Index != 1 || oe.Field != tc.field {
+			t.Errorf("%s: err = %v, want *ObservationError on observation 1's %s", tc.name, err, tc.field)
+		}
 	}
 }
 

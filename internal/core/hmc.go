@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"because/internal/obs"
@@ -35,39 +34,9 @@ const hmcJitter = 0.2
 // always rejected and the step size is too large for the local curvature.
 const divergenceThreshold = 50.0
 
-func (c HMCConfig) withDefaults() HMCConfig {
-	if c.Iterations == 0 {
-		c.Iterations = 800
-	}
-	if c.BurnIn == 0 {
-		c.BurnIn = c.Iterations / 4
-	}
-	if c.Leapfrog == 0 {
-		c.Leapfrog = 12
-	}
-	if c.StepSize == 0 {
-		c.StepSize = 0.08
-	}
-	return c
-}
-
-func (c HMCConfig) schedule() (string, int, int, error) {
-	c = c.withDefaults()
-	switch {
-	case c.Iterations < 1:
-		return "", 0, 0, fmt.Errorf("core: HMCConfig.Iterations must be ≥ 1, got %d", c.Iterations)
-	case c.BurnIn < 0:
-		return "", 0, 0, fmt.Errorf("core: HMCConfig.BurnIn must be ≥ 0, got %d", c.BurnIn)
-	case c.Leapfrog < 1:
-		return "", 0, 0, fmt.Errorf("core: HMCConfig.Leapfrog must be ≥ 1, got %d", c.Leapfrog)
-	case c.StepSize <= 0:
-		return "", 0, 0, fmt.Errorf("core: HMCConfig.StepSize must be > 0, got %g", c.StepSize)
-	}
-	return "hmc", c.BurnIn, c.Iterations, nil
-}
+func (c HMCConfig) schedule() (string, int, int) { return "hmc", c.BurnIn, c.Iterations }
 
 func (c HMCConfig) start(model Model, ds *Dataset, prior Prior, p0 []float64, o *obs.Observer, chain string) kernel {
-	c = c.withDefaults()
 	n := len(p0)
 	theta := make([]float64, n)
 	for i, pi := range p0 {

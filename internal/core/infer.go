@@ -14,73 +14,6 @@ import (
 	"because/internal/stats"
 )
 
-// Config drives a complete BeCAUSe inference run.
-type Config struct {
-	// Prior on each p_i; zero value selects SparsePrior.
-	Prior Prior
-	// MH and HMC set each sampler's chain length and numerics; zero values
-	// use defaults. Every other field applies to both samplers, including
-	// when one runs alone through RunMH or RunHMC.
-	MH  MHConfig
-	HMC HMCConfig
-	// DisableMH / DisableHMC skip a sampler (both run by default, and the
-	// categories are combined by the highest flag).
-	DisableMH, DisableHMC bool
-	// Chains runs this many independent Metropolis-Hastings chains
-	// (default 1). With 2 or more, per-node Gelman-Rubin R-hat diagnostics
-	// are computed across them and reported on each summary.
-	Chains int
-	// HDPIMass is the credible-interval mass (default 0.95).
-	HDPIMass float64
-	// PinpointThreshold is the Eq. 8 vote share (default 0.8). Negative
-	// disables the pinpointing pass.
-	PinpointThreshold float64
-	// Model is the observation model both samplers draw against. The
-	// zero value is the paper's § 3.1 likelihood; see Model for the miss
-	// and background rates. Its resolved name is carried on the Result.
-	Model Model
-	// Seed makes the run reproducible.
-	Seed uint64
-	// Workers bounds how many chains run concurrently: every MH chain and
-	// the HMC chain are independent tasks executed on a pool of this many
-	// goroutines. 0 (the default) selects GOMAXPROCS; 1 recovers strictly
-	// sequential execution. The result is bit-identical at every worker
-	// count — each chain's RNG stream is split off deterministically
-	// before any chain starts (see stats.RNG.Split), and chains land in
-	// fixed result slots — an invariant pinned by the reproducibility
-	// harness in reproducibility_test.go.
-	Workers int
-
-	// Obs attaches metrics and structured logging to every stage of the
-	// run: the samplers report acceptance rates, sweep counters,
-	// divergences and throughput; InferContext itself reports stage
-	// durations and final R-hat/ESS diagnostics. Nil (the default) is a no-op whose
-	// cost is a pointer check per sweep.
-	Obs *obs.Observer
-	// Progress, when non-nil, receives sampler progress events every
-	// ProgressEvery sweeps and at each sampler's completion — enough for
-	// a CLI to render live progress. Called synchronously: keep it fast.
-	Progress obs.ProgressFunc
-	// ProgressEvery is the progress cadence in sweeps (default 100).
-	ProgressEvery int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Prior == (Prior{}) {
-		c.Prior = SparsePrior
-	}
-	if c.HDPIMass == 0 {
-		c.HDPIMass = 0.95
-	}
-	if c.PinpointThreshold == 0 {
-		c.PinpointThreshold = 0.8
-	}
-	if c.ProgressEvery == 0 {
-		c.ProgressEvery = 100
-	}
-	return c
-}
-
 // Result is a full inference outcome.
 type Result struct {
 	// Model names the observation model the samplers drew against
@@ -149,7 +82,8 @@ func (r *Result) CategoryCounts() [6]int {
 // whole call then returns ctx.Err(). A run that completes is unaffected —
 // the per-sweep check draws nothing from the RNG, so the
 // bit-identical-at-any-worker-count guarantee holds with or without a
-// cancellable context.
+// cancellable context. cfg goes through Resolve first, whose
+// *ConfigError is returned unwrapped.
 func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -157,15 +91,12 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
+	}
 	if ds == nil || ds.NumPaths() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
-	}
-	if cfg.DisableMH && cfg.DisableHMC {
-		return nil, fmt.Errorf("core: both samplers disabled")
-	}
-	if cfg.Chains < 1 {
-		cfg.Chains = 1
 	}
 	workers := par.Workers(cfg.Workers)
 	o := cfg.Obs
@@ -176,7 +107,7 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 		o.Log(obs.LevelInfo, "inference started",
 			"paths", ds.NumPaths(), "nodes", ds.NumNodes(), "chains", cfg.Chains,
 			"mh", !cfg.DisableMH, "hmc", !cfg.DisableHMC,
-			"model", cfg.Model.name(), "workers", workers)
+			"model", cfg.Model.Name, "workers", workers)
 	}
 	// Progress callbacks may now arrive from several chain goroutines;
 	// serialise them so user callbacks keep their single-threaded contract.
@@ -252,7 +183,7 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 			return nil
 		})
 	}
-	err := pool.Wait()
+	err = pool.Wait()
 	sampleSpan.End()
 	if err != nil {
 		return nil, err
@@ -284,7 +215,7 @@ func InferContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Model: cfg.Model.name(), Summaries: summaries, Chains: chains}
+	res := &Result{Model: cfg.Model.Name, Summaries: summaries, Chains: chains}
 	res.buildIndex()
 	if cfg.PinpointThreshold > 0 {
 		res.pinpoint(ctx, o, ds, cfg.PinpointThreshold)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"because/internal/obs"
@@ -30,21 +29,7 @@ var (
 	halfLog2Pi = 0.5 * math.Log(2*math.Pi)
 )
 
-func (c MHConfig) schedule() (string, int, int, error) {
-	if c.Sweeps == 0 {
-		c.Sweeps = 1500
-	}
-	if c.BurnIn == 0 {
-		c.BurnIn = c.Sweeps / 4
-	}
-	switch {
-	case c.Sweeps < 1:
-		return "", 0, 0, fmt.Errorf("core: MHConfig.Sweeps must be ≥ 1, got %d", c.Sweeps)
-	case c.BurnIn < 0:
-		return "", 0, 0, fmt.Errorf("core: MHConfig.BurnIn must be ≥ 0, got %d", c.BurnIn)
-	}
-	return "mh", c.BurnIn, c.Sweeps, nil
-}
+func (c MHConfig) schedule() (string, int, int) { return "mh", c.BurnIn, c.Sweeps }
 
 func (MHConfig) start(model Model, ds *Dataset, prior Prior, p0 []float64, _ *obs.Observer, _ string) kernel {
 	k := &mhKernel{

@@ -9,14 +9,13 @@ import (
 // none is, the posterior samples identify the AS most likely to be causing
 // the property — the AS whose p_i is extremal on the path. If one AS is the
 // most likely cause in more than threshold (Eq. 8: 0.8) of the posterior
-// samples, it is upgraded to Category 4.
+// samples, it is upgraded to Category 4. threshold is used as given, so a
+// share of 1 or more upgrades nothing; InferContext passes the resolved
+// Config.PinpointThreshold and skips the pass when it is negative.
 //
 // The summaries slice is modified in place (Category and Pinpointed); the
 // upgraded ASNs are returned.
 func PinpointInconsistent(ds *Dataset, chains []*Chain, summaries []NodeSummary, threshold float64) []bgp.ASN {
-	if threshold <= 0 || threshold > 1 {
-		threshold = 0.8
-	}
 	byIndex := make(map[int32]*NodeSummary, len(summaries))
 	for k := range summaries {
 		if i, ok := ds.NodeIndex(summaries[k].ASN); ok {

@@ -22,10 +22,11 @@ var (
 	SymmetricPrior = Prior{Alpha: 2, Beta: 2}
 )
 
-// Validate rejects non-positive shape parameters.
+// Validate rejects shape parameters that are not positive (NaN
+// included) as a *ConfigError on Prior.
 func (p Prior) Validate() error {
-	if p.Alpha <= 0 || p.Beta <= 0 {
-		return fmt.Errorf("core: invalid prior Beta(%g,%g)", p.Alpha, p.Beta)
+	if !(p.Alpha > 0 && p.Beta > 0) {
+		return &ConfigError{"Prior", fmt.Sprintf("Beta(%g, %g) parameters must be positive", p.Alpha, p.Beta)}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -170,29 +171,30 @@ func TestUniformPriorStillRecovers(t *testing.T) {
 func TestRunConfigValidation(t *testing.T) {
 	ds := plantedDataset(t)
 	ctx := context.Background()
-	// Each invalid sampler or run knob is rejected with an error that names
-	// the field, not a dump of the whole config.
+	// Each invalid sampler or run knob is rejected with a *ConfigError
+	// that names the field, not a dump of the whole config.
 	for _, tc := range []struct {
 		name  string
 		run   func(context.Context, *Dataset, Config, *stats.RNG) (*Chain, error)
 		cfg   Config
 		field string
 	}{
-		{"mh sweeps", RunMH, Config{MH: MHConfig{Sweeps: -1}}, "MHConfig.Sweeps"},
-		{"mh burn-in", RunMH, Config{MH: MHConfig{BurnIn: -5}}, "MHConfig.BurnIn"},
-		{"hmc iterations", RunHMC, Config{HMC: HMCConfig{Iterations: -1}}, "HMCConfig.Iterations"},
-		{"hmc burn-in", RunHMC, Config{HMC: HMCConfig{BurnIn: -2}}, "HMCConfig.BurnIn"},
-		{"hmc leapfrog", RunHMC, Config{HMC: HMCConfig{Leapfrog: -2}}, "HMCConfig.Leapfrog"},
-		{"hmc step size", RunHMC, Config{HMC: HMCConfig{StepSize: -0.1}}, "HMCConfig.StepSize"},
-		{"progress cadence", RunMH, Config{ProgressEvery: -1}, "Config.ProgressEvery"},
+		{"mh sweeps", RunMH, Config{MH: MHConfig{Sweeps: -1}}, "MH.Sweeps"},
+		{"mh burn-in", RunMH, Config{MH: MHConfig{BurnIn: -5}}, "MH.BurnIn"},
+		{"hmc iterations", RunHMC, Config{HMC: HMCConfig{Iterations: -1}}, "HMC.Iterations"},
+		{"hmc burn-in", RunHMC, Config{HMC: HMCConfig{BurnIn: -2}}, "HMC.BurnIn"},
+		{"hmc leapfrog", RunHMC, Config{HMC: HMCConfig{Leapfrog: -2}}, "HMC.Leapfrog"},
+		{"hmc step size", RunHMC, Config{HMC: HMCConfig{StepSize: -0.1}}, "HMC.StepSize"},
+		{"progress cadence", RunMH, Config{ProgressEvery: -1}, "ProgressEvery"},
 	} {
 		_, err := tc.run(ctx, ds, tc.cfg, stats.NewRNG(1))
 		if err == nil {
 			t.Errorf("%s: invalid config accepted", tc.name)
 			continue
 		}
-		if msg := err.Error(); !strings.Contains(msg, tc.field) || strings.Contains(msg, "{") {
-			t.Errorf("%s: error %q does not name %s alone", tc.name, msg, tc.field)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != tc.field || strings.Contains(err.Error(), "{") {
+			t.Errorf("%s: error %q does not name %s alone", tc.name, err, tc.field)
 		}
 	}
 	if _, err := RunMH(ctx, ds, Config{Prior: Prior{Alpha: -1, Beta: 1}}, stats.NewRNG(1)); err == nil {

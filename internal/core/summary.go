@@ -141,7 +141,7 @@ func Summarize(ds *Dataset, chains []*Chain, hdpiMass float64) ([]NodeSummary, e
 	if len(chains) == 0 {
 		return nil, fmt.Errorf("core: no chains to summarise")
 	}
-	if hdpiMass <= 0 || hdpiMass >= 1 {
+	if !(hdpiMass > 0 && hdpiMass < 1) {
 		return nil, fmt.Errorf("core: invalid HDPI mass %g", hdpiMass)
 	}
 	n := ds.NumNodes()

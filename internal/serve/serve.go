@@ -132,6 +132,9 @@ func New(cfg Config) *Server {
 	if maxBody == 0 {
 		maxBody = 32 << 20
 	}
+	if cfg.ChainWorkers < 1 {
+		cfg.ChainWorkers = 1
+	}
 	infer := cfg.Infer
 	if infer == nil {
 		infer = because.InferContext
@@ -310,7 +313,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			"schema_version")
 		return
 	}
-	observations, opts, err := req.toOptions(s.cfg.ChainWorkers, s.o)
+	observations, opts, err := req.ToOptions(s.cfg.ChainWorkers, s.o)
 	if err == nil && len(observations) == 0 {
 		err = because.ErrNoObservations
 	}

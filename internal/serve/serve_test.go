@@ -156,6 +156,36 @@ func TestRequestKeySemantics(t *testing.T) {
 	}
 }
 
+// TestRequestKeyGolden pins becaused's cache key bytes, captured while
+// serve still restated every default itself: a change to how options are
+// resolved must not move a key, or a warm cache would miss (or, worse,
+// two results would share one entry).
+func TestRequestKeyGolden(t *testing.T) {
+	observations := []because.PathObservation{
+		{Path: []because.ASN{64500, 64510, 64520}, ShowsProperty: true},
+		{Path: []because.ASN{64500, 64530}, Weight: 2},
+	}
+	for _, tc := range []struct {
+		name string
+		opts because.Options
+		want string
+	}{
+		{"zero", because.Options{}, "b0d83656892bd3fbdb252e8ce6dd72bf89f9d5be65f1838ace0b908dfcde4234"},
+		{"spelled-out defaults", because.Options{
+			Prior: because.PriorSparse, MHSweeps: 1500, MHBurnIn: 375,
+			HMCIterations: 800, HMCBurnIn: 200, Chains: 1,
+			HDPIMass: 0.95, PinpointThreshold: 0.8, Model: because.ModelRFD,
+		}, "b0d83656892bd3fbdb252e8ce6dd72bf89f9d5be65f1838ace0b908dfcde4234"},
+		{"pinpoint disabled", because.Options{Seed: 3, PinpointThreshold: -1}, "616a88776a9d84fa3cbb0fe56cdb531064f6ded617b50c3907c8283f3ec36a42"},
+		{"churn", because.Options{Seed: 5, Model: because.ModelChurn, ChurnRate: 0.05, MissRate: 0.1}, "4492cbcc9e364de83b3851c952830202f926644bf4fa3a1d7c9a53292a28bc02"},
+		{"uniform prior", because.Options{Seed: 7, Prior: because.PriorUniform, MHSweeps: 200, Chains: 3, DisableHMC: true}, "b849f957bca5d959399599b0ae2459351e7a36ffb3052221ebedd630b26316fa"},
+	} {
+		if got := requestKey(observations, tc.opts); got != tc.want {
+			t.Errorf("%s: key = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestBackpressure429(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -309,8 +339,12 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestValidationStatuses: every invalid request is refused before a job
+// starts, with the same status and field in sync and ?stream=1 mode, so
+// the inference never runs.
 func TestValidationStatuses(t *testing.T) {
-	srv := New(Config{Infer: countingInfer(new(atomic.Int64))})
+	var calls atomic.Int64
+	srv := New(Config{Infer: countingInfer(&calls)})
 	h := srv.Handler()
 	cases := []struct {
 		name  string
@@ -324,28 +358,43 @@ func TestValidationStatuses(t *testing.T) {
 		{"unknown prior", `{"observations":[{"path":[1,2]}],"options":{"prior":"bogus"}}`, http.StatusUnprocessableEntity, "prior"},
 		{"bad miss rate", `{"observations":[{"path":[1,2]}],"options":{"miss_rate":2}}`, http.StatusUnprocessableEntity, "miss_rate"},
 		{"negative sweeps", `{"observations":[{"path":[1,2]}],"options":{"mh_sweeps":-5}}`, http.StatusUnprocessableEntity, "mh_sweeps"},
+		{"hdpi mass 1", `{"observations":[{"path":[1,2]}],"options":{"hdpi_mass":1}}`, http.StatusUnprocessableEntity, "hdpi_mass"},
+		{"pinpoint threshold above 1", `{"observations":[{"path":[1,2]}],"options":{"pinpoint_threshold":1.5}}`, http.StatusUnprocessableEntity, "pinpoint_threshold"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := postInfer(t, h, tc.body)
-			if rec.Code != tc.code {
-				t.Fatalf("status = %d, want %d: %s", rec.Code, tc.code, rec.Body)
-			}
-			var env struct {
-				SchemaVersion int    `json:"schema_version"`
-				Error         string `json:"error"`
-				Field         string `json:"field"`
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-				t.Fatal(err)
-			}
-			if env.SchemaVersion != because.SchemaVersion || env.Error == "" {
-				t.Errorf("error envelope = %+v", env)
-			}
-			if env.Field != tc.field {
-				t.Errorf("field = %q, want %q", env.Field, tc.field)
+			for _, target := range []string{"/v1/infer", "/v1/infer?stream=1"} {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, strings.NewReader(tc.body)))
+				checkErrorEnvelope(t, target, rec, tc.code, tc.field)
 			}
 		})
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("inference ran %d times for invalid requests, want 0", n)
+	}
+}
+
+// checkErrorEnvelope checks the status of a request refused at target and
+// its versioned error envelope naming field.
+func checkErrorEnvelope(t *testing.T, target string, rec *httptest.ResponseRecorder, code int, field string) {
+	t.Helper()
+	if rec.Code != code {
+		t.Fatalf("%s: status = %d, want %d: %s", target, rec.Code, code, rec.Body)
+	}
+	var env struct {
+		SchemaVersion int    `json:"schema_version"`
+		Error         string `json:"error"`
+		Field         string `json:"field"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.SchemaVersion != because.SchemaVersion || env.Error == "" {
+		t.Errorf("%s: error envelope = %+v", target, env)
+	}
+	if env.Field != field {
+		t.Errorf("%s: field = %q, want %q", target, env.Field, field)
 	}
 }
 

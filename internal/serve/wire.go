@@ -49,9 +49,11 @@ type RequestOptions struct {
 	ChurnRate         float64 `json:"churn_rate,omitempty"`
 }
 
-// toOptions converts the wire request into API inputs. chainWorkers and
-// the observer are server-side settings layered on top.
-func (r *InferRequest) toOptions(chainWorkers int, o *obs.Observer) ([]because.PathObservation, because.Options, error) {
+// ToOptions converts the wire request into API inputs: becaused's and
+// becausectl's one reading of a request. chainWorkers and the observer
+// are the caller's own settings layered on top; an unknown prior name is
+// a *because.ValidationError on "prior".
+func (r *InferRequest) ToOptions(chainWorkers int, o *obs.Observer) ([]because.PathObservation, because.Options, error) {
 	opts := because.Options{
 		Seed:              r.Options.Seed,
 		MHSweeps:          r.Options.MHSweeps,
@@ -68,9 +70,6 @@ func (r *InferRequest) toOptions(chainWorkers int, o *obs.Observer) ([]because.P
 		ChurnRate:         r.Options.ChurnRate,
 		Workers:           chainWorkers,
 		Obs:               o,
-	}
-	if opts.Workers < 1 {
-		opts.Workers = 1
 	}
 	switch r.Options.Prior {
 	case "", "sparse":
@@ -144,16 +143,22 @@ func streamErrorEnvelope(code int, field string, st JobStatus) any {
 	}{because.SchemaVersion, msg, field, code, st.JobID}
 }
 
-// requestKey hashes the canonicalised request — observations in order,
-// semantic options post-default, the seed, and the wire schema version —
-// into the cache key. Two requests share a key exactly when Infer is
-// guaranteed to produce bit-identical results for them: observation order
-// is preserved (it fixes the dataset's node order and therefore the RNG
-// stream consumption), while worker counts and observability hooks are
-// excluded (they never change a single output bit).
+// requestKey hashes the request — observations in order, the semantic
+// options as the engine resolves them (because.Options.Resolved), and
+// the wire schema version — into the cache key. Two requests share a
+// key exactly when Infer is guaranteed to produce bit-identical results
+// for them: observation order is preserved (it fixes the dataset's node
+// order and therefore the RNG stream consumption), while worker counts
+// and observability hooks are excluded (they never change a single
+// output bit).
 func requestKey(observations []because.PathObservation, o because.Options) string {
+	c, err := o.Resolved()
+	if err != nil {
+		// Options that fail validation never reach the cache: the handler
+		// rejects them before keying. Hash them as given.
+		c = o
+	}
 	h := sha256.New()
-	c := canonicalOptions(o)
 	fmt.Fprintf(h, "v%d|seed=%d|prior=%g,%g|mh=%d,%d,%t|hmc=%d,%d,%t|chains=%d|mass=%g|pin=%g|miss=%g|model=%s,%g|",
 		because.SchemaVersion, c.Seed,
 		c.Prior.Alpha, c.Prior.Beta,
@@ -172,54 +177,4 @@ func requestKey(observations []because.PathObservation, o because.Options) strin
 		fmt.Fprintf(h, ";%t;%g|", ob.ShowsProperty, w)
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// canonicalOptions normalises every semantic knob to its post-default
-// value (mirroring the documented defaults of Options and the core
-// samplers), so `{}` and the spelled-out paper settings share one cache
-// entry. Non-semantic knobs (Workers, Obs, progress callbacks) are
-// dropped entirely.
-func canonicalOptions(o because.Options) because.Options {
-	c := because.Options{
-		Seed:       o.Seed,
-		Prior:      o.Prior,
-		MHSweeps:   o.MHSweeps,
-		MHBurnIn:   o.MHBurnIn,
-		DisableMH:  o.DisableMH,
-		DisableHMC: o.DisableHMC,
-		Chains:     o.Chains,
-		HDPIMass:   o.HDPIMass,
-		MissRate:   o.MissRate,
-		Model:      o.ResolvedModel(),
-		ChurnRate:  o.ChurnRate,
-
-		HMCIterations:     o.HMCIterations,
-		HMCBurnIn:         o.HMCBurnIn,
-		PinpointThreshold: o.PinpointThreshold,
-	}
-	if c.Prior == (because.Prior{}) {
-		c.Prior = because.PriorSparse
-	}
-	if c.MHSweeps == 0 {
-		c.MHSweeps = 1500
-	}
-	if c.MHBurnIn == 0 {
-		c.MHBurnIn = c.MHSweeps / 4
-	}
-	if c.HMCIterations == 0 {
-		c.HMCIterations = 800
-	}
-	if c.HMCBurnIn == 0 {
-		c.HMCBurnIn = c.HMCIterations / 4
-	}
-	if c.Chains < 1 {
-		c.Chains = 1
-	}
-	if c.HDPIMass == 0 {
-		c.HDPIMass = 0.95
-	}
-	if c.PinpointThreshold == 0 {
-		c.PinpointThreshold = 0.8
-	}
-	return c
 }

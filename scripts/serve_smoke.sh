@@ -9,7 +9,8 @@
 # (list, a full server-side scenario run, cache hit on repeat, 404 on
 # unknown names) and the observation-model field (a churn-model request,
 # cache hit on its repeat, miss across models, 422 on unknown model
-# names) — then SIGTERMs the daemon and asserts
+# names), checks that an interval mass of 1 is a 422 naming hdpi_mass —
+# then SIGTERMs the daemon and asserts
 # a clean drain (exit 0). Needs only sh + curl + the Go toolchain.
 set -eu
 
@@ -150,6 +151,13 @@ CODE=$(curl -s -o "$BODY" -w '%{http_code}' -X POST -d "$BADREQ" "http://$ADDR/v
 [ "$CODE" = 422 ] || fail "unknown model returned $CODE, want 422: $(cat "$BODY")"
 grep -q 'model' "$BODY" || fail "unknown-model error does not name the field: $(cat "$BODY")"
 log "unknown model rejected with 422"
+
+# An interval mass of 1 is refused up front, never run to a 500.
+MASSREQ=$(printf '%s' "$MREQ" | sed 's/"seed":9/"seed":9,"hdpi_mass":1/')
+CODE=$(curl -s -o "$BODY" -w '%{http_code}' -X POST -d "$MASSREQ" "http://$ADDR/v1/infer")
+[ "$CODE" = 422 ] || fail "hdpi_mass 1 returned $CODE, want 422: $(cat "$BODY")"
+grep -q '"field":"hdpi_mass"' "$BODY" || fail "hdpi_mass error does not name the field: $(cat "$BODY")"
+log "hdpi_mass 1 rejected with 422"
 
 kill -TERM "$PID"
 if ! wait "$PID"; then
